@@ -592,7 +592,7 @@ def _bootstrap_statistics(
 ) -> NDArray[np.float64]:
     n = data.shape[0]
     idx = rng.integers(0, n, size=(j, n))
-    # chunk resamples to bound scratch memory (Hodges-Lehmann is quadratic in n)
+    # chunk resamples to bound the gathered block (HL bounds its own scratch)
     chunk = max(1, 2_000_000 // (n * data.shape[1]))
     out = np.empty(j)
     for start in range(0, j, chunk):

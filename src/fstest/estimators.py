@@ -133,29 +133,39 @@ def estimate(
 # batched implementations used by the simulation engine
 # ---------------------------------------------------------------------------
 
-#: soft cap on the number of scratch floats per Hodges-Lehmann chunk
-_HL_CHUNK_BUDGET = 4_000_000
-
-
-def _mean_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    return data.mean(axis=1)
-
-
-def _cw_median_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.median(data, axis=1)
+#: cap on the Walsh-sum block of one Hodges-Lehmann chunk, in floats (8 MB)
+_HL_BLOCK_FLOATS = 1_000_000
 
 
 def _hodges_lehmann_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Hodges-Lehmann per replication for a (reps, n, d) batch."""
+    """Hodges-Lehmann per replication for a (reps, n, d) batch.
+
+    Blocks of contiguous (replication, coordinate) columns get their n(n+1)/2
+    pairwise sums and one in-place partition; scratch stays within
+    _HL_BLOCK_FLOATS unless one column needs more.  Halving only the selected
+    sums keeps np.median's bits, as x -> x/2 is monotone; the leading
+    ``0.0 +`` mirrors np.median's mean, whose sum starts at +0.0 and so
+    turns a -0.0 middle into +0.0.
+    """
     reps, n, d = data.shape
-    i_idx, j_idx = np.triu_indices(n)
-    chunk = max(1, _HL_CHUNK_BUDGET // (i_idx.size * d))
-    out = np.empty((reps, d))
-    for start in range(0, reps, chunk):
-        block = data[start : start + chunk]
-        walsh = 0.5 * (block[:, i_idx, :] + block[:, j_idx, :])
-        out[start : start + chunk] = np.median(walsh, axis=1)
-    return out
+    cols = np.ascontiguousarray(data.transpose(0, 2, 1)).reshape(reps * d, n)
+    size = n * (n + 1) // 2
+    k, chunk = size // 2, max(1, _HL_BLOCK_FLOATS // size)
+    block = np.empty((min(chunk, reps * d), size))
+    out = np.empty(reps * d)
+    for start in range(0, reps * d, chunk):
+        c = cols[start : start + chunk]
+        w = block[: len(c)]
+        off = 0
+        for i in range(n):
+            np.add(c[:, i : i + 1], c[:, i:], out=w[:, off : off + n - i])
+            off += n - i
+        w.partition(k, axis=1)
+        mid = 0.0 + 0.5 * w[:, k]
+        if size % 2 == 0:
+            mid = (0.0 + 0.5 * w[:, :k].max(axis=1) + mid) / 2
+        out[start : start + chunk] = mid
+    return out.reshape(reps, d)
 
 
 def _forward_search_batch(
@@ -192,9 +202,9 @@ def batch_estimates(
             raise ValueError("forward search needs mu0, sigma and gamma")
         return _forward_search_batch(data, mu0, sigma, gamma)
     if kind == EstimatorKind.MEAN:
-        return _mean_batch(data)
+        return data.mean(axis=1)
     if kind == EstimatorKind.CW_MEDIAN:
-        return _cw_median_batch(data)
+        return np.median(data, axis=1)
     if kind == EstimatorKind.HODGES_LEHMANN:
         return _hodges_lehmann_batch(data)
     raise ValueError(f"unknown estimator kind {kind!r}")

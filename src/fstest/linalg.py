@@ -20,8 +20,6 @@ __all__ = [
     "SpdMatrix",
     "as_vector",
     "as_data_matrix",
-    "cholesky",
-    "sym_eigenvalues",
     "mahalanobis_sq",
     "mahalanobis_sq_many",
     "empirical_quantile_sq_distance",
@@ -139,20 +137,6 @@ class SpdMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdMatrix(d={self.d})"
-
-
-def _as_spd(sigma: ArrayLike | SpdMatrix) -> SpdMatrix:
-    return sigma if isinstance(sigma, SpdMatrix) else SpdMatrix(sigma)
-
-
-def cholesky(matrix: ArrayLike | SpdMatrix) -> NDArray[np.float64]:
-    """Lower-triangular Cholesky factor; raises NotSPD/NotSymmetric if invalid."""
-    return _as_spd(matrix).cholesky_factor
-
-
-def sym_eigenvalues(matrix: ArrayLike | SpdMatrix) -> NDArray[np.float64]:
-    """Eigenvalues of a symmetric positive definite matrix, descending."""
-    return _as_spd(matrix).eigenvalues
 
 
 def mahalanobis_sq(

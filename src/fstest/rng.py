@@ -57,7 +57,7 @@ def stream_rng(seed: int, *path: object) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap from the FSTEST_THREADS environment variable (default 1)."""
+    """Workers from FSTEST_THREADS (default 1), clamped to 1..os.cpu_count()."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not raw:
         return 1
@@ -65,7 +65,7 @@ def worker_count() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:

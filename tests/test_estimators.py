@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fstest.estimators import (
+    _HL_BLOCK_FLOATS,
     Estimate,
     EstimatorKind,
     ForwardSearchConfig,
@@ -121,8 +122,7 @@ class TestPlainEstimators:
 
     @given(finite_rows)
     def test_hl_matches_bruteforce(self, data):
-        got = hodges_lehmann(data).value
-        assert np.allclose(got, hl_bruteforce(data), rtol=1e-12, atol=1e-9)
+        assert np.array_equal(hodges_lehmann(data).value, hl_bruteforce(data))
 
     @given(finite_rows)
     @settings(max_examples=25)
@@ -178,11 +178,36 @@ class TestBatch:
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_batch_hl_chunking_consistent(self, rng):
-        # large enough that the Walsh buffer spans several chunks
-        data = rng.standard_normal((40, 150, 2))
+        # 80 columns of 45,150 Walsh sums span four blocks, the last one short
+        assert 80 * 45_150 > 3 * _HL_BLOCK_FLOATS
+        data = rng.standard_normal((40, 300, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data, np.zeros(2), SpdMatrix.identity(2), 0.5)
         expect = np.stack([hl_bruteforce(data[r]) for r in range(40)])
-        assert np.allclose(got, expect, rtol=1e-12, atol=1e-9)
+        assert np.array_equal(got, expect)
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 60),
+        st.integers(1, 3),
+        st.sampled_from([-1.0, 1.0]),
+        st.integers(-300, 300),
+        st.data(),
+    )
+    def test_batch_hl_is_exact_on_ties_and_extreme_scales(self, reps, n, d, sign, exponent, draw):
+        # small integers give heavy ties; a negative sign turns zeros into -0.0
+        ints = draw.draw(arrays(np.int64, (reps, n, d), elements=st.integers(-3, 3)))
+        data = ints * (sign * 10.0**exponent)
+        got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+        expect = np.stack([hl_bruteforce(data[r]) for r in range(reps)])
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+    def test_batch_hl_column_larger_than_block(self, rng):
+        # n = 1500 gives 1,125,750 Walsh sums, more than one block holds
+        assert 1500 * 1501 // 2 > _HL_BLOCK_FLOATS
+        data = rng.standard_normal((1, 1500, 2))
+        got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+        assert np.array_equal(got[0], hl_bruteforce(data[0]))
 
 
 class TestEstimateRecord:

@@ -48,8 +48,15 @@ class TestWorkerCount:
         assert worker_count() == 1
 
     def test_env_override(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         monkeypatch.setenv("FSTEST_THREADS", "4")
         assert worker_count() == 4
+
+    @pytest.mark.parametrize("cpus", [1, 3, None])
+    def test_capped_at_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        monkeypatch.setenv("FSTEST_THREADS", str(10**6))
+        assert worker_count() == (cpus or 1)
 
     def test_clamped_to_one(self, monkeypatch):
         monkeypatch.setenv("FSTEST_THREADS", "0")
@@ -80,6 +87,12 @@ class TestParallelMap:
 class TestReplicationSlices:
     def test_single_worker_single_slice(self):
         assert replication_slices(10, workers=1) == [slice(0, 10)]
+
+    def test_huge_thread_setting_is_capped(self, monkeypatch):
+        # only slices are built here; no pool is started
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv("FSTEST_THREADS", str(10**6))
+        assert replication_slices(10**6) == [slice(0, 500_000), slice(500_000, 10**6)]
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
