@@ -2,7 +2,7 @@
 # Finite-sample efficiency of the plain estimators relative to the trimmed
 # one: determinant ratios of covariance estimates over 1000 replications,
 # n in {10, 100}, d up to 100.  The d=100 pairwise-median cells dominate
-# the cost; about two minutes on one core.
+# the cost; about 20 seconds on one 2 GHz Xeon core.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results

@@ -354,19 +354,23 @@ def cmd_table3(args) -> int:
     raw = []
     for family in config.families:
         for n in config.n_grid:
-            for kind in _EFFICIENCY_ROWS:
+            cells = {
+                d: robustness.finite_sample_efficiencies(
+                    _EFFICIENCY_ROWS,
+                    family=family,
+                    n=n,
+                    d=d,
+                    reps=config.reps,
+                    gamma=config.gamma,
+                    seed=config.seed,
+                    bootstrap=args.bootstrap,
+                )
+                for d in config.d_grid
+            }
+            for r, kind in enumerate(_EFFICIENCY_ROWS):
                 row = [family, n, kind.value]
                 for d in config.d_grid:
-                    result = robustness.finite_sample_efficiency(
-                        kind,
-                        family=family,
-                        n=n,
-                        d=d,
-                        reps=config.reps,
-                        gamma=config.gamma,
-                        seed=config.seed,
-                        bootstrap=args.bootstrap,
-                    )
+                    result = cells[d][r]
                     row += [result.value, result.stderr if result.stderr is not None else ""]
                     raw.append(
                         {

@@ -53,8 +53,6 @@ __all__ = [
     "empirical_critical_value",
     "run_test",
     "power_table",
-    "power_curve",
-    "bootstrap_p_value",
     "bootstrap_report",
     "DEFAULT_SHIFT_SCALE",
 ]
@@ -540,43 +538,6 @@ def power_table(
     return table
 
 
-def power_curve(
-    kind: StatKind,
-    family: str,
-    beta_grid: Sequence[float],
-    *,
-    d: int = 4,
-    n: int = 100,
-    reps: int = 1000,
-    gamma: float = 0.5,
-    alpha: float = 0.05,
-    shift_scale: float = DEFAULT_SHIFT_SCALE,
-    null_reps: int = DEFAULT_NULL_REPS,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Power along a mixture-weight grid for one statistic and family.
-
-    Uses the same replication streams as :func:`power_table`, so a curve is
-    the corresponding table row.
-    """
-    kind = StatKind(kind)
-    table = power_table(
-        [family],
-        beta_grid,
-        kinds=(kind,),
-        d=d,
-        n=n,
-        reps=reps,
-        gamma=gamma,
-        alpha=alpha,
-        shift_scale=shift_scale,
-        null_reps=null_reps,
-        seed=seed,
-    )
-    row = table[family][kind]
-    return [(float(b), row[float(b)]) for b in beta_grid]
-
-
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------
@@ -600,21 +561,6 @@ def _bootstrap_statistics(
         stats = batch_statistics(block, mu0, sigma, gamma, (kind,))
         out[start : start + chunk] = stats[kind]
     return out
-
-
-def bootstrap_p_value(
-    kind: StatKind,
-    data: ArrayLike,
-    mu0: ArrayLike,
-    sigma: SpdMatrix | ArrayLike | None = None,
-    gamma: float = 0.5,
-    j: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Fraction of ``j`` with-replacement resamples whose statistic exceeds
-    the observed one (strict inequality, no continuity correction)."""
-    p, _, _ = bootstrap_report(kind, data, mu0, sigma, gamma=gamma, j=j, seed=seed)
-    return p
 
 
 def bootstrap_report(

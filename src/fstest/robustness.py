@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,6 +41,7 @@ __all__ = [
     "breakdown_experiment",
     "EfficiencyResult",
     "finite_sample_efficiency",
+    "finite_sample_efficiencies",
     "trimmed_variance_oracle",
     "empirical_limit_covariance",
 ]
@@ -243,36 +245,50 @@ def finite_sample_efficiency(
     on the same seed returns the exact reciprocal.  ``bootstrap`` > 0 adds a
     standard error from resampling replication indices.
     """
-    numerator = EstimatorKind(numerator)
+    return finite_sample_efficiencies(
+        (numerator,), denominator, family, n, d, reps, gamma, seed, bootstrap
+    )[0]
+
+
+def finite_sample_efficiencies(
+    numerators: Sequence[EstimatorKind],
+    denominator: EstimatorKind = EstimatorKind.FORWARD_SEARCH,
+    family: str = "gaussian",
+    n: int = 100,
+    d: int = 4,
+    reps: int = 1000,
+    gamma: float = 0.5,
+    seed: int = 0,
+    bootstrap: int = 0,
+) -> list[EfficiencyResult]:
+    """:func:`finite_sample_efficiency` for each numerator, from one simulation.
+
+    The replications, the denominator's log-determinants and the bootstrap
+    resamples are shared, so each result equals its own
+    ``finite_sample_efficiency`` call bit for bit.
+    """
+    numerators = [EstimatorKind(k) for k in numerators]
     denominator = EstimatorKind(denominator)
     if reps < 2:
         raise ValueError("reps must be at least 2 (100+ for stable determinants)")
-    kinds = tuple(dict.fromkeys((numerator, denominator)))
+    kinds = tuple(dict.fromkeys((*numerators, denominator)))
     values = _replicated_estimates(family, n, d, gamma, kinds, reps, seed)
-    log_num = _log_det_cov(values[numerator])
-    log_den = _log_det_cov(values[denominator])
-    value = math.exp((log_num - log_den) / d)
-    stderr = None
+
+    def ratios(idx=slice(None)) -> list[float]:
+        log_dets = {kind: _log_det_cov(values[kind][idx]) for kind in kinds}
+        return [math.exp((log_dets[k] - log_dets[denominator]) / d) for k in numerators]
+
+    stderrs = [None] * len(numerators)
     if bootstrap > 0:
         rng = stream_rng(seed, "efficiency-bootstrap", family, n)
-        draws = np.empty(bootstrap)
+        draws = np.empty((len(numerators), bootstrap))
         for b in range(bootstrap):
-            idx = rng.integers(0, reps, size=reps)
-            draws[b] = math.exp(
-                (_log_det_cov(values[numerator][idx]) - _log_det_cov(values[denominator][idx])) / d
-            )
-        stderr = float(draws.std(ddof=1))
-    return EfficiencyResult(
-        numerator=numerator,
-        denominator=denominator,
-        family=family,
-        n=n,
-        d=d,
-        reps=reps,
-        gamma=gamma,
-        value=value,
-        stderr=stderr,
-    )
+            draws[:, b] = ratios(rng.integers(0, reps, size=reps))
+        stderrs = [float(row.std(ddof=1)) for row in draws]
+    return [
+        EfficiencyResult(numerator, denominator, family, n, d, reps, gamma, value, stderr)
+        for numerator, value, stderr in zip(numerators, ratios(), stderrs)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fstest import engine
+from fstest import engine, robustness
 from fstest.asymptotics import efficiency_grid
 from fstest.cli import CliError, SimulationConfig, main
 from fstest.dataio import read_rows, write_rows
 from fstest.engine import StatKind
+from fstest.estimators import EstimatorKind
 
 DATA = Path(__file__).parent / "data" / "gauss_n60_d3.csv"
 
@@ -177,6 +178,33 @@ class TestTableCommands:
         _, rows = read_rows(out)
         mean_row = next(r for r in rows if r[1] == "mean")
         assert float(mean_row[2]) == np.inf
+
+    TABLE3 = ["table3", "--seed", "9", "--family", "gaussian", "--n-grid", "12,20",
+              "--d-grid", "2,3", "--reps", "40", "--bootstrap", "5", "--format", "json"]
+
+    def test_table3_cells_equal_single_efficiency_calls(self, tmp_path):
+        out = tmp_path / "t3.json"
+        assert main(self.TABLE3 + ["--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 2 * 3 * 2
+        for row in rows:
+            single = robustness.finite_sample_efficiency(
+                EstimatorKind(row["estimator"]), family="gaussian", n=row["n"], d=row["d"],
+                reps=40, gamma=0.5, seed=9, bootstrap=5,
+            )
+            assert (row["value"], row["stderr"]) == (single.value, single.stderr)
+
+    def test_table3_simulates_each_cell_once(self, tmp_path, monkeypatch):
+        calls = []
+        simulate = robustness._replicated_estimates
+
+        def counted(family, n, d, *args):
+            calls.append((family, n, d))
+            return simulate(family, n, d, *args)
+
+        monkeypatch.setattr(robustness, "_replicated_estimates", counted)
+        assert main(self.TABLE3 + ["--out", str(tmp_path / "t3.json")]) == 0
+        assert sorted(calls) == [("gaussian", n, d) for n in (12, 20) for d in (2, 3)]
 
     def test_breakdown_rows(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -15,12 +15,10 @@ from fstest.engine import (
     MonteCarloConfig,
     StatKind,
     batch_statistics,
-    bootstrap_p_value,
     bootstrap_report,
     critical_value,
     empirical_critical_value,
     limit_weights,
-    power_curve,
     power_table,
     run_test,
     scatter_scale_constant,
@@ -248,12 +246,12 @@ class TestPowerCampaign:
         t = power_table(["gaussian"], [0.9], kinds=(StatKind.T2,), reps=30, null_reps=200, seed=6)
         assert t["gaussian"][StatKind.T2][0.9] == 1.0
 
-    def test_power_curve_slices_table(self):
-        curve = power_curve(StatKind.T3, "gaussian", [0.0, 0.8], reps=30, null_reps=200, seed=13)
-        table = power_table(
+    def test_single_kind_table_slices_full_table(self):
+        single = power_table(
             ["gaussian"], [0.0, 0.8], kinds=(StatKind.T3,), reps=30, null_reps=200, seed=13
         )
-        assert dict(curve) == table["gaussian"][StatKind.T3]
+        full = power_table(["gaussian"], [0.0, 0.8], reps=30, null_reps=200, seed=13)
+        assert single["gaussian"] == {StatKind.T3: full["gaussian"][StatKind.T3]}
 
     @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
     def test_consistency_in_sample_size(self, family):
@@ -279,15 +277,15 @@ class TestPowerCampaign:
 class TestBootstrap:
     def test_p_value_reproducible_in_unit_interval(self, rng):
         data = rng.standard_normal((50, 2))
-        p1 = bootstrap_p_value(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3)
-        p2 = bootstrap_p_value(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3)
+        p1 = bootstrap_report(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3)[0]
+        p2 = bootstrap_report(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3)[0]
         assert p1 == p2
         assert 0.0 <= p1 <= 1.0
 
     def test_constant_data_at_mu0_gives_zero(self):
         # t0 = 0 and every resample statistic is 0; strict inequality -> p = 0
         data = np.full((30, 2), 1.5)
-        p = bootstrap_p_value(StatKind.T2, data, np.full(2, 1.5), SpdMatrix.identity(2), j=200, seed=1)
+        p = bootstrap_report(StatKind.T2, data, np.full(2, 1.5), SpdMatrix.identity(2), j=200, seed=1)[0]
         assert p == 0.0
 
     def test_null_p_values_spread_over_unit_interval(self):
@@ -295,9 +293,9 @@ class TestBootstrap:
         hits = 0
         for seed in range(50):
             data = np.random.default_rng(seed).standard_normal((200, 2))
-            p = bootstrap_p_value(
+            p = bootstrap_report(
                 StatKind.T2, data, np.zeros(2), SpdMatrix.identity(2), j=2000, seed=seed
-            )
+            )[0]
             if p > 0.05:
                 hits += 1
         assert hits >= 45

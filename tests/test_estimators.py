@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from fstest.estimators import (
     _HL_BLOCK_FLOATS,
+    _hl_band,
     Estimate,
     EstimatorKind,
     ForwardSearchConfig,
@@ -178,11 +179,12 @@ class TestBatch:
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_batch_hl_chunking_consistent(self, rng):
-        # 80 columns of 45,150 Walsh sums span four blocks, the last one short
-        assert 80 * 45_150 > 3 * _HL_BLOCK_FLOATS
-        data = rng.standard_normal((40, 300, 2))
+        # 120 columns of 20,888 band sums span three blocks, the last one short
+        _, band, _ = _hl_band(300)
+        assert band == 20_888 and 120 > 2 * (_HL_BLOCK_FLOATS // band)
+        data = rng.standard_normal((60, 300, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data, np.zeros(2), SpdMatrix.identity(2), 0.5)
-        expect = np.stack([hl_bruteforce(data[r]) for r in range(40)])
+        expect = np.stack([hl_bruteforce(data[r]) for r in range(60)])
         assert np.array_equal(got, expect)
 
     @given(
@@ -203,11 +205,56 @@ class TestBatch:
         assert np.array_equal(np.signbit(got), np.signbit(expect))
 
     def test_batch_hl_column_larger_than_block(self, rng):
-        # n = 1500 gives 1,125,750 Walsh sums, more than one block holds
-        assert 1500 * 1501 // 2 > _HL_BLOCK_FLOATS
-        data = rng.standard_normal((1, 1500, 2))
+        # n = 2100 gives a band of 1,029,114 Walsh sums, more than one block holds
+        assert _hl_band(2100)[1] > _HL_BLOCK_FLOATS
+        data = rng.standard_normal((1, 2100, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
         assert np.array_equal(got[0], hl_bruteforce(data[0]))
+
+    @pytest.mark.parametrize("n", (61, 127, 128, 500))
+    def test_batch_hl_exact_at_odd_and_even_counts(self, n, rng):
+        # 61 gives an odd number of Walsh sums, the others an even one
+        ties = rng.integers(-3, 4, (2, n, 2)) * -1e-300
+        for data in (rng.standard_normal((2, n, 2)), ties):
+            got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+            expect = np.stack([hl_bruteforce(r) for r in data])
+            assert np.array_equal(got, expect)
+            assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+    def test_batch_hl_ignores_row_order(self, rng):
+        # zeros of both signs and heavy ties, each column shuffled on its own
+        data = rng.integers(-2, 3, (3, 50, 4)) * rng.choice([-1.0, 1.0], (3, 50, 4))
+        shuffled = np.take_along_axis(data, rng.random(data.shape).argsort(axis=1), axis=1)
+        got = batch_estimates(EstimatorKind.HODGES_LEHMANN, shuffled)
+        expect = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+def test_hl_band_discards_only_beyond_the_middle():
+    """The band against rank bounds counted from their definitions, and the
+    discarded Walsh sums of sorted, heavily tied columns against the middle."""
+    rng = np.random.default_rng(17)
+    for n in range(1, 65):
+        size = n * (n + 1) // 2
+        i, j = np.triu_indices(n)
+        upper = np.triu(np.ones((n, n), dtype=np.int64))
+        at_or_below = upper.cumsum(0).cumsum(1)[i, j]
+        at_or_above = upper[::-1, ::-1].cumsum(0).cumsum(1)[::-1, ::-1][i, j]
+        below = size - at_or_above < (size - 1) // 2
+        above = at_or_below - 1 > size // 2
+        rows, band, k = _hl_band(n)
+        kept = np.zeros((n, n), dtype=bool)
+        for r, lo, hi in rows:
+            kept[r, lo:hi] = True
+        assert np.array_equal(kept[i, j], ~below & ~above)
+        assert band == np.sum(~below & ~above) and k == size // 2 - np.sum(below)
+        for _ in range(20):
+            x = np.sort(rng.integers(-2, 3, n) * 0.5)
+            sums = x[i] + x[j]
+            ordered = np.sort(sums)
+            assert np.all(sums[below] <= ordered[(size - 1) // 2])
+            assert np.all(sums[above] >= ordered[size // 2])
+            assert np.sort(sums[~below & ~above])[k] == ordered[size // 2]
 
 
 class TestEstimateRecord:
