@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from numpy.typing import ArrayLike, NDArray
 from . import estimators as est
 from .elliptical import (
     DivergentIntegral,
+    EllipticalModel,
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
@@ -49,7 +51,7 @@ from .elliptical import (
 )
 from .engine import DEFAULT_MC_SAMPLES, StatKind, variance_constants
 from .linalg import SpdMatrix, as_vector
-from .rng import parallel_map, replication_slices, stream_rng
+from .rng import simulate, stream_rng
 from .robustness import trimmed_variance_oracle
 
 __all__ = [
@@ -304,33 +306,23 @@ class OffsetEstimate:
     reps: int
 
 
-@dataclass(frozen=True)
-class _OffsetChunkArgs:
-    spec: ContiguousSpec
-    kinds: tuple[StatKind, ...]
-    seed: int
-    start: int
-    stop: int
-
-
-def _offset_chunk(args: _OffsetChunkArgs) -> dict[StatKind, NDArray[np.float64]]:
-    spec = args.spec
-    d = spec.d
-    model = standard_model(spec.family, d)
-    data = np.empty((args.stop - args.start, spec.n, d))
-    for i, rep in enumerate(range(args.start, args.stop)):
-        rng = stream_rng(args.seed, "offsets", spec.family, rep)
-        data[i] = model.sample(spec.n, rng)
+def _offset_samples(
+    model: EllipticalModel,
+    delta: NDArray[np.float64],
+    gamma: float,
+    kinds: tuple[StatKind, ...],
+    data: NDArray[np.float64],
+) -> dict[StatKind, NDArray[np.float64]]:
+    d = model.d
     scores = model.location_score(data.reshape(-1, d)).reshape(data.shape)
     # delta-weighted log-likelihood gradient of each whole sample
-    gradients = np.einsum("rnj,j->r", scores, spec.delta)
+    gradients = np.einsum("rnj,j->r", scores, delta)
     mu0 = np.zeros(d)
     sigma = SpdMatrix.identity(d)
-    out = {}
-    for kind in args.kinds:
-        values = est.batch_estimates(kind.estimator, data, mu0, sigma, spec.gamma)
-        out[kind] = values * gradients[:, None]
-    return out
+    return {
+        kind: est.batch_estimates(kind.estimator, data, mu0, sigma, gamma) * gradients[:, None]
+        for kind in kinds
+    }
 
 
 def estimate_all_offsets(
@@ -349,20 +341,18 @@ def estimate_all_offsets(
     if reps < 2:
         raise ValueError("reps must be at least 2")
     kinds = tuple(StatKind(k) for k in kinds)
-    chunks = parallel_map(
-        _offset_chunk,
-        [_OffsetChunkArgs(spec, kinds, seed, s.start, s.stop) for s in replication_slices(reps)],
-    )
-    out = {}
-    for kind in kinds:
-        samples = np.concatenate([c[kind] for c in chunks], axis=0)
-        out[kind] = OffsetEstimate(
+    model = standard_model(spec.family, spec.d)
+    reduce = partial(_offset_samples, model, spec.delta, spec.gamma, kinds)
+    samples = simulate(model.sample, reduce, ("offsets", spec.family), spec.n, spec.d, reps, seed)
+    return {
+        kind: OffsetEstimate(
             kind=kind,
-            values=samples.mean(axis=0),
-            stderr=samples.std(axis=0, ddof=1) / math.sqrt(reps),
+            values=s.mean(axis=0),
+            stderr=s.std(axis=0, ddof=1) / math.sqrt(reps),
             reps=reps,
         )
-    return out
+        for kind, s in samples.items()
+    }
 
 
 def estimate_offsets(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ from .elliptical import (
 )
 from .estimators import EstimatorKind, ForwardSearchConfig
 from .linalg import DimensionMismatch, SpdMatrix, as_data_matrix, as_vector
-from .rng import parallel_map, replication_slices, stream_rng
+from .rng import simulate, stream_rng
 
 __all__ = [
     "InfiniteVariance",
@@ -310,51 +311,6 @@ def critical_value(
     return _quantile_with_se(draws, 1.0 - alpha)
 
 
-def _simulate_null_statistics(
-    family: str,
-    mu0: NDArray[np.float64],
-    sigma: SpdMatrix,
-    n: int,
-    gamma: float,
-    kinds: Sequence[StatKind],
-    reps: int,
-    seed: int,
-    purpose: str = "calibration",
-) -> dict[StatKind, NDArray[np.float64]]:
-    args = [
-        _NullChunkArgs(family, mu0, sigma.entries, n, gamma, tuple(kinds), seed, purpose, s.start, s.stop)
-        for s in replication_slices(reps)
-    ]
-    chunks = parallel_map(_null_chunk, args)
-    return {
-        kind: np.concatenate([c[kind] for c in chunks]) for kind in kinds
-    }
-
-
-@dataclass(frozen=True)
-class _NullChunkArgs:
-    family: str
-    mu0: NDArray[np.float64]
-    sigma_entries: NDArray[np.float64]
-    n: int
-    gamma: float
-    kinds: tuple[StatKind, ...]
-    seed: int
-    purpose: str
-    start: int
-    stop: int
-
-
-def _null_chunk(args: _NullChunkArgs) -> dict[StatKind, NDArray[np.float64]]:
-    sigma = SpdMatrix(args.sigma_entries)
-    model = EllipticalModel(generator_by_name(args.family), args.mu0.size, args.mu0, sigma)
-    data = np.empty((args.stop - args.start, args.n, args.mu0.size))
-    for i, rep in enumerate(range(args.start, args.stop)):
-        rng = stream_rng(args.seed, args.purpose, args.family, rep)
-        data[i] = model.sample(args.n, rng)
-    return batch_statistics(data, args.mu0, sigma, args.gamma, args.kinds)
-
-
 def empirical_critical_value(
     kind: StatKind,
     family: str,
@@ -367,9 +323,12 @@ def empirical_critical_value(
     seed: int = 0,
 ) -> MonteCarloQuantile:
     """(1 - alpha) quantile of the statistic under parametric null simulation."""
+    kind = StatKind(kind)
     mu = as_vector(mu0, "mu0")
-    stats = _simulate_null_statistics(family, mu, sigma, n, gamma, (StatKind(kind),), null_reps, seed)
-    return _quantile_with_se(stats[StatKind(kind)], 1.0 - alpha)
+    model = EllipticalModel(generator_by_name(family), mu.size, mu, sigma)
+    reduce = partial(batch_statistics, mu0=mu, sigma=sigma, gamma=gamma, kinds=(kind,))
+    stats = simulate(model.sample, reduce, ("calibration", family), n, mu.size, null_reps, seed)
+    return _quantile_with_se(stats[kind], 1.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +424,6 @@ def run_test(
 # power campaigns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _MixChunkArgs:
-    family: str
-    d: int
-    n: int
-    gamma: float
-    beta: float
-    shift_scale: float
-    kinds: tuple[StatKind, ...]
-    seed: int
-    start: int
-    stop: int
-
-
-def _mixture_chunk(args: _MixChunkArgs) -> dict[StatKind, NDArray[np.float64]]:
-    gen = generator_by_name(args.family)
-    mu0 = np.zeros(args.d)
-    sigma = SpdMatrix.identity(args.d)
-    null = EllipticalModel(gen, args.d, mu0, sigma)
-    shifted = EllipticalModel(gen, args.d, np.full(args.d, args.shift_scale), sigma)
-    mix = MixtureModel(args.beta, null, shifted)
-    data = np.empty((args.stop - args.start, args.n, args.d))
-    for i, rep in enumerate(range(args.start, args.stop)):
-        rng = stream_rng(args.seed, "power", args.family, repr(float(args.beta)), rep)
-        data[i] = sample_mixture(mix, args.n, rng)
-    return batch_statistics(data, mu0, sigma, args.gamma, args.kinds)
-
-
 def power_table(
     families: Sequence[str],
     beta_grid: Sequence[float],
@@ -519,22 +450,21 @@ def power_table(
     kinds = tuple(StatKind(k) for k in kinds)
     mu0 = np.zeros(d)
     sigma = SpdMatrix.identity(d)
+    reduce = partial(batch_statistics, mu0=mu0, sigma=sigma, gamma=gamma, kinds=kinds)
     table: dict[str, dict[StatKind, dict[float, float]]] = {}
     for family in families:
-        null_stats = _simulate_null_statistics(
-            family, mu0, sigma, n, gamma, kinds, null_reps, seed
-        )
+        gen = generator_by_name(family)
+        null = EllipticalModel(gen, d, mu0, sigma)
+        shifted = EllipticalModel(gen, d, np.full(d, shift_scale), sigma)
+        null_stats = simulate(null.sample, reduce, ("calibration", family), n, d, null_reps, seed)
         crits = {k: float(np.quantile(null_stats[k], 1.0 - alpha)) for k in kinds}
         table[family] = {k: {} for k in kinds}
         for beta in beta_grid:
-            args = [
-                _MixChunkArgs(family, d, n, gamma, float(beta), shift_scale, kinds, seed, s.start, s.stop)
-                for s in replication_slices(reps)
-            ]
-            chunks = parallel_map(_mixture_chunk, args)
+            beta = float(beta)
+            sample = partial(sample_mixture, MixtureModel(beta, null, shifted))
+            stats = simulate(sample, reduce, ("power", family, repr(beta)), n, d, reps, seed)
             for k in kinds:
-                stats = np.concatenate([c[k] for c in chunks])
-                table[family][k][float(beta)] = float(np.mean(stats > crits[k]))
+                table[family][k][beta] = float(np.mean(stats[k] > crits[k]))
     return table
 
 
@@ -552,13 +482,14 @@ def _bootstrap_statistics(
     rng: np.random.Generator,
 ) -> NDArray[np.float64]:
     n = data.shape[0]
-    idx = rng.integers(0, n, size=(j, n))
-    # chunk resamples to bound the gathered block (HL bounds its own scratch)
+    # chunk resamples to bound the index and gathered blocks (HL bounds its
+    # own scratch); block-wise draws equal one (j, n) draw, because PCG64
+    # keeps the spare half of a 64-bit output in its state
     chunk = max(1, 2_000_000 // (n * data.shape[1]))
     out = np.empty(j)
     for start in range(0, j, chunk):
-        block = data[idx[start : start + chunk]]
-        stats = batch_statistics(block, mu0, sigma, gamma, (kind,))
+        idx = rng.integers(0, n, size=(min(chunk, j - start), n))
+        stats = batch_statistics(data[idx], mu0, sigma, gamma, (kind,))
         out[start : start + chunk] = stats[kind]
     return out
 

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra and squared-distance order statistics.
+"""Dense symmetric linear algebra, squared distances and trim counts.
 
 Plain numpy arrays are used throughout; :class:`SpdMatrix` wraps a known
 scatter matrix with validation and cached factorizations so the same matrix
@@ -22,7 +22,6 @@ __all__ = [
     "as_data_matrix",
     "mahalanobis_sq",
     "mahalanobis_sq_many",
-    "empirical_quantile_sq_distance",
     "trim_count",
 ]
 
@@ -127,10 +126,6 @@ class SpdMatrix:
     def log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
-    @cached_property
-    def det(self) -> float:
-        return math.exp(self.log_det)
-
     @property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self._a, np.eye(self.d)))
@@ -179,15 +174,3 @@ def trim_count(n: int, gamma: float) -> int:
         raise ValueError("n must be positive")
     return max(1, math.floor(n * gamma))
 
-
-def empirical_quantile_sq_distance(distances: ArrayLike, gamma: float) -> float:
-    """The m-th smallest of the given squared distances, m = floor(n*gamma) >= 1.
-
-    Ties are resolved by value (equal values give the same threshold); the
-    caller keeps observations with distance <= the returned value.
-    """
-    d = as_vector(distances, "distances")
-    if np.any(d < 0):
-        raise ValueError("squared distances must be nonnegative")
-    m = trim_count(d.size, gamma)
-    return float(np.sort(d, kind="stable")[m - 1])

@@ -1,4 +1,4 @@
-"""Deterministic named randomness streams and a replication-level worker pool.
+"""Deterministic named randomness streams, a worker pool and the replication driver.
 
 Every random quantity in the package is drawn from a stream derived from a
 single 64-bit master seed plus a human-readable path, e.g.
@@ -7,6 +7,11 @@ single 64-bit master seed plus a human-readable path, e.g.
 * reruns with the same seed and configuration are bitwise identical, and
 * each replication owns its stream, so campaign output does not depend on
   how replications are scheduled across workers (``FSTEST_THREADS``).
+
+:func:`simulate` is the one loop behind every simulation campaign: it draws
+replication r of a dataset from the stream ``(seed, *path, r)``, stacks the
+replications into (block, n, d) batches of bounded size and reduces each
+batch to per-replication arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +30,7 @@ __all__ = [
     "worker_count",
     "parallel_map",
     "replication_slices",
+    "simulate",
 ]
 
 _DOMAIN = b"fstest/1"
@@ -99,3 +106,38 @@ def replication_slices(reps: int, workers: int | None = None) -> list[slice]:
         return [slice(0, reps)]
     chunk = -(-reps // workers)
     return [slice(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
+
+
+#: float64 entries of simulated data one batch may hold (32 MB)
+SIMULATION_BLOCK_FLOATS = 4_000_000
+
+
+def simulate(
+    sample: Callable, reduce: Callable, path: Sequence, n: int, d: int, reps: int, seed: int
+) -> dict:
+    """Simulate ``reps`` (n, d) datasets and reduce them to per-replication arrays.
+
+    Replication r is ``sample(n, stream_rng(seed, *path, r))``.  ``reduce``
+    maps a (block, n, d) batch to a dict of arrays over the batch; the result
+    concatenates them per key in replication order.  Batches hold at most
+    :data:`SIMULATION_BLOCK_FLOATS` entries and worker slices come from
+    :func:`replication_slices`; as ``reduce`` treats replications
+    independently, neither changes a result.  With several workers, ``sample``
+    and ``reduce`` must pickle (bound methods or partials, not lambdas).
+    """
+    run = partial(_simulate_slice, sample, reduce, tuple(path), n, d, seed)
+    parts = [part for chunk in parallel_map(run, replication_slices(reps)) for part in chunk]
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _simulate_slice(sample, reduce, path, n, d, seed, reps: slice) -> list[dict]:
+    block = max(1, SIMULATION_BLOCK_FLOATS // max(1, n * d))
+    parts = []
+    # an empty slice (reps = 0) still reduces one empty batch, which fixes the keys
+    for start in range(reps.start, max(reps.stop, reps.start + 1), block):
+        stop = min(start + block, reps.stop)
+        data = np.empty((stop - start, n, d))
+        for i in range(stop - start):
+            data[i] = sample(n, stream_rng(seed, *path, start + i))
+        parts.append(reduce(data))
+    return parts

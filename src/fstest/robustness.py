@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ from .elliptical import generator_by_name, standard_model, truncated_radial_mean
 from .engine import scatter_scale_constant
 from .estimators import EstimatorKind, ForwardSearchConfig
 from .linalg import SpdMatrix
-from .rng import parallel_map, replication_slices, stream_rng
+from .rng import simulate, stream_rng
 
 __all__ = [
     "SingularCovariance",
@@ -174,30 +175,13 @@ class EfficiencyResult:
     stderr: float | None = None
 
 
-@dataclass(frozen=True)
-class _EstimateChunkArgs:
-    family: str
-    n: int
-    d: int
-    gamma: float
-    kinds: tuple[EstimatorKind, ...]
-    seed: int
-    start: int
-    stop: int
-
-
-def _estimate_chunk(args: _EstimateChunkArgs) -> dict[EstimatorKind, NDArray[np.float64]]:
-    model = standard_model(args.family, args.d)
-    data = np.empty((args.stop - args.start, args.n, args.d))
-    for i, rep in enumerate(range(args.start, args.stop)):
-        rng = stream_rng(args.seed, "efficiency", args.family, args.n, rep)
-        data[i] = model.sample(args.n, rng)
-    mu0 = np.zeros(args.d)
-    sigma = SpdMatrix.identity(args.d)
-    return {
-        kind: est.batch_estimates(kind, data, mu0, sigma, args.gamma)
-        for kind in args.kinds
-    }
+def _estimates(
+    kinds: tuple[EstimatorKind, ...], gamma: float, data: NDArray[np.float64]
+) -> dict[EstimatorKind, NDArray[np.float64]]:
+    d = data.shape[2]
+    mu0 = np.zeros(d)
+    sigma = SpdMatrix.identity(d)
+    return {kind: est.batch_estimates(kind, data, mu0, sigma, gamma) for kind in kinds}
 
 
 def _replicated_estimates(
@@ -209,12 +193,9 @@ def _replicated_estimates(
     reps: int,
     seed: int,
 ) -> dict[EstimatorKind, NDArray[np.float64]]:
-    args = [
-        _EstimateChunkArgs(family, n, d, gamma, kinds, seed, s.start, s.stop)
-        for s in replication_slices(reps)
-    ]
-    chunks = parallel_map(_estimate_chunk, args)
-    return {kind: np.concatenate([c[kind] for c in chunks]) for kind in kinds}
+    sample = standard_model(family, d).sample
+    reduce = partial(_estimates, kinds, gamma)
+    return simulate(sample, reduce, ("efficiency", family, n), n, d, reps, seed)
 
 
 def _log_det_cov(values: NDArray[np.float64]) -> float:

@@ -21,8 +21,11 @@ from fstest.asymptotics import (
     local_variance_scalar,
     root_efficiency,
 )
-from fstest.elliptical import DivergentIntegral
+from fstest import estimators as est
+from fstest.elliptical import DivergentIntegral, standard_model
 from fstest.engine import DEFAULT_MC_SAMPLES, StatKind
+from fstest.linalg import SpdMatrix
+from fstest.rng import stream_rng
 
 
 class TestClosedForms:
@@ -165,6 +168,20 @@ class TestOffsets:
         together = estimate_all_offsets(spec, (StatKind.T1, StatKind.T2), reps=400, seed=7)
         alone = estimate_offsets(spec, StatKind.T2, reps=400, seed=7)
         assert np.array_equal(together[StatKind.T2].values, alone.values)
+
+    def test_follows_documented_stream_path(self):
+        # replication r draws its null sample from ("offsets", family, r)
+        spec = ContiguousSpec(np.array([0.7, -0.4]), "cauchy", n=25)
+        model = standard_model("cauchy", 2)
+        data = np.stack([model.sample(25, stream_rng(3, "offsets", "cauchy", r)) for r in range(12)])
+        scores = model.location_score(data.reshape(-1, 2)).reshape(data.shape)
+        gradients = np.einsum("rnj,j->r", scores, spec.delta)
+        result = estimate_all_offsets(spec, (StatKind.T1, StatKind.T4), reps=12, seed=3)
+        for kind in (StatKind.T1, StatKind.T4):
+            values = est.batch_estimates(kind.estimator, data, np.zeros(2), SpdMatrix.identity(2), 0.5)
+            samples = values * gradients[:, None]
+            assert np.array_equal(result[kind].values, samples.mean(axis=0))
+            assert np.array_equal(result[kind].stderr, samples.std(axis=0, ddof=1) / math.sqrt(12))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

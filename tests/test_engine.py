@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fstest import engine
-from fstest.elliptical import DivergentIntegral, standard_model
+from fstest.elliptical import (
+    DivergentIntegral,
+    EllipticalModel,
+    MixtureModel,
+    generator_by_name,
+    sample_mixture,
+    standard_model,
+)
 from fstest.engine import (
     ALL_KINDS,
     InfiniteVariance,
@@ -28,6 +36,7 @@ from fstest.engine import (
 )
 from fstest.estimators import ForwardSearchConfig
 from fstest.linalg import SpdMatrix
+from fstest.rng import stream_rng
 
 
 class TestStatistic:
@@ -164,6 +173,16 @@ class TestCriticalValues:
         assert a == b
         assert a.value > 0
 
+    def test_empirical_follows_calibration_stream_path(self):
+        # replication r of the null simulation draws from ("calibration", family, r)
+        mu = np.array([1.0, -1.0])
+        sigma = SpdMatrix([[2.0, 0.3], [0.3, 1.0]])
+        model = EllipticalModel(generator_by_name("cauchy"), 2, mu, sigma)
+        data = np.stack([model.sample(30, stream_rng(4, "calibration", "cauchy", r)) for r in range(60)])
+        stats = batch_statistics(data, mu, sigma, 0.5, (StatKind.T1,))[StatKind.T1]
+        q = empirical_critical_value(StatKind.T1, "cauchy", mu, sigma, 30, 0.5, 0.1, 60, 4)
+        assert q.value == float(np.quantile(stats, 0.9))
+
     def test_empirical_tracks_trimmed_variance(self):
         # null 95% point of the trimmed statistic ~ (trimmed variance) * chi2
         from fstest.robustness import trimmed_variance_oracle
@@ -253,6 +272,32 @@ class TestPowerCampaign:
         full = power_table(["gaussian"], [0.0, 0.8], reps=30, null_reps=200, seed=13)
         assert single["gaussian"] == {StatKind.T3: full["gaussian"][StatKind.T3]}
 
+    def test_follows_documented_stream_paths(self):
+        # null replication r draws from ("calibration", family, r), mixture
+        # replication r at beta from ("power", family, repr(beta), r)
+        d, n, reps, null_reps, seed = 2, 20, 40, 60, 17
+        mu0, sigma = np.zeros(d), SpdMatrix.identity(d)
+        null = standard_model("gaussian", d)
+        shifted = EllipticalModel(generator_by_name("gaussian"), d, np.full(d, 0.5), sigma)
+
+        def statistics(sample, *path, count):
+            data = np.stack([sample(n, stream_rng(seed, *path, r)) for r in range(count)])
+            return batch_statistics(data, mu0, sigma, 0.5)
+
+        null_stats = statistics(null.sample, "calibration", "gaussian", count=null_reps)
+        expected = {k: {} for k in ALL_KINDS}
+        for beta in (0.3, 0.7):
+            sample = partial(sample_mixture, MixtureModel(beta, null, shifted))
+            stats = statistics(sample, "power", "gaussian", repr(beta), count=reps)
+            for k in ALL_KINDS:
+                crit = float(np.quantile(null_stats[k], 0.95))
+                expected[k][beta] = float(np.mean(stats[k] > crit))
+        table = power_table(
+            ["gaussian"], [0.3, 0.7], d=d, n=n, reps=reps, shift_scale=0.5,
+            null_reps=null_reps, seed=seed,
+        )
+        assert table == {"gaussian": expected}
+
     @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
     def test_consistency_in_sample_size(self, family):
         """Against the fixed shift 5*1 the trimmed test detects with
@@ -299,6 +344,16 @@ class TestBootstrap:
             if p > 0.05:
                 hits += 1
         assert hits >= 45
+
+    def test_blocked_draws_equal_one_draw(self, rng):
+        # j = 1201 at n = 1000, d = 4 spans three resample blocks of 500
+        data = rng.standard_normal((1000, 4))
+        mu0, sigma = np.full(4, 0.05), SpdMatrix.identity(4)
+        idx = stream_rng(8, "bootstrap", "t2").integers(0, 1000, size=(1201, 1000))
+        stats = batch_statistics(data[idx], mu0, sigma, 0.5, (StatKind.T2,))[StatKind.T2]
+        t0 = statistic(StatKind.T2, data, mu0)
+        expected = (float(np.mean(stats > t0)), float(np.quantile(stats, 0.95)), t0)
+        assert bootstrap_report(StatKind.T2, data, mu0, sigma, j=1201, seed=8) == expected
 
     def test_report_consistency(self, rng):
         data = rng.standard_normal((40, 2))

@@ -10,7 +10,6 @@ from fstest.linalg import (
     SpdMatrix,
     as_data_matrix,
     as_vector,
-    empirical_quantile_sq_distance,
     mahalanobis_sq,
     mahalanobis_sq_many,
     trim_count,
@@ -52,7 +51,6 @@ class TestSpdMatrix:
         sign, logdet = np.linalg.slogdet(m)
         assert sign > 0
         assert s.log_det == pytest.approx(logdet, rel=1e-12)
-        assert s.det == pytest.approx(np.exp(logdet), rel=1e-10)
 
     def test_cholesky_reconstructs(self, rng):
         m = random_spd(rng, 5)
@@ -124,28 +122,6 @@ class TestTrimCount:
         m = trim_count(n, gamma)
         assert 1 <= m <= n
         assert m == max(1, int(np.floor(n * gamma)))
-
-
-class TestQuantileDistance:
-    def test_selects_mth_smallest(self):
-        dist = np.array([5.0, 1.0, 3.0, 2.0, 4.0])
-        assert empirical_quantile_sq_distance(dist, 0.6) == 3.0
-        assert empirical_quantile_sq_distance(dist, 1.0) == 5.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            empirical_quantile_sq_distance(np.array([1.0, -0.5]), 0.5)
-
-    @given(
-        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=60),
-        st.floats(0.01, 1.0),
-    )
-    def test_threshold_keeps_m_points(self, values, gamma):
-        dist = np.asarray(values)
-        q = empirical_quantile_sq_distance(dist, gamma)
-        m = trim_count(dist.size, gamma)
-        # at least m points fall at or below the threshold (ties can add more)
-        assert np.count_nonzero(dist <= q) >= m
 
 
 class TestCoercions:

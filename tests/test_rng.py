@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fstest import rng as rng_module
+from fstest.engine import power_table
+from fstest.estimators import EstimatorKind
+from fstest.robustness import finite_sample_efficiencies
 from fstest.rng import (
     parallel_map,
     replication_slices,
@@ -106,3 +110,18 @@ class TestReplicationSlices:
             covered.extend(range(s.start, s.stop))
         assert covered == list(range(reps))
         assert len(slices) <= max(1, workers)
+
+
+class TestSimulate:
+    def test_block_bound_changes_no_result(self, monkeypatch):
+        def campaigns():
+            table = power_table(["cauchy"], [0.0, 0.5], n=30, reps=25, null_reps=40, seed=3)
+            effs = finite_sample_efficiencies(
+                tuple(EstimatorKind), family="gaussian", n=12, d=3, reps=30, seed=3, bootstrap=4
+            )
+            return table, effs
+
+        whole = campaigns()
+        # one replication per block
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 1)
+        assert campaigns() == whole

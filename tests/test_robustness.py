@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fstest import estimators as est
+from fstest.elliptical import standard_model
 from fstest.estimators import EstimatorKind
+from fstest.linalg import SpdMatrix
+from fstest.rng import stream_rng
 from fstest.robustness import (
     DEFAULT_MAGNITUDE_LADDER,
     SingularCovariance,
+    _replicated_estimates,
     breakdown_experiment,
     empirical_limit_covariance,
     finite_sample_efficiency,
@@ -111,6 +116,16 @@ class TestFiniteSampleEfficiency:
         a = finite_sample_efficiency(EstimatorKind.HODGES_LEHMANN, n=20, d=2, reps=50, seed=3)
         b = finite_sample_efficiency(EstimatorKind.HODGES_LEHMANN, n=20, d=2, reps=50, seed=3)
         assert a == b
+
+    def test_replications_follow_documented_stream_path(self):
+        # replication r draws from ("efficiency", family, n, r)
+        kinds = (EstimatorKind.FORWARD_SEARCH, EstimatorKind.HODGES_LEHMANN)
+        model = standard_model("light100", 3)
+        data = np.stack([model.sample(15, stream_rng(6, "efficiency", "light100", 15, r)) for r in range(10)])
+        values = _replicated_estimates("light100", 15, 3, 0.5, kinds, 10, 6)
+        for kind in kinds:
+            expected = est.batch_estimates(kind, data, np.zeros(3), SpdMatrix.identity(3), 0.5)
+            assert np.array_equal(values[kind], expected)
 
     def test_degenerate_covariance_raises(self):
         with pytest.raises(SingularCovariance):
