@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy import integrate, special
 
 from .linalg import DimensionMismatch, SpdMatrix, as_vector, mahalanobis_sq_many
 
@@ -61,6 +60,8 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
 
 
 def _quad(fn, a, b, **kw):
+    from scipy import integrate
+
     opts = {**_QUAD_OPTS, **kw}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -158,6 +159,8 @@ class _Cauchy(DensityGenerator):
             raise DivergentIntegral(
                 f"cauchy radial integral of power {power} diverges (tail ~ x^{power - 1.5})"
             )
+        from scipy import special
+
         return math.exp(special.betaln(d / 2, 0.5 - power))
 
     def radial_tail_exponent(self, d, power):
@@ -487,6 +490,8 @@ def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
     """P(squared radius <= x) for the standard member."""
     if x <= 0:
         return 0.0
+    from scipy import special
+
     tag = generator.tag
     if tag == "gaussian":
         return float(special.gammainc(d / 2, x / 2))
@@ -502,6 +507,8 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
     """Quantile of the squared radius; p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
+    from scipy import special
+
     tag = generator.tag
     if tag == "gaussian":
         return 2.0 * float(special.gammaincinv(d / 2, p))

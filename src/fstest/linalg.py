@@ -20,7 +20,6 @@ __all__ = [
     "SpdMatrix",
     "as_vector",
     "as_data_matrix",
-    "mahalanobis_sq",
     "mahalanobis_sq_many",
     "trim_count",
 ]
@@ -126,27 +125,12 @@ class SpdMatrix:
     def log_det(self) -> float:
         return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self._a, np.eye(self.d)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdMatrix(d={self.d})"
-
-
-def mahalanobis_sq(
-    y: ArrayLike, mu0: ArrayLike, sigma_inv: ArrayLike | SpdMatrix
-) -> float:
-    """Squared distance (y - mu0)' Sigma^{-1} (y - mu0) given the inverse."""
-    yv = as_vector(y, "y")
-    mv = as_vector(mu0, "mu0")
-    if yv.shape != mv.shape:
-        raise DimensionMismatch("y and mu0 have different lengths")
-    inv = sigma_inv.entries if isinstance(sigma_inv, SpdMatrix) else np.asarray(sigma_inv, dtype=float)
-    if inv.shape != (yv.size, yv.size):
-        raise DimensionMismatch("sigma_inv has incompatible shape")
-    diff = yv - mv
-    return float(diff @ inv @ diff)
 
 
 def mahalanobis_sq_many(

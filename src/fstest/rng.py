@@ -12,6 +12,16 @@ single 64-bit master seed plus a human-readable path, e.g.
 replication r of a dataset from the stream ``(seed, *path, r)``, stacks the
 replications into (block, n, d) batches of bounded size and reduces each
 batch to per-replication arrays.
+
+:func:`stream_rng` defines a stream: the sha256 of ``(seed, *path)`` seeds a
+numpy ``SeedSequence``, which seeds a PCG64 ``Generator``.  Building those two
+objects costs about 30 us, far more than one replication's draws, so
+:func:`simulate` derives the generator states of a whole block at once: it
+hashes the ``(seed, *path)`` prefix once, runs ``SeedSequence``'s mixing over
+the block's hash words as numpy uint32 arithmetic and PCG64's seeding with
+Python ints, and sets each state into one reused generator.  The draws are
+those of :func:`stream_rng`; each worker slice checks its first state against
+:func:`stream_rng` and raises if numpy ever seeds differently.
 """
 
 from __future__ import annotations
@@ -38,19 +48,24 @@ _DOMAIN = b"fstest/1"
 THREADS_ENV_VAR = "FSTEST_THREADS"
 
 
-def stream_seed_words(seed: int, *path: object) -> list[int]:
-    """Hash (seed, path) into eight 32-bit words suitable for SeedSequence."""
-    h = hashlib.sha256()
-    h.update(_DOMAIN)
+def _part_bytes(part: object) -> bytes:
+    """One path part as hashed: ``/`` then the float's repr or the part's str."""
+    # repr() is the shortest round-trip form, stable across platforms
+    return b"/" + (repr(part) if isinstance(part, float) else str(part)).encode()
+
+
+def _stream_hash(seed: int, *path: object):
+    """The sha256 of a stream name: domain, seed mod 2**64, then each path part."""
+    h = hashlib.sha256(_DOMAIN)
     h.update((int(seed) % (1 << 64)).to_bytes(8, "little"))
     for part in path:
-        h.update(b"/")
-        if isinstance(part, float):
-            # repr() is the shortest round-trip form, stable across platforms
-            h.update(repr(part).encode())
-        else:
-            h.update(str(part).encode())
-    return [int(w) for w in np.frombuffer(h.digest(), dtype=np.uint32)]
+        h.update(_part_bytes(part))
+    return h
+
+
+def stream_seed_words(seed: int, *path: object) -> list[int]:
+    """Hash (seed, path) into eight 32-bit words suitable for SeedSequence."""
+    return [int(w) for w in np.frombuffer(_stream_hash(seed, *path).digest(), dtype=np.uint32)]
 
 
 def stream_rng(seed: int, *path: object) -> np.random.Generator:
@@ -124,6 +139,9 @@ def simulate(
     :func:`replication_slices`; as ``reduce`` treats replications
     independently, neither changes a result.  With several workers, ``sample``
     and ``reduce`` must pickle (bound methods or partials, not lambdas).
+
+    The generator ``sample`` receives is reused for the next replication, with
+    that replication's state: ``sample`` must not keep it after it returns.
     """
     run = partial(_simulate_slice, sample, reduce, tuple(path), n, d, seed)
     parts = [part for chunk in parallel_map(run, replication_slices(reps)) for part in chunk]
@@ -132,12 +150,103 @@ def simulate(
 
 def _simulate_slice(sample, reduce, path, n, d, seed, reps: slice) -> list[dict]:
     block = max(1, SIMULATION_BLOCK_FLOATS // max(1, n * d))
+    prefix = _stream_hash(seed, *path)
+    # one generator serves the whole slice; its stream_rng state guards the derivation
+    rng = stream_rng(seed, *path, reps.start)
+    expected = rng.bit_generator.state
     parts = []
     # an empty slice (reps = 0) still reduces one empty batch, which fixes the keys
     for start in range(reps.start, max(reps.stop, reps.start + 1), block):
         stop = min(start + block, reps.stop)
+        states = _stream_states(prefix, start, stop)
+        if start == reps.start and states and states[0] != expected:
+            raise RuntimeError(
+                f"block stream derivation disagrees with stream_rng at {(seed, *path, start)}; "
+                f"numpy {np.__version__} seeds its generators differently"
+            )
         data = np.empty((stop - start, n, d))
-        for i in range(stop - start):
-            data[i] = sample(n, stream_rng(seed, *path, start + i))
+        for i, state in enumerate(states):
+            rng.bit_generator.state = state
+            data[i] = sample(n, rng)
         parts.append(reduce(data))
     return parts
+
+
+# numpy's SeedSequence mixing (after O'Neill's seed_seq_fe) and PCG64 seeding,
+# which stream_rng runs once per stream; _stream_states runs them for a block
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _stream_states(prefix, start: int, stop: int) -> list[dict]:
+    """``stream_rng(seed, *path, r).bit_generator.state`` for r in start..stop-1.
+
+    ``prefix`` is :func:`_stream_hash` of ``(seed, *path)``.
+    """
+    digests = []
+    for r in range(start, stop):
+        h = prefix.copy()
+        h.update(_part_bytes(r))
+        digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), dtype=np.uint32).reshape(-1, 8)
+    states = []
+    for s0, s1, q0, q1 in _seed_sequence_state(words).tolist():
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
+def _seed_sequence_state(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for each row of (B, 8) uint32 words.
+
+    numpy mixes word by word; hashmix's constants do not depend on the data,
+    so each step below runs over every pool word it updates at once.
+    """
+    pool_size, n_words = _POOL_SIZE, words.shape[1]
+
+    def hashmixer(init, mult, calls):
+        # the k-th hashmix xors constant k, then multiplies by constant k + 1
+        consts = [init]
+        for _ in range(calls):
+            consts.append(consts[-1] * mult & _MASK32)
+        consts = np.array(consts, dtype=np.uint32)
+
+        def hashmix(value, k):
+            c = consts[k:k + value.shape[1] + 1]
+            value = (value ^ c[:-1]) * c[1:]
+            return value ^ (value >> _XSHIFT)
+
+        return hashmix
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    # the entropy is 8 words, more than the pool, so the pool starts from its first words
+    hashmix = hashmixer(_INIT_A, _MULT_A, pool_size * n_words)
+    pool = hashmix(words[:, :pool_size], 0)
+    k = pool_size
+    # every pool word into every other one, in turn
+    for src in range(pool_size):
+        dst = [i for i in range(pool_size) if i != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, [src] * len(dst)], k))
+        k += len(dst)
+    # then each remaining entropy word into every pool word
+    rest = hashmix(np.repeat(words[:, pool_size:], pool_size, axis=1), k)
+    for src in range(n_words - pool_size):
+        pool = mix(pool, rest[:, src * pool_size:(src + 1) * pool_size])
+
+    # generate_state: 8 words read cyclically from the pool, paired into uint64
+    out = hashmixer(_INIT_B, _MULT_B, 2 * pool_size)(np.tile(pool, 2), 0)
+    return out.astype("<u4").view("<u8").astype(np.uint64)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fstest
 from fstest import engine, robustness
 from fstest.asymptotics import efficiency_grid
 from fstest.cli import CliError, SimulationConfig, main
@@ -233,6 +234,26 @@ class TestTableCommands:
         ])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestImportCost:
+    def test_gaussian_test_calls_import_no_scipy(self):
+        # the gaussian closed forms need only math; scipy loads where quadrature or special functions run
+        script = f"""
+import contextlib, io, sys
+import fstest.cli
+calls = [["--calibration", "empirical", "--null-reps", "200"],
+         ["--calibration", "formula", "--mc-samples", "1000"],
+         ["--j", "100"]]
+for extra in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fstest.cli.main(["test", "--data", {str(DATA)!r}, "--seed", "1", *extra]) == 0
+print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
+"""
+        src = str(Path(fstest.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.split("\n")[-2] == "[]"
 
 
 class TestDeterminism:

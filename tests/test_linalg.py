@@ -10,7 +10,6 @@ from fstest.linalg import (
     SpdMatrix,
     as_data_matrix,
     as_vector,
-    mahalanobis_sq,
     mahalanobis_sq_many,
     trim_count,
 )
@@ -72,37 +71,41 @@ class TestSpdMatrix:
 
 class TestMahalanobis:
     def test_identity_is_squared_norm(self, rng):
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((2, 4))
         mu = rng.standard_normal(4)
-        got = mahalanobis_sq(x, mu, np.eye(4))
-        assert got == pytest.approx(np.sum((x - mu) ** 2), rel=1e-12)
+        got = mahalanobis_sq_many(x, mu, SpdMatrix.identity(4))
+        assert np.allclose(got, np.sum((x - mu) ** 2, axis=1), rtol=1e-12)
 
     def test_matches_direct_quadratic_form(self, rng):
         sigma = random_spd(rng, 3)
         x = rng.standard_normal(3)
         mu = rng.standard_normal(3)
         expect = (x - mu) @ np.linalg.inv(sigma) @ (x - mu)
-        got = mahalanobis_sq(x, mu, SpdMatrix(sigma).inverse)
+        got = mahalanobis_sq_many(x, mu, SpdMatrix(sigma))
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_many_matches_loop(self, rng):
         sigma = SpdMatrix(random_spd(rng, 3))
-        data = rng.standard_normal((8, 3))
+        data = rng.standard_normal((2, 8, 3))
         mu = rng.standard_normal(3)
         many = mahalanobis_sq_many(data, mu, sigma)
-        singles = [mahalanobis_sq(row, mu, sigma.inverse) for row in data]
-        assert np.allclose(many, singles, rtol=1e-12)
+        inv = np.linalg.inv(sigma.entries)
+        singles = [[(row - mu) @ inv @ (row - mu) for row in rows] for rows in data]
+        assert np.allclose(many, singles, rtol=1e-10)
 
     def test_nonnegative_zero_at_center(self, rng):
         sigma = SpdMatrix(random_spd(rng, 4))
         mu = rng.standard_normal(4)
-        assert mahalanobis_sq(mu, mu, sigma.inverse) == pytest.approx(0.0, abs=1e-12)
+        data = np.vstack([mu, rng.standard_normal((5, 4))])
+        got = mahalanobis_sq_many(data, mu, sigma)
+        assert got[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.all(got >= 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            mahalanobis_sq(np.ones(3), np.ones(2), np.eye(2))
+            mahalanobis_sq_many(np.ones((4, 3)), np.ones(2), SpdMatrix.identity(2))
         with pytest.raises(DimensionMismatch):
-            mahalanobis_sq(np.ones(3), np.ones(3), np.eye(2))
+            mahalanobis_sq_many(np.ones((4, 3)), np.ones(3), SpdMatrix.identity(2))
 
 
 class TestTrimCount:

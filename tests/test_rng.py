@@ -10,10 +10,21 @@ from fstest.robustness import finite_sample_efficiencies
 from fstest.rng import (
     parallel_map,
     replication_slices,
+    simulate,
     stream_rng,
     stream_seed_words,
     worker_count,
 )
+
+# (seed, path) pairs: str, int and float parts, seed 0, negative seeds, seeds >= 2**64
+STREAM_NAMES = [
+    (0, ()),
+    (1, ("calibration", "gaussian")),
+    (-1, ("power", "cauchy", repr(0.2))),
+    (-(2**70) - 3, ("power", "light100", 0.1)),
+    (2**64, ("efficiency", "gaussian", 100)),
+    (2**64 + 7, ("offsets", 3, -2.5e-300, "")),
+]
 
 
 class TestStreams:
@@ -125,3 +136,54 @@ class TestSimulate:
         # one replication per block
         monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 1)
         assert campaigns() == whole
+
+
+def _draws(n, rng):
+    # an odd number of 32-bit draws leaves a spare half-word in the generator
+    ints = rng.integers(0, 2**32, size=n, dtype=np.uint32)
+    return np.column_stack([ints, rng.standard_normal(n)])
+
+
+def _keep(data):
+    return {"data": data}
+
+
+def _reference(seed, path, reps, n=3):
+    return np.stack([_draws(n, stream_rng(seed, *path, r)) for r in reps])
+
+
+class TestBlockStreams:
+    """The block derivation inside simulate against stream_rng, the definition of a stream."""
+
+    @pytest.mark.parametrize("seed, path", STREAM_NAMES)
+    def test_states_equal_stream_rng(self, seed, path):
+        states = rng_module._stream_states(rng_module._stream_hash(seed, *path), 0, 40)
+        assert states == [stream_rng(seed, *path, r).bit_generator.state for r in range(40)]
+
+    @pytest.mark.parametrize("seed, path", STREAM_NAMES)
+    def test_simulate_draws_equal_stream_rng(self, seed, path):
+        got = simulate(_draws, _keep, path, 3, 2, 23, seed)["data"]
+        assert np.array_equal(got, _reference(seed, path, range(23)))
+
+    def test_slices_starting_mid_range_across_block_bounds(self, monkeypatch):
+        # three replications per block; slices start on, before and after a block bound
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 3 * 3 * 2)
+        seed, path = 11, ("power", "gaussian", repr(0.5))
+        for start, stop in [(0, 10), (1, 2), (5, 12), (6, 13), (999, 1004)]:
+            parts = rng_module._simulate_slice(_draws, _keep, path, 3, 2, seed, slice(start, stop))
+            assert len(parts) == -(-(stop - start) // 3)
+            got = np.concatenate([part["data"] for part in parts])
+            assert np.array_equal(got, _reference(seed, path, range(start, stop)))
+
+    def test_two_workers_equal_stream_rng(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv("FSTEST_THREADS", "2")
+        assert replication_slices(25)[1].start == 13
+        got = simulate(_draws, _keep, ("calibration", "cauchy"), 3, 2, 25, 5)["data"]
+        assert np.array_equal(got, _reference(5, ("calibration", "cauchy"), range(25)))
+
+    @pytest.mark.parametrize("constant", ["_MULT_A", "_INIT_B", "_MIX_MULT_R", "_PCG64_MULT"])
+    def test_guard_raises_on_a_wrong_derivation(self, monkeypatch, constant):
+        monkeypatch.setattr(rng_module, constant, getattr(rng_module, constant) ^ 1)
+        with pytest.raises(RuntimeError, match="disagrees with stream_rng"):
+            simulate(_draws, _keep, ("calibration", "gaussian"), 3, 2, 5, 1)
