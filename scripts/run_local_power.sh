@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Limiting power under local alternatives mu0 + delta/sqrt(n): the four
-# statistics per family at delta components +/-0.5 and +/-5.  Drifts and
-# variance scalars are closed-form; each cell is a Monte Carlo probability
-# over 200000 limit draws, with its standard error (at most about 0.0011) in
-# the *_se column.
+# statistics per family at delta components +/-0.5 and +/-5.  Each cell is
+# the exact noncentral chi-squared tail lambda chi2_d(|kappa delta|^2 / lambda)
+# with the closed-form variance scalar lambda and drift factor kappa, so the
+# *_se columns are 0 and the seed changes no number.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 mkdir -p results

@@ -14,16 +14,15 @@ decay or grow super-geometrically in d); a generic quadrature path evaluates
 the defining ratio directly.  ``root_efficiency`` applies the d-th root used
 by determinant-based comparisons.
 
+c1 is the paper's constant (:func:`fstest.engine.scatter_scale_constant`),
+not the limit variance of the trimmed mean.
+
 Under local alternatives mu0 + delta/sqrt(n), sqrt(n) (T - mu0) tends to
-N(a, lambda I) for the standard member, so n ||T - mu0||^2 tends to
-sum_i lambda (Z_i + a_i/sqrt(lambda))^2.  lambda is the true variance scalar
-of the estimator: the trimmed-moment value E[x 1{x <= q_gamma}] / (d gamma^2)
-for t1 (finite under ``cauchy``), the component, median and Hodges-Lehmann
-constants for t2, t3 and t4.  The drift has a closed form by Le Cam's third
-lemma: a = delta for the location-equivariant t2, t3 and t4, and
-a = kappa delta for t1 with kappa = 1 - 2 q f_X(q) / (d gamma), q the
-gamma-quantile of the squared radius X and f_X its density.  The drift is
-also the covariance of sqrt(n) (T - mu0) with the delta-weighted
+N(kappa delta, lambda I) for the standard member, with the variance scalar
+lambda and the drift factor kappa of :class:`fstest.engine.LimitLaw`.  So
+n ||T - mu0||^2 tends to lambda chi2_d(||kappa delta||^2 / lambda), and the
+limiting power is a noncentral chi-squared tail, evaluated exactly.  The
+drift is also the covariance of sqrt(n) (T - mu0) with the delta-weighted
 log-likelihood gradient of the sample; ``estimate_offsets`` estimates it
 that way by Monte Carlo, as a cross-check of the closed form.
 """
@@ -46,13 +45,11 @@ from .elliptical import (
     marginal_density_at_zero,
     marginal_density_sq_integral,
     radial_integral,
-    radial_quantile,
     standard_model,
 )
-from .engine import DEFAULT_MC_SAMPLES, StatKind, variance_constants
+from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind
 from .linalg import SpdMatrix, as_vector
-from .rng import simulate, stream_rng
-from .robustness import trimmed_variance_oracle
+from .rng import simulate
 
 __all__ = [
     "EFFICIENCY_KEYS",
@@ -63,17 +60,12 @@ __all__ = [
     "efficiency_grid",
     "LimitTrend",
     "limit_behavior",
-    "light_tail_hl_constant_gap",
     "ContiguousSpec",
     "OffsetEstimate",
     "estimate_offsets",
     "estimate_all_offsets",
-    "local_variance_scalar",
-    "drift_factor",
     "contiguous_power",
     "local_power_rows",
-    "InformationCheck",
-    "information_check",
 ]
 
 EFFICIENCY_KEYS = ("e1", "e2", "e3")
@@ -81,8 +73,9 @@ EFFICIENCY_KEYS = ("e1", "e2", "e3")
 #: default dimension grid for the efficiency comparisons
 DEFAULT_D_GRID = (2, 4, 10, 20, 50, 100)
 
-#: fixed variance constant used by the light-tailed Hodges-Lehmann
-#: comparison; kept verbatim (see light_tail_hl_constant_gap)
+#: fixed variance constant of the light-tailed Hodges-Lehmann closed form,
+#: kept verbatim; the defining ratio has 100 / (12 (int g1^2)^2) with a
+#: d-dependent marginal in its place
 LIGHT_TAIL_HL_CONSTANT = 53188.48
 
 
@@ -253,22 +246,6 @@ def limit_behavior(
     return LimitTrend(family, which, gamma, ds, values, target, monotone, crossed)
 
 
-def light_tail_hl_constant_gap(d: int, gamma: float = 0.5) -> dict[str, float]:
-    """Compare the fixed light-tail HL constant with the quadrature value.
-
-    The tabulated form uses one d-independent constant where the defining
-    ratio has 100/(12 (int g1^2)^2) with a d-dependent marginal.  Returns
-    both and their relative gap; reported, not asserted.
-    """
-    int_sq = marginal_density_sq_integral(generator_by_name("light100"), d, method="quadrature")
-    implied = 100.0 / (12.0 * int_sq**2)
-    return {
-        "tabulated": LIGHT_TAIL_HL_CONSTANT,
-        "quadrature": implied,
-        "relative_gap": abs(implied - LIGHT_TAIL_HL_CONSTANT) / LIGHT_TAIL_HL_CONSTANT,
-    }
-
-
 # ---------------------------------------------------------------------------
 # local alternatives
 # ---------------------------------------------------------------------------
@@ -361,46 +338,6 @@ def estimate_offsets(
     return estimate_all_offsets(spec, (StatKind(kind),), reps, seed)[StatKind(kind)]
 
 
-def local_variance_scalar(kind: StatKind, family: str, d: int, gamma: float = 0.5) -> float:
-    """Variance scalar lambda of one coordinate of sqrt(n) (estimate - mu0).
-
-    The true per-coordinate limit variance under the standard member: the
-    trimmed-moment value E[x 1{x <= q_gamma}] / (d gamma^2) for t1 (finite
-    under every kernel when gamma < 1), and the component, median and
-    Hodges-Lehmann constants for t2, t3 and t4.  ``math.inf`` where the
-    variance does not exist (the sample mean, or t1 at gamma = 1, under
-    ``cauchy``).
-    """
-    kind = StatKind(kind)
-    if kind != StatKind.T1:
-        return variance_constants(family, d, gamma).scalar_for(kind)
-    try:
-        return trimmed_variance_oracle(family, d, gamma)
-    except DivergentIntegral:
-        return math.inf
-
-
-def drift_factor(kind: StatKind, family: str, d: int, gamma: float = 0.5) -> float:
-    """kappa with limit drift a = kappa * delta under mu0 + delta/sqrt(n).
-
-    t2, t3 and t4 are location-equivariant, so Le Cam's third lemma gives
-    kappa = 1.  For the anchored trimmed mean integration by parts gives
-    kappa = 1 - 2 q f_X(q) / (d gamma), where q is the gamma-quantile of the
-    squared radius X and f_X(x) = x^{d/2-1} g(x) / I0 its density: 0.4741
-    (gaussian), 0.7986 (cauchy) and 0 up to rounding (light100, whose kernel
-    is flat on the trimming ball) at d = 4, gamma = 1/2.
-    """
-    kind = StatKind(kind)
-    if kind != StatKind.T1 or gamma == 1.0:
-        return 1.0
-    gen = generator_by_name(family)
-    q = radial_quantile(gen, d, gamma)
-    log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - math.log(
-        radial_integral(gen, d, 0)
-    )
-    return 1.0 - 2.0 * q * math.exp(log_density) / (d * gamma)
-
-
 def contiguous_power(
     kind: StatKind,
     family: str,
@@ -412,29 +349,23 @@ def contiguous_power(
 ) -> float:
     """Limiting power against mu0 + delta/sqrt(n) at level alpha.
 
-    n ||T - mu0||^2 converges to sum_i lambda (Z_i + a_i/sqrt(lambda))^2 with
-    lambda from :func:`local_variance_scalar` and the closed-form drift
-    a = kappa * delta of :func:`drift_factor`.  The power is the Monte Carlo
-    probability, over ``mc_samples`` draws, that the shifted limit exceeds
-    the central quantile.  Where lambda is infinite (the sample mean under
-    ``cauchy``) the limiting power is 0 and is returned exactly.
+    n ||T - mu0||^2 converges to lambda chi2_d(||kappa delta||^2 / lambda)
+    with the scale lambda and drift kappa of :class:`LimitLaw`, and the
+    critical value is lambda times the central (1 - alpha) point, so the
+    power is the exact noncentral chi-squared tail.  Where lambda is
+    infinite (the sample mean under ``cauchy``) the limiting power is 0.
+    ``mc_samples`` and ``seed`` are accepted and ignored: nothing is drawn.
     """
-    kind = StatKind(kind)
     delta = as_vector(delta, "delta")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    spec = ContiguousSpec(delta, family, gamma=gamma)
-    scalar = local_variance_scalar(kind, family, spec.d, gamma)
-    if math.isinf(scalar):
+    law = LimitLaw(kind, family, delta.size, gamma)
+    if math.isinf(law.scale):
         return 0.0
-    a = drift_factor(kind, family, spec.d, gamma) * spec.delta
-    rng = stream_rng(seed, "contiguous", family, kind.value)
-    z = rng.standard_normal((mc_samples, spec.d))
-    weights = np.full(spec.d, scalar)
-    central = (z * z) @ weights
-    shifted = (z + a / np.sqrt(weights)) ** 2 @ weights
-    crit = float(np.quantile(central, 1.0 - alpha))
-    return float(np.mean(shifted > crit))
+    from scipy import special
+
+    shift = law.drift**2 * float(delta @ delta) / law.scale
+    return float(1.0 - special.chndtr(special.chdtri(delta.size, alpha), delta.size, shift))
 
 
 def local_power_rows(
@@ -443,14 +374,12 @@ def local_power_rows(
     d: int = 4,
     gamma: float = 0.5,
     alpha: float = 0.05,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
 ) -> list[dict]:
     """Limiting power of all four statistics on a grid of equal-component shifts.
 
     One row per (family, component value c) with delta = c * (1, ..., 1),
-    each cell from :func:`contiguous_power`.  The se columns carry the Monte
-    Carlo draw error sqrt(p(1-p)/mc_samples).
+    each cell from :func:`contiguous_power`.  The powers are exact, so the
+    se columns, kept for the table layout, are 0.0.
     """
     rows = []
     for family in families:
@@ -462,60 +391,7 @@ def local_power_rows(
                 "delta_norm": float(np.linalg.norm(delta)),
             }
             for kind in StatKind:
-                p = contiguous_power(
-                    kind,
-                    family,
-                    delta,
-                    gamma=gamma,
-                    alpha=alpha,
-                    mc_samples=mc_samples,
-                    seed=seed,
-                )
-                row[kind.value] = p
-                row[f"{kind.value}_se"] = math.sqrt(max(p * (1.0 - p), 0.0) / mc_samples)
+                row[kind.value] = contiguous_power(kind, family, delta, gamma=gamma, alpha=alpha)
+                row[f"{kind.value}_se"] = 0.0
             rows.append(row)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# contiguity precondition diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InformationCheck:
-    """Numeric check that the location information matrix is finite."""
-
-    family: str
-    d: int
-    matrix: NDArray[np.float64]
-    finite: bool
-    max_abs_entry: float
-
-
-def information_check(
-    family: str, d: int, n: int = 4000, step: float = 1e-5, seed: int = 0
-) -> InformationCheck:
-    """Estimate E[d^2 log f / dmu_i dmu_j] at mu0 by central differences.
-
-    Contiguity of the local alternatives needs these expectations finite;
-    this is the implementable surface of that condition.
-    """
-    model = standard_model(family, d)
-    rng = stream_rng(seed, "information", family)
-    y = model.sample(n, rng)
-    hessian = np.empty((d, d))
-    for j in range(d):
-        mu_plus = np.zeros(d)
-        mu_plus[j] = step
-        up = model.with_location(mu_plus).location_score(y)
-        down = model.with_location(-mu_plus).location_score(y)
-        hessian[:, j] = np.mean((up - down) / (2.0 * step), axis=0)
-    hessian = (hessian + hessian.T) / 2.0
-    finite = bool(np.all(np.isfinite(hessian)))
-    return InformationCheck(
-        family=family,
-        d=d,
-        matrix=hessian,
-        finite=finite,
-        max_abs_entry=float(np.max(np.abs(hessian))) if finite else math.inf,
-    )

@@ -19,6 +19,7 @@ must treat explicitly (:class:`DivergentIntegral`).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -486,15 +487,49 @@ def marginal_density_sq_integral(
 # the squared-radius distribution x = |Y|^2 of the standard member
 # ---------------------------------------------------------------------------
 
+def _gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma function P(a, x), x > 0, by its power series.
+
+    The terms e^{-x} x^{a+k} / Gamma(a+k+1) sum to P and each is at most 1.
+    Where the first one underflows, P rounds to 0 below the mode a and to 1
+    above it.
+    """
+    term = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+    if term < sys.float_info.min:
+        return 0.0 if x < a else 1.0
+    total, k = term, 0
+    while True:
+        k += 1
+        term *= x / (a + k)
+        total += term
+        if a + k > x and term <= total * 1e-17:
+            return min(total, 1.0)
+
+
+def _gamma_p_inverse(a: float, p: float) -> float:
+    """The x with P(a, x) = p, by bisection down to adjacent floats."""
+    lo, hi = 0.0, a + 1.0
+    while _gamma_p(a, hi) < p:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _gamma_p(a, mid) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
 def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
     """P(squared radius <= x) for the standard member."""
     if x <= 0:
         return 0.0
-    from scipy import special
-
     tag = generator.tag
     if tag == "gaussian":
-        return float(special.gammainc(d / 2, x / 2))
+        return _gamma_p(d / 2, x / 2)
+    from scipy import special
+
     if tag == "cauchy":
         return float(special.betainc(d / 2, 0.5, x / (1.0 + x)))
     if tag == "light100":
@@ -507,11 +542,11 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
     """Quantile of the squared radius; p in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    from scipy import special
-
     tag = generator.tag
     if tag == "gaussian":
-        return 2.0 * float(special.gammaincinv(d / 2, p))
+        return 2.0 * _gamma_p_inverse(d / 2, p)
+    from scipy import special
+
     if tag == "cauchy":
         b = float(special.betaincinv(d / 2, 0.5, p))
         return b / (1.0 - b)
@@ -528,22 +563,27 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
 
 
 def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> float:
-    """E[x 1{x <= q_gamma}] for the squared radius x, by quadrature.
+    """E[x 1{x <= q_gamma}] for the squared radius x.
 
-    With gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy
-    kernel, raising :class:`DivergentIntegral`).
+    Closed form for the Gaussian kernel, quadrature otherwise.  With
+    gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy kernel,
+    raising :class:`DivergentIntegral`).
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    i0 = radial_integral(generator, d, 0)
     if gamma == 1.0:
-        return radial_integral(generator, d, 1) / i0
+        return radial_integral(generator, d, 1) / radial_integral(generator, d, 0)
     q = radial_quantile(generator, d, gamma)
+    if generator.tag == "gaussian":
+        # x = chi2_d: E[x 1{x <= q}] = d P(d/2 + 1, q/2), and P(a + 1, y) =
+        # P(a, y) - y^a e^{-y} / Gamma(a + 1) with P(d/2, q/2) = gamma
+        y = q / 2
+        return d * (gamma - math.exp((d / 2) * math.log(y) - y - math.lgamma(d / 2 + 1)))
 
     def integrand(x):
         return x ** (d / 2) * float(generator.g(x, d))
 
-    return _quad(integrand, 0.0, q) / i0
+    return _quad(integrand, 0.0, q) / radial_integral(generator, d, 0)
 
 
 def component_variance(generator: DensityGenerator, d: int) -> float:

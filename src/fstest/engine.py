@@ -2,12 +2,12 @@
 
 Each test statistic is ``n * ||estimate - mu0||^2`` for one of the four
 location estimators.  Under the null the statistics converge to weighted
-chi-squared laws ``sum_i lambda_i * Z_i^2``; the weights are eigenvalues of a
-scalar multiple of the scatter matrix, with the scalar depending on the
-estimator and the radial kernel.  Critical values come either from that
-limit (``formula`` calibration, Monte Carlo quantile of the weighted sum) or
-from parametric simulation of the statistic under the null (``empirical``
-calibration).
+chi-squared laws ``sum_i lambda_i * Z_i^2``; the weights are the eigenvalues
+of ``scale * Sigma``, with the variance scalar of :class:`LimitLaw`, which
+depends on the estimator and the radial kernel.  Critical values come either
+from that limit (``formula`` calibration, Monte Carlo quantile of the
+weighted sum) or from parametric simulation of the statistic under the null
+(``empirical`` calibration).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,9 @@ from .elliptical import (
     marginal_density_at_zero,
     marginal_density_sq_integral,
     radial_integral,
+    radial_quantile,
     sample_mixture,
+    truncated_radial_mean,
 )
 from .estimators import EstimatorKind, ForwardSearchConfig
 from .linalg import DimensionMismatch, SpdMatrix, as_data_matrix, as_vector
@@ -41,8 +43,8 @@ __all__ = [
     "InfiniteVariance",
     "StatKind",
     "LimitSpec",
-    "VarianceConstants",
-    "variance_constants",
+    "LimitLaw",
+    "scatter_scale_constant",
     "MonteCarloQuantile",
     "MonteCarloConfig",
     "TestReport",
@@ -114,38 +116,71 @@ class LimitSpec:
 
 
 @dataclass(frozen=True)
-class VarianceConstants:
-    """Scalars in front of Sigma in the four limiting covariance matrices.
+class LimitLaw:
+    """Limit N(drift * delta, scale * I) of sqrt(n) (T - mu0) under mu0 + delta/sqrt(n).
 
-    ``c1`` scales the forward-search limit; ``sigma2_sq`` through
-    ``sigma4_sq`` scale the mean, coordinate-wise-median and Hodges-Lehmann
-    limits.  Entries are ``math.inf`` when the defining integral diverges
-    (Cauchy kernel: c1 and sigma2_sq), which forbids formula calibration of
-    the corresponding statistic.
+    T is the ``kind`` estimator on the standard member (Sigma = I) of
+    ``family`` in dimension ``d``; delta = 0 is the null.  ``scale`` (lambda)
+    is the per-coordinate variance: E[X 1{X <= q}] / (d gamma^2) for t1,
+    with X the squared radius and q its gamma-quantile (finite under every
+    kernel when gamma < 1); the component variance for t2; 1 / (4 g1(0)^2)
+    for t3; 1 / (12 (int g1^2)^2) for t4.  It is ``math.inf`` where the
+    variance diverges: t2 under ``cauchy``, and t1 there at gamma = 1.
+
+    ``drift`` (kappa) follows from Le Cam's third lemma: 1 for the
+    location-equivariant t2, t3 and t4.  For the anchored trimmed mean,
+    integration by parts gives kappa = 1 - 2 q f_X(q) / (d gamma), with
+    f_X(x) = x^{d/2-1} g(x) / I0 the density of X: 0.4741 (gaussian), 0.7986
+    (cauchy) and 0 up to rounding (light100, whose kernel is flat on the
+    trimming ball) at d = 4, gamma = 1/2.
     """
 
+    kind: StatKind
     family: str
     d: int
-    gamma: float
-    c1: float
-    sigma2_sq: float
-    sigma3_sq: float
-    sigma4_sq: float
+    gamma: float = 0.5
 
-    def scalar_for(self, kind: StatKind) -> float:
-        return {
-            StatKind.T1: self.c1,
-            StatKind.T2: self.sigma2_sq,
-            StatKind.T3: self.sigma3_sq,
-            StatKind.T4: self.sigma4_sq,
-        }[kind]
+    def __post_init__(self):
+        object.__setattr__(self, "kind", StatKind(self.kind))
+        generator_by_name(self.family)  # validate the name early
+        if self.d < 1:
+            raise ValueError("d must be a positive integer")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ValueError("gamma must lie in (0, 1]")
+
+    @cached_property
+    def scale(self) -> float:
+        gen = generator_by_name(self.family)
+        if self.kind == StatKind.T1:
+            try:
+                return truncated_radial_mean(gen, self.d, self.gamma) / (self.d * self.gamma**2)
+            except DivergentIntegral:
+                return math.inf
+        if self.kind == StatKind.T2:
+            return component_variance(gen, self.d)
+        if self.kind == StatKind.T3:
+            return 1.0 / (4.0 * marginal_density_at_zero(gen, self.d) ** 2)
+        return 1.0 / (12.0 * marginal_density_sq_integral(gen, self.d) ** 2)
+
+    @cached_property
+    def drift(self) -> float:
+        if self.kind != StatKind.T1 or self.gamma == 1.0:
+            return 1.0
+        gen, d = generator_by_name(self.family), self.d
+        q = radial_quantile(gen, d, self.gamma)
+        log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - math.log(
+            radial_integral(gen, d, 0)
+        )
+        return 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
 
 
 def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
-    """The scalar c1 = pi^{d/2} I1(d) / (d gamma Gamma(d/2)).
+    """The paper's forward-search constant c1 = pi^{d/2} I1(d) / (d gamma Gamma(d/2)).
 
-    This is the constant the limiting forward-search covariance formula puts
-    in front of Sigma.  Returns ``math.inf`` when I1 diverges (Cauchy).
+    The asymptotic efficiencies of :mod:`fstest.asymptotics` (``table4``)
+    divide by it.  It is not the limit variance of the trimmed mean, which
+    is :attr:`LimitLaw.scale` (0.948 against c1 = 78.96 at gaussian d = 4,
+    gamma = 1/2).  Returns ``math.inf`` when I1 diverges (Cauchy).
     """
     gen = generator_by_name(family)
     try:
@@ -153,21 +188,6 @@ def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
     except DivergentIntegral:
         return math.inf
     return math.pi ** (d / 2) * i1 / (d * gamma * math.gamma(d / 2))
-
-
-def variance_constants(family: str, d: int, gamma: float) -> VarianceConstants:
-    gen = generator_by_name(family)
-    g1_0 = marginal_density_at_zero(gen, d)
-    int_g1_sq = marginal_density_sq_integral(gen, d)
-    return VarianceConstants(
-        family=family,
-        d=d,
-        gamma=gamma,
-        c1=scatter_scale_constant(family, d, gamma),
-        sigma2_sq=component_variance(gen, d),
-        sigma3_sq=1.0 / (4.0 * g1_0**2),
-        sigma4_sq=1.0 / (12.0 * int_g1_sq**2),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +245,18 @@ def batch_statistics(
 def limit_weights(kind: StatKind, model: EllipticalModel, gamma: float) -> LimitSpec:
     """Eigenvalue weights of the null limit of ``kind`` under ``model``.
 
-    The weights are the eigenvalues of (scalar * Sigma) with the scalar from
-    :func:`variance_constants`.  Raises :class:`InfiniteVariance` for the
-    sample-mean statistic under the Cauchy kernel and
-    :class:`DivergentIntegral` for the forward-search statistic there.
+    The weights are the eigenvalues of (scale * Sigma) with the scale of
+    :class:`LimitLaw`.  Raises :class:`InfiniteVariance` where that scale is
+    infinite: the sample mean under the Cauchy kernel, and the trimmed mean
+    there at gamma = 1.
     """
-    kind = StatKind(kind)
-    consts = variance_constants(model.family, model.d, gamma)
-    scalar = consts.scalar_for(kind)
-    if math.isinf(scalar):
-        if kind == StatKind.T2:
-            raise InfiniteVariance(
-                f"component variance is infinite for family {model.family!r}"
-            )
-        raise DivergentIntegral(
-            f"limit scale constant diverges for {kind.value} under {model.family!r}"
+    law = LimitLaw(kind, model.family, model.d, gamma)
+    if math.isinf(law.scale):
+        raise InfiniteVariance(
+            f"the {law.kind.value} limit variance is infinite for family {model.family!r}"
+            f" at gamma = {gamma}"
         )
-    return LimitSpec.central(scalar * model.sigma.eigenvalues)
+    return LimitSpec.central(law.scale * model.sigma.eigenvalues)
 
 
 def weighted_chisq_sample(

@@ -10,11 +10,11 @@ covariance determinants of two estimators across a common replication set,
 raised to the power 1/d.
 
 The covariance oracle measures the actual spread of sqrt(n) times the
-trimmed estimator and reports it next to two reference scalars: the
-limit-formula constant c1 and the trimmed-moment value
-E[x 1{x <= q_gamma}] / (d gamma^2).  The two references disagree (the
-formula constant does not reduce to 1 at gamma = 1 for the Gaussian kernel);
-the oracle makes the gap measurable.
+trimmed estimator and reports it next to two reference scalars: the paper's
+constant c1 and the limit variance E[x 1{x <= q_gamma}] / (d gamma^2) of
+:class:`fstest.engine.LimitLaw`.  They disagree (c1 does not reduce to 1 at
+gamma = 1 for the Gaussian kernel); the oracle checks the limit variance
+and keeps the gap to c1 visible.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import estimators as est
-from .elliptical import generator_by_name, standard_model, truncated_radial_mean
-from .engine import scatter_scale_constant
+from .elliptical import standard_model
+from .engine import LimitLaw, StatKind, scatter_scale_constant
 from .estimators import EstimatorKind, ForwardSearchConfig
 from .linalg import SpdMatrix
 from .rng import simulate, stream_rng
@@ -43,7 +43,6 @@ __all__ = [
     "EfficiencyResult",
     "finite_sample_efficiency",
     "finite_sample_efficiencies",
-    "trimmed_variance_oracle",
     "empirical_limit_covariance",
 ]
 
@@ -276,16 +275,6 @@ def finite_sample_efficiencies(
 # covariance oracle
 # ---------------------------------------------------------------------------
 
-def trimmed_variance_oracle(family: str, d: int, gamma: float) -> float:
-    """Per-coordinate variance of the limiting trimmed mean, by quadrature.
-
-    E[x 1{x <= q_gamma}] / (d gamma^2) for the squared radius x of the
-    standard member; at gamma = 1 this is the plain component variance.
-    """
-    gen = generator_by_name(family)
-    return truncated_radial_mean(gen, d, gamma) / (d * gamma**2)
-
-
 def empirical_limit_covariance(
     family: str,
     gamma: float,
@@ -296,8 +285,8 @@ def empirical_limit_covariance(
 ) -> SpdMatrix:
     """Sample covariance of sqrt(n) * (trimmed estimate - mu0) at the null.
 
-    Logs the mean diagonal next to the limit-formula constant c1 and the
-    trimmed-moment oracle so the disagreement between them stays visible.
+    Logs the mean diagonal next to the paper's constant c1 and the limit
+    variance of :class:`LimitLaw`, so the gap between them stays visible.
     """
     values = _replicated_estimates(
         family, n, d, gamma, (EstimatorKind.FORWARD_SEARCH,), reps, seed
@@ -307,9 +296,9 @@ def empirical_limit_covariance(
     cov = centered.T @ centered / reps
     diag = float(np.mean(np.diag(cov)))
     formula = scatter_scale_constant(family, d, gamma)
-    oracle = trimmed_variance_oracle(family, d, gamma)
+    oracle = LimitLaw(StatKind.T1, family, d, gamma).scale
     log.info(
-        "empirical diag %.4f vs formula constant %.4f vs trimmed oracle %.4f "
+        "empirical diag %.4f vs paper constant c1 %.4f vs limit variance %.4f "
         "(family=%s d=%d gamma=%.2f n=%d reps=%d)",
         diag, formula, oracle, family, d, gamma, n, reps,
     )

@@ -9,21 +9,17 @@ from fstest.asymptotics import (
     EFFICIENCY_KEYS,
     ContiguousSpec,
     contiguous_power,
-    drift_factor,
     efficiency,
     efficiency_grid,
     estimate_all_offsets,
     estimate_offsets,
-    information_check,
-    light_tail_hl_constant_gap,
     limit_behavior,
     local_power_rows,
-    local_variance_scalar,
     root_efficiency,
 )
 from fstest import estimators as est
 from fstest.elliptical import DivergentIntegral, standard_model
-from fstest.engine import DEFAULT_MC_SAMPLES, StatKind
+from fstest.engine import LimitLaw, StatKind
 from fstest.linalg import SpdMatrix
 from fstest.rng import stream_rng
 
@@ -125,14 +121,6 @@ class TestLimitBehavior:
         with pytest.raises(ValueError):
             limit_behavior("gaussian", "e1", d_max=5)
 
-    def test_hl_constant_gap_reported(self):
-        gap = light_tail_hl_constant_gap(4)
-        assert gap["tabulated"] == 53188.48
-        assert gap["quadrature"] > 0
-        assert gap["relative_gap"] == pytest.approx(
-            abs(gap["quadrature"] - gap["tabulated"]) / gap["tabulated"], rel=1e-12
-        )
-
 
 class TestOffsets:
     def test_mean_offsets_recover_delta(self):
@@ -191,6 +179,10 @@ class TestOffsets:
         assert ContiguousSpec(np.ones(3), "gaussian").d == 3
 
 
+def ncx2_power(d, shift, alpha=0.05):
+    return stats.ncx2.sf(stats.chi2.ppf(1 - alpha, d), d, shift)
+
+
 class TestContiguousPower:
     def test_zero_delta_is_exactly_alpha(self):
         p = contiguous_power(StatKind.T1, "gaussian", np.zeros(4), seed=3)
@@ -204,8 +196,8 @@ class TestContiguousPower:
         p = contiguous_power(
             StatKind.T2, "gaussian", delta, mc_samples=400_000, seed=17
         )
-        oracle = stats.ncx2.sf(stats.chi2.ppf(0.95, 4), 4, float(delta @ delta))
-        assert p == pytest.approx(oracle, abs=0.02)
+        oracle = ncx2_power(4, float(delta @ delta))
+        assert p == pytest.approx(oracle, abs=1e-10)
 
     def test_power_increases_with_shift(self):
         small = contiguous_power(StatKind.T3, "gaussian", np.full(2, 0.5), seed=11)
@@ -215,14 +207,14 @@ class TestContiguousPower:
     def test_cauchy_trimmed_uses_finite_trimmed_scalar(self):
         # c1 diverges under cauchy, but the trimmed variance E[x 1{x <= q}] /
         # (d gamma^2) is finite; the squared radius is d * F(d, 1)
-        d, gamma, mc = 2, 0.5, 20_000
+        d, gamma = 2, 0.5
         radius = stats.f(d, 1, scale=d)
         q = radius.ppf(gamma)
         v = integrate.quad(lambda x: x * radius.pdf(x), 0, q)[0] / (d * gamma**2)
         kappa = 1 - 2 * q * radius.pdf(q) / (d * gamma)
-        oracle = stats.ncx2.sf(stats.chi2.ppf(0.95, d), d, kappa**2 * d / v)
-        p = contiguous_power(StatKind.T1, "cauchy", np.full(d, 1.0), mc_samples=mc, seed=2)
-        assert p == pytest.approx(oracle, abs=5 * math.sqrt(oracle * (1 - oracle) / mc))
+        oracle = ncx2_power(d, kappa**2 * d / v)
+        p = contiguous_power(StatKind.T1, "cauchy", np.full(d, 1.0), mc_samples=20_000, seed=2)
+        assert p == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("family, scalar, oracle", [
         ("gaussian", math.pi / 2, 0.0839),
@@ -232,11 +224,21 @@ class TestContiguousPower:
         # n |T - mu0|^2 -> lambda chi2_d(|delta|^2 / lambda) with lambda =
         # 1 / (4 g1(0)^2), not chi2_d(|delta|^2)
         delta = np.full(4, 0.5)
-        closed = stats.ncx2.sf(stats.chi2.ppf(0.95, 4), 4, float(delta @ delta) / scalar)
+        closed = ncx2_power(4, float(delta @ delta) / scalar)
         assert closed == pytest.approx(oracle, abs=5e-5)
-        mc = DEFAULT_MC_SAMPLES
         p = contiguous_power(StatKind.T3, family, delta, seed=31)
-        assert p == pytest.approx(closed, abs=5 * math.sqrt(closed * (1 - closed) / mc))
+        assert p == pytest.approx(closed, abs=1e-10)
+
+    def test_makes_no_random_draws(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("contiguous_power drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.random, "Generator", forbidden)
+        delta = np.full(3, 0.7)
+        a = contiguous_power(StatKind.T1, "gaussian", delta, mc_samples=100, seed=1)
+        b = contiguous_power(StatKind.T1, "gaussian", delta, mc_samples=10**6, seed=2)
+        assert a == b
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -247,13 +249,13 @@ class TestDriftFactor:
     def test_equivariant_statistics_keep_delta(self):
         for family in ("gaussian", "cauchy", "light100"):
             for kind in (StatKind.T2, StatKind.T3, StatKind.T4):
-                assert drift_factor(kind, family, 4) == 1.0
+                assert LimitLaw(kind, family, 4).drift == 1.0
 
     def test_trimmed_closed_form(self):
         # the constants the Monte Carlo offsets in TestOffsets converge to
-        assert drift_factor(StatKind.T1, "gaussian", 4, 0.5) == pytest.approx(0.4741, abs=1e-4)
-        assert drift_factor(StatKind.T1, "cauchy", 4, 0.5) == pytest.approx(0.7986, abs=1e-4)
-        assert abs(drift_factor(StatKind.T1, "light100", 4, 0.5)) < 1e-12
+        assert LimitLaw(StatKind.T1, "gaussian", 4, 0.5).drift == pytest.approx(0.4741, abs=1e-4)
+        assert LimitLaw(StatKind.T1, "cauchy", 4, 0.5).drift == pytest.approx(0.7986, abs=1e-4)
+        assert abs(LimitLaw(StatKind.T1, "light100", 4, 0.5).drift) < 1e-12
 
     @pytest.mark.parametrize("family, d, gamma", [("gaussian", 2, 0.3), ("cauchy", 6, 0.7)])
     def test_trimmed_matches_monte_carlo_offsets(self, family, d, gamma):
@@ -261,27 +263,25 @@ class TestDriftFactor:
         # against the covariance with the log-likelihood gradient
         spec = ContiguousSpec(np.full(d, 1.0), family, gamma=gamma)
         off = estimate_offsets(spec, StatKind.T1, reps=6000, seed=5)
-        kappa = drift_factor(StatKind.T1, family, d, gamma)
+        kappa = LimitLaw(StatKind.T1, family, d, gamma).drift
         assert off.values.mean() == pytest.approx(kappa, abs=4 * off.stderr.mean())
 
     def test_gaussian_matches_chi2_density(self):
         for d, gamma in ((2, 0.3), (4, 0.5), (10, 0.8)):
             q = stats.chi2.ppf(gamma, d)
             expect = 1 - 2 * q * stats.chi2.pdf(q, d) / (d * gamma)
-            assert drift_factor(StatKind.T1, "gaussian", d, gamma) == pytest.approx(expect, rel=1e-9)
+            assert LimitLaw(StatKind.T1, "gaussian", d, gamma).drift == pytest.approx(expect, rel=1e-9)
 
     def test_full_retention_is_the_mean(self):
-        assert drift_factor(StatKind.T1, "gaussian", 3, 1.0) == 1.0
-        assert local_variance_scalar(StatKind.T1, "gaussian", 3, 1.0) == pytest.approx(1.0, rel=1e-9)
-        assert local_variance_scalar(StatKind.T1, "cauchy", 3, 1.0) == math.inf
+        assert LimitLaw(StatKind.T1, "gaussian", 3, 1.0).drift == 1.0
+        assert LimitLaw(StatKind.T1, "gaussian", 3, 1.0).scale == pytest.approx(1.0, rel=1e-9)
+        assert LimitLaw(StatKind.T1, "cauchy", 3, 1.0).scale == math.inf
         assert contiguous_power(StatKind.T1, "cauchy", np.ones(3), gamma=1.0) == 0.0
 
 
 class TestLocalPowerRows:
     def test_row_layout(self):
-        rows = local_power_rows(
-            ["gaussian"], [0.5, -0.5], d=2, mc_samples=5000, seed=3
-        )
+        rows = local_power_rows(["gaussian"], [0.5, -0.5], d=2)
         assert len(rows) == 2
         row = rows[0]
         assert row["family"] == "gaussian"
@@ -289,28 +289,8 @@ class TestLocalPowerRows:
         assert row["delta_norm"] == pytest.approx(math.sqrt(2) * 0.5)
         for kind in StatKind:
             assert 0.0 <= row[kind.value] <= 1.0
-            assert row[f"{kind.value}_se"] >= 0.0
+            assert row[f"{kind.value}_se"] == 0.0
 
     def test_cauchy_mean_column_zero(self):
-        rows = local_power_rows(
-            ["cauchy"], [5.0], d=2, mc_samples=5000, seed=3
-        )
+        rows = local_power_rows(["cauchy"], [5.0], d=2)
         assert rows[0]["t2"] == 0.0
-
-
-class TestInformation:
-    def test_gaussian_hessian_is_minus_identity(self):
-        check = information_check("gaussian", 3, n=6000, seed=4)
-        assert check.finite
-        assert np.allclose(check.matrix, -np.eye(3), atol=0.08)
-
-    def test_cauchy_hessian_scaled_identity(self):
-        # E[d^2 log f / dmu^2] = -(d+1)/(d+3) I for the heavy-tailed kernel
-        check = information_check("cauchy", 2, n=30_000, seed=4)
-        assert check.finite
-        assert np.allclose(check.matrix, -0.6 * np.eye(2), atol=0.08)
-
-    def test_light_tail_finite(self):
-        check = information_check("light100", 2, n=4000, seed=4)
-        assert check.finite
-        assert check.max_abs_entry < math.inf

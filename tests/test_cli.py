@@ -236,6 +236,24 @@ class TestTableCommands:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_cauchy_t1_formula_uses_trimmed_variance(self, capsys):
+        rc = main([
+            "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        scale = engine.LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale
+        # chi2_4 upper 5% point
+        assert abs(payload["critical_value"] - scale * 9.487729) <= 4 * payload["stderr"]
+
+    def test_cauchy_t1_formula_at_full_retention_exits_one(self, capsys):
+        rc = main([
+            "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy", "--gamma", "1",
+        ])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestImportCost:
     def test_gaussian_test_calls_import_no_scipy(self):
         # the gaussian closed forms need only math; scipy loads where quadrature or special functions run
@@ -254,6 +272,20 @@ print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.split("\n")[-2] == "[]"
+
+    def test_table2_leaves_scipy_stats_unloaded(self):
+        # the exact local power needs scipy.special only; scipy.stats costs ~1 s to import
+        script = """
+import contextlib, io, sys
+import fstest.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fstest.cli.main(["table2", "--seed", "1"]) == 0
+print("scipy.stats" in sys.modules)
+"""
+        src = str(Path(fstest.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.split("\n")[-2] == "False"
 
 
 class TestDeterminism:

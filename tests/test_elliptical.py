@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from fstest.elliptical import (
     CAUCHY,
@@ -152,6 +152,21 @@ class TestRadialLaw:
                 assert radial_cdf(GAUSSIAN, d, x) == pytest.approx(
                     stats.chi2.cdf(x, d), rel=1e-9
                 )
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 7, 10, 29, 50, 100, 200, 500))
+    def test_gaussian_math_path_matches_special(self, d):
+        # the gaussian branches use only math: P(a, x) by its power series,
+        # its inverse by bisection, and E[x 1{x <= q}] = d P(d/2 + 1, q/2)
+        for gamma in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            q = 2 * special.gammaincinv(d / 2, gamma)
+            assert radial_quantile(GAUSSIAN, d, gamma) == pytest.approx(q, rel=1e-12)
+            assert truncated_radial_mean(GAUSSIAN, d, gamma) == pytest.approx(
+                d * special.gammainc(d / 2 + 1, q / 2), rel=1e-12
+            )
+        # far tails, where the first series term underflows
+        for x in (1e-3, 1.0, 50.0, 700.0, 1500.0, 1e5):
+            ref = special.gammainc(d / 2, x / 2)
+            assert radial_cdf(GAUSSIAN, d, x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     def test_quantile_inverts_cdf(self):
         for gen in ALL_GENERATORS:

@@ -9,7 +9,6 @@ from scipy import stats
 
 from fstest import engine
 from fstest.elliptical import (
-    DivergentIntegral,
     EllipticalModel,
     MixtureModel,
     generator_by_name,
@@ -19,6 +18,7 @@ from fstest.elliptical import (
 from fstest.engine import (
     ALL_KINDS,
     InfiniteVariance,
+    LimitLaw,
     LimitSpec,
     MonteCarloConfig,
     StatKind,
@@ -31,7 +31,6 @@ from fstest.engine import (
     run_test,
     scatter_scale_constant,
     statistic,
-    variance_constants,
     weighted_chisq_sample,
 )
 from fstest.estimators import ForwardSearchConfig
@@ -78,31 +77,44 @@ class TestStatistic:
         assert rotated == pytest.approx(base, rel=1e-9)
 
 
+def limit_scale(kind, family, d=4, gamma=0.5):
+    return LimitLaw(kind, family, d, gamma).scale
+
+
 class TestVarianceConstants:
     def test_gaussian_d4(self):
-        v = variance_constants("gaussian", 4, 0.5)
-        assert v.c1 == pytest.approx(78.95683520871486, rel=1e-12)
-        assert v.c1 == pytest.approx((2 * math.pi) ** 2 / 0.5, rel=1e-12)
-        assert v.sigma2_sq == pytest.approx(1.0, rel=1e-10)
-        assert v.sigma3_sq == pytest.approx(math.pi / 2, rel=1e-10)
-        assert v.sigma4_sq == pytest.approx(math.pi / 3, rel=1e-10)
+        c1 = scatter_scale_constant("gaussian", 4, 0.5)
+        assert c1 == pytest.approx(78.95683520871486, rel=1e-12)
+        assert c1 == pytest.approx((2 * math.pi) ** 2 / 0.5, rel=1e-12)
+        assert limit_scale(StatKind.T2, "gaussian") == pytest.approx(1.0, rel=1e-10)
+        assert limit_scale(StatKind.T3, "gaussian") == pytest.approx(math.pi / 2, rel=1e-10)
+        assert limit_scale(StatKind.T4, "gaussian") == pytest.approx(math.pi / 3, rel=1e-10)
 
     def test_cauchy_d4(self):
-        v = variance_constants("cauchy", 4, 0.5)
-        assert v.c1 == math.inf
-        assert v.sigma2_sq == math.inf
-        assert v.sigma3_sq == pytest.approx(math.pi**2 / 4, rel=1e-10)
-        assert v.sigma4_sq == pytest.approx(math.pi**2 / 3, rel=1e-10)
+        assert scatter_scale_constant("cauchy", 4, 0.5) == math.inf
+        assert limit_scale(StatKind.T2, "cauchy") == math.inf
+        assert limit_scale(StatKind.T3, "cauchy") == pytest.approx(math.pi**2 / 4, rel=1e-10)
+        assert limit_scale(StatKind.T4, "cauchy") == pytest.approx(math.pi**2 / 3, rel=1e-10)
 
     def test_light_tail_d4(self):
-        v = variance_constants("light100", 4, 0.5)
-        assert v.sigma3_sq == pytest.approx(0.345079299, rel=1e-8)
-        assert v.sigma4_sq == pytest.approx(0.191000810, rel=1e-8)
+        assert limit_scale(StatKind.T3, "light100") == pytest.approx(0.345079299, rel=1e-8)
+        assert limit_scale(StatKind.T4, "light100") == pytest.approx(0.191000810, rel=1e-8)
 
     def test_scalar_lookup(self):
-        v = variance_constants("gaussian", 4, 0.5)
-        assert v.scalar_for(StatKind.T1) == v.c1
-        assert v.scalar_for(StatKind.T4) == v.sigma4_sq
+        # the t1 scale is the trimmed variance P(chi2_{d+2} <= q) / gamma^2, not c1
+        q = stats.chi2.ppf(0.5, 4)
+        assert limit_scale(StatKind.T1, "gaussian") == pytest.approx(
+            stats.chi2.cdf(q, 6) / 0.25, rel=1e-9
+        )
+        assert limit_scale("t4", "gaussian") == limit_scale(StatKind.T4, "gaussian")
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            LimitLaw(StatKind.T1, "unknown-family", 4)
+        with pytest.raises(ValueError):
+            LimitLaw(StatKind.T1, "gaussian", 0)
+        with pytest.raises(ValueError):
+            LimitLaw(StatKind.T1, "gaussian", 4, gamma=0.0)
 
     def test_c1_scales_inversely_with_gamma(self):
         half = scatter_scale_constant("gaussian", 4, 0.5)
@@ -137,8 +149,12 @@ class TestLimitSpec:
             limit_weights(StatKind.T2, standard_model("cauchy", 4), 0.5)
 
     def test_cauchy_trimmed_limit_diverges(self):
-        with pytest.raises(DivergentIntegral):
-            limit_weights(StatKind.T1, standard_model("cauchy", 4), 0.5)
+        # finite for gamma < 1 (the trim keeps only the inner half), the mean's
+        # divergent variance at gamma = 1
+        spec = limit_weights(StatKind.T1, standard_model("cauchy", 4), 0.5)
+        assert np.array_equal(spec.weights, np.full(4, LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale))
+        with pytest.raises(InfiniteVariance):
+            limit_weights(StatKind.T1, standard_model("cauchy", 4), 1.0)
 
 
 class TestCriticalValues:
@@ -185,13 +201,21 @@ class TestCriticalValues:
 
     def test_empirical_tracks_trimmed_variance(self):
         # null 95% point of the trimmed statistic ~ (trimmed variance) * chi2
-        from fstest.robustness import trimmed_variance_oracle
-
         q = empirical_critical_value(
             StatKind.T1, "gaussian", np.zeros(4), SpdMatrix.identity(4), 400, 0.5, 0.05, 3000, 5
         )
-        ref = trimmed_variance_oracle("gaussian", 4, 0.5) * stats.chi2.ppf(0.95, 4)
+        ref = limit_scale(StatKind.T1, "gaussian") * stats.chi2.ppf(0.95, 4)
         assert q.value == pytest.approx(ref, rel=0.12)
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy", "light100"])
+    def test_formula_matches_empirical_t1(self, family):
+        # both calibrations of the trimmed statistic estimate one quantile
+        d, n = 4, 2000
+        formula = critical_value(limit_weights(StatKind.T1, standard_model(family, d), 0.5), 0.05)
+        empirical = empirical_critical_value(
+            StatKind.T1, family, np.zeros(d), SpdMatrix.identity(d), n, 0.5, 0.05, 2000, 0
+        )
+        assert abs(formula.value - empirical.value) <= 3 * empirical.stderr
 
 
 class TestRunTest:

@@ -6,6 +6,7 @@ from scipy import stats
 
 from fstest import estimators as est
 from fstest.elliptical import standard_model
+from fstest.engine import LimitLaw, StatKind
 from fstest.estimators import EstimatorKind
 from fstest.linalg import SpdMatrix
 from fstest.rng import stream_rng
@@ -16,8 +17,11 @@ from fstest.robustness import (
     breakdown_experiment,
     empirical_limit_covariance,
     finite_sample_efficiency,
-    trimmed_variance_oracle,
 )
+
+
+def trimmed_variance(family, d, gamma):
+    return LimitLaw(StatKind.T1, family, d, gamma).scale
 
 
 class TestBreakdown:
@@ -134,25 +138,25 @@ class TestFiniteSampleEfficiency:
 
 class TestLimitCovariance:
     def test_oracle_values(self):
-        assert trimmed_variance_oracle("gaussian", 2, 0.5) == pytest.approx(
+        assert trimmed_variance("gaussian", 2, 0.5) == pytest.approx(
             0.613705639, rel=1e-8
         )
-        assert trimmed_variance_oracle("gaussian", 4, 0.5) == pytest.approx(
+        assert trimmed_variance("gaussian", 4, 0.5) == pytest.approx(
             0.948288392, rel=1e-8
         )
-        assert trimmed_variance_oracle("cauchy", 4, 0.5) == pytest.approx(
+        assert trimmed_variance("cauchy", 4, 0.5) == pytest.approx(
             1.340022395, rel=1e-8
         )
 
     def test_oracle_full_retention_gaussian_is_unit(self):
-        assert trimmed_variance_oracle("gaussian", 3, 1.0) == pytest.approx(1.0, rel=1e-9)
+        assert trimmed_variance("gaussian", 3, 1.0) == pytest.approx(1.0, rel=1e-9)
 
     def test_gaussian_chi2_truncation_identity(self):
         # E[X_1^2 1{chi2_d <= q}] / gamma^2 via the chi2_{d+2} cdf
         d, gamma = 4, 0.5
         q = stats.chi2.ppf(gamma, d)
         expect = stats.chi2.cdf(q, d + 2) / gamma**2
-        assert trimmed_variance_oracle("gaussian", d, gamma) == pytest.approx(expect, rel=1e-9)
+        assert trimmed_variance("gaussian", d, gamma) == pytest.approx(expect, rel=1e-9)
 
     def test_full_retention_recovers_identity(self):
         cov = empirical_limit_covariance("gaussian", 1.0, n=300, d=2, reps=4000, seed=6)
@@ -164,6 +168,6 @@ class TestLimitCovariance:
 
     def test_trimmed_covariance_matches_moment_oracle(self):
         cov = empirical_limit_covariance("gaussian", 0.5, n=400, d=2, reps=4000, seed=6)
-        oracle = trimmed_variance_oracle("gaussian", 2, 0.5)
+        oracle = trimmed_variance("gaussian", 2, 0.5)
         assert np.allclose(np.diag(cov.entries), oracle, atol=0.05)
         assert abs(cov.entries[0, 1]) < 0.05
