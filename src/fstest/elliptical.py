@@ -278,11 +278,16 @@ def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     return math.exp(log_normalizing_constant(generator, d))
 
 
+def _log_i0(generator: DensityGenerator, d: int) -> float:
+    """log I0(d); the gaussian's in log space, as I0 overflows there from d = 303."""
+    if generator.tag == "gaussian":
+        return (d / 2) * math.log(2.0) + math.lgamma(d / 2)
+    return math.log(radial_integral(generator, d, 0))
+
+
 @lru_cache(maxsize=None)
 def _log_norm_const(tag: str, d: int) -> float:
-    gen = generator_by_name(tag)
-    i0 = radial_integral(gen, d, 0)
-    return math.lgamma(d / 2) - (d / 2) * math.log(math.pi) - math.log(i0)
+    return math.lgamma(d / 2) - (d / 2) * math.log(math.pi) - _log_i0(generator_by_name(tag), d)
 
 
 def log_normalizing_constant(generator: DensityGenerator, d: int) -> float:
@@ -572,6 +577,8 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     if gamma == 1.0:
+        if generator.tag == "gaussian":
+            return float(d)
         return radial_integral(generator, d, 1) / radial_integral(generator, d, 0)
     q = radial_quantile(generator, d, gamma)
     if generator.tag == "gaussian":
@@ -591,6 +598,8 @@ def component_variance(generator: DensityGenerator, d: int) -> float:
 
     Returns +inf for kernels whose first radial moment diverges.
     """
+    if generator.tag == "gaussian":
+        return 1.0
     try:
         i1 = radial_integral(generator, d, 1)
     except DivergentIntegral:

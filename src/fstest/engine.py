@@ -26,6 +26,7 @@ from .elliptical import (
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
+    _log_i0,
     component_variance,
     generator_by_name,
     marginal_density_at_zero,
@@ -168,9 +169,7 @@ class LimitLaw:
             return 1.0
         gen, d = generator_by_name(self.family), self.d
         q = radial_quantile(gen, d, self.gamma)
-        log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - math.log(
-            radial_integral(gen, d, 0)
-        )
+        log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - _log_i0(gen, d)
         return 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
 
 
@@ -263,8 +262,9 @@ def weighted_chisq_sample(
     spec: LimitSpec, size: int, rng: np.random.Generator
 ) -> NDArray[np.float64]:
     """Draws of sum_i weights_i * (Z_i + offsets_i)^2."""
-    z = rng.standard_normal((size, spec.weights.size)) + spec.offsets
-    return (z * z) @ spec.weights
+    z = rng.standard_normal((size, spec.weights.size))
+    z += spec.offsets
+    return np.square(z, out=z) @ spec.weights
 
 
 @dataclass(frozen=True)
@@ -281,9 +281,10 @@ class MonteCarloQuantile:
 
 def _quantile_with_se(draws: NDArray[np.float64], level: float) -> MonteCarloQuantile:
     n = draws.size
-    q = float(np.quantile(draws, level))
-    # density at the quantile from an order-statistic spacing of width ~ 2 sqrt(n)
+    # a quantile depends only on the order statistics, so the sorted draws give its bits
     srt = np.sort(draws)
+    q = float(np.quantile(srt, level))
+    # density at the quantile from an order-statistic spacing of width ~ 2 sqrt(n)
     k = int(level * (n - 1))
     h = max(1, int(math.sqrt(n)))
     lo, hi = max(0, k - h), min(n - 1, k + h)

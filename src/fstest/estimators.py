@@ -96,38 +96,29 @@ def forward_search(data: ArrayLike, config: ForwardSearchConfig) -> Estimate:
 
 
 def sample_mean(data: ArrayLike) -> Estimate:
-    x = as_data_matrix(data)
-    return Estimate(EstimatorKind.MEAN, x.mean(axis=0), x.shape[0], x.shape[0])
+    return estimate(EstimatorKind.MEAN, data)
 
 
 def cw_median(data: ArrayLike) -> Estimate:
     """Coordinate-wise median (average of the two middle values for even n)."""
-    x = as_data_matrix(data)
-    return Estimate(EstimatorKind.CW_MEDIAN, np.median(x, axis=0), x.shape[0], x.shape[0])
+    return estimate(EstimatorKind.CW_MEDIAN, data)
 
 
 def hodges_lehmann(data: ArrayLike) -> Estimate:
     """Coordinate-wise median of all n(n+1)/2 pairwise averages (i <= j)."""
-    x = as_data_matrix(data)
-    value = _hodges_lehmann_batch(x[None, :, :])[0]
-    return Estimate(EstimatorKind.HODGES_LEHMANN, value, x.shape[0], x.shape[0])
+    return estimate(EstimatorKind.HODGES_LEHMANN, data)
 
 
 def estimate(
     kind: EstimatorKind, data: ArrayLike, config: ForwardSearchConfig | None = None
 ) -> Estimate:
-    """Dispatch on the estimator kind; ``config`` is required for forward search."""
+    """Dispatch on the kind; forward search needs ``config``, the others run at reps = 1."""
     if kind == EstimatorKind.FORWARD_SEARCH:
         if config is None:
             raise ValueError("forward search requires a ForwardSearchConfig")
         return forward_search(data, config)
-    if kind == EstimatorKind.MEAN:
-        return sample_mean(data)
-    if kind == EstimatorKind.CW_MEDIAN:
-        return cw_median(data)
-    if kind == EstimatorKind.HODGES_LEHMANN:
-        return hodges_lehmann(data)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    kind, x = EstimatorKind(kind), as_data_matrix(data)
+    return Estimate(kind, batch_estimates(kind, x[None, :, :])[0], x.shape[0], x.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +160,38 @@ def _hl_band(n: int) -> tuple[tuple[tuple[int, int, int], ...], int, int]:
     return rows, int(np.sum(hi - lo)), k - int(np.sum(lo - i))
 
 
+def _sorted_columns(data: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Row r * d + j holds data[r, :, j] sorted, for a (reps, n, d) batch."""
+    reps, n, d = data.shape
+    cols = np.array(data.transpose(0, 2, 1), dtype=float, order="C").reshape(reps * d, n)
+    cols.sort(axis=1)
+    return cols
+
+
+def _median_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Coordinate-wise median per replication for a (reps, n, d) batch.
+
+    The middle of each sorted column, with np.median's bits (the leading
+    ``0.0 +`` as in ``_hodges_lehmann_batch``).
+    """
+    reps, n, d = data.shape
+    cols, h = _sorted_columns(data), n // 2
+    mid = 0.0 + cols[:, h] if n % 2 else (0.0 + cols[:, h - 1] + cols[:, h]) / 2
+    return mid.reshape(reps, d)
+
+
 def _hodges_lehmann_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
     """Hodges-Lehmann per replication for a (reps, n, d) batch.
 
-    Each contiguous (replication, coordinate) column is copied and sorted;
-    blocks of columns get only the Walsh sums of their rank band
-    (``_hl_band``, about 45% of the n(n+1)/2) and one in-place partition;
-    scratch stays within _HL_BLOCK_FLOATS unless one column's band needs
-    more.  Halving only the selected sums keeps np.median's bits, as
+    Blocks of sorted columns (``_sorted_columns``) get only the Walsh sums of
+    their rank band (``_hl_band``, about 45% of the n(n+1)/2) and one in-place
+    partition; scratch stays within _HL_BLOCK_FLOATS unless one column's band
+    needs more.  Halving only the selected sums keeps np.median's bits, as
     x -> x/2 is monotone; the leading ``0.0 +`` mirrors np.median's mean,
     whose sum starts at +0.0 and so turns a -0.0 middle into +0.0.
     """
     reps, n, d = data.shape
-    cols = np.array(data.transpose(0, 2, 1), dtype=float, order="C").reshape(reps * d, n)
-    cols.sort(axis=1)
+    cols = _sorted_columns(data)
     rows, band, k = _hl_band(n)
     chunk = max(1, _HL_BLOCK_FLOATS // band)
     block = np.empty((min(chunk, reps * d), band))
@@ -238,7 +247,7 @@ def batch_estimates(
     if kind == EstimatorKind.MEAN:
         return data.mean(axis=1)
     if kind == EstimatorKind.CW_MEDIAN:
-        return np.median(data, axis=1)
+        return _median_batch(data)
     if kind == EstimatorKind.HODGES_LEHMANN:
         return _hodges_lehmann_batch(data)
     raise ValueError(f"unknown estimator kind {kind!r}")

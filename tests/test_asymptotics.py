@@ -272,6 +272,15 @@ class TestDriftFactor:
             expect = 1 - 2 * q * stats.chi2.pdf(q, d) / (d * gamma)
             assert LimitLaw(StatKind.T1, "gaussian", d, gamma).drift == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("d", (343, 400))
+    def test_gaussian_beyond_the_overflow_of_i0(self, d):
+        # I0 is inf at d = 343 (kappa read 1.0) and raised at d = 400
+        q = stats.chi2.ppf(0.5, d)
+        expect = 1 - 2 * q * stats.chi2.pdf(q, d) / (d * 0.5)
+        kappa = LimitLaw(StatKind.T1, "gaussian", d, 0.5).drift
+        assert math.isfinite(kappa) and kappa < 1
+        assert kappa == pytest.approx(expect, rel=1e-9)
+
     def test_full_retention_is_the_mean(self):
         assert LimitLaw(StatKind.T1, "gaussian", 3, 1.0).drift == 1.0
         assert LimitLaw(StatKind.T1, "gaussian", 3, 1.0).scale == pytest.approx(1.0, rel=1e-9)

@@ -254,6 +254,20 @@ class TestTableCommands:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("kind", ["t1", "t2", "t3", "t4"])
+    def test_gaussian_formula_beyond_the_overflow_of_i0(self, kind, capsys):
+        # d = 400 used to end in an OverflowError traceback; 2000 draws keep
+        # the 400-column draw matrix small
+        rc = main([
+            "critical-value", "--seed", "1", "--kind", kind, "--d", "400",
+            "--family", "gaussian", "--calibration", "formula", "--mc-samples", "2000",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        scale = engine.LimitLaw(StatKind(kind), "gaussian", 400, 0.5).scale
+        # chi2_400 upper 5% point is 447.63; the 2000-draw quantile is within a few SE
+        assert abs(payload["critical_value"] - scale * 447.6325) <= 4 * payload["stderr"]
+
 class TestImportCost:
     def test_gaussian_test_calls_import_no_scipy(self):
         # the gaussian closed forms need only math; scipy loads where quadrature or special functions run

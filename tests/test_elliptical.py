@@ -86,6 +86,16 @@ class TestRadialIntegrals:
         )
 
 
+    @pytest.mark.parametrize("d", (300, 303, 343, 344, 400))
+    def test_gaussian_beyond_the_overflow_of_i0(self, d):
+        # I0 = 2^{d/2} Gamma(d/2) is inf from d = 303 and math.gamma raises from
+        # d = 344; log k and the radial moments stay finite and exact
+        assert standard_model("gaussian", d).log_k == pytest.approx(
+            -(d / 2) * math.log(2 * math.pi), rel=1e-12
+        )
+        assert component_variance(GAUSSIAN, d) == 1.0
+        assert truncated_radial_mean(GAUSSIAN, d, 1.0) == d
+
 class TestGeneratorLookup:
     def test_known_names(self):
         assert set(FAMILY_TAGS) == {"gaussian", "cauchy", "light100"}

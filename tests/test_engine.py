@@ -172,6 +172,31 @@ class TestCriticalValues:
         # E = sum w_i (1 + a_i^2) = 2*2 + 3*1 = 7
         assert draws.mean() == pytest.approx(7.0, abs=0.05)
 
+    @pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (1.5, -0.25, 3e-8)])
+    def test_weighted_sample_is_squared_shift_dot_weights(self, offsets):
+        spec = LimitSpec(np.array([0.7, 2.0, 1.3]), np.array(offsets))
+        draws = weighted_chisq_sample(spec, 5000, np.random.default_rng(2))
+        z = np.random.default_rng(2).standard_normal((5000, 3))
+        expect = (z + spec.offsets) ** 2 @ spec.weights
+        assert np.array_equal(draws.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("size, level", [(200_000, 0.95), (1001, 0.9), (100, 0.5)])
+    def test_quantile_with_se_matches_unsorted_formula(self, size, level, rng):
+        # ties (rounded draws) included: the value is np.quantile of the unsorted
+        # draws, the SE the density from an order-statistic spacing
+        for draws in (rng.chisquare(3, size), np.round(rng.chisquare(3, size))):
+            got = engine._quantile_with_se(draws, level)
+            srt = np.sort(draws)
+            k, h = int(level * (size - 1)), max(1, int(math.sqrt(size)))
+            lo, hi = max(0, k - h), min(size - 1, k + h)
+            spacing = srt[hi] - srt[lo]
+            se = 0.0
+            if spacing > 0:
+                se = math.sqrt(level * (1.0 - level) / size) / ((hi - lo) / (size * spacing))
+            assert got.value == float(np.quantile(draws, level))
+            assert got.stderr == se
+            assert got.n_samples == size
+
     def test_reproducible(self):
         spec = LimitSpec.central(np.ones(3))
         a = critical_value(spec, 0.1, mc_samples=10_000, seed=3)

@@ -230,6 +230,60 @@ class TestBatch:
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
+
+#: ties, zeros of both signs and magnitudes at both ends of the float range
+MEDIAN_POOL = (0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 1e-300, -1e-300)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+class TestMedianOracle:
+    """t3 reads the middle of sorted columns; np.median is its bit-for-bit oracle."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 40),
+        st.integers(1, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_batch_median_has_np_median_bits(self, reps, n, d, infinite, draw):
+        pool = MEDIAN_POOL + ((np.inf, -np.inf) if infinite else ())
+        values = st.one_of(st.sampled_from(pool), st.floats(-1e300, 1e300))
+        data = draw.draw(arrays(float, (reps, n, d), elements=values))
+        with np.errstate(invalid="ignore", over="ignore"):
+            expect = np.median(data, axis=1)
+            got = batch_estimates(EstimatorKind.CW_MEDIAN, data)
+        assert same_bits(got, expect)
+
+    @pytest.mark.parametrize("shape", [(300, 99, 4), (300, 100, 4), (20, 1, 5), (5, 2, 100)])
+    def test_batch_median_has_np_median_bits_on_wide_batches(self, shape, rng):
+        for data in (rng.standard_normal(shape), rng.integers(-2, 3, shape) * -1e-300):
+            assert same_bits(batch_estimates(EstimatorKind.CW_MEDIAN, data), np.median(data, axis=1))
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 8))
+    def test_single_median_has_np_median_bits(self, n, rng):
+        # single samples are finite by validation, so no infinities here
+        for data in (rng.standard_normal((n, 3)), rng.choice(MEDIAN_POOL, (n, 3))):
+            assert same_bits(cw_median(data).value, np.median(data, axis=0))
+            assert same_bits(estimate(EstimatorKind.CW_MEDIAN, data).value, np.median(data, axis=0))
+
+    def test_single_estimators_are_the_batch_at_one_rep(self, rng):
+        data = rng.integers(-2, 3, (31, 3)) * rng.choice([-1.0, 1.0], (31, 3))
+        for kind, single in (
+            (EstimatorKind.MEAN, sample_mean),
+            (EstimatorKind.CW_MEDIAN, cw_median),
+            (EstimatorKind.HODGES_LEHMANN, hodges_lehmann),
+        ):
+            assert same_bits(single(data).value, batch_estimates(kind, data[None])[0])
+
+    def test_unknown_kind_rejected(self, gauss_data):
+        with pytest.raises(ValueError):
+            estimate("trimean", gauss_data())
+
+
 def test_hl_band_discards_only_beyond_the_middle():
     """The band against rank bounds counted from their definitions, and the
     discarded Walsh sums of sorted, heavily tied columns against the middle."""
