@@ -320,7 +320,7 @@ def estimate_all_offsets(
     kinds = tuple(StatKind(k) for k in kinds)
     model = standard_model(spec.family, spec.d)
     reduce = partial(_offset_samples, model, spec.delta, spec.gamma, kinds)
-    samples = simulate(model.sample, reduce, ("offsets", spec.family), spec.n, spec.d, reps, seed)
+    samples = simulate(model, reduce, ("offsets", spec.family), spec.n, reps, seed)
     return {
         kind: OffsetEstimate(
             kind=kind,

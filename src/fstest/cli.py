@@ -256,6 +256,8 @@ def _parse_mu0(text: str, d: int) -> np.ndarray:
 
 
 def cmd_test(args) -> int:
+    if args.j < 0:
+        raise CliError("--j must be nonnegative")
     dataset = read_dataset(args.data)
     mu0 = _parse_mu0(args.mu0, dataset.d)
     sigma = _load_sigma(args.sigma, dataset.d)
@@ -344,6 +346,10 @@ def cmd_table3(args) -> int:
         out=args.out,
         fmt=args.format,
     )
+    if config.reps < 2:
+        raise CliError("--reps must be at least 2 for determinant ratios")
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise CliError("--bootstrap must be 0 or at least 2: a standard error needs two draws")
     header = ["family", "n", "estimator"]
     for d in config.d_grid:
         header += [f"d={d}", f"d={d}_se"]
@@ -604,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MalformedTable) as exc:
+    except (CliError, MalformedTable, robustness.SingularCovariance) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

@@ -73,8 +73,8 @@ def _quad(fn, a, b, **kw):
 class DensityGenerator:
     """Radial kernel of an elliptical family.
 
-    Subclasses implement the kernel, its log-derivative, the radial sampler,
-    and closed forms where they exist.  ``d`` is passed explicitly because
+    Subclasses implement the kernel, its log-derivative, the sampler's raw
+    draws and their transform, and closed forms where they exist.  ``d`` is passed explicitly because
     the Cauchy kernel depends on the dimension.
     """
 
@@ -98,16 +98,13 @@ class DensityGenerator:
         """Exponent e with integrand ~ x^e as x -> inf; -inf for exponential decay."""
         return -math.inf
 
-    def sample_radius_sq(self, d: int, size: int, rng: np.random.Generator) -> NDArray[np.float64]:
+    def draw(self, d: int, rng: np.random.Generator, z: NDArray, aux: NDArray) -> None:
+        """One replication's raw variates into its block rows z (n, d) and aux (n,)."""
         raise NotImplementedError
 
-    def sample_standard(self, d: int, size: int, rng: np.random.Generator) -> NDArray[np.float64]:
-        """Draws from the standard member (mu = 0, Sigma = I)."""
-        r_sq = self.sample_radius_sq(d, size, rng)
-        z = rng.standard_normal((size, d))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        u = z / norms
-        return np.sqrt(r_sq)[:, None] * u
+    def finish(self, d: int, z: NDArray, aux: NDArray) -> None:
+        """Raw variates to draws from the standard member (mu = 0, Sigma = I), in
+        place in z over any leading shape of replications; normals need nothing."""
 
     def g1_zero_closed(self, d: int) -> float | None:
         """Closed form of the standardized marginal density at zero, if known."""
@@ -133,11 +130,8 @@ class _Gaussian(DensityGenerator):
     def radial_integral_closed(self, d, power):
         return 2.0 ** (d / 2 + power) * math.gamma(d / 2 + power)
 
-    def sample_radius_sq(self, d, size, rng):
-        return rng.chisquare(d, size=size)
-
-    def sample_standard(self, d, size, rng):
-        return rng.standard_normal((size, d))
+    def draw(self, d, rng, z, aux):
+        rng.standard_normal(out=z)
 
     def g1_zero_closed(self, d):
         return 1.0 / math.sqrt(2.0 * math.pi)
@@ -167,13 +161,13 @@ class _Cauchy(DensityGenerator):
     def radial_tail_exponent(self, d, power):
         return power - 1.5
 
-    def sample_radius_sq(self, d, size, rng):
-        return rng.chisquare(d, size=size) / rng.chisquare(1, size=size)
+    def draw(self, d, rng, z, aux):
+        # numpy's chisquare(1) is 2 * standard_gamma(0.5), bit for bit
+        rng.standard_normal(out=z)
+        rng.standard_gamma(0.5, out=aux)
 
-    def sample_standard(self, d, size, rng):
-        z = rng.standard_normal((size, d))
-        w = rng.chisquare(1, size=size)
-        return z / np.sqrt(w)[:, None]
+    def finish(self, d, z, aux):
+        z /= np.sqrt(2.0 * aux)[..., None]
 
     def g1_zero_closed(self, d):
         # every marginal of the multivariate t with 1 df is standard Cauchy
@@ -203,9 +197,15 @@ class _Light100(DensityGenerator):
         p = self._EXPONENT
         return math.gamma((d / 2 + power) / p) / p
 
-    def sample_radius_sq(self, d, size, rng):
-        t = rng.gamma(d / (2 * self._EXPONENT), size=size)
-        return np.power(t, 1.0 / self._EXPONENT)
+    def draw(self, d, rng, z, aux):
+        # the squared radius is t**(1/100) with t ~ gamma(d/200); numpy's gamma(s) is
+        # 1.0 * standard_gamma(s)
+        rng.standard_gamma(d / (2 * self._EXPONENT), out=aux)
+        rng.standard_normal(out=z)
+
+    def finish(self, d, z, aux):
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        z *= np.sqrt(np.power(aux, 1.0 / self._EXPONENT))[..., None]
 
 
 GAUSSIAN = _Gaussian()
@@ -363,10 +363,22 @@ class EllipticalModel:
         """n i.i.d. draws, shape (n, d)."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        z = self.generator.sample_standard(self.d, n, rng)
+        return _sample_one(self, n, rng)
+
+    def buffers(self, reps: int, n: int) -> tuple[NDArray, NDArray]:
+        """Buffers for ``reps`` replications of n draws: z (reps, n, d) and aux (reps, n)."""
+        return np.empty((reps, n, self.d)), np.empty((reps, n))
+
+    def draw(self, rng: np.random.Generator, z: NDArray, aux: NDArray) -> None:
+        self.generator.draw(self.d, rng, z, aux)
+
+    def finish(self, z: NDArray, aux: NDArray) -> NDArray[np.float64]:
+        self.generator.finish(self.d, z, aux)
         if not self.sigma.is_identity:
+            # numpy multiplies each replication's (n, d) rows as one product
             z = z @ self.sigma.cholesky_factor.T
-        return z + self.mu
+        z += self.mu
+        return z
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"EllipticalModel({self.family}, d={self.d})"
@@ -391,20 +403,59 @@ class MixtureModel:
         f, g = self.null_component, self.shifted_component
         if f.family != g.family or f.d != g.d:
             raise ValueError("mixture components must share the family and dimension")
-        if not np.allclose(f.sigma.entries, g.sigma.entries, rtol=1e-12, atol=0):
+        # one scatter serves both components' rows of a block
+        if not np.array_equal(f.sigma.entries, g.sigma.entries):
             raise ValueError("mixture components must share the scatter matrix")
+
+    @property
+    def d(self) -> int:
+        return self.null_component.d
+
+    def buffers(self, reps: int, n: int) -> tuple[NDArray, NDArray, NDArray]:
+        """The components' z and aux, and u, whose row entry below beta picks the shifted one."""
+        return (*self.null_component.buffers(reps, n), np.empty((reps, n)))
+
+    def draw(self, rng: np.random.Generator, z: NDArray, aux: NDArray, u: NDArray) -> None:
+        """u, then the k shifted rows into z[:k], then the null rows into z[k:]."""
+        rng.random(out=u)
+        k = np.count_nonzero(u < self.beta)
+        self.shifted_component.draw(rng, z[:k], aux[:k])
+        self.null_component.draw(rng, z[k:], aux[k:])
+
+    def finish(self, z: NDArray, aux: NDArray, u: NDArray) -> NDArray[np.float64]:
+        """Moves each drawn row to the position of its u entry, then locates it."""
+        shifted = u < self.beta
+        counts = np.count_nonzero(shifted, axis=1)
+        null = self.null_component
+        null.generator.finish(self.d, z, aux)
+        if not null.sigma.is_identity:
+            # a row's product depends on the rows multiplied with it: one product per component
+            factor = null.sigma.cholesky_factor.T
+            for zi, k in zip(z, counts.tolist()):
+                zi[:k] = zi[:k] @ factor
+                zi[k:] = zi[k:] @ factor
+        # position p takes shifted row c - 1, or null row k + p - c, where c counts the
+        # shifted positions up to p: each component's rows keep their draw order
+        reps, n, d = z.shape
+        c = np.cumsum(shifted, axis=1)
+        source = np.where(shifted, c - 1, counts[:, None] + np.arange(n) - c)
+        out = np.take(z.reshape(-1, d), source + n * np.arange(reps)[:, None], axis=0)
+        # z, now gathered, takes each position's location
+        locations = np.stack([null.mu, self.shifted_component.mu])
+        out += np.take(locations, shifted.astype(np.intp), axis=0, out=z, mode="clip")
+        return out
 
 
 def sample_mixture(mixture: MixtureModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
     """n draws, each independently from the shifted component with prob beta."""
-    take_shifted = rng.random(n) < mixture.beta
-    k = int(take_shifted.sum())
-    out = np.empty((n, mixture.null_component.d))
-    if k:
-        out[take_shifted] = mixture.shifted_component.sample(k, rng)
-    if n - k:
-        out[~take_shifted] = mixture.null_component.sample(n - k, rng)
-    return out
+    return _sample_one(mixture, n, rng)
+
+
+def _sample_one(sampler, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
+    """One replication of a :func:`fstest.rng.simulate` sampler: draw, then finish a block of one."""
+    buffers = sampler.buffers(1, n)
+    sampler.draw(rng, *(b[0] for b in buffers))
+    return sampler.finish(*buffers)[0]
 
 
 # ---------------------------------------------------------------------------

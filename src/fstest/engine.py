@@ -33,7 +33,6 @@ from .elliptical import (
     marginal_density_sq_integral,
     radial_integral,
     radial_quantile,
-    sample_mixture,
     truncated_radial_mean,
 )
 from .estimators import EstimatorKind, ForwardSearchConfig
@@ -343,7 +342,7 @@ def empirical_critical_value(
     mu = as_vector(mu0, "mu0")
     model = EllipticalModel(generator_by_name(family), mu.size, mu, sigma)
     reduce = partial(batch_statistics, mu0=mu, sigma=sigma, gamma=gamma, kinds=(kind,))
-    stats = simulate(model.sample, reduce, ("calibration", family), n, mu.size, null_reps, seed)
+    stats = simulate(model, reduce, ("calibration", family), n, null_reps, seed)
     return _quantile_with_se(stats[kind], 1.0 - alpha)
 
 
@@ -472,13 +471,13 @@ def power_table(
         gen = generator_by_name(family)
         null = EllipticalModel(gen, d, mu0, sigma)
         shifted = EllipticalModel(gen, d, np.full(d, shift_scale), sigma)
-        null_stats = simulate(null.sample, reduce, ("calibration", family), n, d, null_reps, seed)
+        null_stats = simulate(null, reduce, ("calibration", family), n, null_reps, seed)
         crits = {k: float(np.quantile(null_stats[k], 1.0 - alpha)) for k in kinds}
         table[family] = {k: {} for k in kinds}
         for beta in beta_grid:
             beta = float(beta)
-            sample = partial(sample_mixture, MixtureModel(beta, null, shifted))
-            stats = simulate(sample, reduce, ("power", family, repr(beta)), n, d, reps, seed)
+            mixture = MixtureModel(beta, null, shifted)
+            stats = simulate(mixture, reduce, ("power", family, repr(beta)), n, reps, seed)
             for k in kinds:
                 table[family][k][beta] = float(np.mean(stats[k] > crits[k]))
     return table

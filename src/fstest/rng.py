@@ -9,9 +9,9 @@ single 64-bit master seed plus a human-readable path, e.g.
   how replications are scheduled across workers (``FSTEST_THREADS``).
 
 :func:`simulate` is the one loop behind every simulation campaign: it draws
-replication r of a dataset from the stream ``(seed, *path, r)``, stacks the
-replications into (block, n, d) batches of bounded size and reduces each
-batch to per-replication arrays.
+the raw variates of replication r from the stream ``(seed, *path, r)`` into
+(block, n, d) batches of bounded size, transforms each batch at once and
+reduces it to per-replication arrays.
 
 :func:`stream_rng` defines a stream: the sha256 of ``(seed, *path)`` seeds a
 numpy ``SeedSequence``, which seeds a PCG64 ``Generator``.  Building those two
@@ -127,29 +127,31 @@ def replication_slices(reps: int, workers: int | None = None) -> list[slice]:
 SIMULATION_BLOCK_FLOATS = 4_000_000
 
 
-def simulate(
-    sample: Callable, reduce: Callable, path: Sequence, n: int, d: int, reps: int, seed: int
-) -> dict:
+def simulate(sampler, reduce: Callable, path: Sequence, n: int, reps: int, seed: int) -> dict:
     """Simulate ``reps`` (n, d) datasets and reduce them to per-replication arrays.
 
-    Replication r is ``sample(n, stream_rng(seed, *path, r))``.  ``reduce``
-    maps a (block, n, d) batch to a dict of arrays over the batch; the result
-    concatenates them per key in replication order.  Batches hold at most
-    :data:`SIMULATION_BLOCK_FLOATS` entries and worker slices come from
-    :func:`replication_slices`; as ``reduce`` treats replications
-    independently, neither changes a result.  With several workers, ``sample``
-    and ``reduce`` must pickle (bound methods or partials, not lambdas).
+    Replication r draws from the stream ``stream_rng(seed, *path, r)``.  The
+    ``sampler`` (an ``EllipticalModel`` or a ``MixtureModel``) allocates a
+    block's arrays with ``buffers(block, n)``; ``draw(rng, *rows)`` writes one
+    replication's raw variates into its row of each, and ``finish(*buffers)``
+    turns the block into C-contiguous (block, n, ``sampler.d``) data, which
+    ``reduce`` maps to a dict of arrays over the block.  The result
+    concatenates them per key in replication order.  Blocks hold at most
+    :data:`SIMULATION_BLOCK_FLOATS` data entries and worker slices come from
+    :func:`replication_slices`; as ``finish`` and ``reduce`` treat
+    replications independently, neither changes a result.  With several
+    workers, ``sampler`` and ``reduce`` must pickle (partials, not lambdas).
 
-    The generator ``sample`` receives is reused for the next replication, with
-    that replication's state: ``sample`` must not keep it after it returns.
+    ``draw`` gets one generator, reused with each replication's state: it
+    must not keep it after it returns.
     """
-    run = partial(_simulate_slice, sample, reduce, tuple(path), n, d, seed)
+    run = partial(_simulate_slice, sampler, reduce, tuple(path), n, seed)
     parts = [part for chunk in parallel_map(run, replication_slices(reps)) for part in chunk]
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _simulate_slice(sample, reduce, path, n, d, seed, reps: slice) -> list[dict]:
-    block = max(1, SIMULATION_BLOCK_FLOATS // max(1, n * d))
+def _simulate_slice(sampler, reduce, path, n, seed, reps: slice) -> list[dict]:
+    block = max(1, SIMULATION_BLOCK_FLOATS // max(1, n * sampler.d))
     prefix = _stream_hash(seed, *path)
     # one generator serves the whole slice; its stream_rng state guards the derivation
     rng = stream_rng(seed, *path, reps.start)
@@ -164,11 +166,11 @@ def _simulate_slice(sample, reduce, path, n, d, seed, reps: slice) -> list[dict]
                 f"block stream derivation disagrees with stream_rng at {(seed, *path, start)}; "
                 f"numpy {np.__version__} seeds its generators differently"
             )
-        data = np.empty((stop - start, n, d))
-        for i, state in enumerate(states):
+        buffers = sampler.buffers(stop - start, n)
+        for state, rows in zip(states, zip(*buffers)):
             rng.bit_generator.state = state
-            data[i] = sample(n, rng)
-        parts.append(reduce(data))
+            sampler.draw(rng, *rows)
+        parts.append(reduce(sampler.finish(*buffers)))
     return parts
 
 

@@ -192,9 +192,8 @@ def _replicated_estimates(
     reps: int,
     seed: int,
 ) -> dict[EstimatorKind, NDArray[np.float64]]:
-    sample = standard_model(family, d).sample
     reduce = partial(_estimates, kinds, gamma)
-    return simulate(sample, reduce, ("efficiency", family, n), n, d, reps, seed)
+    return simulate(standard_model(family, d), reduce, ("efficiency", family, n), n, reps, seed)
 
 
 def _log_det_cov(values: NDArray[np.float64]) -> float:

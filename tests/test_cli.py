@@ -195,6 +195,23 @@ class TestTableCommands:
             )
             assert (row["value"], row["stderr"]) == (single.value, single.stderr)
 
+    @pytest.mark.parametrize("argv", [
+        # three replications of four coordinates: a singular covariance
+        ["--d-grid", "4", "--n-grid", "10", "--reps", "3", "--bootstrap", "0"],
+        ["--d-grid", "4", "--n-grid", "10", "--reps", "1", "--bootstrap", "0"],
+        ["--d-grid", "2", "--n-grid", "10", "--reps", "40", "--bootstrap", "-1"],
+        # one resample leaves the standard error undefined (it printed nan)
+        ["--d-grid", "2", "--n-grid", "10", "--reps", "40", "--bootstrap", "1"],
+    ])
+    def test_table3_bad_inputs_exit_one(self, capsys, argv):
+        assert main(["table3", "--seed", "1", "--family", "gaussian"] + argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_bootstrap_resamples_exit_one(self, capsys):
+        rc = main(["test", "--seed", "1", "--data", str(DATA), "--mu0", "0", "--j", "-1"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_table3_simulates_each_cell_once(self, tmp_path, monkeypatch):
         calls = []
         simulate = robustness._replicated_estimates

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from fstest import rng as rng_module
 from fstest.elliptical import (
     CAUCHY,
     GAUSSIAN,
@@ -27,6 +28,8 @@ from fstest.elliptical import (
     standard_model,
     truncated_radial_mean,
 )
+from fstest.linalg import SpdMatrix
+from fstest.rng import replication_slices, simulate, stream_rng
 
 ALL_GENERATORS = (GAUSSIAN, CAUCHY, LIGHT100)
 
@@ -314,3 +317,128 @@ class TestMixture:
         other = EllipticalModel(GAUSSIAN, 2, [5.0, 5.0], [[2.0, 0.0], [0.0, 2.0]])
         with pytest.raises(ValueError):
             MixtureModel(0.5, base, other)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the block samplers against the one-replication formulas
+# ---------------------------------------------------------------------------
+
+def _oracle_standard(family, d, n, rng):
+    """One replication of the standard member, formula by formula as sampled
+    before draws and transforms were split."""
+    if family == "gaussian":
+        return rng.standard_normal((n, d))
+    if family == "cauchy":
+        z = rng.standard_normal((n, d))
+        return z / np.sqrt(rng.chisquare(1, size=n))[:, None]
+    r_sq = np.power(rng.gamma(d / 200, size=n), 1.0 / 100)
+    z = rng.standard_normal((n, d))
+    return np.sqrt(r_sq)[:, None] * (z / np.linalg.norm(z, axis=1, keepdims=True))
+
+
+def _oracle_model(model, n, rng):
+    z = _oracle_standard(model.family, model.d, n, rng)
+    if not model.sigma.is_identity:
+        z = z @ model.sigma.cholesky_factor.T
+    return z + model.mu
+
+
+def _oracle_mixture(mixture, n, rng):
+    take = rng.random(n) < mixture.beta
+    k = int(take.sum())
+    out = np.empty((n, mixture.null_component.d))
+    if k:
+        out[take] = _oracle_model(mixture.shifted_component, k, rng)
+    if n - k:
+        out[~take] = _oracle_model(mixture.null_component, n - k, rng)
+    return out
+
+
+def _oracle(sampler, n, rng):
+    if isinstance(sampler, MixtureModel):
+        return _oracle_mixture(sampler, n, rng)
+    return _oracle_model(sampler, n, rng)
+
+
+def _keep(data):
+    return {"data": data}
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+_SCATTER = SpdMatrix([[2.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 0.7]])
+
+
+def _sampler(family, beta=None, scatter=False):
+    """A model (beta None) or mixture of the family at d = 3; ``scatter`` adds a
+    non-identity scatter and a nonzero null location."""
+    gen = generator_by_name(family)
+    sigma = _SCATTER if scatter else None
+    null = EllipticalModel(gen, 3, [0.5, -1.0, 2.0] if scatter else None, sigma)
+    if beta is None:
+        return null
+    return MixtureModel(beta, null, EllipticalModel(gen, 3, [5.0, 5.0, -4.0], sigma))
+
+
+SAMPLERS = [
+    pytest.param(family, beta, scatter, id=f"{family}-{beta}-{'scatter' if scatter else 'I'}")
+    for family in FAMILY_TAGS
+    for beta in (None, 0.0, 0.3, 1.0)
+    for scatter in (False, True)
+]
+
+
+class TestBlockSamplers:
+    """simulate's draw-then-finish-per-block against the one-replication formulas."""
+
+    PATH = ("power", "oracle")
+
+    def reference(self, sampler, n, reps, seed=5):
+        return np.stack(
+            [_oracle(sampler, n, stream_rng(seed, *self.PATH, r)) for r in reps]
+        ).reshape(len(reps), n, sampler.d)
+
+    @pytest.mark.parametrize("family, beta, scatter", SAMPLERS)
+    def test_simulate_equals_oracle(self, family, beta, scatter):
+        sampler = _sampler(family, beta, scatter)
+        got = simulate(sampler, _keep, self.PATH, 17, 30, 5)["data"]
+        assert got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(self.reference(sampler, 17, range(30))))
+
+    @pytest.mark.parametrize("family, beta, scatter", SAMPLERS)
+    def test_single_sample_equals_oracle(self, family, beta, scatter):
+        sampler = _sampler(family, beta, scatter)
+        sample = sampler.sample if beta is None else lambda n, rng: sample_mixture(sampler, n, rng)
+        for n in (0, 1, 25):
+            got = sample(n, np.random.default_rng(n))
+            assert np.array_equal(_bits(got), _bits(_oracle(sampler, n, np.random.default_rng(n))))
+
+    @pytest.mark.parametrize("family", FAMILY_TAGS)
+    def test_across_block_bounds_and_workers(self, monkeypatch, family):
+        sampler = _sampler(family, 0.3, scatter=True)
+        want = self.reference(sampler, 11, range(25))
+        # four replications per block, then two worker slices of 13 and 12
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 4 * 11 * 3)
+        got = simulate(sampler, _keep, self.PATH, 11, 25, 5)["data"]
+        assert np.array_equal(_bits(got), _bits(want))
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv("FSTEST_THREADS", "2")
+        assert len(replication_slices(25)) == 2
+        got = simulate(sampler, _keep, self.PATH, 11, 25, 5)["data"]
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("beta", (None, 0.3))
+    def test_no_replications(self, beta):
+        got = simulate(_sampler("light100", beta), _keep, self.PATH, 9, 0, 5)["data"]
+        assert got.shape == (0, 9, 3)
+
+    @pytest.mark.parametrize("n, d", [(100, 4), (10, 100), (3, 7)])
+    def test_blocked_cholesky_product_equals_per_replication(self, n, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        factor = SpdMatrix(a @ a.T + d * np.eye(d)).cholesky_factor
+        z = rng.standard_normal((6, n, d))
+        per_replication = np.stack([zi @ factor.T for zi in z])
+        assert np.array_equal(_bits(z @ factor.T), _bits(per_replication))

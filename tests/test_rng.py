@@ -144,6 +144,24 @@ def _draws(n, rng):
     return np.column_stack([ints, rng.standard_normal(n)])
 
 
+class _Draws:
+    """A simulate sampler whose replication is ``_draws(n, rng)``."""
+
+    d = 2
+
+    def buffers(self, reps, n):
+        return (np.empty((reps, n, self.d)),)
+
+    def draw(self, rng, z):
+        z[:] = _draws(len(z), rng)
+
+    def finish(self, z):
+        return z
+
+
+DRAWS = _Draws()
+
+
 def _keep(data):
     return {"data": data}
 
@@ -162,7 +180,7 @@ class TestBlockStreams:
 
     @pytest.mark.parametrize("seed, path", STREAM_NAMES)
     def test_simulate_draws_equal_stream_rng(self, seed, path):
-        got = simulate(_draws, _keep, path, 3, 2, 23, seed)["data"]
+        got = simulate(DRAWS, _keep, path, 3, 23, seed)["data"]
         assert np.array_equal(got, _reference(seed, path, range(23)))
 
     def test_slices_starting_mid_range_across_block_bounds(self, monkeypatch):
@@ -170,7 +188,7 @@ class TestBlockStreams:
         monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 3 * 3 * 2)
         seed, path = 11, ("power", "gaussian", repr(0.5))
         for start, stop in [(0, 10), (1, 2), (5, 12), (6, 13), (999, 1004)]:
-            parts = rng_module._simulate_slice(_draws, _keep, path, 3, 2, seed, slice(start, stop))
+            parts = rng_module._simulate_slice(DRAWS, _keep, path, 3, seed, slice(start, stop))
             assert len(parts) == -(-(stop - start) // 3)
             got = np.concatenate([part["data"] for part in parts])
             assert np.array_equal(got, _reference(seed, path, range(start, stop)))
@@ -179,11 +197,58 @@ class TestBlockStreams:
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setenv("FSTEST_THREADS", "2")
         assert replication_slices(25)[1].start == 13
-        got = simulate(_draws, _keep, ("calibration", "cauchy"), 3, 2, 25, 5)["data"]
+        got = simulate(DRAWS, _keep, ("calibration", "cauchy"), 3, 25, 5)["data"]
         assert np.array_equal(got, _reference(5, ("calibration", "cauchy"), range(25)))
 
     @pytest.mark.parametrize("constant", ["_MULT_A", "_INIT_B", "_MIX_MULT_R", "_PCG64_MULT"])
     def test_guard_raises_on_a_wrong_derivation(self, monkeypatch, constant):
         monkeypatch.setattr(rng_module, constant, getattr(rng_module, constant) ^ 1)
         with pytest.raises(RuntimeError, match="disagrees with stream_rng"):
-            simulate(_draws, _keep, ("calibration", "gaussian"), 3, 2, 5, 1)
+            simulate(DRAWS, _keep, ("calibration", "gaussian"), 3, 5, 1)
+
+
+class TestNumpyDrawEquivalences:
+    """The samplers draw chi-squared and gamma variates as standard_gamma into
+    block buffers; these identities of numpy's make that bit for bit the
+    chisquare and gamma calls of one replication.  A numpy release that breaks
+    one fails here first."""
+
+    SIZES = [1, 7, 400, (50, 4)]
+
+    @staticmethod
+    def pair(seed):
+        return np.random.default_rng(seed), np.random.default_rng(seed)
+
+    @staticmethod
+    def assert_same(a, b, want, got):
+        assert np.array_equal(want.view(np.int64), got.view(np.int64))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("df", [1, 4, 7.5])
+    def test_chisquare_is_twice_standard_gamma(self, seed, size, df):
+        a, b = self.pair(seed)
+        want = a.chisquare(df, size)
+        got = np.empty(size)
+        b.standard_gamma(df / 2, out=got)
+        self.assert_same(a, b, want, 2.0 * got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("shape", [4 / 200, 100 / 200, 3.0])
+    def test_gamma_is_standard_gamma(self, seed, size, shape):
+        a, b = self.pair(seed)
+        want = a.gamma(shape, size=size)
+        got = np.empty(size)
+        b.standard_gamma(shape, out=got)
+        self.assert_same(a, b, want, got)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 3])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_standard_normal_into_a_buffer(self, seed, size):
+        a, b = self.pair(seed)
+        want = a.standard_normal(size)
+        got = np.empty(size)
+        b.standard_normal(out=got)
+        self.assert_same(a, b, want, got)
