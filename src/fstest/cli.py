@@ -30,7 +30,7 @@ from .dataio import MalformedTable, read_dataset, write_json, write_rows
 from .elliptical import FAMILY_TAGS, standard_model
 from .engine import InfiniteVariance, MonteCarloConfig, StatKind
 from .estimators import EstimatorKind
-from .linalg import NotSPD, NotSymmetric, DimensionMismatch, SpdMatrix
+from .linalg import NotSPD, NotSymmetric, DimensionMismatch, SpdMatrix, as_vector
 
 __all__ = ["main", "SimulationConfig", "CliError"]
 
@@ -249,16 +249,28 @@ def _load_sigma(spec: str, d: int) -> SpdMatrix:
 def _parse_mu0(text: str, d: int) -> np.ndarray:
     values = _parse_floats(text, "--mu0")
     if len(values) == 1:
-        return np.full(d, values[0])
+        values *= d
     if len(values) != d:
         raise CliError(f"--mu0 has {len(values)} entries, data dimension is {d}")
-    return np.asarray(values)
+    try:
+        return as_vector(values, "--mu0")
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def cmd_test(args) -> int:
     if args.j < 0:
         raise CliError("--j must be nonnegative")
     dataset = read_dataset(args.data)
+    config = SimulationConfig(
+        command="test",
+        families=(args.family or "gaussian",),
+        seed=args.seed,
+        gamma=args.gamma,
+        alpha=args.alpha,
+        mc_samples=args.mc_samples,
+        null_reps=args.null_reps,
+    )
     mu0 = _parse_mu0(args.mu0, dataset.d)
     sigma = _load_sigma(args.sigma, dataset.d)
     kind = StatKind(args.kind)
@@ -268,20 +280,20 @@ def cmd_test(args) -> int:
             dataset.values,
             mu0,
             sigma,
-            gamma=args.gamma,
-            alpha=args.alpha,
+            gamma=config.gamma,
+            alpha=config.alpha,
             j=args.j,
-            seed=args.seed,
+            seed=config.seed,
         )
         report = engine.TestReport(
             statistic=kind,
             value=t0,
             critical_value=crit,
-            alpha=args.alpha,
+            alpha=config.alpha,
             decision="reject" if t0 > crit else "retain",
             p_value=p,
             mc_samples=args.j,
-            seed=args.seed,
+            seed=config.seed,
         )
     else:
         try:
@@ -290,12 +302,12 @@ def cmd_test(args) -> int:
                 dataset.values,
                 mu0,
                 sigma,
-                gamma=args.gamma,
-                alpha=args.alpha,
-                family=args.family or "gaussian",
+                gamma=config.gamma,
+                alpha=config.alpha,
+                family=config.families[0],
                 calibration=args.calibration,
-                mc=MonteCarloConfig(args.mc_samples, args.null_reps),
-                seed=args.seed,
+                mc=MonteCarloConfig(config.mc_samples, config.null_reps),
+                seed=config.seed,
             )
         except InfiniteVariance as exc:
             raise CliError(f"formula calibration unavailable: {exc}")

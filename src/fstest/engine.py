@@ -208,14 +208,9 @@ def statistic(
     mu = as_vector(mu0, "mu0")
     if x.shape[1] != mu.size:
         raise DimensionMismatch("data and mu0 dimensions disagree")
-    kind = StatKind(kind)
-    if kind == StatKind.T1:
-        if config is None:
-            config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size), 0.5)
-        value = est.forward_search(x, config).value
-    else:
-        value = est.estimate(kind.estimator, x).value
-    diff = value - mu
+    if config is None:
+        config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size), 0.5)
+    diff = est.estimate(StatKind(kind).estimator, x, config).value - mu
     return float(x.shape[0] * diff @ diff)
 
 
@@ -405,11 +400,8 @@ def run_test(
     kind = StatKind(kind)
     x = as_data_matrix(data)
     mu = as_vector(mu0, "mu0")
-    if sigma is None:
-        sigma = SpdMatrix.identity(mu.size)
-    elif not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
-    config = ForwardSearchConfig(mu, sigma, gamma)
+    config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size) if sigma is None else sigma, gamma)
+    sigma = config.sigma
     value = statistic(kind, x, mu, config)
     if calibration == "formula":
         model = EllipticalModel(generator_by_name(family), mu.size, mu, sigma)
@@ -524,13 +516,10 @@ def bootstrap_report(
     kind = StatKind(kind)
     x = as_data_matrix(data)
     mu = as_vector(mu0, "mu0")
-    if sigma is None:
-        sigma = SpdMatrix.identity(mu.size)
-    elif not isinstance(sigma, SpdMatrix):
-        sigma = SpdMatrix(sigma)
     if j < 1:
         raise ValueError("j must be positive")
-    config = ForwardSearchConfig(mu, sigma, gamma)
+    config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size) if sigma is None else sigma, gamma)
+    sigma = config.sigma
     t0 = statistic(kind, x, mu, config)
     rng = stream_rng(seed, "bootstrap", kind.value)
     stats = _bootstrap_statistics(kind, x, mu, sigma, gamma, j, rng)

@@ -77,22 +77,11 @@ def forward_search(data: ArrayLike, config: ForwardSearchConfig) -> Estimate:
     """Mean of the floor(n * gamma) observations nearest the anchor.
 
     Distances are squared Mahalanobis distances from ``config.mu0`` under
-    ``config.sigma``.  Ties at the retention boundary are resolved by input
-    order (stable sort), and at least one observation is always retained.
-    With gamma = 1 the result equals the sample mean.
+    ``config.sigma``.  Ties at the retention boundary go to the earlier rows,
+    and at least one observation is always retained.  This is the batch
+    estimator at reps = 1, through :func:`estimate`.
     """
-    x = as_data_matrix(data)
-    if x.shape[1] != config.mu0.size:
-        raise DimensionMismatch("data and mu0 dimensions disagree")
-    n = x.shape[0]
-    m = trim_count(n, config.gamma)
-    if m == n:
-        kept = np.arange(n)
-    else:
-        dist = mahalanobis_sq_many(x, config.mu0, config.sigma)
-        kept = np.sort(np.argsort(dist, kind="stable")[:m])
-    value = x[kept].mean(axis=0)
-    return Estimate(EstimatorKind.FORWARD_SEARCH, value, n, m, config.gamma)
+    return estimate(EstimatorKind.FORWARD_SEARCH, data, config)
 
 
 def sample_mean(data: ArrayLike) -> Estimate:
@@ -112,13 +101,18 @@ def hodges_lehmann(data: ArrayLike) -> Estimate:
 def estimate(
     kind: EstimatorKind, data: ArrayLike, config: ForwardSearchConfig | None = None
 ) -> Estimate:
-    """Dispatch on the kind; forward search needs ``config``, the others run at reps = 1."""
-    if kind == EstimatorKind.FORWARD_SEARCH:
-        if config is None:
-            raise ValueError("forward search requires a ForwardSearchConfig")
-        return forward_search(data, config)
+    """One sample's estimate: :func:`batch_estimates` at reps = 1.
+
+    Forward search needs ``config`` and keeps the batch's tie rule, so a
+    single sample and a replication of a batch give the same bits.
+    """
     kind, x = EstimatorKind(kind), as_data_matrix(data)
-    return Estimate(kind, batch_estimates(kind, x[None, :, :])[0], x.shape[0], x.shape[0])
+    if kind != EstimatorKind.FORWARD_SEARCH:
+        return Estimate(kind, batch_estimates(kind, x[None, :, :])[0], len(x), len(x))
+    if config is None:
+        raise ValueError("forward search requires a ForwardSearchConfig")
+    value = batch_estimates(kind, x[None, :, :], config.mu0, config.sigma, config.gamma)[0]
+    return Estimate(kind, value, len(x), trim_count(len(x), config.gamma), config.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +213,19 @@ def _forward_search_batch(
 ) -> NDArray[np.float64]:
     """Forward-search estimate per replication for a (reps, n, d) batch.
 
-    Assumes continuously distributed data (boundary ties have probability
-    zero), so an unstable partial sort is used for speed.
+    Keeps the m = trim_count(n, gamma) rows nearest ``mu0``: all rows closer
+    than the m-th smallest distance t, then the earliest rows at t.  The kept
+    rows are copied and averaged in input order, so each replication has the
+    bits of ``x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)``.
     """
     reps, n, d = data.shape
     m = trim_count(n, gamma)
-    if m == n:
-        return data.mean(axis=1)
     dist = mahalanobis_sq_many(data, mu0, sigma)
-    kept = np.argpartition(dist, m - 1, axis=1)[:, :m]
-    rows = np.take_along_axis(data, kept[:, :, None], axis=1)
-    return rows.mean(axis=1)
+    t = np.partition(dist, m - 1, axis=1)[:, [m - 1]]
+    keep = dist < t
+    at = dist == t
+    keep |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= m - keep.sum(axis=1, keepdims=True))
+    return data[keep].reshape(reps, m, d).mean(axis=1)
 
 
 def batch_estimates(

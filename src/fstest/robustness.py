@@ -31,7 +31,7 @@ from numpy.typing import NDArray
 from . import estimators as est
 from .elliptical import standard_model
 from .engine import LimitLaw, StatKind, scatter_scale_constant
-from .estimators import EstimatorKind, ForwardSearchConfig
+from .estimators import EstimatorKind
 from .linalg import SpdMatrix
 from .rng import simulate, stream_rng
 
@@ -109,6 +109,10 @@ def breakdown_experiment(
     with the magnitude instead of stabilizing: the top-rung deviation
     exceeds top_magnitude / 100 and the last three rungs are strictly
     increasing.
+
+    Each count runs one forward-search batch, a replication per rung, with
+    the batch's tie rule: the pushed points, the first rows, tie with one
+    another and are kept before later rows at the same distance.
     """
     if len(magnitude_ladder) < 3:
         raise ValueError("magnitude ladder needs at least three rungs")
@@ -119,39 +123,30 @@ def breakdown_experiment(
     model = standard_model("gaussian", d)
     rng = stream_rng(seed, "breakdown", repr(float(gamma)), n, d)
     clean = model.sample(n, rng)
-    config = ForwardSearchConfig(np.zeros(d), SpdMatrix.identity(d), gamma)
-    reference = est.forward_search(clean, config).value
+    params = (np.zeros(d), SpdMatrix.identity(d), gamma)
+    reference = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, clean[None], *params)[0]
 
     counts = tuple(range(1, n))
     deviations = np.empty((len(counts), len(magnitude_ladder)))
+    # one replication per rung; counts grow, so each pass overwrites one more row
+    rungs = np.array(magnitude_ladder, dtype=float)[:, None, None]
+    corrupted = np.repeat(clean[None], len(rungs), axis=0)
     for i, n_star in enumerate(counts):
-        corrupted = clean.copy()
-        for j, magnitude in enumerate(magnitude_ladder):
-            corrupted[:n_star] = magnitude
-            shifted = est.forward_search(corrupted, config).value
-            deviations[i, j] = float(np.linalg.norm(shifted - reference))
+        corrupted[:, :n_star] = rungs
+        shifted = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, corrupted, *params)
+        deviations[i] = [np.linalg.norm(row - reference) for row in shifted]
 
-    top = magnitude_ladder[-1]
-    broke = []
-    for i in range(len(counts)):
-        tail = deviations[i, -3:]
-        escaped = deviations[i, -1] > top / 100.0
-        climbing = tail[0] < tail[1] < tail[2]
-        broke.append(bool(escaped and climbing))
-    break_fraction = None
-    for n_star, flag in zip(counts, broke):
-        if flag:
-            break_fraction = n_star / n
-            break
+    a, b, c = deviations[:, -3:].T
+    broke = tuple(bool(x) for x in (c > magnitude_ladder[-1] / 100.0) & (a < b) & (b < c))
     return BreakdownResult(
         gamma=gamma,
         n=n,
         d=d,
         magnitudes=tuple(float(m) for m in magnitude_ladder),
         corrupted_counts=counts,
-        broke=tuple(broke),
+        broke=broke,
         deviations=deviations,
-        break_fraction=break_fraction,
+        break_fraction=next((k / n for k, flag in zip(counts, broke) if flag), None),
     )
 
 
@@ -222,7 +217,8 @@ def finite_sample_efficiency(
 
     Both estimators run on the same simulated datasets, so swapping the pair
     on the same seed returns the exact reciprocal.  ``bootstrap`` > 0 adds a
-    standard error from resampling replication indices.
+    standard error from resampling replication indices; it must be 0 or at
+    least 2.
     """
     return finite_sample_efficiencies(
         (numerator,), denominator, family, n, d, reps, gamma, seed, bootstrap
@@ -250,6 +246,8 @@ def finite_sample_efficiencies(
     denominator = EstimatorKind(denominator)
     if reps < 2:
         raise ValueError("reps must be at least 2 (100+ for stable determinants)")
+    if bootstrap < 0 or bootstrap == 1:
+        raise ValueError("bootstrap must be 0 or at least 2: a standard error needs two draws")
     kinds = tuple(dict.fromkeys((*numerators, denominator)))
     values = _replicated_estimates(family, n, d, gamma, kinds, reps, seed)
 

@@ -207,6 +207,18 @@ class TestTableCommands:
         assert main(["table3", "--seed", "1", "--family", "gaussian"] + argv) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--gamma", "2"],
+        ["--gamma", "0"],
+        ["--alpha", "1.5"],
+        ["--mu0", "nan"],
+        ["--mc-samples", "5", "--calibration", "formula"],
+        ["--null-reps", "3"],
+    ])
+    def test_test_bad_inputs_exit_one(self, capsys, argv):
+        assert main(["test", "--seed", "1", "--data", str(DATA)] + argv) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_negative_bootstrap_resamples_exit_one(self, capsys):
         rc = main(["test", "--seed", "1", "--data", str(DATA), "--mu0", "0", "--j", "-1"])
         assert rc == 1

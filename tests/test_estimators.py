@@ -17,7 +17,7 @@ from fstest.estimators import (
     hodges_lehmann,
     sample_mean,
 )
-from fstest.linalg import DimensionMismatch, SpdMatrix
+from fstest.linalg import DimensionMismatch, SpdMatrix, mahalanobis_sq_many
 
 finite_rows = arrays(
     float,
@@ -60,6 +60,14 @@ class TestForwardSearch:
         est = forward_search(data, self.config(gamma=0.67))
         assert est.n_used == 2
         assert np.allclose(est.value, [[0.0, 0.0]])
+
+    def test_boundary_tie_resolved_by_input_order_in_a_batch(self):
+        # three points at distance 1 and one at 0.25; m = 2 keeps the near
+        # point and the first of the tied three, whatever their positions
+        data = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.5]])
+        batch = np.stack([data, data[[2, 3, 0, 1]], data[[1, 0, 3, 2]]])
+        got = batch_estimates(EstimatorKind.FORWARD_SEARCH, batch, np.zeros(2), SpdMatrix.identity(2), 0.5)
+        assert np.array_equal(got, [[0.5, 0.25], [0.0, 0.75], [-0.5, 0.25]])
 
     def test_anchor_matters(self):
         data = np.array([[0.0, 0.0], [4.0, 4.0], [4.1, 4.0], [8.0, 8.0]])
@@ -272,16 +280,54 @@ class TestMedianOracle:
 
     def test_single_estimators_are_the_batch_at_one_rep(self, rng):
         data = rng.integers(-2, 3, (31, 3)) * rng.choice([-1.0, 1.0], (31, 3))
+        config = ForwardSearchConfig(np.zeros(3), SpdMatrix(np.eye(3) + 0.5), 0.5)
+        params = (config.mu0, config.sigma, config.gamma)
         for kind, single in (
             (EstimatorKind.MEAN, sample_mean),
             (EstimatorKind.CW_MEDIAN, cw_median),
             (EstimatorKind.HODGES_LEHMANN, hodges_lehmann),
+            (EstimatorKind.FORWARD_SEARCH, lambda x: forward_search(x, config)),
         ):
-            assert same_bits(single(data).value, batch_estimates(kind, data[None])[0])
+            assert same_bits(single(data).value, batch_estimates(kind, data[None], *params)[0])
 
     def test_unknown_kind_rejected(self, gauss_data):
         with pytest.raises(ValueError):
             estimate("trimean", gauss_data())
+
+
+def stable_forward_search(x, mu0, sigma, gamma):
+    """The m nearest rows by a stable sort, so boundary ties go to the earlier rows."""
+    m = max(1, int(np.floor(x.shape[0] * gamma)))
+    dist = mahalanobis_sq_many(x, mu0, sigma)
+    return x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)
+
+
+class TestForwardSearchOracle:
+    """t1 selects like a stable sort and sums in input order, in a batch and alone."""
+
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 30),
+        st.integers(1, 4),
+        st.sampled_from([0.01, 0.5, 1.0]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_batch_has_the_stable_selection_bits(self, reps, n, d, gamma, identity, draw):
+        # tenths of small integers (inexact, so the summation order shows),
+        # rows repeated by index, and mirrored rows, which sit at the same
+        # distance from the zero anchor under any scatter
+        base = draw.draw(arrays(np.int64, (reps, n, d), elements=st.integers(-3, 3), fill=st.nothing()))
+        idx = draw.draw(arrays(np.int64, n, elements=st.integers(0, n - 1), fill=st.nothing()))
+        sign = draw.draw(arrays(float, n, elements=st.sampled_from([-0.1, 0.1]), fill=st.nothing()))
+        data = base[:, idx] * sign[:, None]
+        sigma = SpdMatrix.identity(d) if identity else SpdMatrix(np.eye(d) + 0.5)
+        config = ForwardSearchConfig(np.zeros(d), sigma, gamma)
+        got = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, config.mu0, sigma, gamma)
+        for r in range(reps):
+            expect = stable_forward_search(data[r], config.mu0, sigma, gamma)
+            assert same_bits(got[r], expect)
+            assert same_bits(forward_search(data[r], config).value, expect)
 
 
 def test_hl_band_discards_only_beyond_the_middle():

@@ -24,7 +24,31 @@ def trimmed_variance(family, d, gamma):
     return LimitLaw(StatKind.T1, family, d, gamma).scale
 
 
+def breakdown_by_loop(gamma, n, d, seed, ladder=DEFAULT_MAGNITUDE_LADDER):
+    """Deviations one sample at a time: each count contaminates its own copy, rung by rung."""
+    rng = stream_rng(seed, "breakdown", repr(float(gamma)), n, d)
+    clean = standard_model("gaussian", d).sample(n, rng)
+    config = est.ForwardSearchConfig(np.zeros(d), SpdMatrix.identity(d), gamma)
+    reference = est.forward_search(clean, config).value
+    deviations = np.empty((n - 1, len(ladder)))
+    for i, n_star in enumerate(range(1, n)):
+        corrupted = clean.copy()
+        for j, magnitude in enumerate(ladder):
+            corrupted[:n_star] = magnitude
+            shifted = est.forward_search(corrupted, config).value
+            deviations[i, j] = float(np.linalg.norm(shifted - reference))
+    return deviations
+
+
 class TestBreakdown:
+    @pytest.mark.parametrize("gamma, n, d, seed", [
+        (0.5, 2, 1, 0), (1.0, 2, 1, 4), (1.0, 9, 3, 1), (0.3, 20, 4, 3), (0.7, 13, 2, 8), (0.01, 6, 5, 2),
+    ])
+    def test_deviations_match_one_sample_at_a_time(self, gamma, n, d, seed):
+        got = breakdown_experiment(gamma, n=n, d=d, seed=seed).deviations
+        expect = breakdown_by_loop(gamma, n, d, seed)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
     def test_break_exactly_where_trimming_saturates(self):
         # with m = floor(n * gamma) kept, the sweep survives while the far
         # points can all be excluded: n - n_star >= m, so the first broken
@@ -115,6 +139,11 @@ class TestFiniteSampleEfficiency:
         )
         assert no_boot.stderr is None
         assert no_boot.value == r.value
+
+    @pytest.mark.parametrize("bootstrap", (1, -1))
+    def test_bootstrap_needs_two_draws_or_none(self, bootstrap):
+        with pytest.raises(ValueError):
+            finite_sample_efficiency(EstimatorKind.MEAN, n=20, d=2, reps=50, seed=3, bootstrap=bootstrap)
 
     def test_deterministic(self):
         a = finite_sample_efficiency(EstimatorKind.HODGES_LEHMANN, n=20, d=2, reps=50, seed=3)
