@@ -275,7 +275,7 @@ def cmd_test(args) -> int:
     sigma = _load_sigma(args.sigma, dataset.d)
     kind = StatKind(args.kind)
     if args.j > 0:
-        p, crit, t0 = engine.bootstrap_report(
+        report = engine.bootstrap_report(
             kind,
             dataset.values,
             mu0,
@@ -283,16 +283,6 @@ def cmd_test(args) -> int:
             gamma=config.gamma,
             alpha=config.alpha,
             j=args.j,
-            seed=config.seed,
-        )
-        report = engine.TestReport(
-            statistic=kind,
-            value=t0,
-            critical_value=crit,
-            alpha=config.alpha,
-            decision="reject" if t0 > crit else "retain",
-            p_value=p,
-            mc_samples=args.j,
             seed=config.seed,
         )
     else:
@@ -360,8 +350,6 @@ def cmd_table3(args) -> int:
     )
     if config.reps < 2:
         raise CliError("--reps must be at least 2 for determinant ratios")
-    if args.bootstrap < 0 or args.bootstrap == 1:
-        raise CliError("--bootstrap must be 0 or at least 2: a standard error needs two draws")
     header = ["family", "n", "estimator"]
     for d in config.d_grid:
         header += [f"d={d}", f"d={d}_se"]
@@ -378,7 +366,6 @@ def cmd_table3(args) -> int:
                     reps=config.reps,
                     gamma=config.gamma,
                     seed=config.seed,
-                    bootstrap=args.bootstrap,
                 )
                 for d in config.d_grid
             }
@@ -386,7 +373,7 @@ def cmd_table3(args) -> int:
                 row = [family, n, kind.value]
                 for d in config.d_grid:
                     result = cells[d][r]
-                    row += [result.value, result.stderr if result.stderr is not None else ""]
+                    row += [result.value, result.stderr]
                     raw.append(
                         {
                             "family": family,
@@ -584,7 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--n-grid", default="10,100")
     p.add_argument("--d-grid", default=",".join(str(d) for d in DEFAULT_D_GRID))
-    p.add_argument("--bootstrap", type=int, default=100, help="bootstrap draws for the SE column (0 disables)")
+    p.add_argument("--bootstrap", type=int, default=100,
+                   help="accepted; changes no number, since the SE is closed-form")
     p.set_defaults(func=cmd_table3)
 
     p = sub.add_parser("table4", help="asymptotic efficiency closed forms, d-th-root convention")

@@ -511,8 +511,9 @@ def bootstrap_report(
     alpha: float = 0.05,
     j: int = 10_000,
     seed: int = 0,
-) -> tuple[float, float, float]:
-    """(p_value, bootstrap critical value at alpha, observed statistic)."""
+) -> TestReport:
+    """Test against ``j`` resamples of the data: their 1 - alpha quantile is
+    the critical value, and the share of them above the statistic the p-value."""
     kind = StatKind(kind)
     x = as_data_matrix(data)
     mu = as_vector(mu0, "mu0")
@@ -523,6 +524,14 @@ def bootstrap_report(
     t0 = statistic(kind, x, mu, config)
     rng = stream_rng(seed, "bootstrap", kind.value)
     stats = _bootstrap_statistics(kind, x, mu, sigma, gamma, j, rng)
-    p = float(np.mean(stats > t0))
     crit = float(np.quantile(stats, 1.0 - alpha))
-    return p, crit, t0
+    return TestReport(
+        statistic=kind,
+        value=t0,
+        critical_value=crit,
+        alpha=alpha,
+        decision=_decide(t0, crit),
+        p_value=float(np.mean(stats > t0)),
+        mc_samples=j,
+        seed=seed,
+    )

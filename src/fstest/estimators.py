@@ -241,7 +241,8 @@ def batch_estimates(
             raise ValueError("forward search needs mu0, sigma and gamma")
         return _forward_search_batch(data, mu0, sigma, gamma)
     if kind == EstimatorKind.MEAN:
-        return data.mean(axis=1)
+        # numpy's pairwise sum depends on the memory layout; fix it to C order
+        return np.ascontiguousarray(data).mean(axis=1)
     if kind == EstimatorKind.CW_MEDIAN:
         return _median_batch(data)
     if kind == EstimatorKind.HODGES_LEHMANN:

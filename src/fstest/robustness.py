@@ -166,7 +166,7 @@ class EfficiencyResult:
     reps: int
     gamma: float
     value: float
-    stderr: float | None = None
+    stderr: float
 
 
 def _estimates(
@@ -191,15 +191,21 @@ def _replicated_estimates(
     return simulate(standard_model(family, d), reduce, ("efficiency", family, n), n, reps, seed)
 
 
-def _log_det_cov(values: NDArray[np.float64]) -> float:
+def _log_det_cov(values: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
+    """log|S| of the replications' covariance S, and each replication's
+    squared Mahalanobis length against S (its influence on log|S|, plus d)."""
     centered = values - values.mean(axis=0)
     cov = centered.T @ centered / values.shape[0]
     sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0 or not np.isfinite(logdet):
+    try:
+        if sign <= 0 or not np.isfinite(logdet):
+            raise np.linalg.LinAlgError
+        scaled = np.linalg.solve(np.linalg.cholesky(cov), centered.T)
+    except np.linalg.LinAlgError:
         raise SingularCovariance(
             "replication covariance is singular; increase the replication count"
-        )
-    return float(logdet)
+        ) from None
+    return float(logdet), np.einsum("ij,ij->j", scaled, scaled)
 
 
 def finite_sample_efficiency(
@@ -211,18 +217,16 @@ def finite_sample_efficiency(
     reps: int = 1000,
     gamma: float = 0.5,
     seed: int = 0,
-    bootstrap: int = 0,
 ) -> EfficiencyResult:
     """(|COV(numerator)| / |COV(denominator)|)^{1/d} over shared replications.
 
     Both estimators run on the same simulated datasets, so swapping the pair
-    on the same seed returns the exact reciprocal.  ``bootstrap`` > 0 adds a
-    standard error from resampling replication indices; it must be 0 or at
-    least 2.
+    on the same seed returns the exact reciprocal.  The standard error is
+    the delta method's: replication r moves log|S_k| by m²_{k,r} - d, where
+    m²_{k,r} is its squared Mahalanobis length against S_k, so
+    stderr = e * sd_r((m²_{num,r} - m²_{den,r}) / d) / sqrt(reps).
     """
-    return finite_sample_efficiencies(
-        (numerator,), denominator, family, n, d, reps, gamma, seed, bootstrap
-    )[0]
+    return finite_sample_efficiencies((numerator,), denominator, family, n, d, reps, gamma, seed)[0]
 
 
 def finite_sample_efficiencies(
@@ -234,38 +238,27 @@ def finite_sample_efficiencies(
     reps: int = 1000,
     gamma: float = 0.5,
     seed: int = 0,
-    bootstrap: int = 0,
 ) -> list[EfficiencyResult]:
     """:func:`finite_sample_efficiency` for each numerator, from one simulation.
 
-    The replications, the denominator's log-determinants and the bootstrap
-    resamples are shared, so each result equals its own
-    ``finite_sample_efficiency`` call bit for bit.
+    The replications and the denominator's log-determinant are shared, so
+    each result equals its own ``finite_sample_efficiency`` call bit for bit.
     """
     numerators = [EstimatorKind(k) for k in numerators]
     denominator = EstimatorKind(denominator)
     if reps < 2:
         raise ValueError("reps must be at least 2 (100+ for stable determinants)")
-    if bootstrap < 0 or bootstrap == 1:
-        raise ValueError("bootstrap must be 0 or at least 2: a standard error needs two draws")
     kinds = tuple(dict.fromkeys((*numerators, denominator)))
     values = _replicated_estimates(family, n, d, gamma, kinds, reps, seed)
-
-    def ratios(idx=slice(None)) -> list[float]:
-        log_dets = {kind: _log_det_cov(values[kind][idx]) for kind in kinds}
-        return [math.exp((log_dets[k] - log_dets[denominator]) / d) for k in numerators]
-
-    stderrs = [None] * len(numerators)
-    if bootstrap > 0:
-        rng = stream_rng(seed, "efficiency-bootstrap", family, n)
-        draws = np.empty((len(numerators), bootstrap))
-        for b in range(bootstrap):
-            draws[:, b] = ratios(rng.integers(0, reps, size=reps))
-        stderrs = [float(row.std(ddof=1)) for row in draws]
-    return [
-        EfficiencyResult(numerator, denominator, family, n, d, reps, gamma, value, stderr)
-        for numerator, value, stderr in zip(numerators, ratios(), stderrs)
-    ]
+    fits = {kind: _log_det_cov(values[kind]) for kind in kinds}
+    log_det_1, m2_1 = fits[denominator]
+    results = []
+    for k in numerators:
+        log_det, m2 = fits[k]
+        value = math.exp((log_det - log_det_1) / d)
+        stderr = value * float(np.std((m2 - m2_1) / d, ddof=1)) / math.sqrt(reps)
+        results.append(EfficiencyResult(k, denominator, family, n, d, reps, gamma, value, stderr))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -371,15 +371,15 @@ class TestPowerCampaign:
 class TestBootstrap:
     def test_p_value_reproducible_in_unit_interval(self, rng):
         data = rng.standard_normal((50, 2))
-        p1 = bootstrap_report(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3)[0]
-        p2 = bootstrap_report(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3)[0]
+        p1 = bootstrap_report(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3).p_value
+        p2 = bootstrap_report(StatKind.T4, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=3).p_value
         assert p1 == p2
         assert 0.0 <= p1 <= 1.0
 
     def test_constant_data_at_mu0_gives_zero(self):
         # t0 = 0 and every resample statistic is 0; strict inequality -> p = 0
         data = np.full((30, 2), 1.5)
-        p = bootstrap_report(StatKind.T2, data, np.full(2, 1.5), SpdMatrix.identity(2), j=200, seed=1)[0]
+        p = bootstrap_report(StatKind.T2, data, np.full(2, 1.5), SpdMatrix.identity(2), j=200, seed=1).p_value
         assert p == 0.0
 
     def test_null_p_values_spread_over_unit_interval(self):
@@ -389,7 +389,7 @@ class TestBootstrap:
             data = np.random.default_rng(seed).standard_normal((200, 2))
             p = bootstrap_report(
                 StatKind.T2, data, np.zeros(2), SpdMatrix.identity(2), j=2000, seed=seed
-            )[0]
+            ).p_value
             if p > 0.05:
                 hits += 1
         assert hits >= 45
@@ -402,14 +402,15 @@ class TestBootstrap:
         stats = batch_statistics(data[idx], mu0, sigma, 0.5, (StatKind.T2,))[StatKind.T2]
         t0 = statistic(StatKind.T2, data, mu0)
         expected = (float(np.mean(stats > t0)), float(np.quantile(stats, 0.95)), t0)
-        assert bootstrap_report(StatKind.T2, data, mu0, sigma, j=1201, seed=8) == expected
+        report = bootstrap_report(StatKind.T2, data, mu0, sigma, j=1201, seed=8)
+        assert (report.p_value, report.critical_value, report.value) == expected
 
     def test_report_consistency(self, rng):
         data = rng.standard_normal((40, 2))
-        p, crit, t0 = bootstrap_report(
+        report = bootstrap_report(
             StatKind.T1, data, np.zeros(2), SpdMatrix.identity(2), j=500, seed=7
         )
-        assert (t0 > crit) == (p <= 0.05)
+        assert (report.value > report.critical_value) == (report.p_value <= 0.05)
 
 
 @given(st.integers(0, 2**63), st.floats(0.2, 0.9))

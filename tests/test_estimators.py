@@ -110,6 +110,18 @@ class TestPlainEstimators:
         data = np.array([[1.0, 2.0], [3.0, 6.0]])
         assert np.allclose(sample_mean(data).value, [2.0, 4.0])
 
+    def test_mean_bits_do_not_depend_on_layout(self, rng):
+        # numpy's pairwise sum follows the memory layout; t2 sums C order
+        for _ in range(20):
+            batch = rng.standard_normal((4, 50, 3))
+            strided = np.empty((8, 100, 6))[::2, ::2, ::2]
+            strided[...] = batch
+            expect = batch_estimates(EstimatorKind.MEAN, batch)
+            for other in (np.asfortranarray(batch), strided):
+                assert same_bits(batch_estimates(EstimatorKind.MEAN, other), expect)
+            for x in (np.asfortranarray(batch[0]), strided[0]):
+                assert same_bits(sample_mean(x).value, expect[0])
+
     def test_cw_median_odd_even(self):
         odd = np.array([[1.0], [5.0], [2.0]])
         even = np.array([[1.0], [5.0], [2.0], [4.0]])

@@ -128,7 +128,7 @@ class TestSimulate:
         def campaigns():
             table = power_table(["cauchy"], [0.0, 0.5], n=30, reps=25, null_reps=40, seed=3)
             effs = finite_sample_efficiencies(
-                tuple(EstimatorKind), family="gaussian", n=12, d=3, reps=30, seed=3, bootstrap=4
+                tuple(EstimatorKind), family="gaussian", n=12, d=3, reps=30, seed=3
             )
             return table, effs
 

@@ -16,12 +16,31 @@ from fstest.robustness import (
     _replicated_estimates,
     breakdown_experiment,
     empirical_limit_covariance,
+    finite_sample_efficiencies,
     finite_sample_efficiency,
 )
 
 
 def trimmed_variance(family, d, gamma):
     return LimitLaw(StatKind.T1, family, d, gamma).scale
+
+
+PLAIN_KINDS = (EstimatorKind.MEAN, EstimatorKind.CW_MEDIAN, EstimatorKind.HODGES_LEHMANN)
+
+
+def bootstrap_stderrs(values, numerators, d, resamples, rng):
+    """SE of each efficiency against the forward search by resampling replications."""
+    reps = len(values[EstimatorKind.FORWARD_SEARCH])
+
+    def log_det(v):
+        return np.linalg.slogdet(np.cov(v, rowvar=False, bias=True))[1]
+
+    draws = np.empty((resamples, len(numerators)))
+    for b in range(resamples):
+        idx = rng.integers(0, reps, size=reps)
+        base = log_det(values[EstimatorKind.FORWARD_SEARCH][idx])
+        draws[b] = [math.exp((log_det(values[k][idx]) - base) / d) for k in numerators]
+    return draws.std(axis=0, ddof=1)
 
 
 def breakdown_by_loop(gamma, n, d, seed, ladder=DEFAULT_MAGNITUDE_LADDER):
@@ -131,19 +150,25 @@ class TestFiniteSampleEfficiency:
 
     def test_bootstrap_stderr(self):
         r = finite_sample_efficiency(
-            EstimatorKind.MEAN, EstimatorKind.CW_MEDIAN, n=30, d=2, reps=100, seed=5, bootstrap=60
-        )
-        assert r.stderr is not None and r.stderr > 0
-        no_boot = finite_sample_efficiency(
             EstimatorKind.MEAN, EstimatorKind.CW_MEDIAN, n=30, d=2, reps=100, seed=5
         )
-        assert no_boot.stderr is None
-        assert no_boot.value == r.value
+        assert r.stderr > 0
 
-    @pytest.mark.parametrize("bootstrap", (1, -1))
-    def test_bootstrap_needs_two_draws_or_none(self, bootstrap):
-        with pytest.raises(ValueError):
-            finite_sample_efficiency(EstimatorKind.MEAN, n=20, d=2, reps=50, seed=3, bootstrap=bootstrap)
+    @pytest.mark.parametrize("family, n, d, reps, numerators", [
+        ("gaussian", 100, 4, 200, PLAIN_KINDS),
+        ("gaussian", 10, 50, 1000, PLAIN_KINDS),
+        ("light100", 30, 10, 300, PLAIN_KINDS),
+        # the cauchy mean's replications have no finite variance, so neither
+        # its delta SE nor a bootstrap SE estimates anything; it is left out
+        ("cauchy", 100, 4, 200, PLAIN_KINDS[1:]),
+    ], ids=["gaussian-100-4", "gaussian-10-50", "light100-30-10", "cauchy-100-4"])
+    def test_delta_stderr_matches_bootstrap(self, family, n, d, reps, numerators):
+        results = finite_sample_efficiencies(numerators, family=family, n=n, d=d, reps=reps, seed=1)
+        kinds = (*numerators, EstimatorKind.FORWARD_SEARCH)
+        values = _replicated_estimates(family, n, d, 0.5, kinds, reps, 1)
+        boot = bootstrap_stderrs(values, numerators, d, 1000, stream_rng(1, "efficiency-bootstrap", family, n))
+        for result, expected in zip(results, boot):
+            assert result.stderr == pytest.approx(expected, rel=0.15), result.numerator
 
     def test_deterministic(self):
         a = finite_sample_efficiency(EstimatorKind.HODGES_LEHMANN, n=20, d=2, reps=50, seed=3)
