@@ -54,7 +54,6 @@ from .rng import simulate
 __all__ = [
     "EFFICIENCY_KEYS",
     "DEFAULT_D_GRID",
-    "EfficiencySpec",
     "efficiency",
     "root_efficiency",
     "efficiency_grid",
@@ -77,15 +76,6 @@ DEFAULT_D_GRID = (2, 4, 10, 20, 50, 100)
 #: kept verbatim; the defining ratio has 100 / (12 (int g1^2)^2) with a
 #: d-dependent marginal in its place
 LIGHT_TAIL_HL_CONSTANT = 53188.48
-
-
-@dataclass(frozen=True)
-class EfficiencySpec:
-    family: str
-    d: int
-    gamma: float
-    which: str
-    value: float
 
 
 def _check_args(which: str, d: int, gamma: float):
@@ -162,7 +152,7 @@ def _quadrature_efficiency(family: str, which: str, d: int, gamma: float) -> flo
 
 
 def efficiency(
-    family: str, which: str, d: int, gamma: float = 0.5, method: str = "auto"
+    family: str, which: str, d: int, gamma: float = 0.5, method: str = "closed"
 ) -> float:
     """Asymptotic efficiency of the trimmed estimator vs. a competitor.
 
@@ -175,8 +165,6 @@ def efficiency(
     path deliberately when it matters.
     """
     _check_args(which, d, gamma)
-    if method == "auto":
-        method = "closed"
     if method == "closed":
         return _closed_efficiency(family, which, d, gamma)
     if method == "quadrature":

@@ -13,26 +13,34 @@ critical-value  standalone critical value, formula or empirical calibration
 Every stochastic command requires --seed; all randomness is derived from it
 through named streams, so identical invocations produce identical bytes
 regardless of FSTEST_THREADS.
+
+Each command reads its parsed arguments directly.  Scalar flags are checked
+against one table, ``_CHECKS``, and list flags entry by entry as they are
+parsed; a bad value prints ``error: ...`` and exits 1.  ``test`` and
+``critical-value`` get their critical value from one call,
+:func:`fstest.engine.calibrate`, so both report the same value for the same
+statistic, family, n and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import asymptotics, engine, robustness
-from .dataio import MalformedTable, read_dataset, write_json, write_rows
-from .elliptical import FAMILY_TAGS, standard_model
-from .engine import InfiniteVariance, MonteCarloConfig, StatKind
+from .dataio import MalformedTable, format_cell, read_dataset, write_json, write_rows
+from .elliptical import FAMILY_TAGS
+from .engine import InfiniteVariance, StatKind
 from .estimators import EstimatorKind
-from .linalg import NotSPD, NotSymmetric, DimensionMismatch, SpdMatrix, as_vector
+from .linalg import NotSPD, NotSymmetric, DimensionMismatch, SpdMatrix
+from .rng import ThreadCountError
 
-__all__ = ["main", "SimulationConfig", "CliError"]
+__all__ = ["main", "CliError"]
 
 SCHEMA = engine.REPORT_SCHEMA
 
@@ -51,73 +59,54 @@ class CliError(ValueError):
     """Invalid configuration or input; rendered to stderr with exit code 1."""
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Validated bundle of campaign parameters."""
-
-    command: str
-    families: tuple[str, ...]
-    seed: int
-    d: int = 4
-    n: int = 100
-    gamma: float = 0.5
-    alpha: float = 0.05
-    reps: int = 1000
-    mc_samples: int = engine.DEFAULT_MC_SAMPLES
-    null_reps: int = engine.DEFAULT_NULL_REPS
-    beta_grid: tuple[float, ...] = ()
-    delta_components: tuple[float, ...] = ()
-    d_grid: tuple[int, ...] = ()
-    n_grid: tuple[int, ...] = ()
-    out: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if not self.families:
-            raise CliError("at least one family is required")
-        for fam in self.families:
-            if fam not in FAMILY_TAGS:
-                raise CliError(f"unknown family {fam!r}; choose from {sorted(FAMILY_TAGS)}")
-        if self.d < 1:
-            raise CliError("--d must be a positive integer")
-        if self.n < 2:
-            raise CliError("--n must be at least 2")
-        if not 0.0 < self.gamma <= 1.0:
-            raise CliError("--gamma must lie in (0, 1]")
-        if not 0.0 < self.alpha < 1.0:
-            raise CliError("--alpha must lie in (0, 1)")
-        if self.reps < 1:
-            raise CliError("--reps must be positive")
-        if self.mc_samples < 100:
-            raise CliError("--mc-samples must be at least 100")
-        if self.null_reps < 100:
-            raise CliError("--null-reps must be at least 100")
-        if any(not 0.0 <= b <= 1.0 for b in self.beta_grid):
-            raise CliError("--beta-grid entries must lie in [0, 1]")
-        if any(d < 1 for d in self.d_grid):
-            raise CliError("--d-grid entries must be positive")
-        if any(n < 2 for n in self.n_grid):
-            raise CliError("--n-grid entries must be at least 2")
-        if self.fmt not in ("csv", "json"):
-            raise CliError("--format must be csv or json")
+#: each checked flag's argparse dest: the condition its value meets, and the error otherwise
+_CHECKS = {
+    "d": (lambda v: v >= 1, "--d must be a positive integer"),
+    "n": (lambda v: v >= 2, "--n must be at least 2"),
+    "gamma": (lambda v: 0.0 < v <= 1.0, "--gamma must lie in (0, 1]"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "--alpha must lie in (0, 1)"),
+    "reps": (lambda v: v >= 1, "--reps must be positive"),
+    "mc_samples": (lambda v: v >= 100, "--mc-samples must be at least 100"),
+    "null_reps": (lambda v: v >= 100, "--null-reps must be at least 100"),
+}
 
 
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _check(args, *dests: str) -> None:
+    """Raise the :data:`_CHECKS` error of the first flag in ``dests`` out of range."""
+    for dest in dests:
+        ok, message = _CHECKS[dest]
+        if not ok(getattr(args, dest)):
+            raise CliError(message)
+
+
+def _require(values: tuple, flag: str, ok, rule: str) -> tuple:
+    if not all(map(ok, values)):
+        raise CliError(f"{flag} entries must {rule}")
+    return values
+
+
+def _parse_floats(text: str, flag: str, ok=None, rule: str = "") -> tuple[float, ...]:
+    """A nonempty comma-separated list of finite reals, each meeting ``ok`` if given."""
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise CliError(f"{flag} must be a comma-separated list of reals, got {text!r}")
     if not values:
         raise CliError(f"{flag} must not be empty")
+    # the range comes first: nan fails it and gets the range message
+    if ok is not None:
+        _require(values, flag, ok, rule)
+    if not all(map(math.isfinite, values)):
+        raise CliError(f"{flag} contains non-finite entries")
     return values
 
 
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str, least: int, rule: str) -> tuple[int, ...]:
     floats = _parse_floats(text, flag)
     values = tuple(int(v) for v in floats)
     if any(v != f for v, f in zip(values, floats)):
         raise CliError(f"{flag} must contain integers, got {text!r}")
-    return values
+    return _require(values, flag, lambda v: v >= least, rule)
 
 
 def _families(args) -> tuple[str, ...]:
@@ -136,21 +125,17 @@ def _json_safe(value):
     return value
 
 
-def _emit_rows(config: SimulationConfig, header, rows, json_payload: dict) -> None:
-    if config.fmt == "json":
-        payload = {"schema": SCHEMA, "command": config.command, **_json_safe(json_payload)}
-        if config.out:
-            write_json(config.out, payload)
+def _emit_rows(args, header, rows, json_payload: dict) -> None:
+    if args.format == "json":
+        payload = {"schema": SCHEMA, "command": args.command, **_json_safe(json_payload)}
+        if args.out:
+            write_json(args.out, payload)
         else:
-            import json
-
             print(json.dumps(payload, indent=2))
         return
-    if config.out:
-        write_rows(config.out, rows, header)
+    if args.out:
+        write_rows(args.out, rows, header)
     else:
-        from .dataio import format_cell
-
         print(",".join(header))
         for row in rows:
             print(",".join(format_cell(c) for c in row))
@@ -165,8 +150,6 @@ def _emit_report(args, payload: dict) -> None:
         else:
             write_json(args.out, payload)
     else:
-        import json
-
         print(json.dumps(payload, indent=2))
 
 
@@ -175,58 +158,47 @@ def _emit_report(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_power_table(args) -> int:
-    config = SimulationConfig(
-        command="power-table",
-        families=_families(args),
-        seed=args.seed,
+    families = _families(args)
+    beta_grid = _parse_floats(args.beta_grid, "--beta-grid", lambda b: 0.0 <= b <= 1.0, "lie in [0, 1]")
+    _check(args, "d", "n", "gamma", "alpha", "reps", "null_reps")
+    table = engine.power_table(
+        families,
+        beta_grid,
         d=args.d,
         n=args.n,
+        reps=args.reps,
         gamma=args.gamma,
         alpha=args.alpha,
-        reps=args.reps,
         null_reps=args.null_reps,
-        beta_grid=_parse_floats(args.beta_grid, "--beta-grid"),
-        out=args.out,
-        fmt=args.format,
+        seed=args.seed,
     )
-    table = engine.power_table(
-        config.families,
-        config.beta_grid,
-        d=config.d,
-        n=config.n,
-        reps=config.reps,
-        gamma=config.gamma,
-        alpha=config.alpha,
-        null_reps=config.null_reps,
-        seed=config.seed,
-    )
-    header = ["family", "test"] + [f"beta={beta:g}" for beta in config.beta_grid]
+    header = ["family", "test"] + [f"beta={beta:g}" for beta in beta_grid]
     rows = []
-    for family in config.families:
+    for family in families:
         for kind in StatKind:
             rows.append(
                 [family, kind.value]
-                + [table[family][kind][float(b)] for b in config.beta_grid]
+                + [table[family][kind][float(b)] for b in beta_grid]
             )
     _emit_rows(
-        config,
+        args,
         header,
         rows,
         {
             "config": {
-                "families": list(config.families),
-                "d": config.d,
-                "n": config.n,
-                "gamma": config.gamma,
-                "alpha": config.alpha,
-                "reps": config.reps,
-                "null_reps": config.null_reps,
-                "seed": config.seed,
+                "families": list(families),
+                "d": args.d,
+                "n": args.n,
+                "gamma": args.gamma,
+                "alpha": args.alpha,
+                "reps": args.reps,
+                "null_reps": args.null_reps,
+                "seed": args.seed,
             },
-            "beta_grid": list(config.beta_grid),
+            "beta_grid": list(beta_grid),
             "power": {
-                family: {k.value: {repr(float(b)): table[family][k][float(b)] for b in config.beta_grid} for k in StatKind}
-                for family in config.families
+                family: {k.value: {repr(float(b)): table[family][k][float(b)] for b in beta_grid} for k in StatKind}
+                for family in families
             },
         },
     )
@@ -252,52 +224,41 @@ def _parse_mu0(text: str, d: int) -> np.ndarray:
         values *= d
     if len(values) != d:
         raise CliError(f"--mu0 has {len(values)} entries, data dimension is {d}")
-    try:
-        return as_vector(values, "--mu0")
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return np.array(values)
 
 
 def cmd_test(args) -> int:
     if args.j < 0:
         raise CliError("--j must be nonnegative")
     dataset = read_dataset(args.data)
-    config = SimulationConfig(
-        command="test",
-        families=(args.family or "gaussian",),
-        seed=args.seed,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        mc_samples=args.mc_samples,
-        null_reps=args.null_reps,
-    )
+    _check(args, "gamma", "alpha", "mc_samples", "null_reps")
     mu0 = _parse_mu0(args.mu0, dataset.d)
     sigma = _load_sigma(args.sigma, dataset.d)
-    kind = StatKind(args.kind)
     if args.j > 0:
         report = engine.bootstrap_report(
-            kind,
+            args.kind,
             dataset.values,
             mu0,
             sigma,
-            gamma=config.gamma,
-            alpha=config.alpha,
+            gamma=args.gamma,
+            alpha=args.alpha,
             j=args.j,
-            seed=config.seed,
+            seed=args.seed,
         )
     else:
         try:
             report = engine.run_test(
-                kind,
+                args.kind,
                 dataset.values,
                 mu0,
                 sigma,
-                gamma=config.gamma,
-                alpha=config.alpha,
-                family=config.families[0],
+                gamma=args.gamma,
+                alpha=args.alpha,
+                family=args.family or "gaussian",
                 calibration=args.calibration,
-                mc=MonteCarloConfig(config.mc_samples, config.null_reps),
-                seed=config.seed,
+                mc_samples=args.mc_samples,
+                null_reps=args.null_reps,
+                seed=args.seed,
             )
         except InfiniteVariance as exc:
             raise CliError(f"formula calibration unavailable: {exc}")
@@ -306,23 +267,14 @@ def cmd_test(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    config = SimulationConfig(
-        command="table2",
-        families=_families(args),
-        seed=args.seed,
+    delta_components = _parse_floats(args.delta, "--delta")
+    _check(args, "d", "gamma", "alpha")
+    rows_raw = asymptotics.local_power_rows(
+        _families(args),
+        delta_components,
         d=args.d,
         gamma=args.gamma,
         alpha=args.alpha,
-        delta_components=_parse_floats(args.delta, "--delta"),
-        out=args.out,
-        fmt=args.format,
-    )
-    rows_raw = asymptotics.local_power_rows(
-        config.families,
-        config.delta_components,
-        d=config.d,
-        gamma=config.gamma,
-        alpha=config.alpha,
     )
     header = ["family", "delta_component", "delta_norm"]
     for kind in StatKind:
@@ -332,46 +284,38 @@ def cmd_table2(args) -> int:
         + [x for kind in StatKind for x in (r[kind.value], r[f"{kind.value}_se"])]
         for r in rows_raw
     ]
-    _emit_rows(config, header, rows, {"rows": rows_raw})
+    _emit_rows(args, header, rows, {"rows": rows_raw})
     return 0
 
 
 def cmd_table3(args) -> int:
-    config = SimulationConfig(
-        command="table3",
-        families=_families(args),
-        seed=args.seed,
-        gamma=args.gamma,
-        reps=args.reps,
-        d_grid=_parse_ints(args.d_grid, "--d-grid"),
-        n_grid=_parse_ints(args.n_grid, "--n-grid"),
-        out=args.out,
-        fmt=args.format,
-    )
-    if config.reps < 2:
+    d_grid = _parse_ints(args.d_grid, "--d-grid", 1, "be positive")
+    n_grid = _parse_ints(args.n_grid, "--n-grid", 2, "be at least 2")
+    _check(args, "gamma", "reps")
+    if args.reps < 2:
         raise CliError("--reps must be at least 2 for determinant ratios")
     header = ["family", "n", "estimator"]
-    for d in config.d_grid:
+    for d in d_grid:
         header += [f"d={d}", f"d={d}_se"]
     rows = []
     raw = []
-    for family in config.families:
-        for n in config.n_grid:
+    for family in _families(args):
+        for n in n_grid:
             cells = {
                 d: robustness.finite_sample_efficiencies(
                     _EFFICIENCY_ROWS,
                     family=family,
                     n=n,
                     d=d,
-                    reps=config.reps,
-                    gamma=config.gamma,
-                    seed=config.seed,
+                    reps=args.reps,
+                    gamma=args.gamma,
+                    seed=args.seed,
                 )
-                for d in config.d_grid
+                for d in d_grid
             }
             for r, kind in enumerate(_EFFICIENCY_ROWS):
                 row = [family, n, kind.value]
-                for d in config.d_grid:
+                for d in d_grid:
                     result = cells[d][r]
                     row += [result.value, result.stderr]
                     raw.append(
@@ -385,53 +329,36 @@ def cmd_table3(args) -> int:
                         }
                     )
                 rows.append(row)
-    _emit_rows(config, header, rows, {"rows": raw})
+    _emit_rows(args, header, rows, {"rows": raw})
     return 0
 
 
 def cmd_table4(args) -> int:
-    config = SimulationConfig(
-        command="table4",
-        families=_families(args),
-        seed=0,
-        gamma=args.gamma,
-        d_grid=_parse_ints(args.d_grid, "--d-grid"),
-        out=args.out,
-        fmt=args.format,
-    )
+    d_grid = _parse_ints(args.d_grid, "--d-grid", 1, "be positive")
+    _check(args, "gamma")
     labels = {"e1": "mean", "e2": "cw_median", "e3": "hodges_lehmann"}
-    header = ["family", "estimator"] + [f"d={d}" for d in config.d_grid]
+    header = ["family", "estimator"] + [f"d={d}" for d in d_grid]
     rows = []
     payload = {}
-    for family in config.families:
-        grid = asymptotics.efficiency_grid(family, config.d_grid, config.gamma)
+    for family in _families(args):
+        grid = asymptotics.efficiency_grid(family, d_grid, args.gamma)
         payload[family] = {labels[w]: grid[w] for w in grid}
         for which in asymptotics.EFFICIENCY_KEYS:
-            rows.append([family, labels[which]] + [grid[which][d] for d in config.d_grid])
-    _emit_rows(config, header, rows, {"gamma": config.gamma, "values": payload})
+            rows.append([family, labels[which]] + [grid[which][d] for d in d_grid])
+    _emit_rows(args, header, rows, {"gamma": args.gamma, "values": payload})
     return 0
 
 
 def cmd_breakdown(args) -> int:
-    gammas = _parse_floats(args.gamma, "--gamma")
-    if any(not 0.0 < g <= 1.0 for g in gammas):
-        raise CliError("--gamma entries must lie in (0, 1]")
-    config = SimulationConfig(
-        command="breakdown",
-        families=("gaussian",),
-        seed=args.seed,
-        d=args.d,
-        n=args.n,
-        out=args.out,
-        fmt=args.format,
-    )
+    gammas = _parse_floats(args.gamma, "--gamma", lambda g: 0.0 < g <= 1.0, "lie in (0, 1]")
+    _check(args, "d", "n")
     header = [
         "gamma", "n", "d", "n_star", "fraction", "broke", "top_deviation", "break_fraction",
     ]
     rows = []
     results = []
     for gamma in gammas:
-        result = robustness.breakdown_experiment(gamma, n=config.n, d=config.d, seed=config.seed)
+        result = robustness.breakdown_experiment(gamma, n=args.n, d=args.d, seed=args.seed)
         results.append(result.to_json_dict())
         for i, n_star in enumerate(result.corrupted_counts):
             rows.append(
@@ -446,61 +373,44 @@ def cmd_breakdown(args) -> int:
                     result.break_fraction if result.break_fraction is not None else "",
                 ]
             )
-    _emit_rows(config, header, rows, {"results": results})
+    _emit_rows(args, header, rows, {"results": results})
     return 0
 
 
 def cmd_critical_value(args) -> int:
+    _check(args, "d", "n", "gamma", "alpha", "mc_samples", "null_reps")
     family = args.family or "gaussian"
-    config = SimulationConfig(
-        command="critical-value",
-        families=(family,),
-        seed=args.seed,
-        d=args.d,
-        n=args.n,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        mc_samples=args.mc_samples,
-        null_reps=args.null_reps,
-        out=args.out,
-        fmt=args.format,
-    )
-    kind = StatKind(args.kind)
     try:
-        if args.calibration == "formula":
-            spec = engine.limit_weights(kind, standard_model(family, config.d), config.gamma)
-            q = engine.critical_value(spec, config.alpha, config.mc_samples, config.seed)
-            samples = config.mc_samples
-        else:
-            q = engine.empirical_critical_value(
-                kind,
-                family,
-                np.zeros(config.d),
-                SpdMatrix.identity(config.d),
-                config.n,
-                config.gamma,
-                config.alpha,
-                config.null_reps,
-                config.seed,
-            )
-            samples = config.null_reps
+        q = engine.calibrate(
+            args.kind,
+            family,
+            np.zeros(args.d),
+            SpdMatrix.identity(args.d),
+            n=args.n,
+            gamma=args.gamma,
+            alpha=args.alpha,
+            calibration=args.calibration,
+            mc_samples=args.mc_samples,
+            null_reps=args.null_reps,
+            seed=args.seed,
+        )
     except InfiniteVariance as exc:
         raise CliError(str(exc))
     _emit_report(
         args,
         {
             "command": "critical-value",
-            "statistic": kind.value,
+            "statistic": args.kind,
             "family": family,
-            "d": config.d,
-            "n": config.n if args.calibration == "empirical" else None,
-            "gamma": config.gamma,
-            "alpha": config.alpha,
+            "d": args.d,
+            "n": args.n if args.calibration == "empirical" else None,
+            "gamma": args.gamma,
+            "alpha": args.alpha,
             "calibration": args.calibration,
             "critical_value": q.value,
             "stderr": q.stderr,
-            "samples": samples,
-            "seed": config.seed,
+            "samples": q.n_samples,
+            "seed": args.seed,
         },
     )
     return 0
@@ -610,10 +520,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, MalformedTable, robustness.SingularCovariance) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CliError, MalformedTable, robustness.SingularCovariance, ThreadCountError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -590,8 +590,7 @@ def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
         return float(special.betainc(d / 2, 0.5, x / (1.0 + x)))
     if tag == "light100":
         return float(special.gammainc(d / 200, x**100))
-    i0 = radial_integral(generator, d, 0)
-    return _quad(lambda s: s ** (d / 2 - 1) * float(generator.g(s, d)), 0.0, x) / i0
+    raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 
 def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
@@ -608,14 +607,7 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
         return b / (1.0 - b)
     if tag == "light100":
         return float(special.gammaincinv(d / 200, p)) ** (1.0 / 100.0)
-    from scipy.optimize import brentq
-
-    hi = 1.0
-    while radial_cdf(generator, d, hi) < p:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover
-            raise ArithmeticError("radial quantile bracket failed")
-    return float(brentq(lambda x: radial_cdf(generator, d, x) - p, 0.0, hi, xtol=1e-12))
+    raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 
 def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> float:

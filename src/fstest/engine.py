@@ -46,7 +46,6 @@ __all__ = [
     "LimitLaw",
     "scatter_scale_constant",
     "MonteCarloQuantile",
-    "MonteCarloConfig",
     "TestReport",
     "statistic",
     "batch_statistics",
@@ -54,6 +53,7 @@ __all__ = [
     "weighted_chisq_sample",
     "critical_value",
     "empirical_critical_value",
+    "calibrate",
     "run_test",
     "power_table",
     "bootstrap_report",
@@ -297,14 +297,6 @@ DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_NULL_REPS = 2_000
 
 
-@dataclass(frozen=True)
-class MonteCarloConfig:
-    """Monte Carlo sizes used by :func:`run_test` and the campaign commands."""
-
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    null_reps: int = DEFAULT_NULL_REPS
-
-
 def critical_value(
     spec: LimitSpec,
     alpha: float,
@@ -339,6 +331,35 @@ def empirical_critical_value(
     reduce = partial(batch_statistics, mu0=mu, sigma=sigma, gamma=gamma, kinds=(kind,))
     stats = simulate(model, reduce, ("calibration", family), n, null_reps, seed)
     return _quantile_with_se(stats[kind], 1.0 - alpha)
+
+
+def calibrate(
+    kind: StatKind,
+    family: str,
+    mu0: ArrayLike,
+    sigma: SpdMatrix,
+    *,
+    n: int,
+    gamma: float,
+    alpha: float,
+    calibration: str,
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    null_reps: int = DEFAULT_NULL_REPS,
+    seed: int = 0,
+) -> MonteCarloQuantile:
+    """The (1 - alpha) critical value of ``kind`` for n observations of ``family``.
+
+    ``calibration="formula"`` takes the Monte Carlo quantile of the weighted
+    chi-squared limit (``mc_samples`` draws; ``n`` is unused);
+    ``"empirical"`` simulates the statistic itself under the null
+    (``null_reps`` replications of n observations).
+    """
+    if calibration == "formula":
+        model = EllipticalModel(generator_by_name(family), mu=mu0, sigma=sigma)
+        return critical_value(limit_weights(kind, model, gamma), alpha, mc_samples, seed)
+    if calibration == "empirical":
+        return empirical_critical_value(kind, family, mu0, sigma, n, gamma, alpha, null_reps, seed)
+    raise ValueError(f"unknown calibration {calibration!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,33 +409,36 @@ def run_test(
     alpha: float = 0.05,
     family: str = "gaussian",
     calibration: str = "empirical",
-    mc: MonteCarloConfig = MonteCarloConfig(),
+    mc_samples: int = DEFAULT_MC_SAMPLES,
+    null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
 ) -> TestReport:
     """Test the hypothesized location against the data.
 
-    ``calibration="formula"`` draws the critical value from the weighted
-    chi-squared limit; ``"empirical"`` simulates the null distribution of the
-    statistic itself under the named family at the observed sample size.
+    The critical value comes from :func:`calibrate`: ``calibration="formula"``
+    draws it from the weighted chi-squared limit (``mc_samples`` draws);
+    ``"empirical"`` simulates the null distribution of the statistic itself
+    under the named family at the observed sample size (``null_reps``
+    replications).
     """
     kind = StatKind(kind)
     x = as_data_matrix(data)
     mu = as_vector(mu0, "mu0")
     config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size) if sigma is None else sigma, gamma)
-    sigma = config.sigma
     value = statistic(kind, x, mu, config)
-    if calibration == "formula":
-        model = EllipticalModel(generator_by_name(family), mu.size, mu, sigma)
-        spec = limit_weights(kind, model, gamma)
-        crit = critical_value(spec, alpha, mc.mc_samples, seed)
-        used = mc.mc_samples
-    elif calibration == "empirical":
-        crit = empirical_critical_value(
-            kind, family, mu, sigma, x.shape[0], gamma, alpha, mc.null_reps, seed
-        )
-        used = mc.null_reps
-    else:
-        raise ValueError(f"unknown calibration {calibration!r}")
+    crit = calibrate(
+        kind,
+        family,
+        mu,
+        config.sigma,
+        n=x.shape[0],
+        gamma=gamma,
+        alpha=alpha,
+        calibration=calibration,
+        mc_samples=mc_samples,
+        null_reps=null_reps,
+        seed=seed,
+    )
     return TestReport(
         statistic=kind,
         value=value,
@@ -422,7 +446,7 @@ def run_test(
         alpha=alpha,
         decision=_decide(value, crit.value),
         p_value=None,
-        mc_samples=used,
+        mc_samples=crit.n_samples,
         seed=seed,
     )
 

@@ -37,6 +37,7 @@ import numpy as np
 __all__ = [
     "stream_rng",
     "stream_seed_words",
+    "ThreadCountError",
     "worker_count",
     "parallel_map",
     "replication_slices",
@@ -78,6 +79,10 @@ def stream_rng(seed: int, *path: object) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+class ThreadCountError(ValueError):
+    """FSTEST_THREADS is set but is not an integer."""
+
+
 def worker_count() -> int:
     """Workers from FSTEST_THREADS (default 1), clamped to 1..os.cpu_count()."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
@@ -86,7 +91,7 @@ def worker_count() -> int:
     try:
         n = int(raw)
     except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
+        raise ThreadCountError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
     return max(1, min(n, os.cpu_count() or 1))
 
 

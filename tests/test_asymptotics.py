@@ -57,6 +57,8 @@ class TestClosedForms:
             efficiency("gaussian", "e1", 0)
         with pytest.raises(ValueError):
             efficiency("gaussian", "e1", 4, gamma=0.0)
+        with pytest.raises(ValueError):
+            efficiency("gaussian", "e1", 4, method="auto")
 
 
 class TestQuadraturePath:

@@ -10,7 +10,7 @@ import pytest
 import fstest
 from fstest import engine, robustness
 from fstest.asymptotics import efficiency_grid
-from fstest.cli import CliError, SimulationConfig, main
+from fstest.cli import main
 from fstest.dataio import read_rows, write_rows
 from fstest.engine import StatKind
 from fstest.estimators import EstimatorKind
@@ -41,8 +41,10 @@ class TestArgumentHandling:
         assert exc.value.code == 2
 
     def test_unknown_family_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            main(["power-table", "--seed", "1", "--family", "student"])
+        for flag, value in [("--family", "student"), ("--format", "xml")]:
+            with pytest.raises(SystemExit) as exc:
+                main(["power-table", "--seed", "1", flag, value])
+            assert exc.value.code == 2
 
     def test_bad_gamma_exits_one(self, capsys):
         rc = main(FAST_POWER + ["--gamma", "1.5"])
@@ -59,18 +61,29 @@ class TestArgumentHandling:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_config_validation(self):
-        kwargs = dict(command="power-table", families=("gaussian",), seed=0)
-        with pytest.raises(CliError):
-            SimulationConfig(**kwargs, gamma=0.0)
-        with pytest.raises(CliError):
-            SimulationConfig(**kwargs, reps=0)
-        with pytest.raises(CliError):
-            SimulationConfig(**kwargs, mc_samples=50)
-        with pytest.raises(CliError):
-            SimulationConfig(**kwargs, fmt="xml")
-        with pytest.raises(CliError):
-            SimulationConfig(command="power-table", families=("student",), seed=0)
+    def test_config_validation(self, capsys):
+        for argv, message in [
+            (FAST_POWER + ["--gamma", "0.0"], "--gamma must lie in (0, 1]"),
+            (FAST_POWER + ["--reps", "0"], "--reps must be positive"),
+            (["critical-value", "--seed", "0", "--mc-samples", "50"], "--mc-samples must be at least 100"),
+        ]:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--seed", "1", "--delta", "nan"],
+        ["table2", "--seed", "1", "--delta", "inf"],
+        ["table3", "--seed", "1", "--n-grid", "nan", "--d-grid", "2", "--reps", "10"],
+        ["table4", "--d-grid", "inf"],
+    ])
+    def test_non_finite_list_entries_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith("contains non-finite entries\n")
+
+    def test_bad_thread_count_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setenv("FSTEST_THREADS", "abc")
+        assert main(["test", "--seed", "1", "--data", str(DATA)]) == 1
+        assert capsys.readouterr().err == "error: FSTEST_THREADS must be an integer, got 'abc'\n"
 
 
 class TestPowerTableCommand:
@@ -263,6 +276,14 @@ class TestTableCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "fstest/1"
         assert payload["critical_value"] == pytest.approx(5.9915, abs=0.1)
+
+    @pytest.mark.parametrize("calibration", ["formula", "empirical"])
+    def test_critical_value_command_matches_test_command(self, capsys, calibration):
+        sizes = ["--calibration", calibration, "--mc-samples", "1000", "--null-reps", "200"]
+        assert main(["critical-value", "--seed", "4", "--kind", "t3", "--d", "3", "--n", "60"] + sizes) == 0
+        standalone = json.loads(capsys.readouterr().out)
+        assert main(["test", "--seed", "4", "--kind", "t3", "--data", str(DATA), "--mu0", "0"] + sizes) == 0
+        assert json.loads(capsys.readouterr().out)["critical_value"] == standalone["critical_value"]
 
     def test_cauchy_t2_formula_exits_one(self, capsys):
         rc = main([

@@ -11,6 +11,7 @@ from fstest.elliptical import (
     CAUCHY,
     GAUSSIAN,
     LIGHT100,
+    DensityGenerator,
     DivergentIntegral,
     EllipticalModel,
     FAMILY_TAGS,
@@ -186,6 +187,15 @@ class TestRadialLaw:
             for p in (0.1, 0.5, 0.9):
                 x = radial_quantile(gen, 4, p)
                 assert radial_cdf(gen, 4, x) == pytest.approx(p, abs=1e-9)
+
+    def test_unregistered_kernel_raises(self):
+        class Logistic(DensityGenerator):
+            tag = "logistic"
+
+        with pytest.raises(ValueError, match="'logistic'"):
+            radial_cdf(Logistic(), 2, 1.0)
+        with pytest.raises(ValueError, match="'logistic'"):
+            radial_quantile(Logistic(), 2, 0.5)
 
     @given(st.floats(0.0, 30.0), st.floats(0.0, 30.0))
     def test_cdf_monotone(self, a, b):

@@ -20,7 +20,6 @@ from fstest.engine import (
     InfiniteVariance,
     LimitLaw,
     LimitSpec,
-    MonteCarloConfig,
     StatKind,
     batch_statistics,
     bootstrap_report,
@@ -247,7 +246,7 @@ class TestRunTest:
     def test_null_data_usually_retained(self, rng):
         data = rng.standard_normal((100, 3))
         report = run_test(
-            StatKind.T1, data, np.zeros(3), mc=MonteCarloConfig(null_reps=500), seed=2
+            StatKind.T1, data, np.zeros(3), null_reps=500, seed=2
         )
         assert report.decision in ("reject", "retain")
         assert (report.value > report.critical_value) == (report.decision == "reject")
@@ -260,7 +259,8 @@ class TestRunTest:
                 data,
                 np.zeros(3),
                 calibration=calibration,
-                mc=MonteCarloConfig(mc_samples=20_000, null_reps=500),
+                mc_samples=20_000,
+                null_reps=500,
                 seed=2,
             )
             assert report.decision == "reject"
@@ -275,7 +275,7 @@ class TestRunTest:
                 np.zeros(2),
                 alpha=alpha,
                 calibration="formula",
-                mc=MonteCarloConfig(mc_samples=50_000),
+                mc_samples=50_000,
                 seed=4,
             )
             rejected.append(report.decision == "reject")
@@ -291,7 +291,7 @@ class TestRunTest:
             StatKind.T3,
             rng.standard_normal((40, 2)),
             np.zeros(2),
-            mc=MonteCarloConfig(null_reps=300),
+            null_reps=300,
             seed=8,
         )
         payload = report.to_json_dict()

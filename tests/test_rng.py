@@ -13,6 +13,7 @@ from fstest.rng import (
     simulate,
     stream_rng,
     stream_seed_words,
+    ThreadCountError,
     worker_count,
 )
 
@@ -79,7 +80,7 @@ class TestWorkerCount:
 
     def test_rejects_garbage(self, monkeypatch):
         monkeypatch.setenv("FSTEST_THREADS", "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ThreadCountError, match="got 'many'"):
             worker_count()
 
 
