@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -125,15 +126,14 @@ def _json_safe(value):
     return value
 
 
-def _emit_rows(args, header, rows, json_payload: dict) -> None:
+def _emit(args, payload: dict, header, rows) -> None:
+    """``payload`` under ``--format json``, else ``rows`` under ``header``; to ``--out`` or stdout."""
     if args.format == "json":
-        payload = {"schema": SCHEMA, "command": args.command, **_json_safe(json_payload)}
         if args.out:
             write_json(args.out, payload)
         else:
             print(json.dumps(payload, indent=2))
-        return
-    if args.out:
+    elif args.out:
         write_rows(args.out, rows, header)
     else:
         print(",".join(header))
@@ -141,16 +141,14 @@ def _emit_rows(args, header, rows, json_payload: dict) -> None:
             print(",".join(format_cell(c) for c in row))
 
 
+def _emit_rows(args, header, rows, json_payload: dict) -> None:
+    _emit(args, {"schema": SCHEMA, "command": args.command, **_json_safe(json_payload)}, header, rows)
+
+
 def _emit_report(args, payload: dict) -> None:
+    """One report: a JSON object, or a CSV row under its keys."""
     payload = {"schema": SCHEMA, **_json_safe(payload)}
-    if getattr(args, "out", None):
-        if args.format == "csv":
-            keys = list(payload)
-            write_rows(args.out, [[payload[k] for k in keys]], keys)
-        else:
-            write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
+    _emit(args, payload, list(payload), [list(payload.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="limiting power under local alternatives")
     _add_common(p)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--n", type=int, default=100,
-                   help="accepted; changes no number, since the limit does not depend on n")
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--delta", default=",".join(str(c) for c in DEFAULT_DELTA_COMPONENTS),
@@ -519,9 +515,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so that a closed pipe raises here
+        return code
     except (CliError, MalformedTable, robustness.SingularCovariance, ThreadCountError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout closed early; point stdout at devnull so the
+        # interpreter's final flush does not raise again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

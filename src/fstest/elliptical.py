@@ -224,11 +224,11 @@ def generator_by_name(name: str) -> DensityGenerator:
 
 
 def radial_integral(
-    generator: DensityGenerator, d: int, power: int, method: str = "auto"
+    generator: DensityGenerator, d: int, power: int, method: str = "closed"
 ) -> float:
     """I_power(d) = integral of x^{d/2-1+power} g(x) over (0, inf).
 
-    ``method="auto"`` prefers the closed form; ``"quadrature"`` forces the
+    ``method="closed"`` takes the kernel's closed form; ``"quadrature"`` the
     numeric path (used for cross-checks).  Raises :class:`DivergentIntegral`
     when the integral does not converge.
     """
@@ -240,11 +240,6 @@ def radial_integral(
         raise DivergentIntegral(
             f"{generator.tag} radial integral of power {power} diverges in dimension {d}"
         )
-    if method == "auto":
-        closed = generator.radial_integral_closed(d, power)
-        if closed is not None:
-            return closed
-        method = "quadrature"
     if method == "closed":
         closed = generator.radial_integral_closed(d, power)
         if closed is None:
@@ -275,7 +270,7 @@ def radial_integral(
 
 def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     """k(d) = Gamma(d/2) pi^{-d/2} / I0(d)."""
-    return math.exp(log_normalizing_constant(generator, d))
+    return math.exp(_log_norm_const(generator.tag, d))
 
 
 def _log_i0(generator: DensityGenerator, d: int) -> float:
@@ -290,24 +285,16 @@ def _log_norm_const(tag: str, d: int) -> float:
     return math.lgamma(d / 2) - (d / 2) * math.log(math.pi) - _log_i0(generator_by_name(tag), d)
 
 
-def log_normalizing_constant(generator: DensityGenerator, d: int) -> float:
-    return _log_norm_const(generator.tag, d)
-
-
 class EllipticalModel:
     """A generator plus location vector and SPD scatter matrix."""
 
     def __init__(
         self,
         generator: DensityGenerator,
-        d: int | None = None,
+        d: int,
         mu: ArrayLike | None = None,
         sigma: SpdMatrix | ArrayLike | None = None,
     ):
-        if d is None:
-            if mu is None:
-                raise ValueError("either d or mu must be given")
-            d = len(np.asarray(mu))
         self.generator = generator
         self.d = int(d)
         if self.d < 1:
@@ -322,7 +309,7 @@ class EllipticalModel:
         if sigma.d != self.d:
             raise DimensionMismatch("sigma dimension disagrees with d")
         self.sigma = sigma
-        self.log_k = log_normalizing_constant(generator, self.d)
+        self.log_k = _log_norm_const(generator.tag, self.d)
 
     @property
     def family(self) -> str:
@@ -497,46 +484,40 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
     return front * inner
 
 
+def _closed_or_quadrature(method: str, closed: float | None, quadrature) -> float:
+    """``"auto"``: the closed form where one is known, else ``quadrature()``;
+    ``"closed"`` and ``"quadrature"`` force one path."""
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "closed" and closed is None:
+        raise ValueError("no closed form for this kernel")
+    return quadrature() if method == "quadrature" or closed is None else closed
+
+
 @lru_cache(maxsize=None)
-def _g1_zero(tag: str, d: int) -> float:
-    gen = generator_by_name(tag)
-    closed = gen.g1_zero_closed(d)
-    if closed is not None:
-        return closed
-    return marginal_density(gen, d, 0.0)
-
-
 def marginal_density_at_zero(
     generator: DensityGenerator, d: int, method: str = "auto"
 ) -> float:
     """g1(0): the standardized marginal density at the origin."""
-    if method == "quadrature":
-        return marginal_density(generator, d, 0.0)
-    return _g1_zero(generator.tag, d)
+    return _closed_or_quadrature(
+        method, generator.g1_zero_closed(d), lambda: marginal_density(generator, d, 0.0)
+    )
 
 
 @lru_cache(maxsize=None)
-def _int_g1_sq(tag: str, d: int, forced_quadrature: bool) -> float:
-    gen = generator_by_name(tag)
-    if not forced_quadrature:
-        closed = gen.int_g1_sq_closed(d)
-        if closed is not None:
-            return closed
-    if tag == "light100":
-        upper = 1.3
-    else:
-        upper = np.inf
-    value = _quad(
-        lambda t: marginal_density(gen, d, t) ** 2, 0.0, upper, epsabs=1e-12, epsrel=1e-10
-    )
-    return 2.0 * value  # marginal is symmetric
-
-
 def marginal_density_sq_integral(
     generator: DensityGenerator, d: int, method: str = "auto"
 ) -> float:
     """Integral of the squared standardized marginal density."""
-    return _int_g1_sq(generator.tag, d, method == "quadrature")
+
+    def quadrature():
+        upper = 1.3 if generator.tag == "light100" else np.inf
+        value = _quad(
+            lambda t: marginal_density(generator, d, t) ** 2, 0.0, upper, epsabs=1e-12, epsrel=1e-10
+        )
+        return 2.0 * value  # marginal is symmetric
+
+    return _closed_or_quadrature(method, generator.int_g1_sq_closed(d), quadrature)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .rng import simulate, stream_rng
 __all__ = [
     "InfiniteVariance",
     "StatKind",
-    "LimitSpec",
     "LimitLaw",
     "scatter_scale_constant",
     "MonteCarloQuantile",
@@ -89,30 +88,6 @@ ALL_KINDS = tuple(StatKind)
 
 #: per-coordinate location shift of the contaminating mixture component
 DEFAULT_SHIFT_SCALE = 5.0
-
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """Weights and mean offsets of a weighted (non-central) chi-squared limit."""
-
-    weights: NDArray[np.float64]
-    offsets: NDArray[np.float64]
-
-    def __post_init__(self):
-        w = as_vector(self.weights, "weights")
-        a = as_vector(self.offsets, "offsets") if np.asarray(self.offsets).size else np.zeros_like(w)
-        a = np.asarray(a, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("limit weights must be positive")
-        if a.shape != w.shape:
-            raise DimensionMismatch("weights and offsets have different lengths")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "offsets", a)
-
-    @classmethod
-    def central(cls, weights: ArrayLike) -> "LimitSpec":
-        w = as_vector(weights, "weights")
-        return cls(w, np.zeros_like(w))
 
 
 @dataclass(frozen=True)
@@ -235,7 +210,7 @@ def batch_statistics(
 # limiting laws and critical values
 # ---------------------------------------------------------------------------
 
-def limit_weights(kind: StatKind, model: EllipticalModel, gamma: float) -> LimitSpec:
+def limit_weights(kind: StatKind, model: EllipticalModel, gamma: float) -> NDArray[np.float64]:
     """Eigenvalue weights of the null limit of ``kind`` under ``model``.
 
     The weights are the eigenvalues of (scale * Sigma) with the scale of
@@ -249,16 +224,15 @@ def limit_weights(kind: StatKind, model: EllipticalModel, gamma: float) -> Limit
             f"the {law.kind.value} limit variance is infinite for family {model.family!r}"
             f" at gamma = {gamma}"
         )
-    return LimitSpec.central(law.scale * model.sigma.eigenvalues)
+    return law.scale * model.sigma.eigenvalues
 
 
 def weighted_chisq_sample(
-    spec: LimitSpec, size: int, rng: np.random.Generator
+    weights: NDArray[np.float64], size: int, rng: np.random.Generator
 ) -> NDArray[np.float64]:
-    """Draws of sum_i weights_i * (Z_i + offsets_i)^2."""
-    z = rng.standard_normal((size, spec.weights.size))
-    z += spec.offsets
-    return np.square(z, out=z) @ spec.weights
+    """Draws of sum_i weights_i * Z_i^2."""
+    z = rng.standard_normal((size, weights.size))
+    return np.square(z, out=z) @ weights
 
 
 @dataclass(frozen=True)
@@ -268,9 +242,6 @@ class MonteCarloQuantile:
     value: float
     stderr: float
     n_samples: int
-
-    def __float__(self) -> float:  # pragma: no cover
-        return self.value
 
 
 def _quantile_with_se(draws: NDArray[np.float64], level: float) -> MonteCarloQuantile:
@@ -298,18 +269,21 @@ DEFAULT_NULL_REPS = 2_000
 
 
 def critical_value(
-    spec: LimitSpec,
+    weights: ArrayLike,
     alpha: float,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
 ) -> MonteCarloQuantile:
-    """(1 - alpha) Monte Carlo quantile of the weighted chi-squared limit."""
+    """(1 - alpha) Monte Carlo quantile of sum_i weights_i * Z_i^2."""
+    w = as_vector(weights, "weights")
+    if np.any(w <= 0):
+        raise ValueError("limit weights must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if mc_samples < 100:
         raise ValueError("mc_samples is too small to estimate a quantile")
-    rng = stream_rng(seed, "critical-value", *map(repr, spec.weights), *map(repr, spec.offsets))
-    draws = weighted_chisq_sample(spec, mc_samples, rng)
+    rng = stream_rng(seed, "critical-value", *w)
+    draws = weighted_chisq_sample(w, mc_samples, rng)
     return _quantile_with_se(draws, 1.0 - alpha)
 
 
@@ -355,7 +329,7 @@ def calibrate(
     (``null_reps`` replications of n observations).
     """
     if calibration == "formula":
-        model = EllipticalModel(generator_by_name(family), mu=mu0, sigma=sigma)
+        model = EllipticalModel(generator_by_name(family), sigma.d, mu0, sigma)
         return critical_value(limit_weights(kind, model, gamma), alpha, mc_samples, seed)
     if calibration == "empirical":
         return empirical_critical_value(kind, family, mu0, sigma, n, gamma, alpha, null_reps, seed)

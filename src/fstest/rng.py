@@ -51,8 +51,9 @@ THREADS_ENV_VAR = "FSTEST_THREADS"
 
 def _part_bytes(part: object) -> bytes:
     """One path part as hashed: ``/`` then the float's repr or the part's str."""
-    # repr() is the shortest round-trip form, stable across platforms
-    return b"/" + (repr(part) if isinstance(part, float) else str(part)).encode()
+    # repr() of a Python float is the shortest round-trip form, stable across
+    # platforms; numpy's float64 reprs differ between numpy 1 and 2
+    return b"/" + (repr(float(part)) if isinstance(part, float) else str(part)).encode()
 
 
 def _stream_hash(seed: int, *path: object):

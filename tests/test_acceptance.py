@@ -15,7 +15,7 @@ from scipy import stats
 
 from fstest import asymptotics, engine, robustness
 from fstest.elliptical import FAMILY_TAGS, standard_model
-from fstest.engine import LimitSpec, StatKind
+from fstest.engine import StatKind
 from fstest.estimators import EstimatorKind, ForwardSearchConfig, estimate, forward_search
 from fstest.linalg import SpdMatrix
 
@@ -167,9 +167,7 @@ def test_criterion_7_oracle_equivalences():
 
     # unit-weight limit quantiles agree with chi-squared references
     for d, reference in ((1, 3.8415), (2, 5.9915), (5, 11.0705)):
-        quantile = engine.critical_value(
-            LimitSpec.central(np.ones(d)), 0.05, mc_samples=200_000, seed=707
-        )
+        quantile = engine.critical_value(np.ones(d), 0.05, mc_samples=200_000, seed=707)
         assert abs(quantile.value - reference) <= 4 * quantile.stderr, d
 
     # analytic location score agrees with finite differences

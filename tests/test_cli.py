@@ -123,7 +123,7 @@ class TestTestCommand:
     def test_retains_at_true_center(self, capsys):
         rc = main([
             "test", "--seed", "3", "--data", str(DATA),
-            "--null-reps", "400", "--mc-samples", "20000",
+            "--null-reps", "400", "--mc-samples", "20000", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -134,7 +134,7 @@ class TestTestCommand:
     def test_rejects_far_center(self, capsys):
         rc = main([
             "test", "--seed", "3", "--data", str(DATA), "--mu0", "5",
-            "--null-reps", "400",
+            "--null-reps", "400", "--format", "json",
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["decision"] == "reject"
@@ -142,7 +142,7 @@ class TestTestCommand:
     def test_bootstrap_p_value(self, capsys):
         rc = main([
             "test", "--seed", "3", "--data", str(DATA), "--kind", "t2",
-            "--j", "400",
+            "--j", "400", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -153,7 +153,7 @@ class TestTestCommand:
         write_rows(sigma_path, np.eye(3).tolist())
         rc = main([
             "test", "--seed", "3", "--data", str(DATA),
-            "--sigma", str(sigma_path), "--null-reps", "400",
+            "--sigma", str(sigma_path), "--null-reps", "400", "--format", "json",
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["decision"] == "retain"
@@ -270,7 +270,7 @@ class TestTableCommands:
     def test_critical_value_formula(self, capsys):
         rc = main([
             "critical-value", "--seed", "7", "--kind", "t2", "--d", "2",
-            "--family", "gaussian", "--mc-samples", "200000",
+            "--family", "gaussian", "--mc-samples", "200000", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -279,7 +279,7 @@ class TestTableCommands:
 
     @pytest.mark.parametrize("calibration", ["formula", "empirical"])
     def test_critical_value_command_matches_test_command(self, capsys, calibration):
-        sizes = ["--calibration", calibration, "--mc-samples", "1000", "--null-reps", "200"]
+        sizes = ["--calibration", calibration, "--mc-samples", "1000", "--null-reps", "200", "--format", "json"]
         assert main(["critical-value", "--seed", "4", "--kind", "t3", "--d", "3", "--n", "60"] + sizes) == 0
         standalone = json.loads(capsys.readouterr().out)
         assert main(["test", "--seed", "4", "--kind", "t3", "--data", str(DATA), "--mu0", "0"] + sizes) == 0
@@ -295,7 +295,7 @@ class TestTableCommands:
 
     def test_cauchy_t1_formula_uses_trimmed_variance(self, capsys):
         rc = main([
-            "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy",
+            "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -318,12 +318,49 @@ class TestTableCommands:
         rc = main([
             "critical-value", "--seed", "1", "--kind", kind, "--d", "400",
             "--family", "gaussian", "--calibration", "formula", "--mc-samples", "2000",
+            "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         scale = engine.LimitLaw(StatKind(kind), "gaussian", 400, 0.5).scale
         # chi2_400 upper 5% point is 447.63; the 2000-draw quantile is within a few SE
         assert abs(payload["critical_value"] - scale * 447.6325) <= 4 * payload["stderr"]
+
+class TestOutput:
+    @pytest.mark.parametrize("argv", [
+        ["critical-value", "--seed", "4", "--kind", "t3", "--d", "3", "--mc-samples", "1000"],
+        ["test", "--seed", "4", "--kind", "t2", "--data", str(DATA), "--j", "50"],
+    ])
+    def test_report_stdout_honours_format(self, argv, tmp_path, capsys):
+        # stdout carries the bytes --out writes, CSV by default and JSON under --format json
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"report.{fmt}"
+            assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+            assert main(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == out.read_text()
+        header, rows = read_rows(tmp_path / "report.csv")
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert dict(zip(header, rows[0])) == {k: str(v) for k, v in payload.items()}
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # the reader closes stdout before the command writes to it
+        src = str(Path(fstest.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fstest", "table4"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
+
+    def test_table2_has_no_n_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["table2", "--seed", "1", "--n", "100"])
+        assert exc.value.code == 2
+
 
 class TestImportCost:
     def test_gaussian_test_calls_import_no_scipy(self):

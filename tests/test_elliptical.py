@@ -153,6 +153,15 @@ class TestMarginals:
                     marginal_density_sq_integral(gen, d, method="closed"), rel=1e-8
                 )
 
+    @pytest.mark.parametrize("fn", [marginal_density_at_zero, marginal_density_sq_integral])
+    def test_unknown_or_unavailable_method_raises(self, fn):
+        with pytest.raises(ValueError, match="unknown method"):
+            fn(LIGHT100, 4, method="bogus")
+        # light100 has no closed form: "closed" raises rather than falling back to quadrature
+        with pytest.raises(ValueError, match="no closed form"):
+            fn(LIGHT100, 4, method="closed")
+        assert fn(LIGHT100, 4, method="quadrature") == fn(LIGHT100, 4)
+
     def test_marginal_integrates_to_one(self):
         grid = np.linspace(-1.25, 1.25, 3001)
         vals = [marginal_density(LIGHT100, 4, t) for t in grid]

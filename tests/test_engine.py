@@ -19,7 +19,6 @@ from fstest.engine import (
     ALL_KINDS,
     InfiniteVariance,
     LimitLaw,
-    LimitSpec,
     StatKind,
     batch_statistics,
     bootstrap_report,
@@ -121,27 +120,15 @@ class TestVarianceConstants:
         assert half == pytest.approx(2 * full, rel=1e-12)
 
 
-class TestLimitSpec:
-    def test_rejects_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            LimitSpec.central(np.array([1.0, 0.0]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(Exception):
-            LimitSpec(np.ones(3), np.zeros(2))
-
-    def test_central_offsets_zero(self):
-        spec = LimitSpec.central(np.array([2.0, 1.0]))
-        assert np.array_equal(spec.offsets, np.zeros(2))
-
+class TestLimitWeights:
     def test_limit_weights_identity_scatter(self):
-        spec = limit_weights(StatKind.T2, standard_model("gaussian", 3), 0.5)
-        assert np.allclose(spec.weights, np.ones(3))
+        weights = limit_weights(StatKind.T2, standard_model("gaussian", 3), 0.5)
+        assert np.allclose(weights, np.ones(3))
 
     def test_limit_weights_scale_with_scatter(self):
         model_scaled = standard_model("gaussian", 2).with_location(np.zeros(2))
-        spec1 = limit_weights(StatKind.T3, model_scaled, 0.5)
-        assert np.allclose(spec1.weights, math.pi / 2 * np.ones(2))
+        weights = limit_weights(StatKind.T3, model_scaled, 0.5)
+        assert np.allclose(weights, math.pi / 2 * np.ones(2))
 
     def test_cauchy_mean_is_infinite_variance(self):
         with pytest.raises(InfiniteVariance):
@@ -150,8 +137,8 @@ class TestLimitSpec:
     def test_cauchy_trimmed_limit_diverges(self):
         # finite for gamma < 1 (the trim keeps only the inner half), the mean's
         # divergent variance at gamma = 1
-        spec = limit_weights(StatKind.T1, standard_model("cauchy", 4), 0.5)
-        assert np.array_equal(spec.weights, np.full(4, LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale))
+        weights = limit_weights(StatKind.T1, standard_model("cauchy", 4), 0.5)
+        assert np.array_equal(weights, np.full(4, LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale))
         with pytest.raises(InfiniteVariance):
             limit_weights(StatKind.T1, standard_model("cauchy", 4), 1.0)
 
@@ -159,25 +146,34 @@ class TestLimitSpec:
 class TestCriticalValues:
     def test_unit_weights_match_chi2(self):
         for d in (1, 2, 5):
-            spec = LimitSpec.central(np.ones(d))
-            q = critical_value(spec, 0.05, mc_samples=200_000, seed=11)
+            q = critical_value(np.ones(d), 0.05, mc_samples=200_000, seed=11)
             ref = stats.chi2.ppf(0.95, d)
             assert abs(q.value - ref) < 4 * q.stderr
             assert q.stderr > 0
 
     def test_weighted_sample_mean(self):
-        spec = LimitSpec(np.array([2.0, 3.0]), np.array([1.0, 0.0]))
-        draws = weighted_chisq_sample(spec, 400_000, np.random.default_rng(1))
-        # E = sum w_i (1 + a_i^2) = 2*2 + 3*1 = 7
-        assert draws.mean() == pytest.approx(7.0, abs=0.05)
+        draws = weighted_chisq_sample(np.array([2.0, 3.0]), 400_000, np.random.default_rng(1))
+        # E = sum w_i = 2 + 3 = 5
+        assert draws.mean() == pytest.approx(5.0, abs=0.05)
 
-    @pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (1.5, -0.25, 3e-8)])
-    def test_weighted_sample_is_squared_shift_dot_weights(self, offsets):
-        spec = LimitSpec(np.array([0.7, 2.0, 1.3]), np.array(offsets))
-        draws = weighted_chisq_sample(spec, 5000, np.random.default_rng(2))
+    def test_weighted_sample_is_squares_dot_weights(self):
+        weights = np.array([0.7, 2.0, 1.3])
+        draws = weighted_chisq_sample(weights, 5000, np.random.default_rng(2))
         z = np.random.default_rng(2).standard_normal((5000, 3))
-        expect = (z + spec.offsets) ** 2 @ spec.weights
+        expect = z**2 @ weights
         assert np.array_equal(draws.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0], [2.0, -1.0], [1.0, math.nan], []])
+    def test_rejects_nonpositive_weights(self, weights):
+        with pytest.raises(ValueError):
+            critical_value(np.array(weights), 0.05, mc_samples=1000)
+
+    def test_stream_names_the_weights_as_floats(self):
+        # the stream is named by the weights' float reprs, the same under numpy 1 and 2
+        weights = np.array([0.5, 2.0])
+        draws = weighted_chisq_sample(weights, 1000, stream_rng(3, "critical-value", 0.5, 2.0))
+        expect = engine._quantile_with_se(draws, 0.95)
+        assert critical_value(weights, 0.05, mc_samples=1000, seed=3) == expect
 
     @pytest.mark.parametrize("size, level", [(200_000, 0.95), (1001, 0.9), (100, 0.5)])
     def test_quantile_with_se_matches_unsorted_formula(self, size, level, rng):
@@ -197,14 +193,13 @@ class TestCriticalValues:
             assert got.n_samples == size
 
     def test_reproducible(self):
-        spec = LimitSpec.central(np.ones(3))
-        a = critical_value(spec, 0.1, mc_samples=10_000, seed=3)
-        b = critical_value(spec, 0.1, mc_samples=10_000, seed=3)
+        a = critical_value(np.ones(3), 0.1, mc_samples=10_000, seed=3)
+        b = critical_value(np.ones(3), 0.1, mc_samples=10_000, seed=3)
         assert a == b
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
-            critical_value(LimitSpec.central(np.ones(2)), 0.05, mc_samples=50)
+            critical_value(np.ones(2), 0.05, mc_samples=50)
 
     def test_empirical_reproducible_and_positive(self):
         args = (StatKind.T1, "gaussian", np.zeros(3), SpdMatrix.identity(3), 50, 0.5, 0.05, 400, 9)

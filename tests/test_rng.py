@@ -54,6 +54,10 @@ class TestStreams:
         assert stream_seed_words(0, 0.1) == stream_seed_words(0, "0.1")
         assert stream_seed_words(0, 0.1) != stream_seed_words(0, 0.2)
 
+    def test_numpy_float_path_hashes_as_python_float(self):
+        # repr(np.float64(0.5)) is 'np.float64(0.5)' under numpy 2 and '0.5' under numpy 1
+        assert stream_seed_words(1, np.float64(0.5)) == stream_seed_words(1, 0.5)
+
     def test_large_seed_wraps(self):
         assert stream_seed_words(2**64 + 5, "s") == stream_seed_words(5, "s")
 
