@@ -25,6 +25,7 @@ statistic, family, n and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -368,7 +369,7 @@ def cmd_breakdown(args) -> int:
                     result.fractions[i],
                     result.broke[i],
                     float(result.deviations[i, -1]),
-                    result.break_fraction if result.break_fraction is not None else "",
+                    result.break_fraction,
                 ]
             )
     _emit_rows(args, header, rows, {"results": results})
@@ -511,9 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`main`'s parser, built once: parsing returns a new namespace and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so that a closed pipe raises here

@@ -116,7 +116,9 @@ def read_dataset(path: str | Path) -> Dataset:
 
 
 def format_cell(value: object) -> str:
-    """Lossless cell text: repr for floats, str for everything else."""
+    """Lossless cell text: repr for floats, empty for ``None``, str for everything else."""
+    if value is None:
+        return ""
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):

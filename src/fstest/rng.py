@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Sequence
 
@@ -109,6 +108,9 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> l
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 

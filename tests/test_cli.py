@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import fstest
-from fstest import engine, robustness
+from fstest import cli, engine, robustness
 from fstest.asymptotics import efficiency_grid
-from fstest.cli import main
+from fstest.cli import build_parser, main
 from fstest.dataio import read_rows, write_rows
 from fstest.engine import StatKind
 from fstest.estimators import EstimatorKind
@@ -340,7 +340,20 @@ class TestOutput:
             assert capsys.readouterr().out == out.read_text()
         header, rows = read_rows(tmp_path / "report.csv")
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert dict(zip(header, rows[0])) == {k: str(v) for k, v in payload.items()}
+        assert dict(zip(header, rows[0])) == {k: "" if v is None else str(v) for k, v in payload.items()}
+
+    @pytest.mark.parametrize("argv, field", [
+        (["critical-value", "--seed", "4", "--mc-samples", "1000"], "n"),
+        (["test", "--seed", "4", "--data", str(DATA), "--null-reps", "200"], "p_value"),
+    ])
+    def test_null_field_is_an_empty_csv_cell(self, argv, field, tmp_path, capsys):
+        # JSON's null: the n of a formula critical value, the p-value of a calibrated test
+        out = tmp_path / "report.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[field] is None
+        header, rows = read_rows(out)
+        assert dict(zip(header, rows[0]))[field] == ""
 
     def test_closed_pipe_exits_without_traceback(self):
         # the reader closes stdout before the command writes to it
@@ -362,7 +375,46 @@ class TestOutput:
         assert exc.value.code == 2
 
 
+class TestParserReuse:
+    def test_one_parser_serves_many_calls(self, tmp_path, capsys):
+        first = ["test", "--seed", "3", "--kind", "t2", "--data", str(DATA), "--null-reps", "200",
+                 "--format", "json"]
+        assert main(first + ["--out", str(tmp_path / "a.json")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--seed", "3", "--kind", "t9"])
+        assert exc.value.code == 2
+        # flags the first call leaves at their defaults
+        assert main(["critical-value", "--seed", "1", "--gamma", "0.3", "--alpha", "0.1",
+                     "--calibration", "formula", "--mc-samples", "1000"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(first + ["--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_main_reuses_its_parser_and_build_parser_makes_new_ones(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+
+def _run_script(script: str) -> str:
+    """The last line a fresh interpreter prints running ``script`` against this fstest."""
+    src = str(Path(fstest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.split("\n")[-2]
+
+
 class TestImportCost:
+    def test_serial_import_leaves_the_process_pool_unloaded(self):
+        # multiprocessing loads with the first pool, not with the package
+        script = """
+import sys
+import fstest.cli
+print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+"""
+        assert _run_script(script) == "[]"
+
     def test_gaussian_test_calls_import_no_scipy(self):
         # the gaussian closed forms need only math; scipy loads where quadrature or special functions run
         script = f"""
@@ -376,10 +428,7 @@ for extra in calls:
         assert fstest.cli.main(["test", "--data", {str(DATA)!r}, "--seed", "1", *extra]) == 0
 print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
 """
-        src = str(Path(fstest.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n")[-2] == "[]"
+        assert _run_script(script) == "[]"
 
     def test_table2_leaves_scipy_stats_unloaded(self):
         # the exact local power needs scipy.special only; scipy.stats costs ~1 s to import
@@ -390,10 +439,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert fstest.cli.main(["table2", "--seed", "1"]) == 0
 print("scipy.stats" in sys.modules)
 """
-        src = str(Path(fstest.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.split("\n")[-2] == "False"
+        assert _run_script(script) == "False"
 
 
 class TestDeterminism:

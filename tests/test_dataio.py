@@ -35,6 +35,9 @@ class TestFormatCell:
     def test_strings_pass_through(self):
         assert format_cell("t1") == "t1"
 
+    def test_none_is_an_empty_cell(self):
+        assert format_cell(None) == ""
+
 
 class TestRowsRoundTrip:
     def test_floats_survive_exactly(self, tmp_path):
