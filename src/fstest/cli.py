@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics, engine, robustness
-from .dataio import MalformedTable, format_cell, read_dataset, write_json, write_rows
+from .dataio import MalformedTable, csv_text, json_text, read_dataset, write_json, write_rows
 from .elliptical import FAMILY_TAGS
 from .engine import InfiniteVariance, StatKind
 from .estimators import EstimatorKind
@@ -129,17 +128,13 @@ def _json_safe(value):
 
 def _emit(args, payload: dict, header, rows) -> None:
     """``payload`` under ``--format json``, else ``rows`` under ``header``; to ``--out`` or stdout."""
-    if args.format == "json":
-        if args.out:
-            write_json(args.out, payload)
-        else:
-            print(json.dumps(payload, indent=2))
-    elif args.out:
-        write_rows(args.out, rows, header)
+    as_json = args.format == "json"
+    if not args.out:
+        sys.stdout.write(json_text(payload) if as_json else csv_text(rows, header))
+    elif as_json:
+        write_json(args.out, payload)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format_cell(c) for c in row))
+        write_rows(args.out, rows, header)
 
 
 def _emit_rows(args, header, rows, json_payload: dict) -> None:

@@ -10,6 +10,7 @@ directory and are renamed into place, so consumers never see partial files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -28,6 +29,8 @@ __all__ = [
     "read_dataset",
     "write_rows",
     "write_json",
+    "csv_text",
+    "json_text",
     "format_cell",
 ]
 
@@ -128,13 +131,29 @@ def format_cell(value: object) -> str:
     return str(value)
 
 
-def _atomic_write(path: str | Path, writer) -> None:
+def csv_text(rows: Iterable[Sequence[object]], header: Sequence[str] | None = None) -> str:
+    """CSV text of ``rows`` under ``header``; cells formatted with :func:`format_cell`."""
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        out.writerow([str(h) for h in header])
+    for row in rows:
+        out.writerow([format_cell(cell) for cell in row])
+    return buf.getvalue()
+
+
+def json_text(payload: dict) -> str:
+    """A JSON document in the payload's key order, ending in a newline."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _atomic_write(path: str | Path, text: str) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer(fh)
+            fh.write(text)
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -149,25 +168,10 @@ def write_rows(
     rows: Iterable[Sequence[object]],
     header: Sequence[str] | None = None,
 ) -> None:
-    """Write a CSV atomically; cells formatted with :func:`format_cell`."""
-    rows = [list(row) for row in rows]
-
-    def writer(fh):
-        out = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            out.writerow([str(h) for h in header])
-        for row in rows:
-            out.writerow([format_cell(cell) for cell in row])
-
-    _atomic_write(path, writer)
+    """Write :func:`csv_text` atomically."""
+    _atomic_write(path, csv_text(rows, header))
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    """Write a JSON document atomically with a stable key order."""
-    text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
-
-    def writer(fh):
-        fh.write(text)
-        fh.write("\n")
-
-    _atomic_write(path, writer)
+    """Write :func:`json_text` atomically."""
+    _atomic_write(path, json_text(payload))

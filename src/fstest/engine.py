@@ -167,26 +167,34 @@ def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
 # statistics
 # ---------------------------------------------------------------------------
 
-def statistic(
-    kind: StatKind,
-    data: ArrayLike,
-    mu0: ArrayLike,
-    config: ForwardSearchConfig | None = None,
-) -> float:
-    """n * squared Euclidean norm of (estimate - mu0).
-
-    For the forward-search statistic a :class:`ForwardSearchConfig` supplies
-    the scatter and retention fraction; it defaults to identity scatter with
-    gamma = 1/2.
-    """
+def _test_inputs(
+    kind: StatKind, data: ArrayLike, mu0: ArrayLike, sigma: SpdMatrix | ArrayLike | None, gamma: float
+) -> tuple[StatKind, NDArray[np.float64], ForwardSearchConfig]:
+    """The checked kind, (n, d) data and forward-search configuration of one test."""
+    kind = StatKind(kind)
     x = as_data_matrix(data)
     mu = as_vector(mu0, "mu0")
     if x.shape[1] != mu.size:
         raise DimensionMismatch("data and mu0 dimensions disagree")
-    if config is None:
-        config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size), 0.5)
-    diff = est.estimate(StatKind(kind).estimator, x, config).value - mu
-    return float(x.shape[0] * diff @ diff)
+    config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size) if sigma is None else sigma, gamma)
+    return kind, x, config
+
+
+def statistic(
+    kind: StatKind,
+    data: ArrayLike,
+    mu0: ArrayLike,
+    sigma: SpdMatrix | ArrayLike | None = None,
+    gamma: float = 0.5,
+) -> float:
+    """n * squared Euclidean norm of (estimate - mu0): :func:`batch_statistics` at reps = 1.
+
+    The forward search is anchored at ``mu0`` under ``sigma`` (identity by
+    default) and keeps the fraction ``gamma``; every kind checks that gamma
+    lies in (0, 1], that ``sigma`` is SPD and that the dimensions match.
+    """
+    kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
+    return float(batch_statistics(x[None], config.mu0, config.sigma, gamma, (kind,))[kind][0])
 
 
 def batch_statistics(
@@ -227,12 +235,28 @@ def limit_weights(kind: StatKind, model: EllipticalModel, gamma: float) -> NDArr
     return law.scale * model.sigma.eigenvalues
 
 
+#: cap on one block of formula-calibration normals, in floats (8 MB)
+_CHISQ_BLOCK_FLOATS = 1 << 20
+
+
 def weighted_chisq_sample(
     weights: NDArray[np.float64], size: int, rng: np.random.Generator
 ) -> NDArray[np.float64]:
-    """Draws of sum_i weights_i * Z_i^2."""
-    z = rng.standard_normal((size, weights.size))
-    return np.square(z, out=z) @ weights
+    """Draws of sum_i weights_i * Z_i^2, from normals drawn in blocks of rows.
+
+    A block is the largest power of two of rows, at least 8, within
+    _CHISQ_BLOCK_FLOATS, so blocks start on BLAS's unrolled row groups and
+    keep the bits of one (size, d) draw under single-threaded BLAS.
+    """
+    d = weights.size
+    rows = 1 << max(3, (_CHISQ_BLOCK_FLOATS // d).bit_length() - 1)
+    # a one-row tail joins the block before it: numpy takes a lone row's product as a dot
+    bounds = [*range(0, max(size - 1, 1), rows), size]
+    out = np.empty(size)
+    for lo, hi in zip(bounds, bounds[1:]):
+        z = rng.standard_normal((hi - lo, d))
+        np.matmul(np.square(z, out=z), weights, out=out[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)
@@ -370,8 +394,11 @@ class TestReport:
         }
 
 
-def _decide(value: float, crit: float) -> str:
-    return "reject" if value > crit else "retain"
+def _report(
+    kind: StatKind, value: float, crit: MonteCarloQuantile, alpha: float, p_value: float | None, seed: int
+) -> TestReport:
+    decision = "reject" if value > crit.value else "retain"
+    return TestReport(kind, value, crit.value, alpha, decision, p_value, crit.n_samples, seed)
 
 
 def run_test(
@@ -395,15 +422,12 @@ def run_test(
     under the named family at the observed sample size (``null_reps``
     replications).
     """
-    kind = StatKind(kind)
-    x = as_data_matrix(data)
-    mu = as_vector(mu0, "mu0")
-    config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size) if sigma is None else sigma, gamma)
-    value = statistic(kind, x, mu, config)
+    kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
+    value = statistic(kind, x, config.mu0, config.sigma, gamma)
     crit = calibrate(
         kind,
         family,
-        mu,
+        config.mu0,
         config.sigma,
         n=x.shape[0],
         gamma=gamma,
@@ -413,16 +437,7 @@ def run_test(
         null_reps=null_reps,
         seed=seed,
     )
-    return TestReport(
-        statistic=kind,
-        value=value,
-        critical_value=crit.value,
-        alpha=alpha,
-        decision=_decide(value, crit.value),
-        p_value=None,
-        mc_samples=crit.n_samples,
-        seed=seed,
-    )
+    return _report(kind, value, crit, alpha, None, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +477,7 @@ def power_table(
         null = EllipticalModel(gen, d, mu0, sigma)
         shifted = EllipticalModel(gen, d, np.full(d, shift_scale), sigma)
         null_stats = simulate(null, reduce, ("calibration", family), n, null_reps, seed)
-        crits = {k: float(np.quantile(null_stats[k], 1.0 - alpha)) for k in kinds}
+        crits = {k: _quantile_with_se(null_stats[k], 1.0 - alpha).value for k in kinds}
         table[family] = {k: {} for k in kinds}
         for beta in beta_grid:
             beta = float(beta)
@@ -477,28 +492,6 @@ def power_table(
 # bootstrap
 # ---------------------------------------------------------------------------
 
-def _bootstrap_statistics(
-    kind: StatKind,
-    data: NDArray[np.float64],
-    mu0: NDArray[np.float64],
-    sigma: SpdMatrix,
-    gamma: float,
-    j: int,
-    rng: np.random.Generator,
-) -> NDArray[np.float64]:
-    n = data.shape[0]
-    # chunk resamples to bound the index and gathered blocks (HL bounds its
-    # own scratch); block-wise draws equal one (j, n) draw, because PCG64
-    # keeps the spare half of a 64-bit output in its state
-    chunk = max(1, 2_000_000 // (n * data.shape[1]))
-    out = np.empty(j)
-    for start in range(0, j, chunk):
-        idx = rng.integers(0, n, size=(min(chunk, j - start), n))
-        stats = batch_statistics(data[idx], mu0, sigma, gamma, (kind,))
-        out[start : start + chunk] = stats[kind]
-    return out
-
-
 def bootstrap_report(
     kind: StatKind,
     data: ArrayLike,
@@ -512,24 +505,20 @@ def bootstrap_report(
 ) -> TestReport:
     """Test against ``j`` resamples of the data: their 1 - alpha quantile is
     the critical value, and the share of them above the statistic the p-value."""
-    kind = StatKind(kind)
-    x = as_data_matrix(data)
-    mu = as_vector(mu0, "mu0")
+    kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
     if j < 1:
         raise ValueError("j must be positive")
-    config = ForwardSearchConfig(mu, SpdMatrix.identity(mu.size) if sigma is None else sigma, gamma)
-    sigma = config.sigma
-    t0 = statistic(kind, x, mu, config)
+    value = statistic(kind, x, config.mu0, config.sigma, gamma)
     rng = stream_rng(seed, "bootstrap", kind.value)
-    stats = _bootstrap_statistics(kind, x, mu, sigma, gamma, j, rng)
-    crit = float(np.quantile(stats, 1.0 - alpha))
-    return TestReport(
-        statistic=kind,
-        value=t0,
-        critical_value=crit,
-        alpha=alpha,
-        decision=_decide(t0, crit),
-        p_value=float(np.mean(stats > t0)),
-        mc_samples=j,
-        seed=seed,
-    )
+    n = x.shape[0]
+    # chunk resamples to bound the index and gathered blocks (HL bounds its
+    # own scratch); block-wise draws equal one (j, n) draw, because PCG64
+    # keeps the spare half of a 64-bit output in its state
+    chunk = max(1, 2_000_000 // x.size)
+    stats = np.empty(j)
+    for start in range(0, j, chunk):
+        idx = rng.integers(0, n, size=(min(chunk, j - start), n))
+        batch = batch_statistics(x[idx], config.mu0, config.sigma, gamma, (kind,))
+        stats[start : start + chunk] = batch[kind]
+    crit = _quantile_with_se(stats, 1.0 - alpha)
+    return _report(kind, value, crit, alpha, float(np.mean(stats > value)), seed)

@@ -342,6 +342,26 @@ class TestOutput:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert dict(zip(header, rows[0])) == {k: "" if v is None else str(v) for k, v in payload.items()}
 
+    @pytest.mark.parametrize("argv", [
+        FAST_POWER,
+        ["test", "--seed", "4", "--kind", "t1", "--data", str(DATA), "--null-reps", "200"],
+        ["test", "--seed", "4", "--kind", "t3", "--data", str(DATA), "--j", "50"],
+        ["table2", "--seed", "4", "--delta", "0.5,-5"],
+        ["table3", "--seed", "4", "--reps", "20", "--n-grid", "10", "--d-grid", "2"],
+        ["table4", "--d-grid", "2,4"],
+        ["breakdown", "--seed", "4", "--gamma", "0.5", "--n", "10", "--d", "2"],
+        ["critical-value", "--seed", "4", "--mc-samples", "1000"],
+        ["critical-value", "--seed", "4", "--calibration", "empirical", "--n", "20", "--null-reps", "200"],
+    ], ids=["power-table", "test-empirical", "test-bootstrap", "table2", "table3", "table4", "breakdown",
+            "critical-value-formula", "critical-value-empirical"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_equals_out_file(self, argv, fmt, tmp_path, capsys):
+        out = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
     @pytest.mark.parametrize("argv, field", [
         (["critical-value", "--seed", "4", "--mc-samples", "1000"], "n"),
         (["test", "--seed", "4", "--data", str(DATA), "--null-reps", "200"], "p_value"),

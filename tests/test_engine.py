@@ -49,7 +49,7 @@ class TestStatistic:
     def test_trimmed_equals_mean_at_full_retention(self, gauss_data):
         data = gauss_data(n=30, d=3)
         config = ForwardSearchConfig(np.zeros(3), SpdMatrix.identity(3), 1.0)
-        t1 = statistic(StatKind.T1, data, np.zeros(3), config)
+        t1 = statistic(StatKind.T1, data, np.zeros(3), config.sigma, config.gamma)
         t2 = statistic(StatKind.T2, data, np.zeros(3))
         assert t1 == pytest.approx(t2, rel=1e-12)
 
@@ -63,15 +63,36 @@ class TestStatistic:
         got = batch_statistics(data, np.zeros(2), sigma, 0.5)
         config = ForwardSearchConfig(np.zeros(2), sigma, 0.5)
         for kind in ALL_KINDS:
-            expect = [statistic(kind, data[r], np.zeros(2), config) for r in range(6)]
-            assert np.allclose(got[kind], expect, rtol=1e-12)
+            expect = [statistic(kind, data[r], np.zeros(2), config.sigma, config.gamma) for r in range(6)]
+            assert np.array_equal(got[kind], expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("scatter", ["identity", "general"])
+    def test_statistic_is_the_batch_statistic(self, n, d, scatter, rng):
+        # the observed value is batch_statistics at reps = 1, bit for bit
+        data = rng.standard_normal((8, n, d))
+        mu0 = rng.standard_normal(d) / 4
+        a = rng.standard_normal((d, d))
+        sigma = SpdMatrix.identity(d) if scatter == "identity" else SpdMatrix(a @ a.T + d * np.eye(d))
+        got = batch_statistics(data, mu0, sigma, 0.5)
+        for kind in ALL_KINDS:
+            expect = [statistic(kind, data[r], mu0, sigma, 0.5) for r in range(8)]
+            assert np.array_equal(got[kind], expect), kind
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
+    def test_t2_rejects_gamma_outside_unit_interval(self, gamma, gauss_data):
+        # gamma only sets the forward search, yet every kind checks it
+        data = gauss_data()
+        with pytest.raises(ValueError, match="gamma"):
+            statistic(StatKind.T2, data, np.zeros(3), gamma=gamma)
 
     def test_rotation_invariance_identity_scatter(self, rng):
         data = rng.standard_normal((50, 3))
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         config = ForwardSearchConfig(np.zeros(3), SpdMatrix.identity(3), 0.5)
-        base = statistic(StatKind.T1, data, np.zeros(3), config)
-        rotated = statistic(StatKind.T1, data @ q.T, np.zeros(3), config)
+        base = statistic(StatKind.T1, data, np.zeros(3), config.sigma, config.gamma)
+        rotated = statistic(StatKind.T1, data @ q.T, np.zeros(3), config.sigma, config.gamma)
         assert rotated == pytest.approx(base, rel=1e-9)
 
 
@@ -162,6 +183,15 @@ class TestCriticalValues:
         z = np.random.default_rng(2).standard_normal((5000, 3))
         expect = z**2 @ weights
         assert np.array_equal(draws.view(np.int64), expect.view(np.int64))
+
+    def test_blocked_normals_equal_one_draw(self, monkeypatch):
+        # blocks of 16 rows at d = 50; 1001 ends on a 9-row block, 17, 33, ... on a lone row
+        monkeypatch.setattr(engine, "_CHISQ_BLOCK_FLOATS", 16 * 50)
+        weights = np.linspace(0.5, 2.0, 50)
+        for size in (1001, *range(17, 1010, 16)):
+            draws = weighted_chisq_sample(weights, size, np.random.default_rng(4))
+            z = np.random.default_rng(4).standard_normal((size, 50))
+            assert np.array_equal(draws, np.square(z) @ weights)
 
     @pytest.mark.parametrize("weights", [[1.0, 0.0], [2.0, -1.0], [1.0, math.nan], []])
     def test_rejects_nonpositive_weights(self, weights):
@@ -400,6 +430,21 @@ class TestBootstrap:
         report = bootstrap_report(StatKind.T2, data, mu0, sigma, j=1201, seed=8)
         assert (report.p_value, report.critical_value, report.value) == expected
 
+    @pytest.mark.parametrize("kind", [StatKind.T3, StatKind.T4])
+    def test_a_resample_that_permutes_the_data_ties(self, kind):
+        # n = 4: about 9% of resamples permute the data, and t3/t4 sort it, so
+        # they reproduce the observed value exactly and must not count as above
+        mu0, sigma = np.zeros(2), SpdMatrix.identity(2)
+        for seed in range(20):
+            data = np.random.default_rng(seed).standard_normal((4, 2))
+            report = bootstrap_report(kind, data, mu0, sigma, j=2000, seed=seed)
+            idx = stream_rng(seed, "bootstrap", kind.value).integers(0, 4, size=(2000, 4))
+            stats = batch_statistics(data[idx], mu0, sigma, 0.5, (kind,))[kind]
+            permutes = np.all(np.sort(idx, axis=1) == np.arange(4), axis=1)
+            assert permutes.any()
+            assert np.array_equal(stats[permutes], np.full(permutes.sum(), report.value))
+            assert report.p_value == float(np.mean(stats > report.value))
+
     def test_report_consistency(self, rng):
         data = rng.standard_normal((40, 2))
         report = bootstrap_report(
@@ -415,4 +460,4 @@ def test_statistic_nonnegative(seed, gamma):
     data = rng.standard_normal((12, 2))
     config = ForwardSearchConfig(np.zeros(2), SpdMatrix.identity(2), gamma)
     for kind in ALL_KINDS:
-        assert statistic(kind, data, np.zeros(2), config) >= 0.0
+        assert statistic(kind, data, np.zeros(2), config.sigma, config.gamma) >= 0.0
