@@ -67,7 +67,7 @@ _CHECKS = {
     "gamma": (lambda v: 0.0 < v <= 1.0, "--gamma must lie in (0, 1]"),
     "alpha": (lambda v: 0.0 < v < 1.0, "--alpha must lie in (0, 1)"),
     "reps": (lambda v: v >= 1, "--reps must be positive"),
-    "mc_samples": (lambda v: v >= 100, "--mc-samples must be at least 100"),
+    "mc_samples": (lambda v: v is None or v >= 100, "--mc-samples must be at least 100"),
     "null_reps": (lambda v: v >= 100, "--null-reps must be at least 100"),
 }
 
@@ -254,7 +254,7 @@ def cmd_test(args) -> int:
                 null_reps=args.null_reps,
                 seed=args.seed,
             )
-        except InfiniteVariance as exc:
+        except (InfiniteVariance, OverflowError) as exc:
             raise CliError(f"formula calibration unavailable: {exc}")
     _emit_report(args, report.to_json_dict())
     return 0
@@ -414,6 +414,9 @@ def cmd_critical_value(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_MC_SAMPLES_HELP = "Monte Carlo draws; omit for the exact quantile"
+
+
 def _add_common(parser, *, with_family=True):
     if with_family:
         parser.add_argument("--family", choices=sorted(FAMILY_TAGS), help="restrict to one family (default: all)")
@@ -450,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--j", type=int, default=0, help="bootstrap resamples; 0 uses calibrated critical values")
     p.add_argument("--calibration", choices=("formula", "empirical"), default="empirical")
-    p.add_argument("--mc-samples", type=int, default=engine.DEFAULT_MC_SAMPLES)
+    p.add_argument("--mc-samples", type=int, help=_MC_SAMPLES_HELP)
     p.add_argument("--null-reps", type=int, default=engine.DEFAULT_NULL_REPS)
     p.set_defaults(func=cmd_test)
 
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--calibration", choices=("formula", "empirical"), default="formula")
-    p.add_argument("--mc-samples", type=int, default=engine.DEFAULT_MC_SAMPLES)
+    p.add_argument("--mc-samples", type=int, help=_MC_SAMPLES_HELP)
     p.add_argument("--null-reps", type=int, default=engine.DEFAULT_NULL_REPS)
     p.set_defaults(func=cmd_critical_value)
 

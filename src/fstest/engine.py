@@ -5,8 +5,10 @@ location estimators.  Under the null the statistics converge to weighted
 chi-squared laws ``sum_i lambda_i * Z_i^2``; the weights are the eigenvalues
 of ``scale * Sigma``, with the variance scalar of :class:`LimitLaw`, which
 depends on the estimator and the radial kernel.  Critical values come either
-from that limit (``formula`` calibration, Monte Carlo quantile of the
-weighted sum) or from parametric simulation of the statistic under the null
+from that limit (``formula`` calibration: its exact quantile, lambda *
+chi2_d at equal weights and Ruben's series or Imhof's integral otherwise,
+or a Monte Carlo quantile of the weighted sum when ``mc_samples`` is given)
+or from parametric simulation of the statistic under the null
 (``empirical`` calibration).
 """
 
@@ -286,7 +288,7 @@ def _quantile_with_se(draws: NDArray[np.float64], level: float) -> MonteCarloQua
     return MonteCarloQuantile(q, se, n)
 
 
-#: default number of weighted chi-squared draws for formula calibration
+#: Monte Carlo size that ``asymptotics.contiguous_power`` and ``table2`` accept and ignore
 DEFAULT_MC_SAMPLES = 200_000
 #: default number of null replications for empirical calibration
 DEFAULT_NULL_REPS = 2_000
@@ -295,15 +297,26 @@ DEFAULT_NULL_REPS = 2_000
 def critical_value(
     weights: ArrayLike,
     alpha: float,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_samples: int | None = None,
     seed: int = 0,
 ) -> MonteCarloQuantile:
-    """(1 - alpha) Monte Carlo quantile of sum_i weights_i * Z_i^2."""
+    """(1 - alpha) point of sum_i weights_i * Z_i^2.
+
+    Exact by default, with standard error 0 and no draws: w * chi2_d at
+    equal weights, else Ruben's series or Imhof's integral, whichever is
+    predicted cheaper (:mod:`fstest._weighted_chisq`).  With ``mc_samples``
+    it is the Monte Carlo quantile of that many draws from the ``seed``
+    stream, with its standard error.
+    """
     w = as_vector(weights, "weights")
     if np.any(w <= 0):
         raise ValueError("limit weights must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    if mc_samples is None:
+        from . import _weighted_chisq
+
+        return MonteCarloQuantile(_weighted_chisq.quantile(w, 1.0 - alpha), 0.0, 0)
     if mc_samples < 100:
         raise ValueError("mc_samples is too small to estimate a quantile")
     rng = stream_rng(seed, "critical-value", *w)
@@ -331,6 +344,12 @@ def empirical_critical_value(
     return _quantile_with_se(stats[kind], 1.0 - alpha)
 
 
+def _formula_weights(
+    kind: StatKind, family: str, mu0: ArrayLike, sigma: SpdMatrix, gamma: float
+) -> NDArray[np.float64]:
+    return limit_weights(kind, EllipticalModel(generator_by_name(family), sigma.d, mu0, sigma), gamma)
+
+
 def calibrate(
     kind: StatKind,
     family: str,
@@ -341,20 +360,20 @@ def calibrate(
     gamma: float,
     alpha: float,
     calibration: str,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_samples: int | None = None,
     null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
 ) -> MonteCarloQuantile:
     """The (1 - alpha) critical value of ``kind`` for n observations of ``family``.
 
-    ``calibration="formula"`` takes the Monte Carlo quantile of the weighted
-    chi-squared limit (``mc_samples`` draws; ``n`` is unused);
-    ``"empirical"`` simulates the statistic itself under the null
-    (``null_reps`` replications of n observations).
+    ``calibration="formula"`` takes the exact (1 - alpha) point of the
+    weighted chi-squared limit, or its Monte Carlo quantile when
+    ``mc_samples`` is given (``n`` is unused); ``"empirical"`` simulates the
+    statistic itself under the null (``null_reps`` replications of n
+    observations).
     """
     if calibration == "formula":
-        model = EllipticalModel(generator_by_name(family), sigma.d, mu0, sigma)
-        return critical_value(limit_weights(kind, model, gamma), alpha, mc_samples, seed)
+        return critical_value(_formula_weights(kind, family, mu0, sigma, gamma), alpha, mc_samples, seed)
     if calibration == "empirical":
         return empirical_critical_value(kind, family, mu0, sigma, n, gamma, alpha, null_reps, seed)
     raise ValueError(f"unknown calibration {calibration!r}")
@@ -410,17 +429,19 @@ def run_test(
     alpha: float = 0.05,
     family: str = "gaussian",
     calibration: str = "empirical",
-    mc_samples: int = DEFAULT_MC_SAMPLES,
+    mc_samples: int | None = None,
     null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
 ) -> TestReport:
     """Test the hypothesized location against the data.
 
     The critical value comes from :func:`calibrate`: ``calibration="formula"``
-    draws it from the weighted chi-squared limit (``mc_samples`` draws);
+    takes the exact point of the weighted chi-squared limit, and its tail
+    at the observed value as the p-value; with ``mc_samples`` the point is
+    a Monte Carlo quantile of that many draws, and there is no p-value.
     ``"empirical"`` simulates the null distribution of the statistic itself
     under the named family at the observed sample size (``null_reps``
-    replications).
+    replications), with no p-value.
     """
     kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
@@ -437,7 +458,12 @@ def run_test(
         null_reps=null_reps,
         seed=seed,
     )
-    return _report(kind, value, crit, alpha, None, seed)
+    p_value = None
+    if calibration == "formula" and mc_samples is None:
+        from . import _weighted_chisq
+
+        p_value = _weighted_chisq.tail(_formula_weights(kind, family, config.mu0, config.sigma, gamma), value)
+    return _report(kind, value, crit, alpha, p_value, seed)
 
 
 # ---------------------------------------------------------------------------

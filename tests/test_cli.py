@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import fstest
 from fstest import cli, engine, robustness
@@ -165,6 +166,24 @@ class TestTestCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_formula_p_value_is_the_exact_limit_tail(self, capsys):
+        rc = main(["test", "--seed", "3", "--data", str(DATA), "--kind", "t2", "--calibration", "formula",
+                   "--format", "json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        scale = engine.LimitLaw(StatKind.T2, "gaussian", 3, 0.5).scale
+        assert payload["p_value"] == pytest.approx(1 - special.chdtr(3, payload["value"] / scale), abs=1e-10)
+        assert payload["mc_samples"] == 0
+
+    def test_formula_with_widely_spread_sigma_exits_one(self, tmp_path, capsys):
+        # the exact law would need more than its work cap; Monte Carlo still runs
+        sigma_path = tmp_path / "sigma.csv"
+        write_rows(sigma_path, np.diag([1.0, 1.0, 1e9]).tolist())
+        argv = ["test", "--seed", "3", "--data", str(DATA), "--sigma", str(sigma_path), "--calibration", "formula"]
+        assert main(argv) == 1
+        assert "--mc-samples" in capsys.readouterr().err
+        assert main(argv + ["--mc-samples", "1000"]) == 0
+
     def test_wrong_mu0_length_exits_one(self, capsys):
         rc = main(["test", "--seed", "3", "--data", str(DATA), "--mu0", "0,0"])
         assert rc == 1
@@ -296,6 +315,18 @@ class TestTableCommands:
     def test_cauchy_t1_formula_uses_trimmed_variance(self, capsys):
         rc = main([
             "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy", "--format", "json",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        scale = engine.LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale
+        # the exact chi2_4 upper 5% point, with no Monte Carlo error
+        assert payload["critical_value"] == pytest.approx(scale * special.chdtri(4, 0.05), rel=1e-12, abs=0)
+        assert payload["stderr"] == 0.0
+
+    def test_cauchy_t1_formula_monte_carlo_uses_trimmed_variance(self, capsys):
+        rc = main([
+            "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy", "--format", "json",
+            "--mc-samples", "200000",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -442,13 +473,23 @@ import contextlib, io, sys
 import fstest.cli
 calls = [["--calibration", "empirical", "--null-reps", "200"],
          ["--calibration", "formula", "--mc-samples", "1000"],
-         ["--j", "100"]]
+         ["--j", "100"],
+         ["--calibration", "formula"]]
 for extra in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         assert fstest.cli.main(["test", "--data", {str(DATA)!r}, "--seed", "1", *extra]) == 0
-print(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert fstest.cli.main(["critical-value", "--seed", "1", "--d", "400", "--calibration", "formula",
+                            "--format", "json"]) == 0
+loaded = sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules)
+print(json.dumps([loaded, json.loads(out.getvalue())["critical_value"]]))
 """
-        assert _run_script(script) == "[]"
+        loaded, crit = json.loads(_run_script("import json\n" + script))
+        assert loaded == []
+        # the exact d = 400 point, drawn from nothing
+        scale = engine.LimitLaw(StatKind.T1, "gaussian", 400, 0.5).scale
+        assert crit == pytest.approx(scale * special.chdtri(400, 0.05), rel=1e-12, abs=0)
 
     def test_table2_leaves_scipy_stats_unloaded(self):
         # the exact local power needs scipy.special only; scipy.stats costs ~1 s to import
@@ -463,6 +504,19 @@ print("scipy.stats" in sys.modules)
 
 
 class TestDeterminism:
+    def test_exact_formula_bytes_ignore_blas_threads(self):
+        # the exact point involves no matrix-vector product, so BLAS's row split cannot touch it
+        src = str(Path(fstest.__file__).resolve().parent.parent)
+        cmd = [sys.executable, "-m", "fstest", "critical-value", "--seed", "1", "--d", "100",
+               "--calibration", "formula"]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            outputs.append(subprocess.run(cmd, check=True, env=env, capture_output=True).stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"schema,")
+
     def _run(self, out: Path, threads: str) -> bytes:
         env = dict(os.environ, FSTEST_THREADS=threads)
         cmd = [sys.executable, "-m", "fstest"] + FAST_POWER + ["--out", str(out)]
