@@ -254,7 +254,7 @@ def cmd_test(args) -> int:
                 null_reps=args.null_reps,
                 seed=args.seed,
             )
-        except (InfiniteVariance, OverflowError) as exc:
+        except InfiniteVariance as exc:
             raise CliError(f"formula calibration unavailable: {exc}")
     _emit_report(args, report.to_json_dict())
     return 0
@@ -414,7 +414,10 @@ def cmd_critical_value(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_MC_SAMPLES_HELP = "Monte Carlo draws; omit for the exact quantile"
+_MC_SAMPLES_HELP = (
+    "Monte Carlo draws; omit for the exact quantile at equal limit weights"
+    f" ({engine.DEFAULT_MC_SAMPLES:,} draws otherwise)"
+)
 
 
 def _add_common(parser, *, with_family=True):

@@ -5,10 +5,9 @@ location estimators.  Under the null the statistics converge to weighted
 chi-squared laws ``sum_i lambda_i * Z_i^2``; the weights are the eigenvalues
 of ``scale * Sigma``, with the variance scalar of :class:`LimitLaw`, which
 depends on the estimator and the radial kernel.  Critical values come either
-from that limit (``formula`` calibration: its exact quantile, lambda *
-chi2_d at equal weights and Ruben's series or Imhof's integral otherwise,
-or a Monte Carlo quantile of the weighted sum when ``mc_samples`` is given)
-or from parametric simulation of the statistic under the null
+from that limit (``formula`` calibration: the exact quantile lambda * chi2_d
+at equal weights, as at identity Sigma, else a Monte Carlo quantile of the
+weighted sum) or from parametric simulation of the statistic under the null
 (``empirical`` calibration).
 """
 
@@ -25,6 +24,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
 from .elliptical import (
+    GAUSSIAN,
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
@@ -33,6 +33,7 @@ from .elliptical import (
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
+    radial_cdf,
     radial_integral,
     radial_quantile,
     truncated_radial_mean,
@@ -288,7 +289,7 @@ def _quantile_with_se(draws: NDArray[np.float64], level: float) -> MonteCarloQua
     return MonteCarloQuantile(q, se, n)
 
 
-#: Monte Carlo size that ``asymptotics.contiguous_power`` and ``table2`` accept and ignore
+#: number of weighted chi-squared draws for formula calibration at unequal weights
 DEFAULT_MC_SAMPLES = 200_000
 #: default number of null replications for empirical calibration
 DEFAULT_NULL_REPS = 2_000
@@ -302,11 +303,11 @@ def critical_value(
 ) -> MonteCarloQuantile:
     """(1 - alpha) point of sum_i weights_i * Z_i^2.
 
-    Exact by default, with standard error 0 and no draws: w * chi2_d at
-    equal weights, else Ruben's series or Imhof's integral, whichever is
-    predicted cheaper (:mod:`fstest._weighted_chisq`).  With ``mc_samples``
-    it is the Monte Carlo quantile of that many draws from the ``seed``
-    stream, with its standard error.
+    At equal weights, unless ``mc_samples`` is given, it is the exact
+    point w * chi2_d, with standard error 0 and no draws.  Otherwise it is
+    the Monte Carlo quantile of ``mc_samples`` (default
+    :data:`DEFAULT_MC_SAMPLES`) draws from the ``seed`` stream, with its
+    standard error.
     """
     w = as_vector(weights, "weights")
     if np.any(w <= 0):
@@ -314,9 +315,9 @@ def critical_value(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if mc_samples is None:
-        from . import _weighted_chisq
-
-        return MonteCarloQuantile(_weighted_chisq.quantile(w, 1.0 - alpha), 0.0, 0)
+        if np.all(w == w[0]):
+            return MonteCarloQuantile(float(w[0]) * radial_quantile(GAUSSIAN, w.size, 1.0 - alpha), 0.0, 0)
+        mc_samples = DEFAULT_MC_SAMPLES
     if mc_samples < 100:
         raise ValueError("mc_samples is too small to estimate a quantile")
     rng = stream_rng(seed, "critical-value", *w)
@@ -344,12 +345,6 @@ def empirical_critical_value(
     return _quantile_with_se(stats[kind], 1.0 - alpha)
 
 
-def _formula_weights(
-    kind: StatKind, family: str, mu0: ArrayLike, sigma: SpdMatrix, gamma: float
-) -> NDArray[np.float64]:
-    return limit_weights(kind, EllipticalModel(generator_by_name(family), sigma.d, mu0, sigma), gamma)
-
-
 def calibrate(
     kind: StatKind,
     family: str,
@@ -366,14 +361,14 @@ def calibrate(
 ) -> MonteCarloQuantile:
     """The (1 - alpha) critical value of ``kind`` for n observations of ``family``.
 
-    ``calibration="formula"`` takes the exact (1 - alpha) point of the
-    weighted chi-squared limit, or its Monte Carlo quantile when
-    ``mc_samples`` is given (``n`` is unused); ``"empirical"`` simulates the
-    statistic itself under the null (``null_reps`` replications of n
-    observations).
+    ``calibration="formula"`` takes the (1 - alpha) point of the weighted
+    chi-squared limit from :func:`critical_value` (``n`` is unused);
+    ``"empirical"`` simulates the statistic itself under the null
+    (``null_reps`` replications of n observations).
     """
     if calibration == "formula":
-        return critical_value(_formula_weights(kind, family, mu0, sigma, gamma), alpha, mc_samples, seed)
+        model = EllipticalModel(generator_by_name(family), sigma.d, mu0, sigma)
+        return critical_value(limit_weights(kind, model, gamma), alpha, mc_samples, seed)
     if calibration == "empirical":
         return empirical_critical_value(kind, family, mu0, sigma, n, gamma, alpha, null_reps, seed)
     raise ValueError(f"unknown calibration {calibration!r}")
@@ -435,16 +430,23 @@ def run_test(
 ) -> TestReport:
     """Test the hypothesized location against the data.
 
-    The critical value comes from :func:`calibrate`: ``calibration="formula"``
-    takes the exact point of the weighted chi-squared limit, and its tail
-    at the observed value as the p-value; with ``mc_samples`` the point is
-    a Monte Carlo quantile of that many draws, and there is no p-value.
-    ``"empirical"`` simulates the null distribution of the statistic itself
-    under the named family at the observed sample size (``null_reps``
-    replications), with no p-value.
+    ``calibration="formula"`` takes the critical value of the weighted
+    chi-squared limit from :func:`critical_value`; where that point is exact
+    (equal weights and no ``mc_samples``) the limit tail at the observed
+    value is the p-value, and otherwise there is none.  ``"empirical"``
+    (through :func:`calibrate`) simulates the null distribution of the
+    statistic itself under the named family at the observed sample size
+    (``null_reps`` replications), with no p-value.
     """
     kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
+    if calibration == "formula":
+        model = EllipticalModel(generator_by_name(family), config.sigma.d, config.mu0, config.sigma)
+        w = limit_weights(kind, model, gamma)
+        crit = critical_value(w, alpha, mc_samples, seed)
+        # an exact point draws nothing; then the limit is w[0] * chi2_d, and its tail the p-value
+        p_value = None if crit.n_samples else 1.0 - radial_cdf(GAUSSIAN, w.size, value / w[0])
+        return _report(kind, value, crit, alpha, p_value, seed)
     crit = calibrate(
         kind,
         family,
@@ -454,16 +456,10 @@ def run_test(
         gamma=gamma,
         alpha=alpha,
         calibration=calibration,
-        mc_samples=mc_samples,
         null_reps=null_reps,
         seed=seed,
     )
-    p_value = None
-    if calibration == "formula" and mc_samples is None:
-        from . import _weighted_chisq
-
-        p_value = _weighted_chisq.tail(_formula_weights(kind, family, config.mu0, config.sigma, gamma), value)
-    return _report(kind, value, crit, alpha, p_value, seed)
+    return _report(kind, value, crit, alpha, None, seed)
 
 
 # ---------------------------------------------------------------------------

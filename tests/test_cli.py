@@ -175,14 +175,16 @@ class TestTestCommand:
         assert payload["p_value"] == pytest.approx(1 - special.chdtr(3, payload["value"] / scale), abs=1e-10)
         assert payload["mc_samples"] == 0
 
-    def test_formula_with_widely_spread_sigma_exits_one(self, tmp_path, capsys):
-        # the exact law would need more than its work cap; Monte Carlo still runs
+    def test_formula_with_spread_sigma_draws_monte_carlo(self, tmp_path, capsys):
+        # unequal limit weights have no exact point; the default is a 200,000-draw Monte Carlo quantile
         sigma_path = tmp_path / "sigma.csv"
         write_rows(sigma_path, np.diag([1.0, 1.0, 1e9]).tolist())
-        argv = ["test", "--seed", "3", "--data", str(DATA), "--sigma", str(sigma_path), "--calibration", "formula"]
-        assert main(argv) == 1
-        assert "--mc-samples" in capsys.readouterr().err
-        assert main(argv + ["--mc-samples", "1000"]) == 0
+        argv = ["test", "--seed", "3", "--data", str(DATA), "--sigma", str(sigma_path), "--calibration", "formula",
+                "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mc_samples"] == engine.DEFAULT_MC_SAMPLES
+        assert payload["p_value"] is None
 
     def test_wrong_mu0_length_exits_one(self, capsys):
         rc = main(["test", "--seed", "3", "--data", str(DATA), "--mu0", "0,0"])
