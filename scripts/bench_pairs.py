@@ -9,13 +9,16 @@ when i is even.  The parent runs from a ``git archive`` export in a
 temporary directory, removed afterwards (``--workdir`` names one that
 is kept), so the repository's own ``.git`` is not touched.  Writes ``BENCH_<pr>.json``: every pair's
 end-to-end metrics and output sha256, each side's median and quartiles per
-metric, and the manifest of the working tree's last run (its ``git_commit``
-is the working tree's HEAD, which does not include uncommitted edits).
+metric, and the manifest of the working tree's last run.  That manifest's
+``git_commit`` is the working tree's HEAD, so ``change_tree`` records
+whether the tree had uncommitted edits (``git status --porcelain``) and the
+sha256 of ``git diff HEAD``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -37,6 +40,17 @@ def export(rev: str, dest: Path) -> str:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
     return commit
+
+
+def tree_state() -> dict:
+    """Whether the working tree differs from HEAD, and the sha256 of that difference."""
+    def git(*args) -> bytes:
+        return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
+
+    return {
+        "uncommitted_edits": bool(git("status", "--porcelain").strip()),
+        "diff_head_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest(),
+    }
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -120,6 +134,7 @@ def report(args, parent_commit: str) -> dict:
         "command": f"python3 benchmarks/run.py --workload <w> --seed <s> --seconds {args.seconds} --trace 0",
         "parent_commit": parent_commit,
         "change": "the commit that adds this file (its parent is parent_commit)",
+        "change_tree": tree_state(),
         "pair_order": "pair i (0-based) runs the parent first when i is even, the change first when i is odd",
         "quartiles": "numpy.percentile, linear interpolation, over the runs of one side",
         "times": "reference seconds (benchmarks/hostspeed.py); measured-seconds medians in measured_medians",

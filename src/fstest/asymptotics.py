@@ -341,7 +341,10 @@ def contiguous_power(
     with the scale lambda and drift kappa of :class:`LimitLaw`, and the
     critical value is lambda times the central (1 - alpha) point, so the
     power is the exact noncentral chi-squared tail.  Where lambda is
-    infinite (the sample mean under ``cauchy``) the limiting power is 0.
+    infinite (the sample mean under ``cauchy``) the limiting power is 0, that
+    of the formula-calibrated test, whose critical value is infinite; an
+    empirically calibrated one keeps a power near alpha (0.0585 by simulation
+    at n = 400, d = 4, delta = (1, ..., 1)).
     ``mc_samples`` and ``seed`` are accepted and ignored: nothing is drawn.
     """
     delta = as_vector(delta, "delta")

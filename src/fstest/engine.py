@@ -39,7 +39,7 @@ from .elliptical import (
     truncated_radial_mean,
 )
 from .estimators import EstimatorKind, ForwardSearchConfig
-from .linalg import DimensionMismatch, SpdMatrix, as_data_matrix, as_vector
+from .linalg import DimensionMismatch, SpdMatrix, as_data_matrix, as_vector, mahalanobis_sq_many
 from .rng import simulate, stream_rng
 
 __all__ = [
@@ -206,12 +206,16 @@ def batch_statistics(
     sigma: SpdMatrix,
     gamma: float,
     kinds: Sequence[StatKind] = ALL_KINDS,
+    dist: NDArray[np.float64] | None = None,
 ) -> dict[StatKind, NDArray[np.float64]]:
-    """All requested statistics for a (reps, n, d) batch of datasets."""
+    """All requested statistics for a (reps, n, d) batch of datasets.
+
+    t1 takes the rows' (reps, n) distances from ``dist`` where they are known.
+    """
     reps, n, _ = data.shape
     out: dict[StatKind, NDArray[np.float64]] = {}
     for kind in kinds:
-        values = est.batch_estimates(kind.estimator, data, mu0, sigma, gamma)
+        values = est.batch_estimates(kind.estimator, data, mu0, sigma, gamma, dist)
         diff = values - mu0
         out[kind] = n * np.einsum("ri,ri->r", diff, diff)
     return out
@@ -533,14 +537,17 @@ def bootstrap_report(
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
     rng = stream_rng(seed, "bootstrap", kind.value)
     n = x.shape[0]
-    # chunk resamples to bound the index and gathered blocks (HL bounds its
-    # own scratch); block-wise draws equal one (j, n) draw, because PCG64
-    # keeps the spare half of a 64-bit output in its state
+    # t1 gathers the sample's distances: a C-ordered row's does not depend on its batch
+    dist_x = mahalanobis_sq_many(np.ascontiguousarray(x), config.mu0, config.sigma)
+    # chunk resamples to bound the index, distance and gathered blocks (t1
+    # copies only its m kept rows, HL bounds its own scratch); block-wise draws
+    # equal one (j, n) draw, because PCG64 keeps the spare half of a 64-bit output
     chunk = max(1, 2_000_000 // x.size)
     stats = np.empty(j)
     for start in range(0, j, chunk):
         idx = rng.integers(0, n, size=(min(chunk, j - start), n))
-        batch = batch_statistics(x[idx], config.mu0, config.sigma, gamma, (kind,))
+        dist = np.take(dist_x, idx) if kind == StatKind.T1 else None
+        batch = batch_statistics(np.take(x, idx, axis=0), config.mu0, config.sigma, gamma, (kind,), dist)
         stats[start : start + chunk] = batch[kind]
     crit = _quantile_with_se(stats, 1.0 - alpha)
     return _report(kind, value, crit, alpha, float(np.mean(stats > value)), seed)

@@ -210,22 +210,24 @@ def _forward_search_batch(
     mu0: NDArray[np.float64],
     sigma: SpdMatrix,
     gamma: float,
+    dist: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """Forward-search estimate per replication for a (reps, n, d) batch.
 
     Keeps the m = trim_count(n, gamma) rows nearest ``mu0``: all rows closer
-    than the m-th smallest distance t, then the earliest rows at t.  The kept
-    rows are copied and averaged in input order, so each replication has the
-    bits of ``x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)``.
+    than the m-th smallest distance t (``dist`` gives the rows' distances
+    where they are known), then the earliest rows at t.  Only the kept rows
+    are gathered, by index, and averaged in input order, so each replication
+    has the bits of ``x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)``.
     """
     reps, n, d = data.shape
     m = trim_count(n, gamma)
-    dist = mahalanobis_sq_many(data, mu0, sigma)
+    dist = mahalanobis_sq_many(data, mu0, sigma) if dist is None else dist
     t = np.partition(dist, m - 1, axis=1)[:, [m - 1]]
     keep = dist < t
     at = dist == t
     keep |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= m - keep.sum(axis=1, keepdims=True))
-    return data[keep].reshape(reps, m, d).mean(axis=1)
+    return np.take(data.reshape(-1, d), np.flatnonzero(keep), axis=0).reshape(reps, m, d).mean(axis=1)
 
 
 def batch_estimates(
@@ -234,12 +236,13 @@ def batch_estimates(
     mu0: NDArray[np.float64] | None = None,
     sigma: SpdMatrix | None = None,
     gamma: float | None = None,
+    dist: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
-    """Estimator values for a (reps, n, d) batch, shape (reps, d)."""
+    """Estimator values for a (reps, n, d) batch, shape (reps, d); t1 reads ``dist`` if given."""
     if kind == EstimatorKind.FORWARD_SEARCH:
         if mu0 is None or sigma is None or gamma is None:
             raise ValueError("forward search needs mu0, sigma and gamma")
-        return _forward_search_batch(data, mu0, sigma, gamma)
+        return _forward_search_batch(data, mu0, sigma, gamma, dist)
     if kind == EstimatorKind.MEAN:
         # numpy's pairwise sum depends on the memory layout; fix it to C order
         return np.ascontiguousarray(data).mean(axis=1)

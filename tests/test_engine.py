@@ -474,15 +474,30 @@ class TestBootstrap:
                 hits += 1
         assert hits >= 45
 
-    def test_blocked_draws_equal_one_draw(self, rng):
-        # j = 1201 at n = 1000, d = 4 spans three resample blocks of 500
-        data = rng.standard_normal((1000, 4))
-        mu0, sigma = np.full(4, 0.05), SpdMatrix.identity(4)
-        idx = stream_rng(8, "bootstrap", "t2").integers(0, 1000, size=(1201, 1000))
-        stats = batch_statistics(data[idx], mu0, sigma, 0.5, (StatKind.T2,))[StatKind.T2]
-        t0 = statistic(StatKind.T2, data, mu0)
+    @pytest.mark.parametrize(
+        "kind, n, d, general",
+        [
+            pytest.param(StatKind.T1, 1000, 4, False, id="t1"),
+            pytest.param(StatKind.T1, 1000, 4, True, id="t1-general-sigma"),
+            pytest.param(StatKind.T2, 1000, 4, False, id="t2"),
+            pytest.param(StatKind.T3, 1000, 4, False, id="t3"),
+            # the same n * d at a size where the Walsh sums stay cheap
+            pytest.param(StatKind.T4, 40, 100, False, id="t4"),
+        ],
+    )
+    def test_blocked_draws_equal_one_draw(self, rng, kind, n, d, general):
+        # j = 1201 at n * d = 4000 spans three resample blocks of 500; the
+        # report equals the statistics of the rows regathered as data[idx]
+        data = rng.standard_normal((n, d))
+        mu0, sigma = np.full(d, 0.05), SpdMatrix.identity(d)
+        if general:
+            a = rng.standard_normal((d, d))
+            mu0, sigma = np.linspace(-0.2, 0.3, d), SpdMatrix(a @ a.T / d + np.eye(d))
+        idx = stream_rng(8, "bootstrap", kind.value).integers(0, n, size=(1201, n))
+        stats = batch_statistics(data[idx], mu0, sigma, 0.5, (kind,))[kind]
+        t0 = statistic(kind, data, mu0, sigma)
         expected = (float(np.mean(stats > t0)), float(np.quantile(stats, 0.95)), t0)
-        report = bootstrap_report(StatKind.T2, data, mu0, sigma, j=1201, seed=8)
+        report = bootstrap_report(kind, data, mu0, sigma, j=1201, seed=8)
         assert (report.p_value, report.critical_value, report.value) == expected
 
     @pytest.mark.parametrize("kind", [StatKind.T3, StatKind.T4])

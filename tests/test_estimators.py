@@ -323,23 +323,47 @@ class TestForwardSearchOracle:
         st.integers(1, 4),
         st.sampled_from([0.01, 0.5, 1.0]),
         st.booleans(),
+        st.booleans(),
         st.data(),
     )
-    def test_batch_has_the_stable_selection_bits(self, reps, n, d, gamma, identity, draw):
+    def test_batch_has_the_stable_selection_bits(self, reps, n, d, gamma, identity, anchored, draw):
         # tenths of small integers (inexact, so the summation order shows),
         # rows repeated by index, and mirrored rows, which sit at the same
-        # distance from the zero anchor under any scatter
+        # distance from the zero anchor under any scatter; an anchor in
+        # tenths sends the distances through the subtraction
         base = draw.draw(arrays(np.int64, (reps, n, d), elements=st.integers(-3, 3), fill=st.nothing()))
         idx = draw.draw(arrays(np.int64, n, elements=st.integers(0, n - 1), fill=st.nothing()))
         sign = draw.draw(arrays(float, n, elements=st.sampled_from([-0.1, 0.1]), fill=st.nothing()))
         data = base[:, idx] * sign[:, None]
+        mu0 = np.zeros(d)
+        if anchored:
+            mu0 = 0.1 * draw.draw(arrays(np.int64, d, elements=st.integers(-3, 3), fill=st.nothing()))
         sigma = SpdMatrix.identity(d) if identity else SpdMatrix(np.eye(d) + 0.5)
-        config = ForwardSearchConfig(np.zeros(d), sigma, gamma)
+        config = ForwardSearchConfig(mu0, sigma, gamma)
         got = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, config.mu0, sigma, gamma)
         for r in range(reps):
             expect = stable_forward_search(data[r], config.mu0, sigma, gamma)
             assert same_bits(got[r], expect)
             assert same_bits(forward_search(data[r], config).value, expect)
+
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gathered_distances_have_the_batch_bits(self, identity, order):
+        # a resample block's distances, gathered from the C-ordered sample's,
+        # equal those computed on the block, and so give the same estimates
+        rng = np.random.default_rng(23)
+        for n, d in [(1, 1), (7, 1), (40, 3), (100, 4), (60, 17)]:
+            x = np.asarray(rng.standard_normal((n, d)) * 3.0, order=order)
+            mu0 = rng.integers(-3, 4, d) * 0.1
+            a = rng.standard_normal((d, d))
+            sigma = SpdMatrix.identity(d) if identity else SpdMatrix(a @ a.T / d + np.eye(d))
+            idx = rng.integers(0, n, size=(300, n))
+            dist = np.take(mahalanobis_sq_many(np.ascontiguousarray(x), mu0, sigma), idx)
+            assert same_bits(dist, mahalanobis_sq_many(x[idx], mu0, sigma))
+            data = np.take(x, idx, axis=0)
+            for gamma in (0.3, 0.5, 1.0):
+                got = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, gamma, dist)
+                assert same_bits(got, batch_estimates(EstimatorKind.FORWARD_SEARCH, x[idx], mu0, sigma, gamma))
 
 
 def test_hl_band_discards_only_beyond_the_middle():
