@@ -1,0 +1,83 @@
+"""Per-op times of one benchmark workload's cycle, in-process.
+
+    python3 scripts/op_times.py --workload paper_tables --seed 5 --cycles 20
+
+Runs ``--cycles`` cycles of the workload from ``benchmarks/workloads.py``
+(imported, not changed) through ``fstest.cli.main`` of the ``src/`` in the
+checkout this file sits in, after one untimed warm-up cycle, with one BLAS
+thread and ``FSTEST_THREADS`` unset, as ``benchmarks/run.py`` does.  Prints
+the median and minimum wall time of each op position of the cycle in
+measured milliseconds (no host-speed calibration), labelled by subcommand,
+and exits 1 if any op fails its workload check.  Copy it into another
+checkout to time that checkout the same way.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("FSTEST_THREADS", None)
+
+import argparse
+import json
+import statistics
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+from fstest import cli  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def time_op(op) -> tuple[float, list[str]]:
+    """Seconds one op takes, and the problems its workload check finds."""
+    op.out.unlink(missing_ok=True)
+    began = time.perf_counter()
+    code = cli.main(list(op.argv))
+    seconds = time.perf_counter() - began
+    problems = [] if code == 0 else [f"exit code {code}"]
+    if op.out.exists():
+        problems += op.check(json.loads(op.out.read_bytes()))
+    else:
+        problems.append("no output written")
+    return seconds, problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=10)
+    args = parser.parse_args(argv)
+    if args.cycles < 1:
+        parser.error("--cycles must be positive")
+
+    with tempfile.TemporaryDirectory() as workdir:
+        workload = WORKLOADS[args.workload](Path(workdir), args.seed)
+        workload.prepare()
+        labels = [op.argv[0] for op in workload.cycle(0)]
+        for op in workload.cycle(0):
+            time_op(op)
+        times: list[list[float]] = [[] for _ in labels]
+        failed = 0
+        for index in range(1, args.cycles + 1):
+            for position, op in enumerate(workload.cycle(index)):
+                seconds, problems = time_op(op)
+                times[position].append(seconds)
+                for problem in problems:
+                    failed += 1
+                    print(f"cycle {index} op {position} ({labels[position]}): {problem}", file=sys.stderr)
+
+    print(f"{args.workload} seed {args.seed}, {args.cycles} cycles, measured ms")
+    print(f"{'op':>3}  {'command':<14}{'median':>10}{'min':>10}")
+    for position, (label, ts) in enumerate(zip(labels, times)):
+        print(f"{position:>3}  {label:<14}{1000 * statistics.median(ts):>10.3f}{1000 * min(ts):>10.3f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

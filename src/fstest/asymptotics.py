@@ -348,9 +348,13 @@ def contiguous_power(
     ``mc_samples`` and ``seed`` are accepted and ignored: nothing is drawn.
     """
     delta = as_vector(delta, "delta")
+    return _limit_power(LimitLaw(kind, family, delta.size, gamma), delta, alpha)
+
+
+def _limit_power(law: LimitLaw, delta: NDArray[np.float64], alpha: float) -> float:
+    """:func:`contiguous_power` of a built law at the shift ``delta``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    law = LimitLaw(kind, family, delta.size, gamma)
     if math.isinf(law.scale):
         return 0.0
     from scipy import special
@@ -369,20 +373,22 @@ def local_power_rows(
     """Limiting power of all four statistics on a grid of equal-component shifts.
 
     One row per (family, component value c) with delta = c * (1, ..., 1),
-    each cell from :func:`contiguous_power`.  The powers are exact, so the
-    se columns, kept for the table layout, are 0.0.
+    each cell equal to :func:`contiguous_power` and computed from one law per
+    (family, kind).  The powers are exact, so the se columns, kept for the
+    table layout, are 0.0.
     """
     rows = []
     for family in families:
+        laws = {kind: LimitLaw(kind, family, d, gamma) for kind in StatKind}
         for comp in delta_components:
-            delta = np.full(d, float(comp))
+            delta = as_vector(np.full(d, float(comp)), "delta")
             row: dict = {
                 "family": family,
                 "delta_component": float(comp),
                 "delta_norm": float(np.linalg.norm(delta)),
             }
             for kind in StatKind:
-                row[kind.value] = contiguous_power(kind, family, delta, gamma=gamma, alpha=alpha)
+                row[kind.value] = _limit_power(laws[kind], delta, alpha)
                 row[f"{kind.value}_se"] = 0.0
             rows.append(row)
     return rows

@@ -354,19 +354,9 @@ def cmd_breakdown(args) -> int:
     for gamma in gammas:
         result = robustness.breakdown_experiment(gamma, n=args.n, d=args.d, seed=args.seed)
         results.append(result.to_json_dict())
-        for i, n_star in enumerate(result.corrupted_counts):
-            rows.append(
-                [
-                    gamma,
-                    result.n,
-                    result.d,
-                    n_star,
-                    result.fractions[i],
-                    result.broke[i],
-                    float(result.deviations[i, -1]),
-                    result.break_fraction,
-                ]
-            )
+        per_count = zip(result.corrupted_counts, result.fractions, result.broke, result.deviations[:, -1])
+        for n_star, fraction, broke, top in per_count:
+            rows.append([gamma, result.n, result.d, n_star, fraction, broke, float(top), result.break_fraction])
     _emit_rows(args, header, rows, {"results": results})
     return 0
 

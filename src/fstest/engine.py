@@ -210,15 +210,12 @@ def batch_statistics(
 ) -> dict[StatKind, NDArray[np.float64]]:
     """All requested statistics for a (reps, n, d) batch of datasets.
 
-    t1 takes the rows' (reps, n) distances from ``dist`` where they are known.
+    t1 takes the rows' (reps, n) distances from ``dist`` where they are known,
+    and t3 and t4 together sort the batch's columns once.
     """
-    reps, n, _ = data.shape
-    out: dict[StatKind, NDArray[np.float64]] = {}
-    for kind in kinds:
-        values = est.batch_estimates(kind.estimator, data, mu0, sigma, gamma, dist)
-        diff = values - mu0
-        out[kind] = n * np.einsum("ri,ri->r", diff, diff)
-    return out
+    values = est._batch_estimates_by_kind([k.estimator for k in kinds], data, mu0, sigma, gamma, dist)
+    diffs = {kind: values[kind.estimator] - mu0 for kind in kinds}
+    return {kind: data.shape[1] * np.einsum("ri,ri->r", v, v) for kind, v in diffs.items()}
 
 
 # ---------------------------------------------------------------------------

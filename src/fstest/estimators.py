@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -162,35 +163,35 @@ def _sorted_columns(data: NDArray[np.float64]) -> NDArray[np.float64]:
     return cols
 
 
-def _median_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Coordinate-wise median per replication for a (reps, n, d) batch.
+def _median_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float64]:
+    """Coordinate-wise median per replication from a batch's sorted columns
+    (``_sorted_columns``).
 
-    The middle of each sorted column, with np.median's bits (the leading
-    ``0.0 +`` as in ``_hodges_lehmann_batch``).
+    The middle of each column, with np.median's bits (the leading ``0.0 +``
+    as in ``_hodges_lehmann_batch``).
     """
-    reps, n, d = data.shape
-    cols, h = _sorted_columns(data), n // 2
+    n = cols.shape[1]
+    h = n // 2
     mid = 0.0 + cols[:, h] if n % 2 else (0.0 + cols[:, h - 1] + cols[:, h]) / 2
-    return mid.reshape(reps, d)
+    return mid.reshape(-1, d)
 
 
-def _hodges_lehmann_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Hodges-Lehmann per replication for a (reps, n, d) batch.
+def _hodges_lehmann_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float64]:
+    """Hodges-Lehmann per replication from a batch's sorted columns.
 
-    Blocks of sorted columns (``_sorted_columns``) get only the Walsh sums of
+    Blocks of the columns (``_sorted_columns``) get only the Walsh sums of
     their rank band (``_hl_band``, about 45% of the n(n+1)/2) and one in-place
     partition; scratch stays within _HL_BLOCK_FLOATS unless one column's band
     needs more.  Halving only the selected sums keeps np.median's bits, as
     x -> x/2 is monotone; the leading ``0.0 +`` mirrors np.median's mean,
     whose sum starts at +0.0 and so turns a -0.0 middle into +0.0.
     """
-    reps, n, d = data.shape
-    cols = _sorted_columns(data)
+    columns, n = cols.shape
     rows, band, k = _hl_band(n)
     chunk = max(1, _HL_BLOCK_FLOATS // band)
-    block = np.empty((min(chunk, reps * d), band))
-    out = np.empty(reps * d)
-    for start in range(0, reps * d, chunk):
+    block = np.empty((min(chunk, columns), band))
+    out = np.empty(columns)
+    for start in range(0, columns, chunk):
         c = cols[start : start + chunk]
         w = block[: len(c)]
         off = 0
@@ -202,7 +203,7 @@ def _hodges_lehmann_batch(data: NDArray[np.float64]) -> NDArray[np.float64]:
         if n * (n + 1) // 2 % 2 == 0:
             mid = (0.0 + 0.5 * w[:, :k].max(axis=1) + mid) / 2
         out[start : start + chunk] = mid
-    return out.reshape(reps, d)
+    return out.reshape(-1, d)
 
 
 def _forward_search_batch(
@@ -237,8 +238,10 @@ def batch_estimates(
     sigma: SpdMatrix | None = None,
     gamma: float | None = None,
     dist: NDArray[np.float64] | None = None,
+    cols: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
-    """Estimator values for a (reps, n, d) batch, shape (reps, d); t1 reads ``dist`` if given."""
+    """Estimator values for a (reps, n, d) batch, shape (reps, d); where given, t1
+    reads the rows' distances ``dist`` and t3 and t4 the ``_sorted_columns`` ``cols``."""
     if kind == EstimatorKind.FORWARD_SEARCH:
         if mu0 is None or sigma is None or gamma is None:
             raise ValueError("forward search needs mu0, sigma and gamma")
@@ -246,8 +249,28 @@ def batch_estimates(
     if kind == EstimatorKind.MEAN:
         # numpy's pairwise sum depends on the memory layout; fix it to C order
         return np.ascontiguousarray(data).mean(axis=1)
-    if kind == EstimatorKind.CW_MEDIAN:
-        return _median_batch(data)
-    if kind == EstimatorKind.HODGES_LEHMANN:
-        return _hodges_lehmann_batch(data)
+    if kind in (EstimatorKind.CW_MEDIAN, EstimatorKind.HODGES_LEHMANN):
+        select = _median_batch if kind == EstimatorKind.CW_MEDIAN else _hodges_lehmann_batch
+        return select(_sorted_columns(data) if cols is None else cols, data.shape[2])
     raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def _batch_estimates_by_kind(
+    kinds: Sequence[EstimatorKind],
+    data: NDArray[np.float64],
+    mu0: NDArray[np.float64] | None = None,
+    sigma: SpdMatrix | None = None,
+    gamma: float | None = None,
+    dist: NDArray[np.float64] | None = None,
+) -> dict[EstimatorKind, NDArray[np.float64]]:
+    """:func:`batch_estimates` of each kind.  t3 and t4 together share one sort
+    and run first, so the sorted copy is freed before the other kinds' scratch
+    is allocated: peak memory stays that of one HL call."""
+    pair = (EstimatorKind.CW_MEDIAN, EstimatorKind.HODGES_LEHMANN)
+    out = {}
+    if set(pair) <= set(kinds):
+        cols = _sorted_columns(data)
+        out = {kind: batch_estimates(kind, data, cols=cols) for kind in pair}
+        del cols
+    out |= {kind: batch_estimates(kind, data, mu0, sigma, gamma, dist) for kind in kinds if kind not in out}
+    return {kind: out[kind] for kind in kinds}

@@ -29,6 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import estimators as est
+from . import rng
 from .elliptical import standard_model
 from .engine import LimitLaw, StatKind, scatter_scale_constant
 from .estimators import EstimatorKind
@@ -110,8 +111,9 @@ def breakdown_experiment(
     exceeds top_magnitude / 100 and the last three rungs are strictly
     increasing.
 
-    Each count runs one forward-search batch, a replication per rung, with
-    the batch's tie rule: the pushed points, the first rows, tie with one
+    One forward-search batch holds a replication per (count, rung), built
+    in blocks of at most ``rng.SIMULATION_BLOCK_FLOATS`` entries, with the
+    batch's tie rule: the pushed points, the first rows, tie with one
     another and are kept before later rows at the same distance.
     """
     if len(magnitude_ladder) < 3:
@@ -120,21 +122,23 @@ def breakdown_experiment(
         raise ValueError("magnitude ladder must be strictly increasing")
     if n < 2:
         raise ValueError("n must be at least 2")
-    model = standard_model("gaussian", d)
-    rng = stream_rng(seed, "breakdown", repr(float(gamma)), n, d)
-    clean = model.sample(n, rng)
+    clean = standard_model("gaussian", d).sample(n, stream_rng(seed, "breakdown", repr(float(gamma)), n, d))
     params = (np.zeros(d), SpdMatrix.identity(d), gamma)
     reference = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, clean[None], *params)[0]
 
     counts = tuple(range(1, n))
-    deviations = np.empty((len(counts), len(magnitude_ladder)))
-    # one replication per rung; counts grow, so each pass overwrites one more row
-    rungs = np.array(magnitude_ladder, dtype=float)[:, None, None]
-    corrupted = np.repeat(clean[None], len(rungs), axis=0)
-    for i, n_star in enumerate(counts):
-        corrupted[:, :n_star] = rungs
-        shifted = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, corrupted, *params)
-        deviations[i] = [np.linalg.norm(row - reference) for row in shifted]
+    # replication i * rungs + j pushes the first counts[i] rows to rung j
+    pushed = np.repeat(np.array(counts), len(magnitude_ladder))[:, None]
+    rungs = np.tile(np.array(magnitude_ladder, dtype=float), len(counts))[:, None, None]
+    shifted = np.empty((len(rungs), d))
+    step = max(1, rng.SIMULATION_BLOCK_FLOATS // (n * d))
+    for lo in range(0, len(rungs), step):
+        rows = (pushed[lo : lo + step] > np.arange(n))[:, :, None]
+        block = np.where(rows, rungs[lo : lo + step], clean)
+        shifted[lo : lo + step] = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, block, *params)
+    diff = shifted - reference
+    # a stacked row product keeps np.linalg.norm's bits (its sqrt(dot(x, x)))
+    deviations = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]).reshape(len(counts), -1)
 
     a, b, c = deviations[:, -3:].T
     broke = tuple(bool(x) for x in (c > magnitude_ladder[-1] / 100.0) & (a < b) & (b < c))
@@ -173,9 +177,7 @@ def _estimates(
     kinds: tuple[EstimatorKind, ...], gamma: float, data: NDArray[np.float64]
 ) -> dict[EstimatorKind, NDArray[np.float64]]:
     d = data.shape[2]
-    mu0 = np.zeros(d)
-    sigma = SpdMatrix.identity(d)
-    return {kind: est.batch_estimates(kind, data, mu0, sigma, gamma) for kind in kinds}
+    return est._batch_estimates_by_kind(kinds, data, np.zeros(d), SpdMatrix.identity(d), gamma)
 
 
 def _replicated_estimates(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from fstest import asymptotics
 from fstest.asymptotics import (
     DEFAULT_D_GRID,
     EFFICIENCY_KEYS,
@@ -305,3 +306,34 @@ class TestLocalPowerRows:
     def test_cauchy_mean_column_zero(self):
         rows = local_power_rows(["cauchy"], [5.0], d=2)
         assert rows[0]["t2"] == 0.0
+
+    @pytest.mark.parametrize("d, gamma, alpha", [(4, 0.5, 0.05), (1, 0.3, 0.1), (7, 1.0, 0.01)])
+    def test_every_cell_is_the_contiguous_power(self, d, gamma, alpha):
+        families = ("cauchy", "gaussian", "light100")
+        components = (0.5, -0.5, 5.0, -5.0, 0.0, 1.25)
+        rows = local_power_rows(families, components, d=d, gamma=gamma, alpha=alpha)
+        assert [(r["family"], r["delta_component"]) for r in rows] == [
+            (f, c) for f in families for c in components
+        ]
+        for row in rows:
+            delta = np.full(d, row["delta_component"])
+            for kind in StatKind:
+                expect = contiguous_power(kind, row["family"], delta, gamma=gamma, alpha=alpha)
+                assert np.float64(row[kind.value]).view(np.int64) == np.float64(expect).view(np.int64)
+
+    def test_one_law_per_family_and_kind(self, monkeypatch):
+        built = []
+
+        def counting_law(*args, **kwargs):
+            built.append(args)
+            return LimitLaw(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "LimitLaw", counting_law)
+        # the table2 command's default grid: three families, four components
+        local_power_rows(("cauchy", "gaussian", "light100"), (0.5, -0.5, 5.0, -5.0))
+        assert len(built) == 12
+        assert len(set(built)) == 12
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            local_power_rows(["gaussian"], [0.5], d=2, alpha=1.0)

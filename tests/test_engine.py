@@ -1,4 +1,5 @@
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from fstest import engine
+from fstest import estimators as est
 from fstest.elliptical import (
     EllipticalModel,
     MixtureModel,
@@ -65,6 +67,48 @@ class TestStatistic:
         for kind in ALL_KINDS:
             expect = [statistic(kind, data[r], np.zeros(2), config.sigma, config.gamma) for r in range(6)]
             assert np.array_equal(got[kind], expect)
+
+    @pytest.mark.parametrize("kinds", [(StatKind.T3, StatKind.T4), (StatKind.T4, StatKind.T3), ALL_KINDS])
+    @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (7, 4), (40, 2), (30, 100)])
+    def test_median_and_hl_share_one_sort(self, kinds, n, d, rng, monkeypatch):
+        data = rng.standard_normal((5, n, d))
+        data[:, : n // 2] = np.round(data[:, : n // 2], 1)  # ties
+        args = (np.zeros(d), SpdMatrix.identity(d), 0.5)
+        single = {kind: batch_statistics(data, *args, (kind,))[kind] for kind in kinds}
+        sorts = []
+        sort = est._sorted_columns
+        monkeypatch.setattr(est, "_sorted_columns", lambda x: sorts.append(x.shape) or sort(x))
+        together = batch_statistics(data, *args, kinds)
+        assert sorts == [data.shape]
+        assert list(together) == list(kinds)
+        for kind in kinds:
+            assert np.array_equal(together[kind].view(np.int64), single[kind].view(np.int64))
+
+    def test_shared_sort_is_freed_before_the_other_kinds_run(self, rng, monkeypatch):
+        # a sorted copy alive during t1's scratch raised table3's peak RSS by 12%
+        data = rng.standard_normal((4, 9, 3))
+        copies, alive = [], {}
+        sort, batch = est._sorted_columns, est.batch_estimates
+
+        def sorting(x):
+            cols = sort(x)
+            copies.append(weakref.ref(cols))
+            return cols
+
+        def estimating(kind, *args, **kwargs):
+            alive[kind] = any(ref() is not None for ref in copies)
+            return batch(kind, *args, **kwargs)
+
+        monkeypatch.setattr(est, "_sorted_columns", sorting)
+        monkeypatch.setattr(est, "batch_estimates", estimating)
+        batch_statistics(data, np.zeros(3), SpdMatrix.identity(3), 0.5, ALL_KINDS)
+        assert len(copies) == 1
+        assert alive == {
+            StatKind.T1.estimator: False,
+            StatKind.T2.estimator: False,
+            StatKind.T3.estimator: True,
+            StatKind.T4.estimator: True,
+        }
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
     @pytest.mark.parametrize("d", [1, 2, 5])

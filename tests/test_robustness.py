@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from fstest import estimators as est
+from fstest import rng as rng_module
 from fstest.elliptical import standard_model
 from fstest.engine import LimitLaw, StatKind
 from fstest.estimators import EstimatorKind
@@ -59,6 +60,35 @@ def breakdown_by_loop(gamma, n, d, seed, ladder=DEFAULT_MAGNITUDE_LADDER):
     return deviations
 
 
+def breakdown_per_count(gamma, n, d, seed, ladder=DEFAULT_MAGNITUDE_LADDER):
+    """(deviations, broke, break_fraction) from one forward-search batch per count,
+    a replication per rung, and one np.linalg.norm per row."""
+    rng = stream_rng(seed, "breakdown", repr(float(gamma)), n, d)
+    clean = standard_model("gaussian", d).sample(n, rng)
+    params = (np.zeros(d), SpdMatrix.identity(d), gamma)
+    reference = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, clean[None], *params)[0]
+    deviations = np.empty((n - 1, len(ladder)))
+    rungs = np.array(ladder, dtype=float)[:, None, None]
+    corrupted = np.repeat(clean[None], len(rungs), axis=0)
+    for i, n_star in enumerate(range(1, n)):
+        corrupted[:, :n_star] = rungs
+        shifted = est.batch_estimates(EstimatorKind.FORWARD_SEARCH, corrupted, *params)
+        deviations[i] = [np.linalg.norm(row - reference) for row in shifted]
+    a, b, c = deviations[:, -3:].T
+    broke = tuple(bool(x) for x in (c > ladder[-1] / 100.0) & (a < b) & (b < c))
+    fraction = next((k / n for k, flag in zip(range(1, n), broke) if flag), None)
+    return deviations, broke, fraction
+
+
+def same_sweep(result, expect):
+    deviations, broke, fraction = expect
+    return (
+        np.array_equal(result.deviations.view(np.int64), deviations.view(np.int64))
+        and result.broke == broke
+        and result.break_fraction == fraction
+    )
+
+
 class TestBreakdown:
     @pytest.mark.parametrize("gamma, n, d, seed", [
         (0.5, 2, 1, 0), (1.0, 2, 1, 4), (1.0, 9, 3, 1), (0.3, 20, 4, 3), (0.7, 13, 2, 8), (0.01, 6, 5, 2),
@@ -67,6 +97,37 @@ class TestBreakdown:
         got = breakdown_experiment(gamma, n=n, d=d, seed=seed).deviations
         expect = breakdown_by_loop(gamma, n, d, seed)
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("n, d", [(20, 4), (7, 2), (30, 1), (12, 10)])
+    def test_one_batch_equals_a_batch_per_count(self, gamma, n, d):
+        for seed in range(3):
+            result = breakdown_experiment(gamma, n=n, d=d, seed=seed)
+            assert same_sweep(result, breakdown_per_count(gamma, n, d, seed)), seed
+
+    def test_blocks_stay_within_the_simulation_cap(self, monkeypatch):
+        n, d, cap = 20, 4, 7 * 20 * 4 + 5  # 7 replications a block, 190 in all
+        blocks = []
+        batch = est.batch_estimates
+
+        def recording(kind, data, *args):
+            blocks.append(data.shape)
+            return batch(kind, data, *args)
+
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", cap)
+        monkeypatch.setattr(est, "batch_estimates", recording)
+        result = breakdown_experiment(0.5, n=n, d=d, seed=3)
+        sweep = blocks[1:]  # the first call is the clean sample's estimate
+        assert len(sweep) >= 3
+        assert all(reps * rows * dim <= cap for reps, rows, dim in sweep)
+        assert sum(reps for reps, _, _ in sweep) == (n - 1) * len(DEFAULT_MAGNITUDE_LADDER)
+        monkeypatch.setattr(est, "batch_estimates", batch)
+        assert same_sweep(result, breakdown_per_count(0.5, n, d, 3))
+
+    def test_one_replication_a_block_when_a_sample_exceeds_the_cap(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 1)
+        result = breakdown_experiment(0.3, n=6, d=2, seed=4)
+        assert same_sweep(result, breakdown_per_count(0.3, 6, 2, 4))
 
     def test_break_exactly_where_trimming_saturates(self):
         # with m = floor(n * gamma) kept, the sweep survives while the far
