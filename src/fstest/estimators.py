@@ -122,6 +122,11 @@ def estimate(
 
 #: cap on the Walsh-sum block of one Hodges-Lehmann chunk, in floats (8 MB)
 _HL_BLOCK_FLOATS = 1_000_000
+#: batches of fewer columns, or of fewer values per column, skip the window
+#: pass (``_hl_window_pass``): the whole band was faster there at n = 64-100
+_HL_WINDOW_COLUMNS, _HL_WINDOW_N = 512, 64
+#: columns of the pilot that sets the window, and its margin in sums per band row
+_HL_PILOT, _HL_MARGIN = 64, 4
 
 
 @lru_cache(maxsize=32)
@@ -181,29 +186,87 @@ def _hodges_lehmann_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float
 
     Blocks of the columns (``_sorted_columns``) get only the Walsh sums of
     their rank band (``_hl_band``, about 45% of the n(n+1)/2) and one in-place
-    partition; scratch stays within _HL_BLOCK_FLOATS unless one column's band
+    partition.  In large batches only a pilot and the columns that fail the
+    window's check take the band, the rest ``_hl_window_pass``.  All passes
+    share one block of at most _HL_BLOCK_FLOATS unless one column's band
     needs more.  Halving only the selected sums keeps np.median's bits, as
     x -> x/2 is monotone; the leading ``0.0 +`` mirrors np.median's mean,
     whose sum starts at +0.0 and so turns a -0.0 middle into +0.0.
     """
     columns, n = cols.shape
-    rows, band, k = _hl_band(n)
-    chunk = max(1, _HL_BLOCK_FLOATS // band)
-    block = np.empty((min(chunk, columns), band))
+    band = _hl_band(n)[1]
+    block = np.empty(min(max(1, _HL_BLOCK_FLOATS // band), columns) * band)
     out = np.empty(columns)
-    for start in range(0, columns, chunk):
-        c = cols[start : start + chunk]
-        w = block[: len(c)]
+    pilot = columns if columns < _HL_WINDOW_COLUMNS or n < _HL_WINDOW_N else _HL_PILOT
+    _hl_band_pass(cols, np.arange(pilot), block, out)
+    if pilot < columns:
+        _hl_band_pass(cols, _hl_window_pass(cols, pilot, block, out), block, out)
+    return out.reshape(-1, d)
+
+
+def _hl_middle(w: NDArray[np.float64], k: int, even: bool) -> tuple:
+    """Partitions ``w``; each row's lower and upper middle sums and their halved mean."""
+    w.partition(k, axis=1)
+    upper = w[:, k].copy()
+    lower = w[:, :k].max(axis=1) if even else upper
+    mid = 0.0 + 0.5 * upper
+    return lower, upper, (0.0 + 0.5 * lower + mid) / 2 if even else mid
+
+
+def _hl_band_pass(cols, take, block, out) -> None:
+    """Sets ``out[take]`` from the rank band of the columns ``cols[take]``."""
+    n = cols.shape[1]
+    rows, band, k = _hl_band(n)
+    chunk = max(1, block.size // band)
+    for start in range(0, len(take), chunk):
+        at = take[start : start + chunk]
+        if at[-1] - at[0] == len(at) - 1:  # consecutive columns: a view, not a copy
+            at = slice(at[0], at[-1] + 1)
+        c = cols[at]
+        w = block[: len(c) * band].reshape(len(c), band)
         off = 0
         for i, lo, hi in rows:
             np.add(c[:, i : i + 1], c[:, lo:hi], out=w[:, off : off + hi - lo])
             off += hi - lo
-        w.partition(k, axis=1)
-        mid = 0.0 + 0.5 * w[:, k]
-        if n * (n + 1) // 2 % 2 == 0:
-            mid = (0.0 + 0.5 * w[:, :k].max(axis=1) + mid) / 2
-        out[start : start + chunk] = mid
-    return out.reshape(-1, d)
+        out[at] = _hl_middle(w, k, n * (n + 1) // 2 % 2 == 0)[2]
+
+
+def _hl_window_pass(cols, pilot, block, out) -> NDArray[np.intp]:
+    """Sets ``out`` for the columns past the first ``pilot``, whose middles
+    ``out`` already holds, from windows of the band rows; returns the
+    columns that fail the check.
+
+    Row i's window spans where that row crosses the pilot's middles, within
+    _HL_MARGIN.  Sums grow along a row, so once the sum just outside each
+    window lies on its side of a column's middles, no sum left out can move
+    them, and the window's order statistics at k less the sums before the
+    windows are the band's own.
+    """
+    columns, n = cols.shape
+    rows, _, k = _hl_band(n)
+    even = n * (n + 1) // 2 % 2 == 0
+    ii, lo, hi = np.array(rows).T
+    cross = np.clip([np.searchsorted(c, 2 * m - c[ii]) for c, m in zip(cols[:pilot], out[:pilot])], lo, hi)
+    a = np.maximum(cross.min(axis=0) - _HL_MARGIN, lo)
+    b = np.minimum(cross.max(axis=0) + _HL_MARGIN + 1, hi)
+    kk, size = k - int(np.sum(a - lo)), int(np.sum(b - a))
+    # sum i + j at each position: the windows, then the sums just before and just after them
+    left, right = a > lo, b < hi
+    i = np.concatenate([np.repeat(ii, b - a), ii[left], ii[right]])
+    j = np.concatenate([np.arange(size) + np.repeat(b - np.cumsum(b - a), b - a), a[left] - 1, b[right]])
+    after = size + int(np.sum(left))
+    if not even <= kk < size or 2 * len(i) > block.size:  # no middle inside, or no room
+        return np.arange(pilot, columns)
+    ok = np.ones(columns, dtype=bool)
+    chunk = max(1, block.size // (2 * len(i)))
+    for start in range(pilot, columns, chunk):
+        c = cols[start : start + chunk]
+        w, t = block[: 2 * len(c) * len(i)].reshape(2, len(c), len(i))
+        np.add(np.take(c, j, axis=1, out=w, mode="clip"), np.take(c, i, axis=1, out=t, mode="clip"), out=w)
+        lower, upper, out[start : start + chunk] = _hl_middle(w[:, :size], kk, even)
+        ok[start : start + chunk] = w[:, size:after].max(axis=1, initial=-np.inf) <= lower
+        ok[start : start + chunk] &= w[:, after:].min(axis=1, initial=np.inf) >= upper
+    return np.flatnonzero(~ok)
 
 
 def _forward_search_batch(
@@ -228,7 +291,11 @@ def _forward_search_batch(
     keep = dist < t
     at = dist == t
     keep |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= m - keep.sum(axis=1, keepdims=True))
-    return np.take(data.reshape(-1, d), np.flatnonzero(keep), axis=0).reshape(reps, m, d).mean(axis=1)
+    rows, idx = data.reshape(-1, d), np.flatnonzero(keep)
+    if d == 1:  # numpy sums a contiguous axis pairwise
+        return np.take(rows, idx, axis=0).reshape(reps, m, d).mean(axis=1)
+    # for d > 1 it sums axis 1 row by row, as it sums axis 0 of this gather, with a longer inner loop
+    return np.take(rows, idx.reshape(reps, m).T.ravel(), axis=0).reshape(m, reps, d).mean(axis=0)
 
 
 def batch_estimates(

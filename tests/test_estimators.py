@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fstest import estimators
+from fstest.elliptical import EllipticalModel, MixtureModel, standard_model
 from fstest.estimators import (
     _HL_BLOCK_FLOATS,
     _hl_band,
+    _sorted_columns,
     Estimate,
     EstimatorKind,
     ForwardSearchConfig,
@@ -17,7 +22,7 @@ from fstest.estimators import (
     hodges_lehmann,
     sample_mean,
 )
-from fstest.linalg import DimensionMismatch, SpdMatrix, mahalanobis_sq_many
+from fstest.linalg import DimensionMismatch, SpdMatrix, mahalanobis_sq_many, trim_count
 
 finite_rows = arrays(
     float,
@@ -391,6 +396,125 @@ def test_hl_band_discards_only_beyond_the_middle():
             assert np.all(sums[below] <= ordered[(size - 1) // 2])
             assert np.all(sums[above] >= ordered[size // 2])
             assert np.sort(sums[~below & ~above])[k] == ordered[size // 2]
+
+
+def mixture_batch(family, beta, reps, n, d, seed):
+    """A (reps, n, d) batch of the family's mixture with a shift of 5 per coordinate."""
+    null = standard_model(family, d)
+    model = MixtureModel(beta, null, EllipticalModel(null.generator, d, mu=np.full(d, 5.0)))
+    buffers = model.buffers(reps, n)
+    model.draw(np.random.default_rng(seed), *buffers)
+    return model.finish(*buffers)
+
+
+def walsh_medians(data):
+    return np.stack([hl_bruteforce(x) for x in data])
+
+
+class TestWindowedHodgesLehmann:
+    """Large batches select inside a window of the band, checked column by
+    column; the Walsh median over all pairwise averages is the oracle."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The columns each band pass and window pass was given, in call order."""
+        calls = []
+        band, window = estimators._hl_band_pass, estimators._hl_window_pass
+
+        def band_pass(cols, take, block, out):
+            calls.append(("band", len(take)))
+            band(cols, take, block, out)
+
+        def window_pass(cols, pilot, block, out):
+            calls.append(("window", len(cols) - pilot))
+            return window(cols, pilot, block, out)
+
+        monkeypatch.setattr(estimators, "_hl_band_pass", band_pass)
+        monkeypatch.setattr(estimators, "_hl_window_pass", window_pass)
+        return calls
+
+    def assert_exact(self, data):
+        got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+        expect = walsh_medians(data)
+        assert same_bits(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+    @pytest.mark.parametrize("beta", (0.0, 0.2, 0.5))
+    @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
+    def test_exact_on_nulls_and_mixtures(self, family, beta, passes):
+        self.assert_exact(mixture_batch(family, beta, 150, 100, 4, seed=int(100 * beta) + len(family)))
+        assert passes[:2] == [("band", estimators._HL_PILOT), ("window", 600 - estimators._HL_PILOT)]
+
+    @pytest.mark.parametrize("n", (100, 101))
+    def test_exact_at_even_and_odd_counts_and_on_ties(self, n, rng, passes):
+        # n = 100 gives an even number of Walsh sums and n = 101 an odd one;
+        # the tied batch holds zeros of both signs
+        assert (n * (n + 1) // 2) % 2 == (n == 101)
+        self.assert_exact(rng.standard_normal((130, n, 4)))
+        self.assert_exact(rng.integers(-3, 4, (130, n, 4)) * -1e-300)
+        assert [p for p, _ in passes].count("window") == 2
+
+    def test_exact_across_many_scratch_chunks(self, rng, monkeypatch, passes):
+        # a block of 60,000 floats holds 26 band columns and about 20 window columns
+        monkeypatch.setattr(estimators, "_HL_BLOCK_FLOATS", 60_000)
+        assert 600 > 20 * (60_000 // _hl_band(100)[1])
+        self.assert_exact(mixture_batch("gaussian", 0.2, 150, 100, 4, seed=3))
+        self.assert_exact(rng.integers(-3, 4, (150, 101, 4)) * -1e-300)
+        assert [p for p, _ in passes].count("window") == 2
+
+    def test_a_window_wider_than_the_block_falls_back(self, rng, monkeypatch, passes):
+        # a block of one band column cannot hold a window column and its gather
+        monkeypatch.setattr(estimators, "_HL_BLOCK_FLOATS", 1)
+        self.assert_exact(rng.standard_normal((130, 100, 4)))
+        assert passes == [("band", 64), ("window", 456), ("band", 456)]
+
+    def test_columns_unlike_the_pilot_fall_back_and_stay_exact(self, rng, passes):
+        # the pilot's 64 columns are gaussian, every later one is exp(3z)
+        data = rng.standard_normal((160, 100, 4))
+        data[16:] = np.exp(3 * data[16:])
+        self.assert_exact(data)
+        assert passes == [("band", 64), ("window", 576), ("band", 576)]
+
+    def test_batches_below_the_thresholds_take_the_whole_band(self, rng, passes):
+        columns, n = estimators._HL_WINDOW_COLUMNS, estimators._HL_WINDOW_N
+        self.assert_exact(rng.standard_normal((columns - 1, 100, 1)))
+        self.assert_exact(rng.standard_normal((columns // 4, n - 1, 4)))
+        assert passes == [("band", columns - 1), ("band", columns)]
+        passes.clear()
+        self.assert_exact(rng.standard_normal((columns, n, 1)))
+        assert [p for p, _ in passes] == ["band", "window", "band"]
+
+    def test_few_gaussian_columns_fall_back(self, passes):
+        # the window pays only while the band pass after it stays small
+        data = mixture_batch("gaussian", 0.0, 2000, 100, 4, seed=19)
+        batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+        (_, pilot), (_, rest), (_, failed) = passes
+        assert pilot + rest == 8000 and failed <= 0.05 * rest
+
+    def test_scratch_stays_one_block_plus_per_column_arrays(self):
+        cols = _sorted_columns(np.random.default_rng(23).standard_normal((2000, 100, 4)))
+        tracemalloc.start()
+        try:
+            estimators._hodges_lehmann_batch(cols, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _HL_BLOCK_FLOATS + 64 * len(cols)
+
+
+@pytest.mark.parametrize("d", (1, 2, 4, 100))
+@pytest.mark.parametrize("gamma", (7 / 11, 8 / 11))
+def test_kept_row_mean_has_the_strided_mean_bits(d, gamma, rng):
+    # t1 sums its m = 7 or 8 kept rows of 11 in a transposed gather for d > 1;
+    # zeros of both signs and mixed magnitudes probe the order of the sums
+    m, mu0, sigma = trim_count(11, gamma), np.zeros(d), SpdMatrix.identity(d)
+    for reps in (1, 300):
+        data = rng.standard_normal((reps, 11, d)) * rng.choice([1e-3, 1.0, 1e3], (reps, 11, d))
+        data[rng.random(data.shape) < 0.2] = -0.0
+        dist = mahalanobis_sq_many(data, mu0, sigma)
+        idx = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :m], axis=1) + 11 * np.arange(reps)[:, None]
+        expect = data.reshape(-1, d)[idx.ravel()].reshape(reps, m, d).mean(axis=1)
+        assert same_bits(batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, gamma), expect)
 
 
 class TestEstimateRecord:
