@@ -8,8 +8,8 @@ once on the parent commit and once on the working tree, the parent first
 when i is even.  The parent runs from a ``git archive`` export in a
 temporary directory, removed afterwards (``--workdir`` names one that
 is kept), so the repository's own ``.git`` is not touched.  Writes ``BENCH_<pr>.json``: every pair's
-end-to-end metrics and output sha256, each side's median and quartiles per
-metric, and the manifest of the working tree's last run.  That manifest's
+end-to-end metrics and output sha256, each side's median, quartiles, min and
+max per metric, and the manifest of the working tree's last run.  That manifest's
 ``git_commit`` is the working tree's HEAD, so ``change_tree`` records
 whether the tree had uncommitted edits (``git status --porcelain``) and the
 sha256 of ``git diff HEAD``.
@@ -70,8 +70,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+    low, q1, median, q3, high = np.percentile(values, [0, 25, 50, 75, 100])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "min": float(low), "max": float(high)}
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:

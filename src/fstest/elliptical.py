@@ -309,7 +309,11 @@ class EllipticalModel:
         if sigma.d != self.d:
             raise DimensionMismatch("sigma dimension disagrees with d")
         self.sigma = sigma
-        self.log_k = _log_norm_const(generator.tag, self.d)
+
+    @property
+    def log_k(self) -> float:
+        # on first use: the cauchy constant loads scipy.special, which sampling never reads
+        return _log_norm_const(self.generator.tag, self.d)
 
     @property
     def family(self) -> str:

@@ -23,6 +23,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
+from . import rng
 from .elliptical import (
     GAUSSIAN,
     DivergentIntegral,
@@ -532,17 +533,17 @@ def bootstrap_report(
     if j < 1:
         raise ValueError("j must be positive")
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
-    rng = stream_rng(seed, "bootstrap", kind.value)
+    stream = stream_rng(seed, "bootstrap", kind.value)
     n = x.shape[0]
     # t1 gathers the sample's distances: a C-ordered row's does not depend on its batch
     dist_x = mahalanobis_sq_many(np.ascontiguousarray(x), config.mu0, config.sigma)
     # chunk resamples to bound the index, distance and gathered blocks (t1
     # copies only its m kept rows, HL bounds its own scratch); block-wise draws
     # equal one (j, n) draw, because PCG64 keeps the spare half of a 64-bit output
-    chunk = max(1, 2_000_000 // x.size)
+    chunk = max(1, rng.SIMULATION_BLOCK_FLOATS // x.size)
     stats = np.empty(j)
     for start in range(0, j, chunk):
-        idx = rng.integers(0, n, size=(min(chunk, j - start), n))
+        idx = stream.integers(0, n, size=(min(chunk, j - start), n))
         dist = np.take(dist_x, idx) if kind == StatKind.T1 else None
         batch = batch_statistics(np.take(x, idx, axis=0), config.mu0, config.sigma, gamma, (kind,), dist)
         stats[start : start + chunk] = batch[kind]

@@ -131,8 +131,8 @@ def replication_slices(reps: int, workers: int | None = None) -> list[slice]:
     return [slice(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
 
 
-#: float64 entries of simulated data one batch may hold (32 MB)
-SIMULATION_BLOCK_FLOATS = 4_000_000
+#: float64 entries of simulated data one batch may hold (8 MB)
+SIMULATION_BLOCK_FLOATS = 1_000_000
 
 
 def simulate(sampler, reduce: Callable, path: Sequence, n: int, reps: int, seed: int) -> dict:

@@ -493,6 +493,29 @@ print(json.dumps([loaded, json.loads(out.getvalue())["critical_value"]]))
         scale = engine.LimitLaw(StatKind.T1, "gaussian", 400, 0.5).scale
         assert crit == pytest.approx(scale * special.chdtri(400, 0.05), rel=1e-12, abs=0)
 
+    def test_simulation_commands_import_no_scipy(self):
+        # a model's normalizing constant (scipy.special's betaln for the cauchy)
+        # is computed on first use, and simulating never uses it; table2 does
+        script = f"""
+import contextlib, io, json, sys
+import fstest.cli
+small = ["--reps", "20", "--null-reps", "100", "--n", "10", "--d", "2", "--beta-grid", "0,0.5"]
+calls = [["power-table", "--family", family, *small] for family in ("gaussian", "cauchy", "light100")]
+calls += [["test", "--data", {str(DATA)!r}, "--family", "cauchy", *extra]
+          for extra in (["--calibration", "empirical", "--null-reps", "100"], ["--j", "100"])]
+calls += [["table3", "--family", "cauchy", "--reps", "5", "--n-grid", "10", "--d-grid", "2", "--bootstrap", "2"],
+          ["breakdown"], ["table2"]]
+loaded = []
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fstest.cli.main([*argv, "--seed", "1"]) == 0
+    loaded.append(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
+print(json.dumps(loaded))
+"""
+        *simulations, table2 = json.loads(_run_script(script))
+        assert simulations == [[]] * 7
+        assert "scipy.special" in table2
+
     def test_table2_leaves_scipy_stats_unloaded(self):
         # the exact local power needs scipy.special only; scipy.stats costs ~1 s to import
         script = """

@@ -10,6 +10,7 @@ from scipy import special, stats
 
 from fstest import engine
 from fstest import estimators as est
+from fstest import rng as rng_module
 from fstest.elliptical import (
     EllipticalModel,
     MixtureModel,
@@ -34,7 +35,7 @@ from fstest.engine import (
     weighted_chisq_sample,
 )
 from fstest.estimators import ForwardSearchConfig
-from fstest.linalg import SpdMatrix
+from fstest.linalg import SpdMatrix, mahalanobis_sq_many
 from fstest.rng import stream_rng
 
 
@@ -530,7 +531,7 @@ class TestBootstrap:
         ],
     )
     def test_blocked_draws_equal_one_draw(self, rng, kind, n, d, general):
-        # j = 1201 at n * d = 4000 spans three resample blocks of 500; the
+        # j = 1201 at n * d = 4000 spans five resample blocks of 250; the
         # report equals the statistics of the rows regathered as data[idx]
         data = rng.standard_normal((n, d))
         mu0, sigma = np.full(d, 0.05), SpdMatrix.identity(d)
@@ -543,6 +544,50 @@ class TestBootstrap:
         expected = (float(np.mean(stats > t0)), float(np.quantile(stats, 0.95)), t0)
         report = bootstrap_report(kind, data, mu0, sigma, j=1201, seed=8)
         assert (report.p_value, report.critical_value, report.value) == expected
+
+    def test_resample_blocks_share_the_simulation_cap(self, monkeypatch, rng):
+        # a block holds rng.SIMULATION_BLOCK_FLOATS entries: j = 2,000 at
+        # n * d = 400 is one block, and a quarter of that in entries makes four
+        data = rng.standard_normal((100, 4))
+        mu0, sigma = np.zeros(4), SpdMatrix.identity(4)
+        sizes = []
+
+        def spy(batch, *args):
+            sizes.append(len(batch))
+            return batch_statistics(batch, *args)
+
+        monkeypatch.setattr(engine, "batch_statistics", spy)
+        one = bootstrap_report(StatKind.T2, data, mu0, sigma, j=2000, seed=3)
+        # the observed statistic is a batch of one, then come the resamples
+        assert sizes == [1, 2000]
+        sizes.clear()
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 500 * 400)
+        assert bootstrap_report(StatKind.T2, data, mu0, sigma, j=2000, seed=3) == one
+        assert sizes == [1, 500, 500, 500, 500]
+
+    def test_t1_resamples_get_their_rows_own_distances(self, monkeypatch):
+        # the sample's distances come from a C-ordered copy; on this Fortran-ordered
+        # sample, computing them in place would change 7 of 40 in the last bit
+        gen = np.random.default_rng(0)
+        x = np.asfortranarray(gen.standard_normal((40, 4)) * 3.0)
+        mu0, sigma = gen.integers(-3, 4, 4) * 0.1, SpdMatrix.identity(4)
+        in_place = mahalanobis_sq_many(x, mu0, sigma)
+        copied = mahalanobis_sq_many(np.ascontiguousarray(x), mu0, sigma)
+        assert not np.array_equal(in_place.view(np.int64), copied.view(np.int64))
+        seen = []
+        forward_search_batch = est._forward_search_batch
+
+        def spy(data, mu0, sigma, gamma, dist=None):
+            seen.append((data, mu0, sigma, dist))
+            return forward_search_batch(data, mu0, sigma, gamma, dist)
+
+        monkeypatch.setattr(est, "_forward_search_batch", spy)
+        bootstrap_report(StatKind.T1, x, mu0, sigma, j=300, seed=5)
+        gathered = [(data, m, s, dist) for data, m, s, dist in seen if dist is not None]
+        assert len(gathered) == 1
+        data, m, s, dist = gathered[0]
+        assert dist.shape == (300, 40)
+        assert np.array_equal(dist.view(np.int64), mahalanobis_sq_many(data, m, s).view(np.int64))
 
     @pytest.mark.parametrize("kind", [StatKind.T3, StatKind.T4])
     def test_a_resample_that_permutes_the_data_ties(self, kind):
