@@ -99,7 +99,7 @@ class DensityGenerator:
         return -math.inf
 
     def draw(self, d: int, rng: np.random.Generator, z: NDArray, aux: NDArray) -> None:
-        """One replication's raw variates into its block rows z (n, d) and aux (n,)."""
+        """Raw variates into z (..., n, d) and aux (..., n), one call per variate."""
         raise NotImplementedError
 
     def finish(self, d: int, z: NDArray, aux: NDArray) -> None:
@@ -407,34 +407,20 @@ class MixtureModel:
         return (*self.null_component.buffers(reps, n), np.empty((reps, n)))
 
     def draw(self, rng: np.random.Generator, z: NDArray, aux: NDArray, u: NDArray) -> None:
-        """u, then the k shifted rows into z[:k], then the null rows into z[k:]."""
+        """u, then every row as the null component draws it: the components differ in location only."""
         rng.random(out=u)
-        k = np.count_nonzero(u < self.beta)
-        self.shifted_component.draw(rng, z[:k], aux[:k])
-        self.null_component.draw(rng, z[k:], aux[k:])
+        self.null_component.draw(rng, z, aux)
 
     def finish(self, z: NDArray, aux: NDArray, u: NDArray) -> NDArray[np.float64]:
-        """Moves each drawn row to the position of its u entry, then locates it."""
-        shifted = u < self.beta
-        counts = np.count_nonzero(shifted, axis=1)
+        """Scatters every row, then adds the shifted location where u < beta, else the null one."""
         null = self.null_component
         null.generator.finish(self.d, z, aux)
         if not null.sigma.is_identity:
-            # a row's product depends on the rows multiplied with it: one product per component
-            factor = null.sigma.cholesky_factor.T
-            for zi, k in zip(z, counts.tolist()):
-                zi[:k] = zi[:k] @ factor
-                zi[k:] = zi[k:] @ factor
-        # position p takes shifted row c - 1, or null row k + p - c, where c counts the
-        # shifted positions up to p: each component's rows keep their draw order
-        reps, n, d = z.shape
-        c = np.cumsum(shifted, axis=1)
-        source = np.where(shifted, c - 1, counts[:, None] + np.arange(n) - c)
-        out = np.take(z.reshape(-1, d), source + n * np.arange(reps)[:, None], axis=0)
-        # z, now gathered, takes each position's location
-        locations = np.stack([null.mu, self.shifted_component.mu])
-        out += np.take(locations, shifted.astype(np.intp), axis=0, out=z, mode="clip")
-        return out
+            z = z @ null.sigma.cholesky_factor.T
+        shifted = (u < self.beta)[..., None]
+        np.add(z, self.shifted_component.mu, out=z, where=shifted)
+        np.add(z, null.mu, out=z, where=~shifted)
+        return z
 
 
 def sample_mixture(mixture: MixtureModel, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
@@ -445,7 +431,7 @@ def sample_mixture(mixture: MixtureModel, n: int, rng: np.random.Generator) -> N
 def _sample_one(sampler, n: int, rng: np.random.Generator) -> NDArray[np.float64]:
     """One replication of a :func:`fstest.rng.simulate` sampler: draw, then finish a block of one."""
     buffers = sampler.buffers(1, n)
-    sampler.draw(rng, *(b[0] for b in buffers))
+    sampler.draw(rng, *buffers)
     return sampler.finish(*buffers)[0]
 
 

@@ -487,9 +487,9 @@ def power_table(
     For each family the null distribution of every statistic is simulated
     once (``null_reps`` replications) to fix critical values, then ``reps``
     mixture datasets per beta are tested.  The contaminating component is
-    the family shifted by ``shift_scale`` in every coordinate.  All streams
-    are derived per replication, so the result is independent of worker
-    count.
+    the family shifted by ``shift_scale`` in every coordinate.  Streams
+    belong to blocks of replications (:func:`fstest.rng.simulate`), so the
+    result is independent of worker count.
     """
     kinds = tuple(StatKind(k) for k in kinds)
     mu0 = np.zeros(d)

@@ -161,10 +161,11 @@ class TestOffsets:
         assert np.array_equal(together[StatKind.T2].values, alone.values)
 
     def test_follows_documented_stream_path(self):
-        # replication r draws its null sample from ("offsets", family, r)
+        # the 12 replications form stream block 0 and draw their null samples at once
+        # from ("offsets", family, "block", 0)
         spec = ContiguousSpec(np.array([0.7, -0.4]), "cauchy", n=25)
         model = standard_model("cauchy", 2)
-        data = np.stack([model.sample(25, stream_rng(3, "offsets", "cauchy", r)) for r in range(12)])
+        data = model.sample(12 * 25, stream_rng(3, "offsets", "cauchy", "block", 0)).reshape(12, 25, 2)
         scores = model.location_score(data.reshape(-1, 2)).reshape(data.shape)
         gradients = np.einsum("rnj,j->r", scores, spec.delta)
         result = estimate_all_offsets(spec, (StatKind.T1, StatKind.T4), reps=12, seed=3)

@@ -323,6 +323,20 @@ class TestMixture:
         shifted = np.sum(x[:, 0] > 2.5) / x.shape[0]
         assert shifted == pytest.approx(0.3, abs=0.02)
 
+    def test_block_draw_picks_components_by_u(self):
+        # one block of 64 replications: the shifted share is beta within 4 binomial SE,
+        # and each component's rows centre on its location under the shared scatter
+        beta, mixture = 0.3, _sampler("gaussian", 0.3, scatter=True)
+        z, aux, u = mixture.buffers(64, 100)
+        mixture.draw(np.random.default_rng(4), z, aux, u)
+        shifted = u < beta
+        x = mixture.finish(z, aux, u)
+        assert abs(shifted.mean() - beta) <= 4 * math.sqrt(beta * (1 - beta) / u.size)
+        sd = np.sqrt(np.diag(_SCATTER.entries))
+        for rows, component in ((shifted, mixture.shifted_component), (~shifted, mixture.null_component)):
+            k = np.count_nonzero(rows)
+            assert np.all(np.abs(x[rows].mean(axis=0) - component.mu) <= 4 * sd / math.sqrt(k))
+
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             self.make(1.5)
@@ -342,41 +356,38 @@ class TestMixture:
 # bit identity of the block samplers against the one-replication formulas
 # ---------------------------------------------------------------------------
 
-def _oracle_standard(family, d, n, rng):
-    """One replication of the standard member, formula by formula as sampled
-    before draws and transforms were split."""
+def _oracle_standard(family, d, shape, rng):
+    """Draws of shape (*shape, d) from the standard member, formula by formula, one
+    numpy call per variate as sampled before draws and transforms were split."""
     if family == "gaussian":
-        return rng.standard_normal((n, d))
+        return rng.standard_normal((*shape, d))
     if family == "cauchy":
-        z = rng.standard_normal((n, d))
-        return z / np.sqrt(rng.chisquare(1, size=n))[:, None]
-    r_sq = np.power(rng.gamma(d / 200, size=n), 1.0 / 100)
-    z = rng.standard_normal((n, d))
-    return np.sqrt(r_sq)[:, None] * (z / np.linalg.norm(z, axis=1, keepdims=True))
+        z = rng.standard_normal((*shape, d))
+        return z / np.sqrt(rng.chisquare(1, size=shape))[..., None]
+    r_sq = np.power(rng.gamma(d / 200, size=shape), 1.0 / 100)
+    z = rng.standard_normal((*shape, d))
+    return np.sqrt(r_sq)[..., None] * (z / np.linalg.norm(z, axis=-1, keepdims=True))
 
 
-def _oracle_model(model, n, rng):
-    z = _oracle_standard(model.family, model.d, n, rng)
-    if not model.sigma.is_identity:
-        z = z @ model.sigma.cholesky_factor.T
-    return z + model.mu
+def _scatter(model, z):
+    return z if model.sigma.is_identity else z @ model.sigma.cholesky_factor.T
 
 
-def _oracle_mixture(mixture, n, rng):
-    take = rng.random(n) < mixture.beta
-    k = int(take.sum())
-    out = np.empty((n, mixture.null_component.d))
-    if k:
-        out[take] = _oracle_model(mixture.shifted_component, k, rng)
-    if n - k:
-        out[~take] = _oracle_model(mixture.null_component, n - k, rng)
-    return out
+def _oracle_model(model, shape, rng):
+    return _scatter(model, _oracle_standard(model.family, model.d, shape, rng)) + model.mu
 
 
-def _oracle(sampler, n, rng):
+def _oracle_mixture(mixture, shape, rng):
+    take = rng.random(shape) < mixture.beta
+    null, shifted = mixture.null_component, mixture.shifted_component
+    z = _scatter(null, _oracle_standard(null.family, null.d, shape, rng))
+    return z + np.where(take[..., None], shifted.mu, null.mu)
+
+
+def _oracle(sampler, shape, rng):
     if isinstance(sampler, MixtureModel):
-        return _oracle_mixture(sampler, n, rng)
-    return _oracle_model(sampler, n, rng)
+        return _oracle_mixture(sampler, shape, rng)
+    return _oracle_model(sampler, shape, rng)
 
 
 def _keep(data):
@@ -410,21 +421,23 @@ SAMPLERS = [
 
 
 class TestBlockSamplers:
-    """simulate's draw-then-finish-per-block against the one-replication formulas."""
+    """simulate's draw-then-finish per stream block against the formulas."""
 
     PATH = ("power", "oracle")
 
     def reference(self, sampler, n, reps, seed=5):
-        return np.stack(
-            [_oracle(sampler, n, stream_rng(seed, *self.PATH, r)) for r in reps]
-        ).reshape(len(reps), n, sampler.d)
+        """Stream block k: replications 64k.. drawn at once from (seed, *PATH, "block", k)."""
+        return np.concatenate([
+            _oracle(sampler, (min(64, reps - first), n), stream_rng(seed, *self.PATH, "block", first // 64))
+            for first in range(0, reps, 64)
+        ])
 
     @pytest.mark.parametrize("family, beta, scatter", SAMPLERS)
     def test_simulate_equals_oracle(self, family, beta, scatter):
         sampler = _sampler(family, beta, scatter)
-        got = simulate(sampler, _keep, self.PATH, 17, 30, 5)["data"]
+        got = simulate(sampler, _keep, self.PATH, 17, 70, 5)["data"]
         assert got.flags.c_contiguous
-        assert np.array_equal(_bits(got), _bits(self.reference(sampler, 17, range(30))))
+        assert np.array_equal(_bits(got), _bits(self.reference(sampler, 17, 70)))
 
     @pytest.mark.parametrize("family, beta, scatter", SAMPLERS)
     def test_single_sample_equals_oracle(self, family, beta, scatter):
@@ -432,21 +445,24 @@ class TestBlockSamplers:
         sample = sampler.sample if beta is None else lambda n, rng: sample_mixture(sampler, n, rng)
         for n in (0, 1, 25):
             got = sample(n, np.random.default_rng(n))
-            assert np.array_equal(_bits(got), _bits(_oracle(sampler, n, np.random.default_rng(n))))
+            assert np.array_equal(_bits(got), _bits(_oracle(sampler, (n,), np.random.default_rng(n))))
 
     @pytest.mark.parametrize("family", FAMILY_TAGS)
     def test_across_block_bounds_and_workers(self, monkeypatch, family):
         sampler = _sampler(family, 0.3, scatter=True)
-        want = self.reference(sampler, 11, range(25))
-        # four replications per block, then two worker slices of 13 and 12
-        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 4 * 11 * 3)
-        got = simulate(sampler, _keep, self.PATH, 11, 25, 5)["data"]
-        assert np.array_equal(_bits(got), _bits(want))
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setenv("FSTEST_THREADS", "2")
-        assert len(replication_slices(25)) == 2
-        got = simulate(sampler, _keep, self.PATH, 11, 25, 5)["data"]
-        assert np.array_equal(_bits(got), _bits(want))
+        for reps in (25, 129, 200):
+            want = self.reference(sampler, 11, reps)
+            # batches of one stream block, then worker slices of whole stream blocks
+            with monkeypatch.context() as m:
+                m.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 64 * 11 * 3)
+                got = simulate(sampler, _keep, self.PATH, 11, reps, 5)["data"]
+            assert np.array_equal(_bits(got), _bits(want)), reps
+            with monkeypatch.context() as m:
+                m.setattr("os.cpu_count", lambda: 2)
+                m.setenv("FSTEST_THREADS", "2")
+                assert len(replication_slices(-(-reps // 64))) == (1 if reps <= 64 else 2)
+                got = simulate(sampler, _keep, self.PATH, 11, reps, 5)["data"]
+            assert np.array_equal(_bits(got), _bits(want)), reps
 
     @pytest.mark.parametrize("beta", (None, 0.3))
     def test_no_replications(self, beta):

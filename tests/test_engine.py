@@ -284,13 +284,16 @@ class TestCriticalValues:
         assert a.value > 0
 
     def test_empirical_follows_calibration_stream_path(self):
-        # replication r of the null simulation draws from ("calibration", family, r)
+        # null replications 64k.. draw at once from ("calibration", family, "block", k)
         mu = np.array([1.0, -1.0])
         sigma = SpdMatrix([[2.0, 0.3], [0.3, 1.0]])
         model = EllipticalModel(generator_by_name("cauchy"), 2, mu, sigma)
-        data = np.stack([model.sample(30, stream_rng(4, "calibration", "cauchy", r)) for r in range(60)])
+        data = np.concatenate([
+            model.sample(30 * count, stream_rng(4, "calibration", "cauchy", "block", k)).reshape(count, 30, 2)
+            for k, count in enumerate((64, 36))
+        ])
         stats = batch_statistics(data, mu, sigma, 0.5, (StatKind.T1,))[StatKind.T1]
-        q = empirical_critical_value(StatKind.T1, "cauchy", mu, sigma, 30, 0.5, 0.1, 60, 4)
+        q = empirical_critical_value(StatKind.T1, "cauchy", mu, sigma, 30, 0.5, 0.1, 100, 4)
         assert q.value == float(np.quantile(stats, 0.9))
 
     def test_empirical_tracks_trimmed_variance(self):
@@ -447,15 +450,18 @@ class TestPowerCampaign:
         assert single["gaussian"] == {StatKind.T3: full["gaussian"][StatKind.T3]}
 
     def test_follows_documented_stream_paths(self):
-        # null replication r draws from ("calibration", family, r), mixture
-        # replication r at beta from ("power", family, repr(beta), r)
-        d, n, reps, null_reps, seed = 2, 20, 40, 60, 17
+        # null replications 64k.. draw at once from ("calibration", family, "block", k),
+        # mixture replications at beta from ("power", family, repr(beta), "block", k)
+        d, n, reps, null_reps, seed = 2, 20, 40, 100, 17
         mu0, sigma = np.zeros(d), SpdMatrix.identity(d)
         null = standard_model("gaussian", d)
         shifted = EllipticalModel(generator_by_name("gaussian"), d, np.full(d, 0.5), sigma)
 
         def statistics(sample, *path, count):
-            data = np.stack([sample(n, stream_rng(seed, *path, r)) for r in range(count)])
+            data = np.concatenate([
+                sample(n * min(64, count - first), stream_rng(seed, *path, "block", first // 64))
+                for first in range(0, count, 64)
+            ]).reshape(count, n, d)
             return batch_statistics(data, mu0, sigma, 0.5)
 
         null_stats = statistics(null.sample, "calibration", "gaussian", count=null_reps)

@@ -143,14 +143,14 @@ class TestSimulate:
         assert campaigns() == whole
 
 
-def _draws(n, rng):
+def _draws(shape, rng):
     # an odd number of 32-bit draws leaves a spare half-word in the generator
-    ints = rng.integers(0, 2**32, size=n, dtype=np.uint32)
-    return np.column_stack([ints, rng.standard_normal(n)])
+    ints = rng.integers(0, 2**32, size=shape, dtype=np.uint32)
+    return np.stack([ints, rng.standard_normal(shape)], axis=-1)
 
 
 class _Draws:
-    """A simulate sampler whose replication is ``_draws(n, rng)``."""
+    """A simulate sampler whose stream block of c replications is ``_draws((c, n), rng)``."""
 
     d = 2
 
@@ -158,7 +158,7 @@ class _Draws:
         return (np.empty((reps, n, self.d)),)
 
     def draw(self, rng, z):
-        z[:] = _draws(len(z), rng)
+        z[:] = _draws(z.shape[:2], rng)
 
     def finish(self, z):
         return z
@@ -171,45 +171,59 @@ def _keep(data):
     return {"data": data}
 
 
-def _reference(seed, path, reps, n=3):
-    return np.stack([_draws(n, stream_rng(seed, *path, r)) for r in reps])
+def _reference(seed, path, reps, n=3, block=64):
+    """Replications 0..reps-1: stream block k draws its rows from (seed, *path, "block", k)."""
+    return np.concatenate([
+        _draws((min(block, reps - first), n), stream_rng(seed, *path, "block", first // block))
+        for first in range(0, reps, block)
+    ])
 
 
 class TestBlockStreams:
-    """The block derivation inside simulate against stream_rng, the definition of a stream."""
-
-    @pytest.mark.parametrize("seed, path", STREAM_NAMES)
-    def test_states_equal_stream_rng(self, seed, path):
-        states = rng_module._stream_states(rng_module._stream_hash(seed, *path), 0, 40)
-        assert states == [stream_rng(seed, *path, r).bit_generator.state for r in range(40)]
+    """simulate's stream blocks against stream_rng, the definition of a stream."""
 
     @pytest.mark.parametrize("seed, path", STREAM_NAMES)
     def test_simulate_draws_equal_stream_rng(self, seed, path):
-        got = simulate(DRAWS, _keep, path, 3, 23, seed)["data"]
-        assert np.array_equal(got, _reference(seed, path, range(23)))
+        got = simulate(DRAWS, _keep, path, 3, 150, seed)["data"]
+        assert np.array_equal(got, _reference(seed, path, 150))
 
     def test_slices_starting_mid_range_across_block_bounds(self, monkeypatch):
-        # three replications per block; slices start on, before and after a block bound
-        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 3 * 3 * 2)
-        seed, path = 11, ("power", "gaussian", repr(0.5))
-        for start, stop in [(0, 10), (1, 2), (5, 12), (6, 13), (999, 1004)]:
-            parts = rng_module._simulate_slice(DRAWS, _keep, path, 3, seed, slice(start, stop))
-            assert len(parts) == -(-(stop - start) // 3)
+        # batches of two stream blocks; slices start on the first, a middle and the last block
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 2 * 64 * 3 * 2)
+        seed, path, reps = 11, ("power", "gaussian", repr(0.5)), 300
+        want = _reference(seed, path, reps)
+        for start, stop in [(0, 5), (1, 2), (2, 5), (4, 5)]:
+            parts = rng_module._simulate_slice(DRAWS, _keep, path, 3, reps, seed, slice(start, stop))
+            assert len(parts) == -(-(stop - start) // 2)
             got = np.concatenate([part["data"] for part in parts])
-            assert np.array_equal(got, _reference(seed, path, range(start, stop)))
+            assert np.array_equal(got, want[64 * start:64 * stop])
 
     def test_two_workers_equal_stream_rng(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setenv("FSTEST_THREADS", "2")
-        assert replication_slices(25)[1].start == 13
-        got = simulate(DRAWS, _keep, ("calibration", "cauchy"), 3, 25, 5)["data"]
-        assert np.array_equal(got, _reference(5, ("calibration", "cauchy"), range(25)))
+        assert replication_slices(3) == [slice(0, 2), slice(2, 3)]
+        got = simulate(DRAWS, _keep, ("calibration", "cauchy"), 3, 150, 5)["data"]
+        assert np.array_equal(got, _reference(5, ("calibration", "cauchy"), 150))
 
-    @pytest.mark.parametrize("constant", ["_MULT_A", "_INIT_B", "_MIX_MULT_R", "_PCG64_MULT"])
-    def test_guard_raises_on_a_wrong_derivation(self, monkeypatch, constant):
-        monkeypatch.setattr(rng_module, constant, getattr(rng_module, constant) ^ 1)
-        with pytest.raises(RuntimeError, match="disagrees with stream_rng"):
-            simulate(DRAWS, _keep, ("calibration", "gaussian"), 3, 5, 1)
+    def test_one_stream_per_block(self, monkeypatch):
+        calls = []
+
+        def spy(seed, *path):
+            calls.append(path)
+            return stream_rng(seed, *path)
+
+        monkeypatch.setattr(rng_module, "stream_rng", spy)
+        simulate(DRAWS, _keep, ("calibration", "gaussian"), 3, 2000, 1)
+        assert calls == [("calibration", "gaussian", "block", k) for k in range(32)]
+
+    def test_stream_block_depends_on_n_and_d_alone(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 1)
+        block = rng_module._stream_block
+        assert block(100, 4) == block(1, 1) == 64
+        assert block(1024, 32) == 32
+        # a block shrinks to one replication at n * d = 10**6; nothing that large is drawn
+        assert block(1000, 1000) == block(10**6, 1) == 1
+        assert block(0, 4) == 64
 
 
 class TestNumpyDrawEquivalences:

@@ -237,10 +237,11 @@ class TestFiniteSampleEfficiency:
         assert a == b
 
     def test_replications_follow_documented_stream_path(self):
-        # replication r draws from ("efficiency", family, n, r)
+        # the 10 replications form stream block 0 and draw at once from
+        # ("efficiency", family, n, "block", 0)
         kinds = (EstimatorKind.FORWARD_SEARCH, EstimatorKind.HODGES_LEHMANN)
         model = standard_model("light100", 3)
-        data = np.stack([model.sample(15, stream_rng(6, "efficiency", "light100", 15, r)) for r in range(10)])
+        data = model.sample(10 * 15, stream_rng(6, "efficiency", "light100", 15, "block", 0)).reshape(10, 15, 3)
         values = _replicated_estimates("light100", 15, 3, 0.5, kinds, 10, 6)
         for kind in kinds:
             expected = est.batch_estimates(kind, data, np.zeros(3), SpdMatrix.identity(3), 0.5)
