@@ -131,24 +131,23 @@ def _closed_efficiency(family: str, which: str, d: int, gamma: float) -> float:
 
 
 def _quadrature_efficiency(family: str, which: str, d: int, gamma: float) -> float:
-    """The defining variance-scalar ratio with every integral done numerically."""
+    """The defining variance-scalar ratio with every integral done numerically,
+    combined in log space like the closed forms."""
     gen = generator_by_name(family)
-    if which == "e1":
-        try:
-            i1 = radial_integral(gen, d, 1, method="quadrature")
-        except DivergentIntegral:
+    try:
+        i1 = radial_integral(gen, d, 1, method="quadrature")
+    except DivergentIntegral:
+        if which == "e1":
             return math.inf
-        i0 = radial_integral(gen, d, 0, method="quadrature")
-        var = i1 / (d * i0)
-        c1 = math.pi ** (d / 2) * i1 / (d * gamma * math.gamma(d / 2))
-        return var / c1
-    i1 = radial_integral(gen, d, 1, method="quadrature")
-    denom_core = math.pi ** (d / 2) * i1 / (d * gamma * math.gamma(d / 2))
-    if which == "e2":
-        g1_0 = marginal_density_at_zero(gen, d, method="quadrature")
-        return 1.0 / (4.0 * g1_0**2 * denom_core)
-    int_sq = marginal_density_sq_integral(gen, d, method="quadrature")
-    return 1.0 / (12.0 * int_sq**2 * denom_core)
+        raise
+    log_c1 = (d / 2) * math.log(math.pi) + math.log(i1 / (d * gamma)) - math.lgamma(d / 2)
+    if which == "e1":
+        log_var = math.log(i1 / (d * radial_integral(gen, d, 0, method="quadrature")))
+    elif which == "e2":
+        log_var = -math.log(4.0 * marginal_density_at_zero(gen, d, method="quadrature") ** 2)
+    else:
+        log_var = -math.log(12.0 * marginal_density_sq_integral(gen, d, method="quadrature") ** 2)
+    return _exp_or_inf(log_var - log_c1)
 
 
 def efficiency(

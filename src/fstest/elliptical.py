@@ -14,6 +14,10 @@ Three kernels ship:
 
 The Cauchy kernel has a divergent first radial moment integral, which callers
 must treat explicitly (:class:`DivergentIntegral`).
+
+The limit-law constants (truncated radial mean, g1(0), int g1^2) are closed
+forms, or a fixed Gauss-Legendre rule for light100's int g1^2; adaptive
+quadrature (``scipy.integrate``) runs only as their ``method="quadrature"`` check.
 """
 
 from __future__ import annotations
@@ -111,7 +115,8 @@ class DensityGenerator:
         return None
 
     def int_g1_sq_closed(self, d: int) -> float | None:
-        """Closed form of the integral of the squared standardized marginal."""
+        """The integral of the squared standardized marginal without adaptive
+        quadrature (a closed form or a fixed rule), if known."""
         return None
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -196,6 +201,23 @@ class _Light100(DensityGenerator):
     def radial_integral_closed(self, d, power):
         p = self._EXPONENT
         return math.gamma((d / 2 + power) / p) / p
+
+    def g1_zero_closed(self, d):
+        # k(d) pi^{(d-1)/2} I0(d-1) / Gamma((d-1)/2), with I0(d) = Gamma(d/200) / 100
+        p = self._EXPONENT
+        if d == 1:
+            return math.exp(math.log(p) - math.lgamma(1 / (2 * p)))
+        return math.exp(
+            math.lgamma(d / 2) + math.lgamma((d - 1) / (2 * p)) - 0.5 * math.log(math.pi)
+            - math.lgamma((d - 1) / 2) - math.lgamma(d / (2 * p))
+        )
+
+    def int_g1_sq_closed(self, d):
+        if d == 1:
+            # f1(t) = g1(0) exp(-t^200), and exp(-2 t^200) integrates to 2 Gamma(1 + 1/200) / 2^{1/200}
+            two_p = 2 * self._EXPONENT
+            return self.g1_zero_closed(1) ** 2 * 2.0 * math.gamma(1 + 1 / two_p) * 2.0 ** (-1 / two_p)
+        return _light100_g1_sq_integral(d)
 
     def draw(self, d, rng, z, aux):
         # the squared radius is t**(1/100) with t ~ gamma(d/200); numpy's gamma(s) is
@@ -447,10 +469,11 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
 
         f1(t) = k(d) * pi^{(d-1)/2} / Gamma((d-1)/2)
                 * integral_0^inf s^{(d-1)/2 - 1} g(t^2 + s) ds
+
+    The front factor is formed in log space: k(d) pi^{(d-1)/2} overflows from d = 342.
     """
-    k = normalizing_constant(generator, d)
     if d == 1:
-        return k * float(generator.g(t * t, d))
+        return normalizing_constant(generator, d) * float(generator.g(t * t, d))
     expo = (d - 1) / 2 - 1
     tsq = t * t
     if generator.tag == "light100":
@@ -470,8 +493,53 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
             return s**expo * float(generator.g(tsq + s, d))
 
         inner = _quad(integrand, 0.0, np.inf)
-    front = k * math.pi ** ((d - 1) / 2) / math.gamma((d - 1) / 2)
-    return front * inner
+    return math.exp(_log_marginal_front(generator, d)) * inner
+
+
+def _log_marginal_front(generator: DensityGenerator, d: int) -> float:
+    """log of k(d) pi^{(d-1)/2} / Gamma((d-1)/2), the factor of f1's radial integral; d >= 2."""
+    log_pi_part = ((d - 1) / 2) * math.log(math.pi) - math.lgamma((d - 1) / 2)
+    return _log_norm_const(generator.tag, d) + log_pi_part
+
+
+#: panel breaks, in t and in radius, of the light100 product rule: the kernel
+#: exp(-r^200) falls from 1 to 0 across r in [0.9, 1.1] and is below
+#: exp(-7e15) beyond 1.2; the breaks below 0.8 follow f1, whose width shrinks
+#: like 1/sqrt(d)
+_LIGHT100_BREAKS = (0.1, 0.2, 0.4, 0.8, 0.9, 0.95, 0.98, 1.0, 1.02, 1.05, 1.1, 1.2)
+#: Gauss-Legendre nodes per panel; doubling them moves the integral by < 1e-13
+#: relative up to d = 1000
+_LIGHT100_NODES = 40
+
+
+def _light100_g1_sq_integral(d: int) -> float:
+    """Integral of f1^2 for light100 by a composite Gauss-Legendre product rule; d >= 2.
+
+    f1(t) = front * integral_0^inf 2 v^{d-2} exp(-(t^2 + v^2)^100) dv, the
+    radial integral of :func:`marginal_density` under s = v^2, which makes the
+    integrand smooth at v = 0.  The outer panels break at t = r and the inner
+    ones at v = sqrt(r^2 - t^2), for each r in _LIGHT100_BREAKS, so that each
+    panel sees at most one turn of the kernel.  Taken one outer panel at a
+    time, which bounds the scratch at 40 x 12 x 40 floats.
+    """
+    x, w = np.polynomial.legendre.leggauss(_LIGHT100_NODES)
+
+    def panels(lo, hi):
+        half = 0.5 * (hi - lo)[..., None]
+        return lo[..., None] + half * (x + 1.0), half * w
+
+    edges = np.array((0.0, *_LIGHT100_BREAKS))
+    front = 2.0 * math.exp(_log_marginal_front(LIGHT100, d))
+    total = 0.0
+    for t, wt in zip(*panels(edges[:-1], edges[1:])):
+        tsq = (t * t)[:, None]
+        # panels past r <= t have zero width and weight
+        bounds = np.sqrt(np.maximum(edges**2 - tsq, 0.0))
+        v, wv = panels(bounds[:, :-1], bounds[:, 1:])
+        kernel = np.exp(-np.power(tsq[..., None] + v * v, 100))
+        f1 = front * (np.power(v, d - 2) * kernel * wv).sum(axis=(1, 2))
+        total += float(f1 * f1 @ wt)
+    return 2.0 * total  # f1 is symmetric
 
 
 def _closed_or_quadrature(method: str, closed: float | None, quadrature) -> float:
@@ -582,11 +650,10 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
 
 
 def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> float:
-    """E[x 1{x <= q_gamma}] for the squared radius x.
+    """E[x 1{x <= q_gamma}] for the squared radius x, in closed form.
 
-    Closed form for the Gaussian kernel, quadrature otherwise.  With
-    gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy kernel,
-    raising :class:`DivergentIntegral`).
+    With gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy
+    kernel, raising :class:`DivergentIntegral`).
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -594,17 +661,27 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
         if generator.tag == "gaussian":
             return float(d)
         return radial_integral(generator, d, 1) / radial_integral(generator, d, 0)
-    q = radial_quantile(generator, d, gamma)
-    if generator.tag == "gaussian":
+    tag = generator.tag
+    if tag == "gaussian":
         # x = chi2_d: E[x 1{x <= q}] = d P(d/2 + 1, q/2), and P(a + 1, y) =
         # P(a, y) - y^a e^{-y} / Gamma(a + 1) with P(d/2, q/2) = gamma
-        y = q / 2
+        y = radial_quantile(generator, d, gamma) / 2
         return d * (gamma - math.exp((d / 2) * math.log(y) - y - math.lgamma(d / 2 + 1)))
+    from scipy import special
 
-    def integrand(x):
-        return x ** (d / 2) * float(generator.g(x, d))
-
-    return _quad(integrand, 0.0, q) / radial_integral(generator, d, 0)
+    if tag == "cauchy":
+        # u = x/(1+x) ~ Beta(d/2, 1/2), and integrating u^{d/2} (1-u)^{-3/2} / B by parts
+        # up to b = P(u <= b)^{-1}(gamma) gives 2 b^{d/2} / (sqrt(1-b) B) - d gamma
+        b = float(special.betaincinv(d / 2, 0.5, gamma))
+        log_head = (d / 2) * math.log(b) - 0.5 * math.log1p(-b) - float(special.betaln(d / 2, 0.5))
+        return 2.0 * math.exp(log_head) - d * gamma
+    if tag == "light100":
+        # x^100 ~ Gamma(d/200), so E[x 1{x <= q}] = Gamma(a) P(a, t) / Gamma(d/200) at
+        # a = (d+2)/200 and t = q^100
+        t = float(special.gammaincinv(d / 200, gamma))
+        a = (d + 2) / 200
+        return math.exp(math.lgamma(a) - math.lgamma(d / 200)) * float(special.gammainc(a, t))
+    raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 
 def component_variance(generator: DensityGenerator, d: int) -> float:

@@ -104,7 +104,10 @@ class LimitLaw:
     with X the squared radius and q its gamma-quantile (finite under every
     kernel when gamma < 1); the component variance for t2; 1 / (4 g1(0)^2)
     for t3; 1 / (12 (int g1^2)^2) for t4.  It is ``math.inf`` where the
-    variance diverges: t2 under ``cauchy``, and t1 there at gamma = 1.
+    variance diverges: t2 under ``cauchy``, and t1 there at gamma = 1.  Every
+    constant is a closed form or, for light100's int g1^2, a fixed
+    Gauss-Legendre rule (:mod:`fstest.elliptical`), finite at any d; none
+    runs adaptive quadrature.
 
     ``drift`` (kappa) follows from Le Cam's third lemma: 1 for the
     location-equivariant t2, t3 and t4.  For the anchored trimmed mean,

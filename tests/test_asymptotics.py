@@ -19,7 +19,13 @@ from fstest.asymptotics import (
     root_efficiency,
 )
 from fstest import estimators as est
-from fstest.elliptical import DivergentIntegral, standard_model
+from fstest.elliptical import (
+    LIGHT100,
+    DivergentIntegral,
+    component_variance,
+    marginal_density_at_zero,
+    standard_model,
+)
 from fstest.engine import LimitLaw, StatKind
 from fstest.linalg import SpdMatrix
 from fstest.rng import stream_rng
@@ -80,6 +86,19 @@ class TestQuadraturePath:
             assert math.isfinite(efficiency("cauchy", which, 4, method="closed"))
             with pytest.raises(DivergentIntegral):
                 efficiency("cauchy", which, 4, method="quadrature")
+
+    @pytest.mark.parametrize("d", (343, 344, 400, 1000))
+    def test_light100_quadrature_at_large_d(self, d):
+        # the marginal's front, pi^{d/2} and Gamma(d/2) overflowed from d = 342; the ratios are
+        # now taken in log space and are inf only beyond the float range, as in the closed forms
+        values = {which: efficiency("light100", which, d, method="quadrature") for which in EFFICIENCY_KEYS}
+        assert all(v > 0 for v in values.values())  # a NaN fails too
+        assert math.isfinite(values["e1"]) == (d < 1000)
+        if math.isfinite(values["e1"]):
+            # e2 / e1 = 1 / (4 g1(0)^2 Var(Y_1)): the c1 of both cancels
+            g1_0 = marginal_density_at_zero(LIGHT100, d, method="closed")
+            expected = 1.0 / (4.0 * g1_0**2 * component_variance(LIGHT100, d))
+            assert values["e2"] / values["e1"] == pytest.approx(expected, rel=1e-9)
 
 
 class TestRootConvention:

@@ -514,7 +514,22 @@ print(json.dumps(loaded))
 """
         *simulations, table2 = json.loads(_run_script(script))
         assert simulations == [[]] * 7
-        assert "scipy.special" in table2
+        assert table2 == ["scipy.special"]
+
+    def test_limit_law_commands_leave_scipy_integrate_unloaded(self):
+        # every limit-law constant is a closed form or a fixed Gauss-Legendre rule in numpy
+        script = """
+import contextlib, io, json, sys
+import fstest.cli
+calls = [["table2"], ["table2", "--d", "400"]]
+calls += [["critical-value", "--family", family, "--kind", kind, "--calibration", "formula"]
+          for family in ("cauchy", "light100") for kind in ("t1", "t3", "t4")]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fstest.cli.main([*argv, "--seed", "1"]) == 0
+print(json.dumps(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules)))
+"""
+        assert json.loads(_run_script(script)) == ["scipy.special"]
 
     def test_table2_leaves_scipy_stats_unloaded(self):
         # the exact local power needs scipy.special only; scipy.stats costs ~1 s to import

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import integrate, special, stats
 
+from fstest import elliptical
 from fstest import rng as rng_module
 from fstest.elliptical import (
     CAUCHY,
@@ -33,6 +34,22 @@ from fstest.linalg import SpdMatrix
 from fstest.rng import replication_slices, simulate, stream_rng
 
 ALL_GENERATORS = (GAUSSIAN, CAUCHY, LIGHT100)
+
+
+class _NoMarginalForms(type(GAUSSIAN)):
+    """The gaussian kernel with its marginal closed forms withheld."""
+
+    def g1_zero_closed(self, d):
+        return None
+
+    def int_g1_sq_closed(self, d):
+        return None
+
+
+NO_MARGINAL_FORMS = _NoMarginalForms()
+
+ORACLE_DS = (1, 2, 3, 4, 10, 50, 100)
+LARGE_DS = (343, 400, 1000)
 
 
 class TestRadialIntegrals:
@@ -157,15 +174,62 @@ class TestMarginals:
     def test_unknown_or_unavailable_method_raises(self, fn):
         with pytest.raises(ValueError, match="unknown method"):
             fn(LIGHT100, 4, method="bogus")
-        # light100 has no closed form: "closed" raises rather than falling back to quadrature
+        # a kernel without the closed form: "closed" raises rather than falling back to quadrature
         with pytest.raises(ValueError, match="no closed form"):
-            fn(LIGHT100, 4, method="closed")
-        assert fn(LIGHT100, 4, method="quadrature") == fn(LIGHT100, 4)
+            fn(NO_MARGINAL_FORMS, 4, method="closed")
+        assert fn(NO_MARGINAL_FORMS, 4, method="quadrature") == fn(NO_MARGINAL_FORMS, 4)
 
     def test_marginal_integrates_to_one(self):
         grid = np.linspace(-1.25, 1.25, 3001)
         vals = [marginal_density(LIGHT100, 4, t) for t in grid]
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("d", LARGE_DS)
+    def test_light100_quadrature_works_at_large_d(self, d):
+        # the front k(d) pi^{(d-1)/2} / Gamma((d-1)/2) overflowed from d = 342 in linear space
+        assert marginal_density_at_zero(LIGHT100, d, method="quadrature") == pytest.approx(
+            marginal_density_at_zero(LIGHT100, d, method="closed"), rel=1e-9
+        )
+
+
+class TestLimitConstantOracles:
+    """The closed forms and the fixed rule of the limit-law constants against scipy's quadrature."""
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
+    def test_cauchy_truncated_mean(self, d, gamma):
+        # E[x 1{x <= q}] in u = x/(1+x) ~ Beta(d/2, 1/2), integrated numerically up to u(q)
+        b = float(special.betaincinv(d / 2, 0.5, gamma))
+        head, _ = integrate.quad(lambda u: u ** (d / 2) * (1 - u) ** -1.5, 0.0, b,
+                                 epsabs=0.0, epsrel=1e-13, limit=500)
+        assert truncated_radial_mean(CAUCHY, d, gamma) == pytest.approx(
+            head / special.beta(d / 2, 0.5), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
+    def test_light100_truncated_mean(self, d, gamma):
+        # the squared radius has density x^{d/2-1} exp(-x^100) / I0, I0 = Gamma(d/200) / 100
+        q = radial_quantile(LIGHT100, d, gamma)
+        points = [p for p in (0.9, 0.95, 0.98, 1.0) if p < q] or None
+        head, _ = integrate.quad(lambda x: x ** (d / 2) * math.exp(-(x**100)), 0.0, q,
+                                 epsabs=0.0, epsrel=1e-13, limit=500, points=points)
+        assert truncated_radial_mean(LIGHT100, d, gamma) == pytest.approx(
+            head * 100 / math.gamma(d / 200), rel=1e-12, abs=0
+        )
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    def test_light100_marginal_constants(self, d):
+        for fn in (marginal_density_at_zero, marginal_density_sq_integral):
+            assert fn(LIGHT100, d, method="closed") == pytest.approx(
+                fn(LIGHT100, d, method="quadrature"), rel=1e-12, abs=0
+            )
+
+    @pytest.mark.parametrize("d", LARGE_DS)
+    def test_light100_sq_integral_rule_is_converged(self, d, monkeypatch):
+        rule = elliptical._light100_g1_sq_integral(d)
+        monkeypatch.setattr(elliptical, "_LIGHT100_NODES", 2 * elliptical._LIGHT100_NODES)
+        assert rule == pytest.approx(elliptical._light100_g1_sq_integral(d), rel=1e-13, abs=0)
 
 
 class TestRadialLaw:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from fstest import engine
+from fstest import elliptical, engine
 from fstest import estimators as est
 from fstest import rng as rng_module
 from fstest.elliptical import (
@@ -207,6 +207,41 @@ class TestLimitWeights:
         assert np.array_equal(weights, np.full(4, LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale))
         with pytest.raises(InfiniteVariance):
             limit_weights(StatKind.T1, standard_model("cauchy", 4), 1.0)
+
+
+class TestLimitLawWithoutQuadrature:
+    @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
+    def test_no_constant_runs_adaptive_quadrature(self, family, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature ran")
+
+        monkeypatch.setattr(elliptical, "_quad", refuse)
+        # values cached by an earlier test could hide a quadrature call
+        elliptical.marginal_density_at_zero.cache_clear()
+        elliptical.marginal_density_sq_integral.cache_clear()
+        for kind in ALL_KINDS:
+            for d in (1, 2, 3, 4, 10, 100, 343, 400, 1000):
+                for gamma in (0.3, 0.5, 1.0):
+                    law = LimitLaw(kind, family, d, gamma)
+                    mean_like = kind == StatKind.T2 or (kind == StatKind.T1 and gamma == 1.0)
+                    diverges = family == "cauchy" and mean_like
+                    assert law.scale == math.inf if diverges else 0 < law.scale < math.inf
+                    assert math.isfinite(law.drift)
+
+    @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
+    @pytest.mark.parametrize("d", (343, 400, 1000))
+    def test_formula_critical_values_at_large_d(self, family, d):
+        # the light100 t3/t4 and cauchy t1 limits overflowed here through their quadratures
+        model = standard_model(family, d)
+        for kind in ALL_KINDS:
+            if family == "cauchy" and kind == StatKind.T2:
+                with pytest.raises(InfiniteVariance):
+                    limit_weights(kind, model, 0.5)
+                continue
+            weights = limit_weights(kind, model, 0.5)
+            assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+            value = critical_value(weights, 0.05).value
+            assert math.isfinite(value) and value > 0
 
 
 class TestCriticalValues:
