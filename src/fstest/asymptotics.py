@@ -44,10 +44,10 @@ from .elliptical import (
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
-    radial_integral,
+    _log_radial_quadrature,
     standard_model,
 )
-from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind
+from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind, _log_c1
 from .linalg import SpdMatrix, as_vector
 from .rng import simulate
 
@@ -135,14 +135,14 @@ def _quadrature_efficiency(family: str, which: str, d: int, gamma: float) -> flo
     combined in log space like the closed forms."""
     gen = generator_by_name(family)
     try:
-        i1 = radial_integral(gen, d, 1, method="quadrature")
+        log_i1 = _log_radial_quadrature(gen, d, 1)
     except DivergentIntegral:
         if which == "e1":
             return math.inf
         raise
-    log_c1 = (d / 2) * math.log(math.pi) + math.log(i1 / (d * gamma)) - math.lgamma(d / 2)
+    log_c1 = _log_c1(d, gamma, log_i1)
     if which == "e1":
-        log_var = math.log(i1 / (d * radial_integral(gen, d, 0, method="quadrature")))
+        log_var = log_i1 - math.log(d) - _log_radial_quadrature(gen, d, 0)
     elif which == "e2":
         log_var = -math.log(4.0 * marginal_density_at_zero(gen, d, method="quadrature") ** 2)
     else:

@@ -15,9 +15,10 @@ Three kernels ship:
 The Cauchy kernel has a divergent first radial moment integral, which callers
 must treat explicitly (:class:`DivergentIntegral`).
 
-The limit-law constants (truncated radial mean, g1(0), int g1^2) are closed
-forms, or a fixed Gauss-Legendre rule for light100's int g1^2; adaptive
-quadrature (``scipy.integrate``) runs only as their ``method="quadrature"`` check.
+Every kernel implements every limit-law constant (radial integrals, truncated
+radial mean, g1(0), int g1^2) as a closed form, or as a fixed Gauss-Legendre
+rule for light100's int g1^2.  ``method`` is ``"closed"`` (the default) or
+``"quadrature"``, the adaptive quadrature (``scipy.integrate``) that checks it.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ class DensityGenerator:
     """Radial kernel of an elliptical family.
 
     Subclasses implement the kernel, its log-derivative, the sampler's raw
-    draws and their transform, and closed forms where they exist.  ``d`` is passed explicitly because
-    the Cauchy kernel depends on the dimension.
+    draws and their transform, and the closed forms of the radial integrals,
+    g1(0) and int g1^2.  ``d`` is passed explicitly because the Cauchy kernel
+    depends on the dimension.
     """
 
     tag: str = ""
@@ -94,13 +96,9 @@ class DensityGenerator:
         """g'(x)/g(x)."""
         raise NotImplementedError
 
-    def radial_integral_closed(self, d: int, power: int) -> float | None:
-        """Closed form of I_power(d) when one exists, else None."""
-        return None
-
-    def radial_tail_exponent(self, d: int, power: int) -> float:
-        """Exponent e with integrand ~ x^e as x -> inf; -inf for exponential decay."""
-        return -math.inf
+    def radial_integral_closed(self, d: int, power: int) -> float:
+        """Closed form of I_power(d); raises :class:`DivergentIntegral` where it diverges."""
+        raise NotImplementedError
 
     def draw(self, d: int, rng: np.random.Generator, z: NDArray, aux: NDArray) -> None:
         """Raw variates into z (..., n, d) and aux (..., n), one call per variate."""
@@ -110,14 +108,14 @@ class DensityGenerator:
         """Raw variates to draws from the standard member (mu = 0, Sigma = I), in
         place in z over any leading shape of replications; normals need nothing."""
 
-    def g1_zero_closed(self, d: int) -> float | None:
-        """Closed form of the standardized marginal density at zero, if known."""
-        return None
+    def g1_zero_closed(self, d: int) -> float:
+        """Closed form of the standardized marginal density at zero."""
+        raise NotImplementedError
 
-    def int_g1_sq_closed(self, d: int) -> float | None:
+    def int_g1_sq_closed(self, d: int) -> float:
         """The integral of the squared standardized marginal without adaptive
-        quadrature (a closed form or a fixed rule), if known."""
-        return None
+        quadrature (a closed form or a fixed rule)."""
+        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityGenerator({self.tag})"
@@ -162,9 +160,6 @@ class _Cauchy(DensityGenerator):
         from scipy import special
 
         return math.exp(special.betaln(d / 2, 0.5 - power))
-
-    def radial_tail_exponent(self, d, power):
-        return power - 1.5
 
     def draw(self, d, rng, z, aux):
         # numpy's chisquare(1) is 2 * standard_gamma(0.5), bit for bit
@@ -251,60 +246,67 @@ def radial_integral(
     """I_power(d) = integral of x^{d/2-1+power} g(x) over (0, inf).
 
     ``method="closed"`` takes the kernel's closed form; ``"quadrature"`` the
-    numeric path (used for cross-checks).  Raises :class:`DivergentIntegral`
-    when the integral does not converge.
+    numeric path (used for cross-checks).  Both raise :class:`DivergentIntegral`
+    where the closed form does.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if power not in (0, 1):
         raise ValueError("power must be 0 or 1")
-    if generator.radial_tail_exponent(d, power) >= -1.0:
-        raise DivergentIntegral(
-            f"{generator.tag} radial integral of power {power} diverges in dimension {d}"
-        )
     if method == "closed":
-        closed = generator.radial_integral_closed(d, power)
-        if closed is None:
-            raise ValueError(f"no closed form for {generator.tag}, d={d}, power={power}")
-        return closed
+        return generator.radial_integral_closed(d, power)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    expo = d / 2 - 1 + power
+    return math.exp(_log_radial_quadrature(generator, d, power))
+
+
+def _log_radial_quadrature(generator: DensityGenerator, d: int, power: int) -> float:
+    """log I_power(d) by quadrature, for d >= 1 and power 0 or 1."""
     if generator.tag == "cauchy":
+        generator.radial_integral_closed(d, power)  # its DivergentIntegral decides divergence
         # substitute u = (1+x)^{-1/2}; the integrand becomes a smooth Beta form
         def integrand(u):
             x = 1.0 / (u * u) - 1.0
             return 2.0 * (1.0 - u * u) ** (d / 2 - 1) * x**power
 
-        return _quad(integrand, 0.0, 1.0)
+        return math.log(_quad(integrand, 0.0, 1.0))
+    expo = d / 2 - 1 + power
     if generator.tag == "light100":
         # support is effectively [0, ~1.1]; give the boundary layer as a hint
         def integrand(x):
             return x**expo * math.exp(-(x**100))
 
-        return _quad(integrand, 0.0, 1.2, points=[0.9, 1.0, 1.05])
+        return math.log(_quad(integrand, 0.0, 1.2, points=[0.9, 1.0, 1.05]))
+    return _log_quad_from_mode(expo, lambda x: float(generator.log_g(x, d)))
 
-    def integrand(x):
-        return x**expo * float(generator.g(x, d))
 
-    return _quad(integrand, 0.0, np.inf)
+def _log_quad_from_mode(expo: float, log_g) -> float:
+    """log of the integral of s^expo exp(log_g(s)) over (0, inf), with the integrand scaled
+    by its value at m = max(2 expo, 1), the gaussian's mode, and split at m."""
+    m = max(2.0 * expo, 1.0)
+    log_m = expo * math.log(m) + log_g(m)
+
+    def integrand(s):
+        return math.exp(expo * math.log(s) + log_g(s) - log_m)
+
+    return log_m + math.log(_quad(integrand, 0.0, m) + _quad(integrand, m, np.inf))
 
 
 def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     """k(d) = Gamma(d/2) pi^{-d/2} / I0(d)."""
-    return math.exp(_log_norm_const(generator.tag, d))
+    return math.exp(_log_norm_const(generator, d))
 
 
-def _log_i0(generator: DensityGenerator, d: int) -> float:
-    """log I0(d); the gaussian's in log space, as I0 overflows there from d = 303."""
+def _log_i(generator: DensityGenerator, d: int, power: int = 0) -> float:
+    """log I_power(d) in closed form; the gaussian's in log space, as I0 overflows there from d = 303."""
     if generator.tag == "gaussian":
-        return (d / 2) * math.log(2.0) + math.lgamma(d / 2)
-    return math.log(radial_integral(generator, d, 0))
+        return (d / 2 + power) * math.log(2.0) + math.lgamma(d / 2 + power)
+    return math.log(radial_integral(generator, d, power))
 
 
 @lru_cache(maxsize=None)
-def _log_norm_const(tag: str, d: int) -> float:
-    return math.lgamma(d / 2) - (d / 2) * math.log(math.pi) - _log_i0(generator_by_name(tag), d)
+def _log_norm_const(generator: DensityGenerator, d: int) -> float:
+    return math.lgamma(d / 2) - (d / 2) * math.log(math.pi) - _log_i(generator, d)
 
 
 class EllipticalModel:
@@ -335,7 +337,7 @@ class EllipticalModel:
     @property
     def log_k(self) -> float:
         # on first use: the cauchy constant loads scipy.special, which sampling never reads
-        return _log_norm_const(self.generator.tag, self.d)
+        return _log_norm_const(self.generator, self.d)
 
     @property
     def family(self) -> str:
@@ -470,7 +472,8 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
         f1(t) = k(d) * pi^{(d-1)/2} / Gamma((d-1)/2)
                 * integral_0^inf s^{(d-1)/2 - 1} g(t^2 + s) ds
 
-    The front factor is formed in log space: k(d) pi^{(d-1)/2} overflows from d = 342.
+    Both factors are formed in log space (light100's integral excepted): k(d)
+    pi^{(d-1)/2} overflows from d = 342, the gaussian's integral from d = 300.
     """
     if d == 1:
         return normalizing_constant(generator, d) * float(generator.g(t * t, d))
@@ -487,19 +490,15 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
 
         hint = max(1.0 - tsq, 1e-6)
         inner = _quad(integrand, 0.0, upper, points=[min(hint, upper)])
-    else:
-
-        def integrand(s):
-            return s**expo * float(generator.g(tsq + s, d))
-
-        inner = _quad(integrand, 0.0, np.inf)
-    return math.exp(_log_marginal_front(generator, d)) * inner
+        return math.exp(_log_marginal_front(generator, d)) * inner
+    log_inner = _log_quad_from_mode(expo, lambda s: float(generator.log_g(tsq + s, d)))
+    return math.exp(_log_marginal_front(generator, d) + log_inner)
 
 
 def _log_marginal_front(generator: DensityGenerator, d: int) -> float:
     """log of k(d) pi^{(d-1)/2} / Gamma((d-1)/2), the factor of f1's radial integral; d >= 2."""
     log_pi_part = ((d - 1) / 2) * math.log(math.pi) - math.lgamma((d - 1) / 2)
-    return _log_norm_const(generator.tag, d) + log_pi_part
+    return _log_norm_const(generator, d) + log_pi_part
 
 
 #: panel breaks, in t and in radius, of the light100 product rule: the kernel
@@ -542,40 +541,29 @@ def _light100_g1_sq_integral(d: int) -> float:
     return 2.0 * total  # f1 is symmetric
 
 
-def _closed_or_quadrature(method: str, closed: float | None, quadrature) -> float:
-    """``"auto"``: the closed form where one is known, else ``quadrature()``;
-    ``"closed"`` and ``"quadrature"`` force one path."""
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "closed" and closed is None:
-        raise ValueError("no closed form for this kernel")
-    return quadrature() if method == "quadrature" or closed is None else closed
-
-
 @lru_cache(maxsize=None)
 def marginal_density_at_zero(
-    generator: DensityGenerator, d: int, method: str = "auto"
+    generator: DensityGenerator, d: int, method: str = "closed"
 ) -> float:
     """g1(0): the standardized marginal density at the origin."""
-    return _closed_or_quadrature(
-        method, generator.g1_zero_closed(d), lambda: marginal_density(generator, d, 0.0)
-    )
+    if method == "closed":
+        return generator.g1_zero_closed(d)
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    return marginal_density(generator, d, 0.0)
 
 
 @lru_cache(maxsize=None)
 def marginal_density_sq_integral(
-    generator: DensityGenerator, d: int, method: str = "auto"
+    generator: DensityGenerator, d: int, method: str = "closed"
 ) -> float:
     """Integral of the squared standardized marginal density."""
-
-    def quadrature():
-        upper = 1.3 if generator.tag == "light100" else np.inf
-        value = _quad(
-            lambda t: marginal_density(generator, d, t) ** 2, 0.0, upper, epsabs=1e-12, epsrel=1e-10
-        )
-        return 2.0 * value  # marginal is symmetric
-
-    return _closed_or_quadrature(method, generator.int_g1_sq_closed(d), quadrature)
+    if method == "closed":
+        return generator.int_g1_sq_closed(d)
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    upper = 1.3 if generator.tag == "light100" else np.inf  # f1 is symmetric: twice (0, upper)
+    return 2.0 * _quad(lambda t: marginal_density(generator, d, t) ** 2, 0.0, upper, epsrel=1e-10)
 
 
 # ---------------------------------------------------------------------------

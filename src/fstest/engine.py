@@ -29,13 +29,12 @@ from .elliptical import (
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
-    _log_i0,
+    _log_i,
     component_variance,
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
     radial_cdf,
-    radial_integral,
     radial_quantile,
     truncated_radial_mean,
 )
@@ -150,7 +149,7 @@ class LimitLaw:
             return 1.0
         gen, d = generator_by_name(self.family), self.d
         q = radial_quantile(gen, d, self.gamma)
-        log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - _log_i0(gen, d)
+        log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - _log_i(gen, d)
         return 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
 
 
@@ -160,14 +159,17 @@ def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
     The asymptotic efficiencies of :mod:`fstest.asymptotics` (``table4``)
     divide by it.  It is not the limit variance of the trimmed mean, which
     is :attr:`LimitLaw.scale` (0.948 against c1 = 78.96 at gaussian d = 4,
-    gamma = 1/2).  Returns ``math.inf`` when I1 diverges (Cauchy).
+    gamma = 1/2).  Returns ``math.inf`` when I1 diverges (Cauchy) or c1 overflows.
     """
-    gen = generator_by_name(family)
     try:
-        i1 = radial_integral(gen, d, 1)
-    except DivergentIntegral:
+        return math.exp(_log_c1(d, gamma, _log_i(generator_by_name(family), d, 1)))
+    except (DivergentIntegral, OverflowError):
         return math.inf
-    return math.pi ** (d / 2) * i1 / (d * gamma * math.gamma(d / 2))
+
+
+def _log_c1(d: int, gamma: float, log_i1: float) -> float:
+    """log c1 from log I1: the gaussian's I1 overflows from d = 301, its c1 from d = 773."""
+    return (d / 2) * math.log(math.pi) + log_i1 - math.log(d * gamma) - math.lgamma(d / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ from fstest.elliptical import (
     LIGHT100,
     DivergentIntegral,
     component_variance,
+    generator_by_name,
     marginal_density_at_zero,
+    marginal_density_sq_integral,
     standard_model,
 )
 from fstest.engine import LimitLaw, StatKind
@@ -75,6 +77,29 @@ class TestQuadraturePath:
         closed = efficiency("gaussian", which, d, method="closed")
         quad = efficiency("gaussian", which, d, method="quadrature")
         assert quad == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("d", (300, 343, 400))
+    @pytest.mark.parametrize("which", EFFICIENCY_KEYS)
+    def test_gaussian_quadrature_beyond_the_overflow_of_i1(self, which, d):
+        # I1 and c1 leave the float range from d = 301; the oracle combines log I_p
+        closed = efficiency("gaussian", which, d, method="closed")
+        assert efficiency("gaussian", which, d, method="quadrature") == pytest.approx(closed, rel=1e-9)
+
+    @pytest.mark.parametrize("family, d", [("gaussian", 4), ("gaussian", 400), ("light100", 4)])
+    def test_quadrature_reads_no_closed_form(self, family, d, monkeypatch):
+        # the first pass also caches k(d), which the marginal's front takes from the closed I0
+        expected = {which: efficiency(family, which, d, method="quadrature") for which in EFFICIENCY_KEYS}
+
+        def closed(*args):
+            raise AssertionError("the quadrature oracle read a closed form")
+
+        gen = type(generator_by_name(family))
+        for name in ("radial_integral_closed", "g1_zero_closed", "int_g1_sq_closed"):
+            monkeypatch.setattr(gen, name, closed)
+        for fn in (marginal_density_at_zero, marginal_density_sq_integral):
+            fn.cache_clear()
+        for which in EFFICIENCY_KEYS:
+            assert efficiency(family, which, d, method="quadrature") == expected[which]
 
     def test_cauchy_quadrature_e1_infinite(self):
         assert efficiency("cauchy", "e1", 4, method="quadrature") == math.inf

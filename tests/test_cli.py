@@ -81,6 +81,25 @@ class TestArgumentHandling:
         assert main(argv) == 1
         assert capsys.readouterr().err.endswith("contains non-finite entries\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["table3", "--seed", "1", "--d-grid", "2,x"], "--d-grid must be a comma-separated list of reals, got '2,x'"),
+        (["table3", "--seed", "1", "--d-grid", ","], "--d-grid must not be empty"),
+        (["table3", "--seed", "1", "--n-grid", "10.5"], "--n-grid must contain integers, got '10.5'"),
+        (["test", "--seed", "1", "--data", str(DATA), "--calibration", "formula", "--family", "cauchy",
+          "--kind", "t2"],
+         "formula calibration unavailable: the t2 limit variance is infinite for family 'cauchy' at gamma = 0.5"),
+    ])
+    def test_malformed_grids_and_infinite_limit_exit_one(self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sigma_that_is_not_spd_exits_one(self, tmp_path, capsys):
+        sigma_path = tmp_path / "sigma.csv"
+        write_rows(sigma_path, np.diag([1.0, -1.0, 1.0]).tolist())
+        assert main(["test", "--seed", "1", "--data", str(DATA), "--sigma", str(sigma_path)]) == 1
+        message = f"error: {sigma_path}: not a valid scatter matrix: matrix is not positive definite\n"
+        assert capsys.readouterr().err == message
+
     def test_bad_thread_count_exits_one(self, monkeypatch, capsys):
         monkeypatch.setenv("FSTEST_THREADS", "abc")
         assert main(["test", "--seed", "1", "--data", str(DATA)]) == 1

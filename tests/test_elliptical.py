@@ -36,18 +36,6 @@ from fstest.rng import replication_slices, simulate, stream_rng
 ALL_GENERATORS = (GAUSSIAN, CAUCHY, LIGHT100)
 
 
-class _NoMarginalForms(type(GAUSSIAN)):
-    """The gaussian kernel with its marginal closed forms withheld."""
-
-    def g1_zero_closed(self, d):
-        return None
-
-    def int_g1_sq_closed(self, d):
-        return None
-
-
-NO_MARGINAL_FORMS = _NoMarginalForms()
-
 ORACLE_DS = (1, 2, 3, 4, 10, 50, 100)
 LARGE_DS = (343, 400, 1000)
 
@@ -117,6 +105,21 @@ class TestRadialIntegrals:
         assert component_variance(GAUSSIAN, d) == 1.0
         assert truncated_radial_mean(GAUSSIAN, d, 1.0) == d
 
+    @pytest.mark.parametrize("d", (1, 2, 3, 10, 100, 300, 343, 400, 1000))
+    def test_gaussian_quadrature_in_log_space(self, d):
+        # log I_p = (d/2 + p) log 2 + lgamma(d/2 + p), though I_p leaves the float range from d = 301
+        for p in (0, 1):
+            assert elliptical._log_radial_quadrature(GAUSSIAN, d, p) == pytest.approx(
+                (d / 2 + p) * math.log(2) + math.lgamma(d / 2 + p), rel=1e-14, abs=1e-14
+            )
+
+    def test_every_kernel_method_is_required(self):
+        bare = DensityGenerator()
+        for method, args in [("radial_integral_closed", (4, 0)), ("g1_zero_closed", (4,)),
+                             ("int_g1_sq_closed", (4,))]:
+            with pytest.raises(NotImplementedError):
+                getattr(bare, method)(*args)
+
 class TestGeneratorLookup:
     def test_known_names(self):
         assert set(FAMILY_TAGS) == {"gaussian", "cauchy", "light100"}
@@ -174,10 +177,16 @@ class TestMarginals:
     def test_unknown_or_unavailable_method_raises(self, fn):
         with pytest.raises(ValueError, match="unknown method"):
             fn(LIGHT100, 4, method="bogus")
-        # a kernel without the closed form: "closed" raises rather than falling back to quadrature
-        with pytest.raises(ValueError, match="no closed form"):
-            fn(NO_MARGINAL_FORMS, 4, method="closed")
-        assert fn(NO_MARGINAL_FORMS, 4, method="quadrature") == fn(NO_MARGINAL_FORMS, 4)
+
+    def test_quadrature_does_not_run_the_light100_rule(self, monkeypatch):
+        def rule(d):
+            raise AssertionError("the fixed rule ran on the quadrature path")
+
+        monkeypatch.setattr(elliptical, "_light100_g1_sq_integral", rule)
+        marginal_density_sq_integral.cache_clear()
+        assert marginal_density_sq_integral(LIGHT100, 4, method="quadrature") == pytest.approx(
+            0.660528822, rel=1e-8
+        )
 
     def test_marginal_integrates_to_one(self):
         grid = np.linspace(-1.25, 1.25, 3001)
@@ -341,6 +350,24 @@ class TestModel:
                     - model.with_location(-e).log_density(y)
                 ) / (2 * step)
                 assert np.allclose(score[:, j], fd, rtol=1e-5, atol=1e-7), family
+
+    @pytest.mark.parametrize("family", FAMILY_TAGS)
+    def test_score_under_general_scatter(self, family, rng):
+        # the Sigma^{-1} (y - mu) branch, at squared distances in [0.9, 1], where light100's
+        # kernel turns over and its score is far from zero
+        sigma = SpdMatrix([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 1.5]])
+        mu = np.array([0.5, -1.0, 2.0])
+        model = EllipticalModel(generator_by_name(family), 3, mu, sigma)
+        u = rng.standard_normal((5, 3))
+        u *= np.sqrt(np.linspace(0.9, 1.0, 5) / (u * u).sum(axis=1))[:, None]
+        y = mu + u @ sigma.cholesky_factor.T
+        score, step = model.location_score(y), 1e-6
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = step
+            ahead, behind = model.with_location(mu + e), model.with_location(mu - e)
+            fd = (ahead.log_density(y) - behind.log_density(y)) / (2 * step)
+            assert np.allclose(score[:, j], fd, rtol=1e-7, atol=1e-9)
 
     def test_gaussian_sample_moments(self):
         model = EllipticalModel(GAUSSIAN, 2, [3.0, -1.0], [[2.0, 0.6], [0.6, 1.0]])

@@ -180,6 +180,14 @@ class TestVarianceConstants:
         with pytest.raises(ValueError):
             LimitLaw(StatKind.T1, "gaussian", 4, gamma=0.0)
 
+    @pytest.mark.parametrize("d", (4, 300, 343, 400, 700))
+    def test_c1_in_log_space(self, d):
+        # c1 = (2 pi)^{d/2} / gamma for the gaussian; its linear-space form overflowed from d = 300
+        assert scatter_scale_constant("gaussian", d, 0.5) == pytest.approx(
+            (2 * math.pi) ** (d / 2) / 0.5, rel=1e-12, abs=0
+        )
+        assert scatter_scale_constant("cauchy", d, 0.5) == math.inf
+
     def test_c1_scales_inversely_with_gamma(self):
         half = scatter_scale_constant("gaussian", 4, 0.5)
         full = scatter_scale_constant("gaussian", 4, 1.0)
