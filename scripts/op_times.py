@@ -8,8 +8,9 @@ checkout this file sits in, after one untimed warm-up cycle, with one BLAS
 thread and ``FSTEST_THREADS`` unset, as ``benchmarks/run.py`` does.  Prints
 the median and minimum wall time of each op position of the cycle in
 measured milliseconds (no host-speed calibration), labelled by subcommand,
-and exits 1 if any op fails its workload check.  Copy it into another
-checkout to time that checkout the same way.
+and each op's tracemalloc peak in MB (2**20 bytes) from one more, untimed
+cycle after the timed ones, and exits 1 if any op fails its workload check.
+Copy it into another checkout to time that checkout the same way.
 """
 
 import os
@@ -24,6 +25,7 @@ import json
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +49,16 @@ def time_op(op) -> tuple[float, list[str]]:
     return seconds, problems
 
 
+def traced_peak(op) -> tuple[int, list[str]]:
+    """Bytes of the largest traced Python heap during one op, and its problems."""
+    tracemalloc.start()
+    try:
+        _, problems = time_op(op)
+        return tracemalloc.get_traced_memory()[1], problems
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
@@ -63,19 +75,25 @@ def main(argv=None) -> int:
         for op in workload.cycle(0):
             time_op(op)
         times: list[list[float]] = [[] for _ in labels]
+        peaks: list[int] = []
         failed = 0
-        for index in range(1, args.cycles + 1):
+        for index in range(1, args.cycles + 2):
             for position, op in enumerate(workload.cycle(index)):
-                seconds, problems = time_op(op)
-                times[position].append(seconds)
+                if index <= args.cycles:
+                    seconds, problems = time_op(op)
+                    times[position].append(seconds)
+                else:  # tracing slows the op, so its cycle is not timed
+                    peak, problems = traced_peak(op)
+                    peaks.append(peak)
                 for problem in problems:
                     failed += 1
                     print(f"cycle {index} op {position} ({labels[position]}): {problem}", file=sys.stderr)
 
-    print(f"{args.workload} seed {args.seed}, {args.cycles} cycles, measured ms")
-    print(f"{'op':>3}  {'command':<14}{'median':>10}{'min':>10}")
-    for position, (label, ts) in enumerate(zip(labels, times)):
-        print(f"{position:>3}  {label:<14}{1000 * statistics.median(ts):>10.3f}{1000 * min(ts):>10.3f}")
+    print(f"{args.workload} seed {args.seed}, {args.cycles} cycles, measured ms; traced peak of one more cycle")
+    print(f"{'op':>3}  {'command':<14}{'median':>10}{'min':>10}{'peak MB':>10}")
+    for position, (label, ts, peak) in enumerate(zip(labels, times, peaks)):
+        ms = f"{1000 * statistics.median(ts):>10.3f}{1000 * min(ts):>10.3f}"
+        print(f"{position:>3}  {label:<14}{ms}{peak / 2**20:>10.2f}")
     return 1 if failed else 0
 
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .linalg import DimensionMismatch, SpdMatrix, as_vector, mahalanobis_sq_many
+from .linalg import DimensionMismatch, SpdMatrix, _row_operands, as_vector, mahalanobis_sq_many
 
 __all__ = [
     "DivergentIntegral",
@@ -247,16 +247,21 @@ def radial_integral(
 
     ``method="closed"`` takes the kernel's closed form; ``"quadrature"`` the
     numeric path (used for cross-checks).  Both raise :class:`DivergentIntegral`
-    where the closed form does.
+    where the closed form does, and ``OverflowError`` where the closed log I_power
+    (``_log_i``) exceeds the float range: for the gaussian from d = 303 at power 0
+    and from d = 301 at power 1.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if power not in (0, 1):
         raise ValueError("power must be 0 or 1")
+    if method not in ("closed", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    log_i = _log_i(generator, d, power)
+    if log_i > _LOG_FLOAT_MAX:
+        raise OverflowError(f"I_{power}({d}) = exp({log_i:.6g}) exceeds the float range")
     if method == "closed":
         return generator.radial_integral_closed(d, power)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
     return math.exp(_log_radial_quadrature(generator, d, power))
 
 
@@ -297,11 +302,15 @@ def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     return math.exp(_log_norm_const(generator, d))
 
 
+#: the log of the largest float, above which I_power leaves the float range
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _log_i(generator: DensityGenerator, d: int, power: int = 0) -> float:
     """log I_power(d) in closed form; the gaussian's in log space, as I0 overflows there from d = 303."""
     if generator.tag == "gaussian":
         return (d / 2 + power) * math.log(2.0) + math.lgamma(d / 2 + power)
-    return math.log(radial_integral(generator, d, power))
+    return math.log(generator.radial_integral_closed(d, power))
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +401,8 @@ class EllipticalModel:
         if not self.sigma.is_identity:
             # numpy multiplies each replication's (n, d) rows as one product
             z = z @ self.sigma.cholesky_factor.T
-        z += self.mu
+        rows, loc = _row_operands(z, self.mu)  # z is C-contiguous, so rows is a view
+        rows += loc
         return z
 
     def __repr__(self) -> str:  # pragma: no cover

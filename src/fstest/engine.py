@@ -23,7 +23,6 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
-from . import rng
 from .elliptical import (
     GAUSSIAN,
     DivergentIntegral,
@@ -542,10 +541,10 @@ def bootstrap_report(
     n = x.shape[0]
     # t1 gathers the sample's distances: a C-ordered row's does not depend on its batch
     dist_x = mahalanobis_sq_many(np.ascontiguousarray(x), config.mu0, config.sigma)
-    # chunk resamples to bound the index, distance and gathered blocks (t1
-    # copies only its m kept rows, HL bounds its own scratch); block-wise draws
-    # equal one (j, n) draw, because PCG64 keeps the spare half of a 64-bit output
-    chunk = max(1, rng.SIMULATION_BLOCK_FLOATS // x.size)
+    # resample blocks of at most the estimators' scratch budget in entries bound
+    # the index, distance and gathered blocks; block-wise draws equal one (j, n)
+    # draw, because PCG64 keeps the spare half of a 64-bit output
+    chunk = max(1, est._SCRATCH_FLOATS // x.size)
     stats = np.empty(j)
     for start in range(0, j, chunk):
         idx = stream.integers(0, n, size=(min(chunk, j - start), n))

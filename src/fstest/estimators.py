@@ -10,6 +10,7 @@ coordinate-wise median, and the coordinate-wise Hodges-Lehmann estimator.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -120,12 +121,20 @@ def estimate(
 # batched implementations used by the simulation engine
 # ---------------------------------------------------------------------------
 
-#: cap on the Walsh-sum block of one Hodges-Lehmann chunk, in floats (8 MB)
-_HL_BLOCK_FLOATS = 1_000_000
-#: batches of fewer columns, or of fewer values per column, skip the window
-#: pass (``_hl_window_pass``): the whole band was faster there at n = 64-100
+#: floats one call's scratch may hold (2 MB, an L2's worth): the Walsh-sum block,
+#: and the blocks of replications that the forward search, the median-only sort
+#: and the bootstrap's resamples reduce at a time
+_SCRATCH_FLOATS = 1 << 18
+#: the Walsh-sum block where the scratch budget holds fewer than two band columns
+#: (n >= 751): one column per chunk made the band pass 1.5x slower at n = 1000
+_HL_WIDE_BLOCK_FLOATS = 1_000_000
+#: batches of fewer columns (two pilots' worth above n = 100), or of fewer values
+#: per column, skip the window pass (``_hl_window_pass``): the whole band was
+#: faster there at n = 64-100, and up to about 128 columns at n = 150-1000
 _HL_WINDOW_COLUMNS, _HL_WINDOW_N = 512, 64
 #: columns of the pilot that sets the window, and its margin in sums per band row
+#: at n <= 168; above, the margin is 0.4 isqrt(n) (8 at n = 400, 12 at n = 1000),
+#: which cut the columns that fail the window from 11-19% to about 2% at n = 400 and 1000
 _HL_PILOT, _HL_MARGIN = 64, 4
 
 
@@ -188,20 +197,28 @@ def _hodges_lehmann_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float
     their rank band (``_hl_band``, about 45% of the n(n+1)/2) and one in-place
     partition.  In large batches only a pilot and the columns that fail the
     window's check take the band, the rest ``_hl_window_pass``.  All passes
-    share one block of at most _HL_BLOCK_FLOATS unless one column's band
-    needs more.  Halving only the selected sums keeps np.median's bits, as
-    x -> x/2 is monotone; the leading ``0.0 +`` mirrors np.median's mean,
-    whose sum starts at +0.0 and so turns a -0.0 middle into +0.0.
+    share one block of ``_hl_block_columns`` band columns.  Halving only the
+    selected sums keeps np.median's bits, as x -> x/2 is monotone; the leading
+    ``0.0 +`` mirrors np.median's mean, whose sum starts at +0.0 and so turns
+    a -0.0 middle into +0.0.
     """
     columns, n = cols.shape
     band = _hl_band(n)[1]
-    block = np.empty(min(max(1, _HL_BLOCK_FLOATS // band), columns) * band)
+    block = np.empty(min(_hl_block_columns(band), columns) * band)
     out = np.empty(columns)
-    pilot = columns if columns < _HL_WINDOW_COLUMNS or n < _HL_WINDOW_N else _HL_PILOT
+    window_columns = _HL_WINDOW_COLUMNS if n <= 100 else 2 * _HL_PILOT
+    pilot = _HL_PILOT if columns >= window_columns and n >= _HL_WINDOW_N else columns
     _hl_band_pass(cols, np.arange(pilot), block, out)
     if pilot < columns:
         _hl_band_pass(cols, _hl_window_pass(cols, pilot, block, out), block, out)
     return out.reshape(-1, d)
+
+
+def _hl_block_columns(band: int) -> int:
+    """Band columns per Walsh-sum block: as many as _SCRATCH_FLOATS holds, or,
+    where that is fewer than two, as many as _HL_WIDE_BLOCK_FLOATS holds (at least one)."""
+    columns = _SCRATCH_FLOATS // band
+    return columns if columns >= 2 else max(1, _HL_WIDE_BLOCK_FLOATS // band)
 
 
 def _hl_middle(w: NDArray[np.float64], k: int, even: bool) -> tuple:
@@ -247,8 +264,9 @@ def _hl_window_pass(cols, pilot, block, out) -> NDArray[np.intp]:
     even = n * (n + 1) // 2 % 2 == 0
     ii, lo, hi = np.array(rows).T
     cross = np.clip([np.searchsorted(c, 2 * m - c[ii]) for c, m in zip(cols[:pilot], out[:pilot])], lo, hi)
-    a = np.maximum(cross.min(axis=0) - _HL_MARGIN, lo)
-    b = np.minimum(cross.max(axis=0) + _HL_MARGIN + 1, hi)
+    margin = _HL_MARGIN * max(10, math.isqrt(n)) // 10
+    a = np.maximum(cross.min(axis=0) - margin, lo)
+    b = np.minimum(cross.max(axis=0) + margin + 1, hi)
     kk, size = k - int(np.sum(a - lo)), int(np.sum(b - a))
     # sum i + j at each position: the windows, then the sums just before and just after them
     left, right = a > lo, b < hi
@@ -269,6 +287,19 @@ def _hl_window_pass(cols, pilot, block, out) -> NDArray[np.intp]:
     return np.flatnonzero(~ok)
 
 
+def _in_blocks(data: NDArray[np.float64], floats_per_rep: int, reduce) -> NDArray[np.float64]:
+    """``reduce(lo, hi)`` of the replications [lo, hi) of a (reps, n, d) batch,
+    stacked into (reps, d), over blocks of replications whose ``floats_per_rep``
+    scratch floats each fit in _SCRATCH_FLOATS together (one replication at least).
+    Each replication is reduced on its own, so the blocks change no bit."""
+    reps, _, d = data.shape
+    out = np.empty((reps, d))
+    step = max(1, _SCRATCH_FLOATS // floats_per_rep)
+    for lo in range(0, reps, step):
+        out[lo : lo + step] = reduce(lo, min(lo + step, reps))
+    return out
+
+
 def _forward_search_batch(
     data: NDArray[np.float64],
     mu0: NDArray[np.float64],
@@ -283,6 +314,7 @@ def _forward_search_batch(
     where they are known), then the earliest rows at t.  Only the kept rows
     are gathered, by index, and averaged in input order, so each replication
     has the bits of ``x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)``.
+    :func:`batch_estimates` passes it blocks of replications.
     """
     reps, n, d = data.shape
     m = trim_count(n, gamma)
@@ -309,16 +341,26 @@ def batch_estimates(
 ) -> NDArray[np.float64]:
     """Estimator values for a (reps, n, d) batch, shape (reps, d); where given, t1
     reads the rows' distances ``dist`` and t3 and t4 the ``_sorted_columns`` ``cols``."""
+    _, n, d = data.shape
     if kind == EstimatorKind.FORWARD_SEARCH:
         if mu0 is None or sigma is None or gamma is None:
             raise ValueError("forward search needs mu0, sigma and gamma")
-        return _forward_search_batch(data, mu0, sigma, gamma, dist)
+        # a block's differences from mu0 and their distances share the budget
+        return _in_blocks(
+            data, n * (d + 1),
+            lambda lo, hi: _forward_search_batch(data[lo:hi], mu0, sigma, gamma, None if dist is None else dist[lo:hi]),
+        )
     if kind == EstimatorKind.MEAN:
         # numpy's pairwise sum depends on the memory layout; fix it to C order
         return np.ascontiguousarray(data).mean(axis=1)
-    if kind in (EstimatorKind.CW_MEDIAN, EstimatorKind.HODGES_LEHMANN):
-        select = _median_batch if kind == EstimatorKind.CW_MEDIAN else _hodges_lehmann_batch
-        return select(_sorted_columns(data) if cols is None else cols, data.shape[2])
+    if kind == EstimatorKind.CW_MEDIAN:
+        if cols is not None:
+            return _median_batch(cols, d)
+        # the median alone sorts and reads a block of replications at a time
+        return _in_blocks(data, n * d, lambda lo, hi: _median_batch(_sorted_columns(data[lo:hi]), d))
+    if kind == EstimatorKind.HODGES_LEHMANN:
+        # HL sorts the whole batch: the window pass pays only on many columns
+        return _hodges_lehmann_batch(_sorted_columns(data) if cols is None else cols, d)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

@@ -133,6 +133,21 @@ class SpdMatrix:
         return f"SpdMatrix(d={self.d})"
 
 
+#: entries from which a location is tiled: below about 5,000, np.tile costs more than it saves
+_TILE_MIN_ENTRIES = 1 << 13
+
+
+def _row_operands(arr: NDArray[np.float64], v: NDArray[np.float64]) -> tuple[NDArray, NDArray]:
+    """``(a, w)`` such that an elementwise ``op(a, w)`` has the entries of ``op(arr, v)``
+    over the rows of an (..., n, d) ``arr``, with ``a`` a view of ``arr``.  A large
+    C-contiguous ``arr`` gives its (..., n * d) view and ``v`` tiled n times, so
+    numpy's inner loop runs over n * d entries, not d; the bits are the same."""
+    if arr.ndim < 2 or arr.size < _TILE_MIN_ENTRIES or not arr.flags.c_contiguous:
+        return arr, v
+    n, d = arr.shape[-2:]
+    return arr.reshape(*arr.shape[:-2], n * d), np.tile(v, n)
+
+
 def mahalanobis_sq_many(
     data: ArrayLike, mu0: ArrayLike, sigma: SpdMatrix
 ) -> NDArray[np.float64]:
@@ -144,7 +159,8 @@ def mahalanobis_sq_many(
     mu = as_vector(mu0, "mu0")
     if arr.shape[-1] != mu.size or sigma.d != mu.size:
         raise DimensionMismatch("data, mu0 and sigma dimensions disagree")
-    diff = arr - mu
+    rows, loc = _row_operands(arr, mu)
+    diff = (rows - loc).reshape(arr.shape)
     if sigma.is_identity:
         return np.einsum("...i,...i->...", diff, diff)
     return np.einsum("...i,ij,...j->...", diff, sigma.inverse, diff)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ class TestRadialIntegrals:
         )
         assert component_variance(GAUSSIAN, d) == 1.0
         assert truncated_radial_mean(GAUSSIAN, d, 1.0) == d
+
+    @pytest.mark.parametrize("method", ("closed", "quadrature"))
+    @pytest.mark.parametrize("power", (0, 1))
+    @pytest.mark.parametrize("d", (300, 302, 303, 343, 344))
+    def test_gaussian_overflow_follows_log_i_on_both_paths(self, d, power, method):
+        # I_p leaves the float range where log I_p does: from d = 303 at p = 0 and
+        # d = 301 at p = 1; below that both paths agree
+        log_i = (d / 2 + power) * math.log(2) + math.lgamma(d / 2 + power)
+        assert (log_i > math.log(sys.float_info.max)) == (d >= (303, 301)[power])
+        if d >= (303, 301)[power]:
+            with pytest.raises(OverflowError):
+                radial_integral(GAUSSIAN, d, power, method=method)
+        else:
+            value = radial_integral(GAUSSIAN, d, power, method=method)
+            assert math.isfinite(value) and value == pytest.approx(math.exp(log_i), rel=1e-12)
 
     @pytest.mark.parametrize("d", (1, 2, 3, 10, 100, 300, 343, 400, 1000))
     def test_gaussian_quadrature_in_log_space(self, d):

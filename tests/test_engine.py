@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -542,6 +543,40 @@ class TestPowerCampaign:
         assert rates[-1] >= 0.99, rates
 
 
+class TestScratchPeaks:
+    """A call's traced peak: its batch (or resample block) and that batch's
+    aux arrays, one scratch budget, and arrays of a few floats per replication."""
+
+    @staticmethod
+    def peak(fn) -> int:
+        fn()  # warm caches, so that only the call's own arrays are traced
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", [StatKind.T1, StatKind.T3])
+    def test_empirical_calibration_holds_one_batch_and_the_budget(self, kind):
+        reps, n, d = 2000, 100, 4
+        mu0, sigma = np.zeros(d), SpdMatrix.identity(d)
+        peak = self.peak(lambda: empirical_critical_value(kind, "gaussian", mu0, sigma, n, 0.5, 0.05, reps, 1))
+        # the gaussian batch (reps, n, d) and its aux (reps, n) fit one simulation batch
+        assert reps * n * d <= rng_module.SIMULATION_BLOCK_FLOATS
+        assert peak <= 8 * (reps * n * d + reps * n + est._SCRATCH_FLOATS + 16 * reps)
+
+    @pytest.mark.parametrize("kind", [StatKind.T1, StatKind.T3])
+    def test_bootstrap_holds_one_resample_block_and_the_budget(self, kind):
+        j, n, d = 2000, 100, 4
+        data = np.random.default_rng(5).standard_normal((n, d))
+        mu0, sigma = np.zeros(d), SpdMatrix.identity(d)
+        peak = self.peak(lambda: bootstrap_report(kind, data, mu0, sigma, j=j, seed=1))
+        # a block of resamples, and its indices and t1 distances, of n floats each
+        chunk = est._SCRATCH_FLOATS // (n * d)
+        assert peak <= 8 * (chunk * n * d + 2 * chunk * n + est._SCRATCH_FLOATS + 16 * j)
+
+
 class TestBootstrap:
     def test_p_value_reproducible_in_unit_interval(self, rng):
         data = rng.standard_normal((50, 2))
@@ -594,9 +629,10 @@ class TestBootstrap:
         report = bootstrap_report(kind, data, mu0, sigma, j=1201, seed=8)
         assert (report.p_value, report.critical_value, report.value) == expected
 
-    def test_resample_blocks_share_the_simulation_cap(self, monkeypatch, rng):
-        # a block holds rng.SIMULATION_BLOCK_FLOATS entries: j = 2,000 at
-        # n * d = 400 is one block, and a quarter of that in entries makes four
+    def test_resample_blocks_stay_within_the_scratch_budget(self, monkeypatch, rng):
+        # a block holds the estimators' 2**18-float scratch budget in entries:
+        # j = 2,000 at n * d = 400 is three blocks of 655 and a tail of 35,
+        # and a budget of 500 resamples makes four equal blocks
         data = rng.standard_normal((100, 4))
         mu0, sigma = np.zeros(4), SpdMatrix.identity(4)
         sizes = []
@@ -608,11 +644,31 @@ class TestBootstrap:
         monkeypatch.setattr(engine, "batch_statistics", spy)
         one = bootstrap_report(StatKind.T2, data, mu0, sigma, j=2000, seed=3)
         # the observed statistic is a batch of one, then come the resamples
-        assert sizes == [1, 2000]
+        assert sizes == [1, 655, 655, 655, 35]
         sizes.clear()
-        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 500 * 400)
+        monkeypatch.setattr(est, "_SCRATCH_FLOATS", 500 * 400)
         assert bootstrap_report(StatKind.T2, data, mu0, sigma, j=2000, seed=3) == one
         assert sizes == [1, 500, 500, 500, 500]
+
+    @pytest.mark.parametrize("kind", list(StatKind))
+    def test_uneven_resample_blocks_keep_the_bits_of_one_block(self, kind, monkeypatch, rng):
+        # n * d = 45 is odd; a budget of 7 resamples splits j = 101 into 14
+        # blocks of 7 and one of 3, and t1's forward search splits each again
+        data = np.round(rng.standard_normal((15, 3)), 1)
+        mu0, sigma = np.full(3, 0.1), SpdMatrix(np.eye(3) + 0.3)
+        sizes = []
+
+        def spy(batch, *args):
+            sizes.append(len(batch))
+            return batch_statistics(batch, *args)
+
+        monkeypatch.setattr(engine, "batch_statistics", spy)
+        monkeypatch.setattr(est, "_SCRATCH_FLOATS", 7 * 45)
+        blocked = bootstrap_report(kind, data, mu0, sigma, j=101, seed=4)
+        assert sizes == [1] + [7] * 14 + [3]
+        monkeypatch.setattr(est, "_SCRATCH_FLOATS", 1 << 40)
+        assert bootstrap_report(kind, data, mu0, sigma, j=101, seed=4) == blocked
+        assert sizes[16:] == [1, 101]
 
     def test_t1_resamples_get_their_rows_own_distances(self, monkeypatch):
         # the sample's distances come from a C-ordered copy; on this Fortran-ordered

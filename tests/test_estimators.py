@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 from fstest import estimators
 from fstest.elliptical import EllipticalModel, MixtureModel, standard_model
 from fstest.estimators import (
-    _HL_BLOCK_FLOATS,
+    _HL_WIDE_BLOCK_FLOATS,
+    _SCRATCH_FLOATS,
     _hl_band,
+    _hl_block_columns,
     _sorted_columns,
     Estimate,
     EstimatorKind,
@@ -204,12 +206,12 @@ class TestBatch:
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
     def test_batch_hl_chunking_consistent(self, rng):
-        # 120 columns of 20,888 band sums span three blocks, the last one short
+        # 118 columns of 20,888 band sums span ten blocks of 12, the last one short
         _, band, _ = _hl_band(300)
-        assert band == 20_888 and 120 > 2 * (_HL_BLOCK_FLOATS // band)
-        data = rng.standard_normal((60, 300, 2))
+        assert band == 20_888 and _hl_block_columns(band) == 12
+        data = rng.standard_normal((59, 300, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data, np.zeros(2), SpdMatrix.identity(2), 0.5)
-        expect = np.stack([hl_bruteforce(data[r]) for r in range(60)])
+        expect = np.stack([hl_bruteforce(data[r]) for r in range(59)])
         assert np.array_equal(got, expect)
 
     @given(
@@ -231,7 +233,7 @@ class TestBatch:
 
     def test_batch_hl_column_larger_than_block(self, rng):
         # n = 2100 gives a band of 1,029,114 Walsh sums, more than one block holds
-        assert _hl_band(2100)[1] > _HL_BLOCK_FLOATS
+        assert _hl_band(2100)[1] > _HL_WIDE_BLOCK_FLOATS and _hl_block_columns(_hl_band(2100)[1]) == 1
         data = rng.standard_normal((1, 2100, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
         assert np.array_equal(got[0], hl_bruteforce(data[0]))
@@ -454,9 +456,15 @@ class TestWindowedHodgesLehmann:
         self.assert_exact(rng.integers(-3, 4, (130, n, 4)) * -1e-300)
         assert [p for p, _ in passes].count("window") == 2
 
+    def test_exact_with_the_margin_grown_at_large_n(self, rng, passes):
+        # at n = 300 the window's margin is 6 sums per band row, not 4
+        self.assert_exact(rng.standard_normal((130, 300, 1)))
+        self.assert_exact(rng.integers(-3, 4, (130, 301, 1)) * -1e-300)
+        assert [p for p, _ in passes].count("window") == 2
+
     def test_exact_across_many_scratch_chunks(self, rng, monkeypatch, passes):
         # a block of 60,000 floats holds 26 band columns and about 20 window columns
-        monkeypatch.setattr(estimators, "_HL_BLOCK_FLOATS", 60_000)
+        monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 60_000)
         assert 600 > 20 * (60_000 // _hl_band(100)[1])
         self.assert_exact(mixture_batch("gaussian", 0.2, 150, 100, 4, seed=3))
         self.assert_exact(rng.integers(-3, 4, (150, 101, 4)) * -1e-300)
@@ -464,7 +472,8 @@ class TestWindowedHodgesLehmann:
 
     def test_a_window_wider_than_the_block_falls_back(self, rng, monkeypatch, passes):
         # a block of one band column cannot hold a window column and its gather
-        monkeypatch.setattr(estimators, "_HL_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 1)
+        monkeypatch.setattr(estimators, "_HL_WIDE_BLOCK_FLOATS", 1)
         self.assert_exact(rng.standard_normal((130, 100, 4)))
         assert passes == [("band", 64), ("window", 456), ("band", 456)]
 
@@ -483,6 +492,12 @@ class TestWindowedHodgesLehmann:
         passes.clear()
         self.assert_exact(rng.standard_normal((columns, n, 1)))
         assert [p for p, _ in passes] == ["band", "window", "band"]
+        # above n = 100 two pilots' worth of columns take the window
+        passes.clear()
+        pilots = 2 * estimators._HL_PILOT
+        self.assert_exact(rng.standard_normal((pilots - 1, 101, 1)))
+        self.assert_exact(rng.standard_normal((pilots, 101, 1)))
+        assert [p for p, _ in passes][:3] == ["band", "band", "window"]
 
     def test_few_gaussian_columns_fall_back(self, passes):
         # the window pays only while the band pass after it stays small
@@ -499,7 +514,7 @@ class TestWindowedHodgesLehmann:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * _HL_BLOCK_FLOATS + 64 * len(cols)
+        assert peak <= 8 * _SCRATCH_FLOATS + 64 * len(cols)
 
 
 @pytest.mark.parametrize("d", (1, 2, 4, 100))
@@ -515,6 +530,76 @@ def test_kept_row_mean_has_the_strided_mean_bits(d, gamma, rng):
         idx = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :m], axis=1) + 11 * np.arange(reps)[:, None]
         expect = data.reshape(-1, d)[idx.ravel()].reshape(reps, m, d).mean(axis=1)
         assert same_bits(batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, gamma), expect)
+
+
+class TestScratchBudget:
+    """Batches reduced in blocks of replications within _SCRATCH_FLOATS keep
+    the bits of one block; the Hodges-Lehmann block is never larger than an
+    8 MB one."""
+
+    @staticmethod
+    def one_block(monkeypatch, fn):
+        with monkeypatch.context() as m:
+            m.setattr(estimators, "_SCRATCH_FLOATS", 1 << 40)
+            return fn()
+
+    @pytest.mark.parametrize("d", (1, 4, 100))
+    @pytest.mark.parametrize("identity", (True, False))
+    def test_forward_search_blocks_keep_the_bits_with_ties_at_the_mth_distance(self, d, identity, monkeypatch):
+        # rows in tenths of small integers, each repeated and mirrored, tie at
+        # the m-th distance from the zero anchor; 11 replications of n = 9 run
+        # in blocks of 3, 3, 3 and 2
+        gen = np.random.default_rng(d)
+        base = gen.integers(-3, 4, (11, 5, d)) * 0.1
+        data = np.concatenate([base, -base[:, :4]], axis=1)
+        n = data.shape[1]
+        mu0 = np.zeros(d)
+        a = gen.standard_normal((d, d))
+        sigma = SpdMatrix.identity(d) if identity else SpdMatrix(a @ a.T / d + np.eye(d))
+        dist = mahalanobis_sq_many(data, mu0, sigma)
+        m = trim_count(n, 0.5)
+        assert np.any(np.sum(dist <= np.sort(dist, axis=1)[:, [m - 1]], axis=1) > m)
+        blocks = []
+        forward_search_batch = estimators._forward_search_batch
+        monkeypatch.setattr(
+            estimators, "_forward_search_batch", lambda x, *a: blocks.append(len(x)) or forward_search_batch(x, *a)
+        )
+        monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 3 * n * (d + 1) + 1)
+        for given_dist in (None, dist):
+            blocked = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, 0.5, given_dist)
+            whole = self.one_block(
+                monkeypatch, lambda: batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, 0.5, given_dist)
+            )
+            assert same_bits(blocked, whole)
+        assert blocks == [3, 3, 3, 2, 11] * 2
+
+    @pytest.mark.parametrize("n", (7, 8))
+    def test_median_blocks_keep_the_bits(self, n, monkeypatch, rng):
+        # the median alone sorts blocks of 4 replications of 10; t3 with t4 shares one sort
+        data = rng.integers(-2, 3, (10, n, 3)) * rng.choice([-1.0, 1.0], (10, n, 3))
+        monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 4 * n * 3 + 3)
+        blocked = batch_estimates(EstimatorKind.CW_MEDIAN, data)
+        whole = self.one_block(monkeypatch, lambda: batch_estimates(EstimatorKind.CW_MEDIAN, data))
+        shared = estimators._batch_estimates_by_kind([EstimatorKind.CW_MEDIAN, EstimatorKind.HODGES_LEHMANN], data)
+        assert same_bits(blocked, whole) and same_bits(blocked, shared[EstimatorKind.CW_MEDIAN])
+        assert same_bits(blocked, np.median(data, axis=1))
+
+    def test_empty_batches_stay_empty(self):
+        for kind in (EstimatorKind.FORWARD_SEARCH, EstimatorKind.CW_MEDIAN):
+            got = batch_estimates(kind, np.empty((0, 5, 2)), np.zeros(2), SpdMatrix.identity(2), 0.5)
+            assert got.shape == (0, 2)
+
+    def test_hl_block_holds_todays_four_columns_at_n_1000(self):
+        band = _hl_band(1000)[1]
+        assert band > _SCRATCH_FLOATS // 2 and _hl_block_columns(band) == 4 == _HL_WIDE_BLOCK_FLOATS // band
+
+    def test_hl_block_is_never_larger_than_an_8_mb_one(self):
+        # the block fits the 2 MB budget while that holds two band columns (n <= 750)
+        for n in range(1, 2200):
+            band = _hl_band(n)[1]
+            columns = _hl_block_columns(band)
+            assert 1 <= columns <= max(1, _HL_WIDE_BLOCK_FLOATS // band)
+            assert (columns * band <= _SCRATCH_FLOATS) == (n <= 750)
 
 
 class TestEstimateRecord:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fstest import linalg
 from fstest.linalg import (
     DimensionMismatch,
     NotSPD,
@@ -100,6 +101,21 @@ class TestMahalanobis:
         got = mahalanobis_sq_many(data, mu, sigma)
         assert got[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(got >= 0.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (1, 100, 3), (40, 100, 3), (2, 40, 100, 3)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_tiled_location_keeps_the_bits(self, shape, order, rng):
+        # large C-contiguous arrays take the location tiled over their (..., n * d) view
+        arr = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape), order=order)
+        mu = rng.standard_normal(3) * 1e-3
+        rows, loc = linalg._row_operands(arr, mu)
+        tiled = order == "C" and arr.ndim > 1 and arr.size >= linalg._TILE_MIN_ENTRIES
+        assert (rows.ndim == arr.ndim - 1) == tiled and np.shares_memory(rows, arr)
+        assert np.array_equal((rows - loc).reshape(arr.shape).view(np.int64), (arr - mu).view(np.int64))
+        added = arr.copy(order="K")
+        rows, loc = linalg._row_operands(added, mu)
+        rows += loc
+        assert np.array_equal(added.view(np.int64), (arr + mu).view(np.int64))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
