@@ -19,10 +19,13 @@ Every kernel implements every limit-law constant (radial integrals, truncated
 radial mean, g1(0), int g1^2) as a closed form, or as a fixed Gauss-Legendre
 rule for light100's int g1^2.  ``method`` is ``"closed"`` (the default) or
 ``"quadrature"``, the adaptive quadrature (``scipy.integrate``) that checks it.
+The squared-radius laws are incomplete gamma and beta functions in ``math``
+and numpy, so only ``method="quadrature"`` needs scipy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
@@ -32,6 +35,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from . import estimators as est
 from .linalg import DimensionMismatch, SpdMatrix, _row_operands, as_vector, mahalanobis_sq_many
 
 __all__ = [
@@ -157,9 +161,7 @@ class _Cauchy(DensityGenerator):
             raise DivergentIntegral(
                 f"cauchy radial integral of power {power} diverges (tail ~ x^{power - 1.5})"
             )
-        from scipy import special
-
-        return math.exp(special.betaln(d / 2, 0.5 - power))
+        return math.exp(_log_beta(d / 2, 0.5 - power))
 
     def draw(self, d, rng, z, aux):
         # numpy's chisquare(1) is 2 * standard_gamma(0.5), bit for bit
@@ -345,7 +347,7 @@ class EllipticalModel:
 
     @property
     def log_k(self) -> float:
-        # on first use: the cauchy constant loads scipy.special, which sampling never reads
+        # on first use: sampling never reads it
         return _log_norm_const(self.generator, self.d)
 
     @property
@@ -446,14 +448,24 @@ class MixtureModel:
         self.null_component.draw(rng, z, aux)
 
     def finish(self, z: NDArray, aux: NDArray, u: NDArray) -> NDArray[np.float64]:
-        """Scatters every row, then adds the shifted location where u < beta, else the null one."""
+        """Scatters every row, then adds the shifted location where u < beta, else the null one.
+
+        The locations are gathered from a (2, d) table by u < beta, a block of
+        rows at a time: its locations and gather indices fit the estimators'
+        scratch budget."""
         null = self.null_component
         null.generator.finish(self.d, z, aux)
         if not null.sigma.is_identity:
             z = z @ null.sigma.cholesky_factor.T
-        shifted = (u < self.beta)[..., None]
-        np.add(z, self.shifted_component.mu, out=z, where=shifted)
-        np.add(z, null.mu, out=z, where=~shifted)
+        table = np.stack([null.mu, self.shifted_component.mu])
+        rows, shifted = z.reshape(-1, self.d), (u < self.beta).reshape(-1)  # z is C-contiguous
+        step = max(1, est._SCRATCH_FLOATS // (self.d + 1))
+        loc = np.empty((min(step, len(rows)), self.d))
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            # the indices are 0 and 1, so "clip" clips nothing; it spares take a buffered copy
+            np.take(table, shifted[lo : lo + step], axis=0, out=loc[: len(block)], mode="clip")
+            block += loc[: len(block)]
         return z
 
 
@@ -587,7 +599,7 @@ def _gamma_p(a: float, x: float) -> float:
     Where the first one underflows, P rounds to 0 below the mode a and to 1
     above it.
     """
-    term = math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
+    term = math.exp(_log_gamma_term(a, x))
     if term < sys.float_info.min:
         return 0.0 if x < a else 1.0
     total, k = term, 0
@@ -599,16 +611,138 @@ def _gamma_p(a: float, x: float) -> float:
             return min(total, 1.0)
 
 
+#: the argument from which Stirling's series (:func:`_stirling`) replaces lgamma
+#: in differences of log-gamma values
+_STIRLING_FROM = 15.0
+
+
+def _log_gamma_term(a: float, x: float) -> float:
+    """log(x^a e^{-x} / Gamma(a + 1)), x > 0.
+
+    From a = _STIRLING_FROM on it is -a (r - 1 - log r) - log(2 pi a) / 2 - S(a)
+    with r = x/a and S :func:`_stirling`'s: near the mode its error stays
+    near eps |x - a|, where the direct form's grows like eps a log a (3e-13
+    at a = 1000).
+    """
+    if a < _STIRLING_FROM:
+        return a * math.log(x) - x - math.lgamma(a + 1.0)
+    r = x / a
+    return -a * (r - 1.0 - math.log(r)) - 0.5 * math.log(2.0 * math.pi * a) - _stirling(a)
+
+
+def _stirling(a: float) -> float:
+    """lgamma(a) - (a - 1/2) log a + a - log(2 pi) / 2 by Stirling's series to 1/a^9,
+    whose next term is below 3e-16 from a = 15 on."""
+    inv_sq = 1.0 / (a * a)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv_sq / 1188) * inv_sq) * inv_sq) * inv_sq) / a
+
+
 def _gamma_p_inverse(a: float, p: float) -> float:
     """The x with P(a, x) = p, by bisection down to adjacent floats."""
     lo, hi = 0.0, a + 1.0
     while _gamma_p(a, hi) < p:
         lo, hi = hi, 2.0 * hi
+    return _bisect(lambda x: _gamma_p(a, x), p, lo, hi)
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  From max(a, b) = _STIRLING_FROM on, lgamma(big) - lgamma(big +
+    small) is taken by Stirling's formula, where the direct difference loses eps
+    lgamma(big)."""
+    small, big = sorted((a, b))
+    if big < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (
+        math.lgamma(small) - small * math.log(big) - (big + small - 0.5) * math.log1p(small / big)
+        + small + _stirling(big) - _stirling(big + small)
+    )
+
+
+def _beta_inc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) by its continued fraction.
+
+    The fraction converges fast below x = (a + 1) / (a + b + 2); above it
+    I_x(a, b) = 1 - I_{1-x}(b, a) is taken instead.
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x = b, a, 1.0 - x
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)) / a
+    value = front * _beta_fraction(a, b, x)
+    return 1.0 - value if flip else value
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) (Numerical Recipes' betacf)."""
+
+    def terms():
+        yield 1.0, 1.0
+        for m in itertools.count():
+            if m:
+                yield m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)), 1.0
+            yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)), 1.0
+
+    return _lentz(terms())
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x), x > 0.
+
+    1 - P below x = a + 1, where Q is not small; above it Legendre's
+    continued fraction, which keeps a small tail to full relative precision.
+    """
+    if x < a + 1.0:
+        return 1.0 - _gamma_p(a, x)
+
+    def terms():
+        yield 1.0, x + 1.0 - a
+        for i in itertools.count(1):
+            yield -i * (i - a), x + 2 * i + 1.0 - a
+
+    return a * math.exp(_log_gamma_term(a, x)) * _lentz(terms())  # x^a e^{-x} / Gamma(a) first
+
+
+def _gamma_q_inverse(a: float, q: float) -> float:
+    """The x with Q(a, x) = q, by bisection down to adjacent floats."""
+    lo, hi = 0.0, a + 1.0
+    while _gamma_q(a, hi) > q:
+        lo, hi = hi, 2.0 * hi
+    return _bisect(lambda x: -_gamma_q(a, x), -q, lo, hi)
+
+
+def _lentz(terms) -> float:
+    """a1 / (b1 + a2 / (b2 + ...)) over the endless (a_i, b_i) of ``terms``, by the
+    modified Lentz method, until a step moves it by at most one float (or to NaN)."""
+    tiny = 1e-300
+    value = c = tiny
+    dd = 0.0
+    for a, b in terms:
+        dd = b + a * dd
+        dd = 1.0 / (dd if abs(dd) > tiny else tiny)
+        c = b + a / c
+        c = c if abs(c) > tiny else tiny
+        step = c * dd
+        value *= step
+        if not abs(step - 1.0) > sys.float_info.epsilon:
+            return value
+
+
+def _beta_inc_inverse(a: float, b: float, p: float) -> float:
+    """The x with I_x(a, b) = p, by bisection down to adjacent floats."""
+    return _bisect(lambda x: _beta_inc(a, b, x), p, 0.0, 1.0)
+
+
+def _bisect(cdf, p: float, lo: float, hi: float) -> float:
+    """The x in [lo, hi] where the increasing ``cdf`` reaches p, down to adjacent floats."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             return mid
-        if _gamma_p(a, mid) < p:
+        if cdf(mid) < p:
             lo = mid
         else:
             hi = mid
@@ -618,18 +752,20 @@ def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
     """P(squared radius <= x) for the standard member."""
     if x <= 0:
         return 0.0
+    if x == math.inf:  # a statistic that overflowed; the series would never end
+        return 1.0
     tag = generator.tag
     if tag == "gaussian":
         return _gamma_p(d / 2, x / 2)
-    from scipy import special
-
     if tag == "cauchy":
-        return float(special.betainc(d / 2, 0.5, x / (1.0 + x)))
+        return _beta_inc(d / 2, 0.5, x / (1.0 + x))
     if tag == "light100":
-        return float(special.gammainc(d / 200, x**100))
+        # x^100 ~ Gamma(d/200); it overflows from x = 1.2e3, where P is 1 long since
+        return _gamma_p(d / 200, x**100) if x < 2.0 else 1.0
     raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 
+@lru_cache(maxsize=256)
 def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
     """Quantile of the squared radius; p in (0, 1)."""
     if not 0.0 < p < 1.0:
@@ -637,16 +773,15 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
     tag = generator.tag
     if tag == "gaussian":
         return 2.0 * _gamma_p_inverse(d / 2, p)
-    from scipy import special
-
     if tag == "cauchy":
-        b = float(special.betaincinv(d / 2, 0.5, p))
+        b = _beta_inc_inverse(d / 2, 0.5, p)
         return b / (1.0 - b)
     if tag == "light100":
-        return float(special.gammaincinv(d / 200, p)) ** (1.0 / 100.0)
+        return _gamma_p_inverse(d / 200, p) ** (1.0 / 100.0)
     raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 
+@lru_cache(maxsize=256)
 def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> float:
     """E[x 1{x <= q_gamma}] for the squared radius x, in closed form.
 
@@ -664,21 +799,19 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
         # x = chi2_d: E[x 1{x <= q}] = d P(d/2 + 1, q/2), and P(a + 1, y) =
         # P(a, y) - y^a e^{-y} / Gamma(a + 1) with P(d/2, q/2) = gamma
         y = radial_quantile(generator, d, gamma) / 2
-        return d * (gamma - math.exp((d / 2) * math.log(y) - y - math.lgamma(d / 2 + 1)))
-    from scipy import special
-
+        return d * (gamma - math.exp(_log_gamma_term(d / 2, y)))
     if tag == "cauchy":
         # u = x/(1+x) ~ Beta(d/2, 1/2), and integrating u^{d/2} (1-u)^{-3/2} / B by parts
         # up to b = P(u <= b)^{-1}(gamma) gives 2 b^{d/2} / (sqrt(1-b) B) - d gamma
-        b = float(special.betaincinv(d / 2, 0.5, gamma))
-        log_head = (d / 2) * math.log(b) - 0.5 * math.log1p(-b) - float(special.betaln(d / 2, 0.5))
+        b = _beta_inc_inverse(d / 2, 0.5, gamma)
+        log_head = (d / 2) * math.log(b) - 0.5 * math.log1p(-b) - _log_beta(d / 2, 0.5)
         return 2.0 * math.exp(log_head) - d * gamma
     if tag == "light100":
         # x^100 ~ Gamma(d/200), so E[x 1{x <= q}] = Gamma(a) P(a, t) / Gamma(d/200) at
         # a = (d+2)/200 and t = q^100
-        t = float(special.gammaincinv(d / 200, gamma))
+        t = _gamma_p_inverse(d / 200, gamma)
         a = (d + 2) / 200
-        return math.exp(math.lgamma(a) - math.lgamma(d / 200)) * float(special.gammainc(a, t))
+        return math.exp(math.lgamma(a) - math.lgamma(d / 200)) * _gamma_p(a, t)
     raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from fstest import asymptotics
 from fstest.asymptotics import (
@@ -19,13 +20,16 @@ from fstest.asymptotics import (
     root_efficiency,
 )
 from fstest import estimators as est
+from fstest.cli import main
 from fstest.elliptical import (
+    GAUSSIAN,
     LIGHT100,
     DivergentIntegral,
     component_variance,
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
+    radial_quantile,
     standard_model,
 )
 from fstest.engine import LimitLaw, StatKind
@@ -291,6 +295,92 @@ class TestContiguousPower:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             contiguous_power(StatKind.T1, "gaussian", np.ones(2), alpha=1.5)
+
+
+class TestNoncentralOracles:
+    """The chi-squared quantile, the noncentral tail and the powers built on them
+    against scipy, which the package no longer imports."""
+
+    DS = (1, 2, 3, 4, 10, 50, 100, 400)
+    SHIFTS = (0.0, 1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 1e3, 1e4, 3e4)
+
+    @pytest.mark.parametrize("d", DS + (1000,))
+    def test_chi2_quantile(self, d):
+        for alpha in (1e-300, 1e-30, 1e-10, 0.01, 0.05, 0.1, 0.5, 0.9):
+            q = asymptotics._chi2_upper_point(d, alpha)
+            assert q == pytest.approx(special.chdtri(d, alpha), rel=1e-14, abs=0)
+
+    def test_gaussian_radial_quantile(self):
+        # the lower-tail path that formula calibration takes; from a = d/2 = 15 on the
+        # series' first term takes Stirling's form, where the direct one put the 0.95
+        # point 3.4e-14 off scipy's at d = 400 and 1.2e-13 at d = 1000
+        for d in self.DS + (1000,):
+            for alpha in (0.01, 0.05, 0.1, 0.5, 0.9):
+                q = radial_quantile(GAUSSIAN, d, 1 - alpha)
+                assert q == pytest.approx(special.chdtri(d, alpha), rel=1e-12 if d < 30 else 1e-14, abs=0)
+
+    @pytest.mark.parametrize("d", DS)
+    def test_noncentral_tail(self, d):
+        for alpha in (0.01, 0.05, 0.5):
+            q = special.chdtri(d, alpha)
+            for shift in self.SHIFTS:
+                tail = 1.0 - asymptotics._noncentral_chi2_cdf(q, d, shift)
+                assert tail == pytest.approx(1.0 - special.chndtr(q, d, shift), rel=1e-12, abs=0)
+        # a small tail is 1 - cdf, as scipy's 1 - chndtr was, so it is exact in absolute
+        # terms (2.6e-15 here, against 2.0e-15 for 1 - chndtr); boost's complement,
+        # stats.ncx2.sf, is the reference
+        for alpha in (1e-30, 1e-10):
+            q = special.chdtri(d, alpha)
+            for shift in self.SHIFTS:
+                tail = 1.0 - asymptotics._noncentral_chi2_cdf(q, d, shift)
+                ref = stats.ncx2.sf(q, d, shift) if shift else special.chdtrc(d, q)
+                assert tail == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    def test_no_cap_on_the_shift(self):
+        # the Poisson weights of a large shift underflow to 0 along the ladder
+        assert asymptotics._noncentral_chi2_cdf(special.chdtri(4, 0.05), 4, 1e9) == 0.0
+        # a wide ladder (q/2 = 5000) still meets the Poisson mass near shift/2
+        q = special.chdtri(10_000, 0.05)
+        for shift in (50.0, 200.0, 1e3):
+            assert asymptotics._noncentral_chi2_cdf(q, 10_000, shift) == pytest.approx(
+                special.chndtr(q, 10_000, shift), rel=1e-12, abs=0
+            )
+
+    @pytest.mark.parametrize("d", (1, 4, 100, 400))
+    @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
+    def test_contiguous_power(self, d, family):
+        for kind in StatKind:
+            law = LimitLaw(kind, family, d, 0.5)
+            for comp in (0.05, 0.5, 1.0, 5.0):
+                # 1 - alpha is 1 at alpha = 1e-17: the point comes from the upper tail
+                for alpha in (1e-17, 0.01, 0.05):
+                    p = contiguous_power(kind, family, np.full(d, comp), alpha=alpha)
+                    if math.isinf(law.scale):
+                        assert p == 0.0
+                        continue
+                    shift = law.drift**2 * d * comp**2 / law.scale
+                    if alpha < 0.01:
+                        # 1 - cdf is exact in absolute terms, as 1 - chndtr was
+                        ref = stats.ncx2.sf(special.chdtri(d, alpha), d, shift)
+                        assert p == pytest.approx(ref, rel=1e-12, abs=1e-14)
+                        continue
+                    ref = 1.0 - special.chndtr(special.chdtri(d, alpha), d, shift)
+                    assert p == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_table2_at_d_400(self, capsys):
+        assert main(["table2", "--seed", "1", "--d", "400", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 12
+        q = special.chdtri(400, 0.05)
+        for row in rows:
+            for kind in StatKind:
+                law = LimitLaw(kind, row["family"], 400, 0.5)
+                if math.isinf(law.scale):
+                    assert row[kind.value] == 0.0
+                    continue
+                shift = law.drift**2 * 400 * row["delta_component"] ** 2 / law.scale
+                ref = 1.0 - special.chndtr(q, 400, shift)
+                assert row[kind.value] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestDriftFactor:

@@ -477,6 +477,13 @@ def _run_script(script: str) -> str:
     return proc.stdout.split("\n")[-2]
 
 
+#: an import-cost script's scipy_modules(): every scipy module the process holds
+SCIPY_MODULES = """
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
 class TestImportCost:
     def test_serial_import_leaves_the_process_pool_unloaded(self):
         # multiprocessing loads with the first pool, not with the package
@@ -488,7 +495,7 @@ print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m i
         assert _run_script(script) == "[]"
 
     def test_gaussian_test_calls_import_no_scipy(self):
-        # the gaussian closed forms need only math; scipy loads where quadrature or special functions run
+        # the gaussian closed forms need only math
         script = f"""
 import contextlib, io, sys
 import fstest.cli
@@ -503,8 +510,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert fstest.cli.main(["critical-value", "--seed", "1", "--d", "400", "--calibration", "formula",
                             "--format", "json"]) == 0
-loaded = sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules)
-print(json.dumps([loaded, json.loads(out.getvalue())["critical_value"]]))
+{SCIPY_MODULES}
+print(json.dumps([scipy_modules(), json.loads(out.getvalue())["critical_value"]]))
 """
         loaded, crit = json.loads(_run_script("import json\n" + script))
         assert loaded == []
@@ -513,8 +520,7 @@ print(json.dumps([loaded, json.loads(out.getvalue())["critical_value"]]))
         assert crit == pytest.approx(scale * special.chdtri(400, 0.05), rel=1e-12, abs=0)
 
     def test_simulation_commands_import_no_scipy(self):
-        # a model's normalizing constant (scipy.special's betaln for the cauchy)
-        # is computed on first use, and simulating never uses it; table2 does
+        # a model's normalizing constant is computed on first use, and simulating never uses it
         script = f"""
 import contextlib, io, json, sys
 import fstest.cli
@@ -523,43 +529,48 @@ calls = [["power-table", "--family", family, *small] for family in ("gaussian", 
 calls += [["test", "--data", {str(DATA)!r}, "--family", "cauchy", *extra]
           for extra in (["--calibration", "empirical", "--null-reps", "100"], ["--j", "100"])]
 calls += [["table3", "--family", "cauchy", "--reps", "5", "--n-grid", "10", "--d-grid", "2", "--bootstrap", "2"],
-          ["breakdown"], ["table2"]]
+          ["breakdown"]]
+{SCIPY_MODULES}
 loaded = []
 for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
         assert fstest.cli.main([*argv, "--seed", "1"]) == 0
-    loaded.append(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules))
+    loaded.append(scipy_modules())
 print(json.dumps(loaded))
 """
-        *simulations, table2 = json.loads(_run_script(script))
-        assert simulations == [[]] * 7
-        assert table2 == ["scipy.special"]
+        assert json.loads(_run_script(script)) == [[]] * 7
 
-    def test_limit_law_commands_leave_scipy_integrate_unloaded(self):
-        # every limit-law constant is a closed form or a fixed Gauss-Legendre rule in numpy
-        script = """
+    def test_limit_law_commands_import_no_scipy(self):
+        # the limit laws, the chi-squared quantile and the noncentral tail are closed
+        # forms, series or fixed rules in math and numpy; scipy.stats alone costs ~1 s
+        script = f"""
 import contextlib, io, json, sys
 import fstest.cli
-calls = [["table2"], ["table2", "--d", "400"]]
-calls += [["critical-value", "--family", family, "--kind", kind, "--calibration", "formula"]
+calls = [["table2", "--seed", "1"], ["table2", "--seed", "1", "--d", "400"], ["table4"]]
+calls += [["critical-value", "--seed", "1", "--family", family, "--kind", kind, "--calibration", "formula"]
           for family in ("cauchy", "light100") for kind in ("t1", "t3", "t4")]
+{SCIPY_MODULES}
+loaded = []
 for argv in calls:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert fstest.cli.main([*argv, "--seed", "1"]) == 0
-print(json.dumps(sorted(m for m in ("scipy.special", "scipy.integrate") if m in sys.modules)))
+        assert fstest.cli.main(argv) == 0
+    loaded.append(scipy_modules())
+print(json.dumps(loaded))
 """
-        assert json.loads(_run_script(script)) == ["scipy.special"]
+        assert json.loads(_run_script(script)) == [[]] * 9
 
-    def test_table2_leaves_scipy_stats_unloaded(self):
-        # the exact local power needs scipy.special only; scipy.stats costs ~1 s to import
-        script = """
-import contextlib, io, sys
-import fstest.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert fstest.cli.main(["table2", "--seed", "1"]) == 0
-print("scipy.stats" in sys.modules)
-"""
-        assert _run_script(script) == "False"
+
+def test_formula_test_of_an_overflowing_statistic_ends(tmp_path):
+    # n |T - mu0|^2 overflows to inf at 1e200; its limit p-value once looped forever
+    data = tmp_path / "big.csv"
+    data.write_text("x1,x2\n1e200,2e200\n-3e200,1e200\n2e200,-1e200\n1e200,1e200\n")
+    src = str(Path(fstest.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cmd = [sys.executable, "-m", "fstest", "test", "--data", str(data), "--seed", "1",
+           "--calibration", "formula", "--format", "json"]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    assert (report["decision"], report["p_value"]) == ("reject", 0.0)
 
 
 class TestDeterminism:

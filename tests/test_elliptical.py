@@ -1,5 +1,7 @@
 import math
 import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +259,72 @@ class TestLimitConstantOracles:
         assert rule == pytest.approx(elliptical._light100_g1_sq_integral(d), rel=1e-13, abs=0)
 
 
+#: dimensions of the incomplete gamma oracles: small, both sides of the a = 15
+#: switch of _log_gamma_term at a = d/2, and large
+GAMMA_ORACLE_DS = (1, 2, 3, 4, 5, 10, 29, 30, 31, 50, 100, 200, 399, 400)
+
+
+class TestSpecialFunctionOracles:
+    """The incomplete gamma and beta functions in math against scipy.special."""
+
+    PS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+    def test_beta_inc_at_half(self):
+        # both sides of the continued fraction's switch to 1 - I_{1-x}(b, a)
+        for d in range(1, 401):
+            for p in self.PS:
+                x = special.betaincinv(d / 2, 0.5, p)
+                ref = special.betainc(d / 2, 0.5, x)
+                assert elliptical._beta_inc(d / 2, 0.5, x) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_beta_inc_inverse_at_half(self):
+        for d in range(1, 401):
+            for p in (0.01, 0.5, 0.99):
+                ref = special.betaincinv(d / 2, 0.5, p)
+                assert elliptical._beta_inc_inverse(d / 2, 0.5, p) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_beta_inc_edges(self):
+        assert elliptical._beta_inc(2.0, 0.5, 0.0) == 0.0
+        assert elliptical._beta_inc(2.0, 0.5, 1.0) == 1.0
+        assert math.isnan(elliptical._beta_inc(2.0, 0.5, math.nan))
+
+    @pytest.mark.parametrize("d", GAMMA_ORACLE_DS)
+    def test_gamma_p_and_its_inverse(self, d):
+        # at a = d/200, p = 0.01 puts the quantile below the float range for small d
+        for a in (d / 200, d / 2):
+            for p in self.PS[1:]:
+                x = special.gammaincinv(a, p)
+                assert elliptical._gamma_p(a, x) == pytest.approx(special.gammainc(a, x), rel=1e-12, abs=0)
+                assert elliptical._gamma_p_inverse(a, p) == pytest.approx(x, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", GAMMA_ORACLE_DS)
+    def test_cauchy_and_light100_laws(self, d):
+        for p in (0.1, 0.5, 0.9):
+            # u = x / (1 + x) ~ Beta(d/2, 1/2); x itself carries u's rounding over 1 - u
+            b = special.betaincinv(d / 2, 0.5, p)
+            q = radial_quantile(CAUCHY, d, p)
+            assert q / (1 + q) == pytest.approx(b, rel=1e-12, abs=0)
+            assert radial_cdf(CAUCHY, d, b / (1 - b)) == pytest.approx(p, rel=1e-12, abs=0)
+            t = special.gammaincinv(d / 200, p)
+            assert radial_quantile(LIGHT100, d, p) == pytest.approx(t**0.01, rel=1e-12, abs=0)
+            assert radial_cdf(LIGHT100, d, t**0.01) == pytest.approx(p, rel=1e-12, abs=0)
+        assert radial_cdf(LIGHT100, d, 2.0) == radial_cdf(LIGHT100, d, 1e6) == 1.0
+        assert radial_integral(CAUCHY, d, 0) == pytest.approx(special.beta(d / 2, 0.5), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", (15, 16, 200, 1000, 5000))
+    def test_log_beta_at_half_is_exact_to_rounding(self, n):
+        # B(n, 1/2) = (n-1)! n! 4^n / (2n)! and B(n + 1/2, 1/2) = pi (2n)! / (4^n n!^2),
+        # rounded once from exact integers; scipy's betaln is 3e-14 off at n = 200
+        fact = math.factorial
+        whole = Fraction(fact(n - 1) * fact(n) * 4**n, fact(2 * n))
+        half = Fraction(fact(2 * n), 4**n * fact(n) ** 2)
+        assert elliptical._log_beta(n, 0.5) == pytest.approx(math.log(whole), rel=1e-15, abs=0)
+        assert elliptical._log_beta(0.5, n) == elliptical._log_beta(n, 0.5)
+        assert elliptical._log_beta(n + 0.5, 0.5) == pytest.approx(
+            math.log(half) + math.log(math.pi), rel=1e-15, abs=0
+        )
+
+
 class TestRadialLaw:
     def test_gaussian_cdf_is_chi2(self):
         for d in (1, 4):
@@ -285,6 +353,11 @@ class TestRadialLaw:
             for p in (0.1, 0.5, 0.9):
                 x = radial_quantile(gen, 4, p)
                 assert radial_cdf(gen, 4, x) == pytest.approx(p, abs=1e-9)
+
+    def test_cdf_at_infinity_is_one(self):
+        # P(a, x)'s series never met its stopping rule at x = inf
+        for gen in ALL_GENERATORS:
+            assert radial_cdf(gen, 4, math.inf) == 1.0
 
     def test_unregistered_kernel_raises(self):
         class Logistic(DensityGenerator):
@@ -443,6 +516,40 @@ class TestMixture:
         for rows, component in ((shifted, mixture.shifted_component), (~shifted, mixture.null_component)):
             k = np.count_nonzero(rows)
             assert np.all(np.abs(x[rows].mean(axis=0) - component.mu) <= 4 * sd / math.sqrt(k))
+
+    @pytest.mark.parametrize("family", FAMILY_TAGS)
+    @pytest.mark.parametrize("scatter", (False, True))
+    @pytest.mark.parametrize("scratch", (None, 4 * 7 + 3))
+    def test_gathered_locations_keep_the_masked_bits(self, family, scatter, scratch, monkeypatch):
+        # finish gathers each row's location by u < beta, a block of rows at a time; it
+        # must give the bits of the two masked adds it replaced, whatever the block
+        if scratch is not None:
+            monkeypatch.setattr(elliptical.est, "_SCRATCH_FLOATS", scratch)  # blocks of 7 rows of d + 1 floats
+        mixture = _sampler(family, 0.3, scatter=scatter)
+        z, aux, u = mixture.buffers(5, 41)
+        mixture.draw(np.random.default_rng(6), z, aux, u)
+        null = mixture.null_component
+        masked, masked_aux = z.copy(), aux.copy()
+        null.generator.finish(3, masked, masked_aux)
+        masked = _scatter(null, masked)
+        shifted = (u < mixture.beta)[..., None]
+        np.add(masked, mixture.shifted_component.mu, out=masked, where=shifted)
+        np.add(masked, null.mu, out=masked, where=~shifted)
+        assert np.array_equal(_bits(mixture.finish(z, aux, u)), _bits(masked))
+
+    def test_gather_scratch_stays_one_block(self):
+        # a batch of 2,000 x 100 x 3 (4.8 MB) adds its locations within the 2 MB budget
+        mixture = _sampler("gaussian", 0.3)
+        z, aux, u = mixture.buffers(2000, 100)
+        mixture.draw(np.random.default_rng(7), z, aux, u)
+        tracemalloc.start()
+        try:
+            mixture.finish(z, aux, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block of locations, and u < beta (two bools per row)
+        assert peak <= 8 * elliptical.est._SCRATCH_FLOATS + 2 * u.size + 4096
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
