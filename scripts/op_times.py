@@ -9,7 +9,9 @@ thread and ``FSTEST_THREADS`` unset, as ``benchmarks/run.py`` does.  Prints
 the median and minimum wall time of each op position of the cycle in
 measured milliseconds (no host-speed calibration), labelled by subcommand,
 and each op's tracemalloc peak in MB (2**20 bytes) from one more, untimed
-cycle after the timed ones, and exits 1 if any op fails its workload check.
+cycle after the timed ones; then op_p50 and op_p90 over every timed op, as
+``benchmarks/harness.end_to_end`` computes them (in measured, not reference,
+milliseconds).  Exits 1 if any op fails its workload check.
 Copy it into another checkout to time that checkout the same way.
 """
 
@@ -94,6 +96,10 @@ def main(argv=None) -> int:
     for position, (label, ts, peak) in enumerate(zip(labels, times, peaks)):
         ms = f"{1000 * statistics.median(ts):>10.3f}{1000 * min(ts):>10.3f}"
         print(f"{position:>3}  {label:<14}{ms}{peak / 2**20:>10.2f}")
+    latencies = [t for ts in times for t in ts]
+    p50 = statistics.median(latencies)
+    p90 = statistics.quantiles(latencies, n=10, method="inclusive")[8] if len(latencies) > 1 else p50
+    print(f"all {len(latencies)} timed ops: op_p50 {1000 * p50:.3f} ms, op_p90 {1000 * p90:.3f} ms")
     return 1 if failed else 0
 
 

@@ -749,7 +749,9 @@ def _bisect(cdf, p: float, lo: float, hi: float) -> float:
 
 
 def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
-    """P(squared radius <= x) for the standard member."""
+    """P(squared radius <= x) for the standard member; NaN at a NaN ``x``."""
+    if math.isnan(x):  # P(a, x)'s series would never meet its stopping rule
+        return math.nan
     if x <= 0:
         return 0.0
     if x == math.inf:  # a statistic that overflowed; the series would never end

@@ -211,16 +211,17 @@ def batch_statistics(
     sigma: SpdMatrix,
     gamma: float,
     kinds: Sequence[StatKind] = ALL_KINDS,
-    dist: NDArray[np.float64] | None = None,
 ) -> dict[StatKind, NDArray[np.float64]]:
-    """All requested statistics for a (reps, n, d) batch of datasets.
+    """All requested statistics for a (reps, n, d) batch of datasets; t3 and
+    t4 together sort the batch's columns once."""
+    values = est._batch_estimates_by_kind([k.estimator for k in kinds], data, mu0, sigma, gamma)
+    return {kind: _sq_norms(values[kind.estimator], mu0, data.shape[1]) for kind in kinds}
 
-    t1 takes the rows' (reps, n) distances from ``dist`` where they are known,
-    and t3 and t4 together sort the batch's columns once.
-    """
-    values = est._batch_estimates_by_kind([k.estimator for k in kinds], data, mu0, sigma, gamma, dist)
-    diffs = {kind: values[kind.estimator] - mu0 for kind in kinds}
-    return {kind: data.shape[1] * np.einsum("ri,ri->r", v, v) for kind, v in diffs.items()}
+
+def _sq_norms(values: NDArray[np.float64], mu0: NDArray[np.float64], n: int) -> NDArray[np.float64]:
+    """n * ||v - mu0||^2 for each row v of a C-ordered (reps, d) block of estimates."""
+    diff = values - mu0
+    return n * np.einsum("ri,ri->r", diff, diff)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +533,14 @@ def bootstrap_report(
     seed: int = 0,
 ) -> TestReport:
     """Test against ``j`` resamples of the data: their 1 - alpha quantile is
-    the critical value, and the share of them above the statistic the p-value."""
+    the critical value, and the share of them above the statistic the p-value.
+
+    Resamples are drawn as blocks of row indices within the estimators'
+    scratch budget, and each block is reduced from its indices and the data
+    (``estimators._resample_estimates``; only t4 gathers the resampled
+    datasets), with the bits of :func:`batch_statistics` on the resampled
+    rows ``data[idx]``.
+    """
     kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
     if j < 1:
         raise ValueError("j must be positive")
@@ -540,16 +548,15 @@ def bootstrap_report(
     stream = stream_rng(seed, "bootstrap", kind.value)
     n = x.shape[0]
     # t1 gathers the sample's distances: a C-ordered row's does not depend on its batch
-    dist_x = mahalanobis_sq_many(np.ascontiguousarray(x), config.mu0, config.sigma)
+    dist = mahalanobis_sq_many(np.ascontiguousarray(x), config.mu0, config.sigma) if kind == StatKind.T1 else None
     # resample blocks of at most the estimators' scratch budget in entries bound
-    # the index, distance and gathered blocks; block-wise draws equal one (j, n)
-    # draw, because PCG64 keeps the spare half of a 64-bit output
+    # the index block and what each kind gathers from it; block-wise draws equal
+    # one (j, n) draw, because PCG64 keeps the spare half of a 64-bit output
     chunk = max(1, est._SCRATCH_FLOATS // x.size)
     stats = np.empty(j)
     for start in range(0, j, chunk):
         idx = stream.integers(0, n, size=(min(chunk, j - start), n))
-        dist = np.take(dist_x, idx) if kind == StatKind.T1 else None
-        batch = batch_statistics(np.take(x, idx, axis=0), config.mu0, config.sigma, gamma, (kind,), dist)
-        stats[start : start + chunk] = batch[kind]
+        values = est._resample_estimates(kind.estimator, x, idx, dist, gamma)
+        stats[start : start + chunk] = _sq_norms(values, config.mu0, n)
     crit = _quantile_with_se(stats, 1.0 - alpha)
     return _report(kind, value, crit, alpha, float(np.mean(stats > value)), seed)

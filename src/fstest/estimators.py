@@ -177,17 +177,12 @@ def _sorted_columns(data: NDArray[np.float64]) -> NDArray[np.float64]:
     return cols
 
 
-def _median_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float64]:
-    """Coordinate-wise median per replication from a batch's sorted columns
-    (``_sorted_columns``).
-
-    The middle of each column, with np.median's bits (the leading ``0.0 +``
-    as in ``_hodges_lehmann_batch``).
-    """
+def _median_batch(cols: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The median of each sorted column (``_sorted_columns``), with np.median's
+    bits (the leading ``0.0 +`` as in ``_hodges_lehmann_batch``)."""
     n = cols.shape[1]
     h = n // 2
-    mid = 0.0 + cols[:, h] if n % 2 else (0.0 + cols[:, h - 1] + cols[:, h]) / 2
-    return mid.reshape(-1, d)
+    return 0.0 + cols[:, h] if n % 2 else (0.0 + cols[:, h - 1] + cols[:, h]) / 2
 
 
 def _hodges_lehmann_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float64]:
@@ -300,34 +295,40 @@ def _in_blocks(data: NDArray[np.float64], floats_per_rep: int, reduce) -> NDArra
     return out
 
 
-def _forward_search_batch(
-    data: NDArray[np.float64],
-    mu0: NDArray[np.float64],
-    sigma: SpdMatrix,
-    gamma: float,
-    dist: NDArray[np.float64] | None = None,
-) -> NDArray[np.float64]:
-    """Forward-search estimate per replication for a (reps, n, d) batch.
-
-    Keeps the m = trim_count(n, gamma) rows nearest ``mu0``: all rows closer
-    than the m-th smallest distance t (``dist`` gives the rows' distances
-    where they are known), then the earliest rows at t.  Only the kept rows
-    are gathered, by index, and averaged in input order, so each replication
-    has the bits of ``x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)``.
-    :func:`batch_estimates` passes it blocks of replications.
-    """
-    reps, n, d = data.shape
-    m = trim_count(n, gamma)
-    dist = mahalanobis_sq_many(data, mu0, sigma) if dist is None else dist
+def _forward_search_kept(dist: NDArray[np.float64], m: int) -> NDArray[np.intp]:
+    """The m kept entries of each row of a (reps, n) block of distances, as flat
+    indices in a (reps, m) array, in input order: all entries closer than the
+    row's m-th smallest distance t, then the earliest at t."""
     t = np.partition(dist, m - 1, axis=1)[:, [m - 1]]
     keep = dist < t
     at = dist == t
     keep |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= m - keep.sum(axis=1, keepdims=True))
-    rows, idx = data.reshape(-1, d), np.flatnonzero(keep)
-    if d == 1:  # numpy sums a contiguous axis pairwise
-        return np.take(rows, idx, axis=0).reshape(reps, m, d).mean(axis=1)
+    return np.flatnonzero(keep).reshape(-1, m)
+
+
+def _row_mean(rows: NDArray[np.float64], idx: NDArray[np.intp]) -> NDArray[np.float64]:
+    """Mean of ``rows[idx[r]]`` for each r of a (reps, m) index block, shape (reps, d),
+    with the bits of the C-ordered gather's ``np.take(rows, idx, axis=0).mean(axis=1)``."""
+    if rows.shape[1] == 1:  # numpy sums a contiguous axis pairwise
+        return np.take(rows, idx, axis=0).mean(axis=1)
     # for d > 1 it sums axis 1 row by row, as it sums axis 0 of this gather, with a longer inner loop
-    return np.take(rows, idx.reshape(reps, m).T.ravel(), axis=0).reshape(m, reps, d).mean(axis=0)
+    return np.take(rows, idx.T, axis=0).mean(axis=0)
+
+
+def _forward_search_batch(
+    data: NDArray[np.float64], mu0: NDArray[np.float64], sigma: SpdMatrix, gamma: float
+) -> NDArray[np.float64]:
+    """Forward-search estimate per replication for a (reps, n, d) batch.
+
+    Keeps the m = trim_count(n, gamma) rows nearest ``mu0``
+    (``_forward_search_kept``); only the kept rows are gathered, by index,
+    and averaged in input order, so each replication has the bits of
+    ``x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)``.
+    :func:`batch_estimates` passes it blocks of replications.
+    """
+    _, n, d = data.shape
+    kept = _forward_search_kept(mahalanobis_sq_many(data, mu0, sigma), trim_count(n, gamma))
+    return _row_mean(data.reshape(-1, d), kept)
 
 
 def batch_estimates(
@@ -336,32 +337,62 @@ def batch_estimates(
     mu0: NDArray[np.float64] | None = None,
     sigma: SpdMatrix | None = None,
     gamma: float | None = None,
-    dist: NDArray[np.float64] | None = None,
     cols: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
-    """Estimator values for a (reps, n, d) batch, shape (reps, d); where given, t1
-    reads the rows' distances ``dist`` and t3 and t4 the ``_sorted_columns`` ``cols``."""
+    """Estimator values for a (reps, n, d) batch, shape (reps, d); where given,
+    t3 and t4 read the batch's ``_sorted_columns`` ``cols``."""
     _, n, d = data.shape
     if kind == EstimatorKind.FORWARD_SEARCH:
         if mu0 is None or sigma is None or gamma is None:
             raise ValueError("forward search needs mu0, sigma and gamma")
         # a block's differences from mu0 and their distances share the budget
-        return _in_blocks(
-            data, n * (d + 1),
-            lambda lo, hi: _forward_search_batch(data[lo:hi], mu0, sigma, gamma, None if dist is None else dist[lo:hi]),
-        )
+        return _in_blocks(data, n * (d + 1), lambda lo, hi: _forward_search_batch(data[lo:hi], mu0, sigma, gamma))
     if kind == EstimatorKind.MEAN:
         # numpy's pairwise sum depends on the memory layout; fix it to C order
         return np.ascontiguousarray(data).mean(axis=1)
     if kind == EstimatorKind.CW_MEDIAN:
         if cols is not None:
-            return _median_batch(cols, d)
+            return _median_batch(cols).reshape(-1, d)
         # the median alone sorts and reads a block of replications at a time
-        return _in_blocks(data, n * d, lambda lo, hi: _median_batch(_sorted_columns(data[lo:hi]), d))
+        return _in_blocks(data, n * d, lambda lo, hi: _median_batch(_sorted_columns(data[lo:hi])).reshape(-1, d))
     if kind == EstimatorKind.HODGES_LEHMANN:
         # HL sorts the whole batch: the window pass pays only on many columns
         return _hodges_lehmann_batch(_sorted_columns(data) if cols is None else cols, d)
     raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def _resample_estimates(
+    kind: EstimatorKind,
+    x: NDArray[np.float64],
+    idx: NDArray[np.intp],
+    dist: NDArray[np.float64] | None,
+    gamma: float,
+) -> NDArray[np.float64]:
+    """Estimates of the resamples ``x[idx[r]]`` of an (n, d) sample for a (reps, n)
+    index block, shape (reps, d) in C order, with the bits of
+    :func:`batch_estimates` of ``x[idx]``.
+
+    Only t4 gathers that (reps, n, d) batch.  t1 keeps the rows of each
+    resample nearest mu0 by the gathered distances of the sample's rows,
+    ``dist`` (those of its C-ordered copy, which equal a batch's), and
+    gathers only those rows; t2 gathers the rows replication-minor
+    (``_row_mean``); t3 gathers the columns coordinate-major, with no
+    strided transposed copy, and sorts them in place.
+    """
+    reps, n = idx.shape
+    if kind == EstimatorKind.FORWARD_SEARCH:
+        return _row_mean(x, np.take(idx, _forward_search_kept(np.take(dist, idx), trim_count(n, gamma))))
+    if kind == EstimatorKind.MEAN:
+        return _row_mean(x, idx)
+    if kind == EstimatorKind.HODGES_LEHMANN:
+        # the window pass's pilot, the first columns, must span the coordinates,
+        # whose shapes may differ; reordering coordinate-major columns into a
+        # batch's resample-major ones cost more than its transposed copy
+        return batch_estimates(kind, np.take(x, idx, axis=0))
+    cols = np.take(x.T, idx, axis=1).reshape(-1, n)  # row j * reps + r: coordinate j of resample r
+    cols.sort(axis=1)
+    # a strided (reps, d) view would change the last bit of some squared norms
+    return np.ascontiguousarray(_median_batch(cols).reshape(-1, reps).T)
 
 
 def _batch_estimates_by_kind(
@@ -370,7 +401,6 @@ def _batch_estimates_by_kind(
     mu0: NDArray[np.float64] | None = None,
     sigma: SpdMatrix | None = None,
     gamma: float | None = None,
-    dist: NDArray[np.float64] | None = None,
 ) -> dict[EstimatorKind, NDArray[np.float64]]:
     """:func:`batch_estimates` of each kind.  t3 and t4 together share one sort
     and run first, so the sorted copy is freed before the other kinds' scratch
@@ -381,5 +411,5 @@ def _batch_estimates_by_kind(
         cols = _sorted_columns(data)
         out = {kind: batch_estimates(kind, data, cols=cols) for kind in pair}
         del cols
-    out |= {kind: batch_estimates(kind, data, mu0, sigma, gamma, dist) for kind in kinds if kind not in out}
+    out |= {kind: batch_estimates(kind, data, mu0, sigma, gamma) for kind in kinds if kind not in out}
     return {kind: out[kind] for kind in kinds}

@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +361,18 @@ class TestRadialLaw:
         # P(a, x)'s series never met its stopping rule at x = inf
         for gen in ALL_GENERATORS:
             assert radial_cdf(gen, 4, math.inf) == 1.0
+
+    def test_cdf_at_nan_is_nan(self):
+        # P(a, x)'s series never met its stopping rule at x = nan: run it where a hang can be stopped
+        script = (
+            "import math; from fstest.elliptical import CAUCHY, GAUSSIAN, LIGHT100, radial_cdf; "
+            "print([radial_cdf(gen, d, math.nan) for gen in (GAUSSIAN, CAUCHY, LIGHT100) for d in (1, 4, 100)])"
+        )
+        src = str(Path(elliptical.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([math.nan] * 9)
 
     def test_unregistered_kernel_raises(self):
         class Logistic(DensityGenerator):

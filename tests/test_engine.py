@@ -566,15 +566,19 @@ class TestScratchPeaks:
         assert reps * n * d <= rng_module.SIMULATION_BLOCK_FLOATS
         assert peak <= 8 * (reps * n * d + reps * n + est._SCRATCH_FLOATS + 16 * reps)
 
-    @pytest.mark.parametrize("kind", [StatKind.T1, StatKind.T3])
+    @pytest.mark.parametrize("kind", [StatKind.T1, StatKind.T2, StatKind.T3])
     def test_bootstrap_holds_one_resample_block_and_the_budget(self, kind):
         j, n, d = 2000, 100, 4
         data = np.random.default_rng(5).standard_normal((n, d))
         mu0, sigma = np.zeros(d), SpdMatrix.identity(d)
         peak = self.peak(lambda: bootstrap_report(kind, data, mu0, sigma, j=j, seed=1))
-        # a block of resamples, and its indices and t1 distances, of n floats each
-        chunk = est._SCRATCH_FLOATS // (n * d)
-        assert peak <= 8 * (chunk * n * d + 2 * chunk * n + est._SCRATCH_FLOATS + 16 * j)
+        # a block's indices, n per resample, and what its kind gathers: t2 and t3
+        # the n * d entries of each resample (t2 with a transposed copy of the
+        # indices); t1 no such gather, only the n distances, the m kept rows
+        # and, twice, their indices
+        chunk, m = est._SCRATCH_FLOATS // (n * d), n // 2
+        held = 2 * n + m * (d + 2) if kind == StatKind.T1 else 2 * n + n * d
+        assert peak <= 8 * (chunk * held + 16 * j)
 
 
 class TestBootstrap:
@@ -629,46 +633,54 @@ class TestBootstrap:
         report = bootstrap_report(kind, data, mu0, sigma, j=1201, seed=8)
         assert (report.p_value, report.critical_value, report.value) == expected
 
+    @staticmethod
+    def spy_blocks(monkeypatch) -> tuple[list[int], list[int]]:
+        """Sizes of the batches ``batch_statistics`` reduces, and of the index
+        blocks whose resamples ``_resample_estimates`` reduces."""
+        batches, blocks = [], []
+        resample_estimates = est._resample_estimates
+
+        def batch_spy(batch, *args):
+            batches.append(len(batch))
+            return batch_statistics(batch, *args)
+
+        def block_spy(kind, x, idx, *args):
+            blocks.append(len(idx))
+            return resample_estimates(kind, x, idx, *args)
+
+        monkeypatch.setattr(engine, "batch_statistics", batch_spy)
+        monkeypatch.setattr(est, "_resample_estimates", block_spy)
+        return batches, blocks
+
     def test_resample_blocks_stay_within_the_scratch_budget(self, monkeypatch, rng):
         # a block holds the estimators' 2**18-float scratch budget in entries:
         # j = 2,000 at n * d = 400 is three blocks of 655 and a tail of 35,
         # and a budget of 500 resamples makes four equal blocks
         data = rng.standard_normal((100, 4))
         mu0, sigma = np.zeros(4), SpdMatrix.identity(4)
-        sizes = []
-
-        def spy(batch, *args):
-            sizes.append(len(batch))
-            return batch_statistics(batch, *args)
-
-        monkeypatch.setattr(engine, "batch_statistics", spy)
+        batches, sizes = self.spy_blocks(monkeypatch)
         one = bootstrap_report(StatKind.T2, data, mu0, sigma, j=2000, seed=3)
-        # the observed statistic is a batch of one, then come the resamples
-        assert sizes == [1, 655, 655, 655, 35]
+        # the observed statistic is a batch of one; the resamples reduce from their indices
+        assert batches == [1]
+        assert sizes == [655, 655, 655, 35]
         sizes.clear()
         monkeypatch.setattr(est, "_SCRATCH_FLOATS", 500 * 400)
         assert bootstrap_report(StatKind.T2, data, mu0, sigma, j=2000, seed=3) == one
-        assert sizes == [1, 500, 500, 500, 500]
+        assert sizes == [500, 500, 500, 500]
 
     @pytest.mark.parametrize("kind", list(StatKind))
     def test_uneven_resample_blocks_keep_the_bits_of_one_block(self, kind, monkeypatch, rng):
         # n * d = 45 is odd; a budget of 7 resamples splits j = 101 into 14
-        # blocks of 7 and one of 3, and t1's forward search splits each again
+        # blocks of 7 and one of 3
         data = np.round(rng.standard_normal((15, 3)), 1)
         mu0, sigma = np.full(3, 0.1), SpdMatrix(np.eye(3) + 0.3)
-        sizes = []
-
-        def spy(batch, *args):
-            sizes.append(len(batch))
-            return batch_statistics(batch, *args)
-
-        monkeypatch.setattr(engine, "batch_statistics", spy)
+        _, sizes = self.spy_blocks(monkeypatch)
         monkeypatch.setattr(est, "_SCRATCH_FLOATS", 7 * 45)
         blocked = bootstrap_report(kind, data, mu0, sigma, j=101, seed=4)
-        assert sizes == [1] + [7] * 14 + [3]
+        assert sizes == [7] * 14 + [3]
         monkeypatch.setattr(est, "_SCRATCH_FLOATS", 1 << 40)
         assert bootstrap_report(kind, data, mu0, sigma, j=101, seed=4) == blocked
-        assert sizes[16:] == [1, 101]
+        assert sizes[15:] == [101]
 
     def test_t1_resamples_get_their_rows_own_distances(self, monkeypatch):
         # the sample's distances come from a C-ordered copy; on this Fortran-ordered
@@ -680,19 +692,64 @@ class TestBootstrap:
         copied = mahalanobis_sq_many(np.ascontiguousarray(x), mu0, sigma)
         assert not np.array_equal(in_place.view(np.int64), copied.view(np.int64))
         seen = []
-        forward_search_batch = est._forward_search_batch
-
-        def spy(data, mu0, sigma, gamma, dist=None):
-            seen.append((data, mu0, sigma, dist))
-            return forward_search_batch(data, mu0, sigma, gamma, dist)
-
-        monkeypatch.setattr(est, "_forward_search_batch", spy)
+        kept, resample = est._forward_search_kept, est._resample_estimates
+        monkeypatch.setattr(est, "_forward_search_kept", lambda dist, m: seen.append(dist) or kept(dist, m))
+        monkeypatch.setattr(est, "_resample_estimates", lambda k, x, i, *a: seen.append(i) or resample(k, x, i, *a))
         bootstrap_report(StatKind.T1, x, mu0, sigma, j=300, seed=5)
-        gathered = [(data, m, s, dist) for data, m, s, dist in seen if dist is not None]
-        assert len(gathered) == 1
-        data, m, s, dist = gathered[0]
-        assert dist.shape == (300, 40)
-        assert np.array_equal(dist.view(np.int64), mahalanobis_sq_many(data, m, s).view(np.int64))
+        # the observed statistic selects on its own distances, then comes one block
+        assert [a.shape for a in seen] == [(1, 40), (300, 40), (300, 40)]
+        _, idx, dist = seen
+        data = np.take(x, idx, axis=0)
+        assert np.array_equal(dist.view(np.int64), mahalanobis_sq_many(data, mu0, sigma).view(np.int64))
+
+    def test_t4_columns_reach_hodges_lehmann_in_batch_order(self, monkeypatch):
+        # the window pass takes its window from the first columns: in resample-major
+        # order, as a batch sorts them, they span every coordinate, whose shapes differ
+        gen = np.random.default_rng(6)
+        x = np.column_stack([gen.standard_normal(80), gen.exponential(size=80), gen.uniform(size=80)])
+        seen = []
+        hl_batch = est._hodges_lehmann_batch
+        monkeypatch.setattr(est, "_hodges_lehmann_batch", lambda cols, d: seen.append(cols) or hl_batch(cols, d))
+        bootstrap_report(StatKind.T4, x, np.zeros(3), SpdMatrix.identity(3), j=300, seed=6)
+        idx = stream_rng(6, "bootstrap", "t4").integers(0, 80, size=(300, 80))
+        assert len(seen) == 2 and np.array_equal(seen[1], est._sorted_columns(x[idx]))
+
+    @pytest.mark.parametrize("kind", list(StatKind))
+    @pytest.mark.parametrize(
+        "n, d, layout, general",
+        [
+            pytest.param(9, 1, "C", False, id="d1"),
+            pytest.param(30, 1, "F", True, id="d1-fortran-general-sigma"),
+            pytest.param(23, 3, "C", False, id="d3"),
+            pytest.param(40, 4, "F", True, id="fortran-general-sigma"),
+            pytest.param(17, 6, "read-only", True, id="read-only-general-sigma"),
+            pytest.param(80, 2, "read-only", False, id="read-only"),
+        ],
+    )
+    def test_resample_statistics_have_the_batch_bits(self, kind, n, d, layout, general, monkeypatch):
+        # entries in tenths of mixed magnitudes tie, zeros of both signs probe
+        # the order of the sums, and a budget of 7 resamples splits j = 15 into
+        # blocks of 7 and 7 and a tail of one resample
+        gen = np.random.default_rng(n * d)
+        x = np.round(gen.standard_normal((n, d)) * gen.choice([0.1, 1.0, 100.0], (n, d)), 1)
+        x[gen.random(x.shape) < 0.1] = 0.0
+        x[gen.random(x.shape) < 0.1] = -0.0
+        x = np.asfortranarray(x) if layout == "F" else x
+        x.setflags(write=layout != "read-only")
+        mu0, sigma = np.full(d, 0.05), SpdMatrix.identity(d)
+        if general:
+            a = gen.standard_normal((d, d))
+            mu0, sigma = gen.integers(-3, 4, d) * 0.1, SpdMatrix(a @ a.T / d + np.eye(d))
+        stats = []
+        quantile = engine._quantile_with_se
+        monkeypatch.setattr(engine, "_quantile_with_se", lambda s, level: stats.append(s.copy()) or quantile(s, level))
+        _, sizes = self.spy_blocks(monkeypatch)
+        monkeypatch.setattr(est, "_SCRATCH_FLOATS", 7 * n * d)
+        bootstrap_report(kind, x, mu0, sigma, j=15, seed=2)
+        assert sizes == [7, 7, 1]
+        idx = stream_rng(2, "bootstrap", kind.value).integers(0, n, size=(15, n))
+        expected = batch_statistics(x[idx], mu0, sigma, 0.5, (kind,))[kind]
+        assert np.array_equal(stats[0].view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("kind", [StatKind.T3, StatKind.T4])
     def test_a_resample_that_permutes_the_data_ties(self, kind):

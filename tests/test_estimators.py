@@ -365,11 +365,10 @@ class TestForwardSearchOracle:
             a = rng.standard_normal((d, d))
             sigma = SpdMatrix.identity(d) if identity else SpdMatrix(a @ a.T / d + np.eye(d))
             idx = rng.integers(0, n, size=(300, n))
-            dist = np.take(mahalanobis_sq_many(np.ascontiguousarray(x), mu0, sigma), idx)
-            assert same_bits(dist, mahalanobis_sq_many(x[idx], mu0, sigma))
-            data = np.take(x, idx, axis=0)
+            dist = mahalanobis_sq_many(np.ascontiguousarray(x), mu0, sigma)
+            assert same_bits(np.take(dist, idx), mahalanobis_sq_many(x[idx], mu0, sigma))
             for gamma in (0.3, 0.5, 1.0):
-                got = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, gamma, dist)
+                got = estimators._resample_estimates(EstimatorKind.FORWARD_SEARCH, x, idx, dist, gamma)
                 assert same_bits(got, batch_estimates(EstimatorKind.FORWARD_SEARCH, x[idx], mu0, sigma, gamma))
 
 
@@ -565,13 +564,12 @@ class TestScratchBudget:
             estimators, "_forward_search_batch", lambda x, *a: blocks.append(len(x)) or forward_search_batch(x, *a)
         )
         monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 3 * n * (d + 1) + 1)
-        for given_dist in (None, dist):
-            blocked = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, 0.5, given_dist)
-            whole = self.one_block(
-                monkeypatch, lambda: batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, 0.5, given_dist)
-            )
-            assert same_bits(blocked, whole)
-        assert blocks == [3, 3, 3, 2, 11] * 2
+        blocked = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, 0.5)
+        whole = self.one_block(
+            monkeypatch, lambda: batch_estimates(EstimatorKind.FORWARD_SEARCH, data, mu0, sigma, 0.5)
+        )
+        assert same_bits(blocked, whole)
+        assert blocks == [3, 3, 3, 2, 11]
 
     @pytest.mark.parametrize("n", (7, 8))
     def test_median_blocks_keep_the_bits(self, n, monkeypatch, rng):
