@@ -7,8 +7,8 @@ process with ``PYTHONPATH`` set to that side's ``src``, alternating which
 side runs first.  The command's stdout is discarded.  Prints per side the
 median wall time of the whole process (interpreter start-up and imports
 included), the median of the child's own peak RSS (``ru_maxrss`` from
-``os.wait4``), and which of scipy.special, scipy.integrate and
-multiprocessing the command loaded.  The in-process benchmark pays each
+``os.wait4``), and which scipy and multiprocessing modules the command
+loaded, down to their second name (``scipy.special``, ``scipy._lib``).  The in-process benchmark pays each
 import once in a process that runs many commands; this shows what one
 command costs in a process of its own.
 """
@@ -25,13 +25,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WATCHED = ("scipy.special", "scipy.integrate", "multiprocessing")
+#: packages whose modules a command should not load; each is reported down to its second name
+WATCHED = ("scipy", "multiprocessing")
 CHILD = f"""
 import contextlib, io, json, sys
 import fstest.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = fstest.cli.main(sys.argv[1:])
-print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
+loaded = {{".".join(m.split(".")[:2]) for m in sys.modules if m.split(".")[0] in {WATCHED!r}}}
+print(json.dumps([code, sorted(loaded)]))
 """
 
 

@@ -10,9 +10,8 @@ estimator's scalar c1:
 
 with c1 = pi^{d/2} I1 / (d gamma Gamma(d/2)).  For the three built-in
 kernels these reduce to closed forms which we evaluate in log space (they
-decay or grow super-geometrically in d); a generic quadrature path evaluates
-the defining ratio directly.  ``root_efficiency`` applies the d-th root used
-by determinant-based comparisons.
+decay or grow super-geometrically in d).  ``root_efficiency`` applies the
+d-th root used by determinant-based comparisons.
 
 c1 is the paper's constant (:func:`fstest.engine.scatter_scale_constant`),
 not the limit variance of the trimmed mean.
@@ -39,19 +38,15 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
 from .elliptical import (
-    DivergentIntegral,
     EllipticalModel,
     _STIRLING_FROM,
+    _chi2_upper_point,
     _gamma_q,
-    _gamma_q_inverse,
     _stirling,
     generator_by_name,
-    marginal_density_at_zero,
-    marginal_density_sq_integral,
-    _log_radial_quadrature,
     standard_model,
 )
-from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind, _log_c1
+from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind
 from .linalg import SpdMatrix, as_vector
 from .rng import simulate
 
@@ -98,8 +93,18 @@ def _exp_or_inf(log_value: float) -> float:
         return math.inf
 
 
-def _closed_efficiency(family: str, which: str, d: int, gamma: float) -> float:
-    """Closed-form efficiencies, evaluated in log space."""
+def efficiency(family: str, which: str, d: int, gamma: float = 0.5) -> float:
+    """Asymptotic efficiency of the trimmed estimator vs. a competitor, in closed form.
+
+    ``which`` selects the competitor: "e1" sample mean, "e2" coordinate-wise
+    median, "e3" Hodges-Lehmann.  The forms are evaluated in log space.  The
+    gaussian ones equal the defining variance-scalar ratio.  The cauchy and
+    light100 ones are tabulated forms with fixed marginal constants, which
+    the ratio does not reproduce: the cauchy e2 and e3 are finite although
+    its I1, and so c1, diverges, and each light100 form differs from the
+    ratio (e3 takes ``LIGHT_TAIL_HL_CONSTANT``).
+    """
+    _check_args(which, d, gamma)
     log_gamma_d2 = math.lgamma(d / 2)
     if family == "gaussian":
         base = math.log(gamma) - (d / 2) * math.log(2.0 * math.pi)
@@ -132,47 +137,6 @@ def _closed_efficiency(family: str, which: str, d: int, gamma: float) -> float:
             return _exp_or_inf(base + 2.0 * math.lgamma(1.0 / 200.0) - math.log(400.0))
         return _exp_or_inf(base + math.log(LIGHT_TAIL_HL_CONSTANT))
     raise ValueError(f"no closed efficiency forms for family {family!r}")
-
-
-def _quadrature_efficiency(family: str, which: str, d: int, gamma: float) -> float:
-    """The defining variance-scalar ratio with every integral done numerically,
-    combined in log space like the closed forms."""
-    gen = generator_by_name(family)
-    try:
-        log_i1 = _log_radial_quadrature(gen, d, 1)
-    except DivergentIntegral:
-        if which == "e1":
-            return math.inf
-        raise
-    log_c1 = _log_c1(d, gamma, log_i1)
-    if which == "e1":
-        log_var = log_i1 - math.log(d) - _log_radial_quadrature(gen, d, 0)
-    elif which == "e2":
-        log_var = -math.log(4.0 * marginal_density_at_zero(gen, d, method="quadrature") ** 2)
-    else:
-        log_var = -math.log(12.0 * marginal_density_sq_integral(gen, d, method="quadrature") ** 2)
-    return _exp_or_inf(log_var - log_c1)
-
-
-def efficiency(
-    family: str, which: str, d: int, gamma: float = 0.5, method: str = "closed"
-) -> float:
-    """Asymptotic efficiency of the trimmed estimator vs. a competitor.
-
-    ``which`` selects the competitor: "e1" sample mean, "e2" coordinate-wise
-    median, "e3" Hodges-Lehmann.  ``method="closed"`` evaluates the tabulated
-    closed form; ``"quadrature"`` evaluates the defining ratio numerically.
-    The two paths agree for the Gaussian kernel; for the heavy- and
-    light-tailed kernels the closed forms embed fixed marginal constants
-    that the numeric path does not reproduce (see module docs), so pick the
-    path deliberately when it matters.
-    """
-    _check_args(which, d, gamma)
-    if method == "closed":
-        return _closed_efficiency(family, which, d, gamma)
-    if method == "quadrature":
-        return _quadrature_efficiency(family, which, d, gamma)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def root_efficiency(family: str, which: str, d: int, gamma: float = 0.5) -> float:
@@ -362,13 +326,6 @@ def _limit_power(law: LimitLaw, delta: NDArray[np.float64], alpha: float) -> flo
         return 0.0
     shift = law.drift**2 * float(delta @ delta) / law.scale
     return 1.0 - _noncentral_chi2_cdf(_chi2_upper_point(delta.size, alpha), delta.size, shift)
-
-
-@lru_cache(maxsize=256)
-def _chi2_upper_point(d: int, alpha: float) -> float:
-    """The q with P(chi2_d > q) = alpha, from the upper tail, where 1 - alpha would
-    lose a small alpha's relative precision."""
-    return 2.0 * _gamma_q_inverse(d / 2, alpha)
 
 
 def _noncentral_chi2_cdf(q: float, d: int, shift: float) -> float:

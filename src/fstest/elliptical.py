@@ -17,10 +17,10 @@ must treat explicitly (:class:`DivergentIntegral`).
 
 Every kernel implements every limit-law constant (radial integrals, truncated
 radial mean, g1(0), int g1^2) as a closed form, or as a fixed Gauss-Legendre
-rule for light100's int g1^2.  ``method`` is ``"closed"`` (the default) or
-``"quadrature"``, the adaptive quadrature (``scipy.integrate``) that checks it.
-The squared-radius laws are incomplete gamma and beta functions in ``math``
-and numpy, so only ``method="quadrature"`` needs scipy.
+rule for light100's int g1^2.  The squared-radius laws and the chi-squared
+upper tail are incomplete gamma and beta functions in ``math`` and numpy, so
+nothing here needs scipy; the tests check these paths against scipy's
+adaptive quadrature and special functions.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,7 +51,6 @@ __all__ = [
     "standard_model",
     "MixtureModel",
     "sample_mixture",
-    "marginal_density",
     "marginal_density_at_zero",
     "marginal_density_sq_integral",
     "radial_cdf",
@@ -64,19 +62,6 @@ __all__ = [
 
 class DivergentIntegral(ArithmeticError):
     """A requested radial integral does not converge."""
-
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
-
-
-def _quad(fn, a, b, **kw):
-    from scipy import integrate
-
-    opts = {**_QUAD_OPTS, **kw}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(fn, a, b, **opts)
-    return value
 
 
 class DensityGenerator:
@@ -117,8 +102,7 @@ class DensityGenerator:
         raise NotImplementedError
 
     def int_g1_sq_closed(self, d: int) -> float:
-        """The integral of the squared standardized marginal without adaptive
-        quadrature (a closed form or a fixed rule)."""
+        """The integral of the squared standardized marginal: a closed form or a fixed rule."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -242,61 +226,21 @@ def generator_by_name(name: str) -> DensityGenerator:
         raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_TAGS}") from None
 
 
-def radial_integral(
-    generator: DensityGenerator, d: int, power: int, method: str = "closed"
-) -> float:
-    """I_power(d) = integral of x^{d/2-1+power} g(x) over (0, inf).
+def radial_integral(generator: DensityGenerator, d: int, power: int) -> float:
+    """I_power(d) = integral of x^{d/2-1+power} g(x) over (0, inf), in closed form.
 
-    ``method="closed"`` takes the kernel's closed form; ``"quadrature"`` the
-    numeric path (used for cross-checks).  Both raise :class:`DivergentIntegral`
-    where the closed form does, and ``OverflowError`` where the closed log I_power
-    (``_log_i``) exceeds the float range: for the gaussian from d = 303 at power 0
-    and from d = 301 at power 1.
+    Raises :class:`DivergentIntegral` where it diverges, and ``OverflowError``
+    where the closed log I_power (``_log_i``) exceeds the float range: for the
+    gaussian from d = 303 at power 0 and from d = 301 at power 1.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if power not in (0, 1):
         raise ValueError("power must be 0 or 1")
-    if method not in ("closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     log_i = _log_i(generator, d, power)
     if log_i > _LOG_FLOAT_MAX:
         raise OverflowError(f"I_{power}({d}) = exp({log_i:.6g}) exceeds the float range")
-    if method == "closed":
-        return generator.radial_integral_closed(d, power)
-    return math.exp(_log_radial_quadrature(generator, d, power))
-
-
-def _log_radial_quadrature(generator: DensityGenerator, d: int, power: int) -> float:
-    """log I_power(d) by quadrature, for d >= 1 and power 0 or 1."""
-    if generator.tag == "cauchy":
-        generator.radial_integral_closed(d, power)  # its DivergentIntegral decides divergence
-        # substitute u = (1+x)^{-1/2}; the integrand becomes a smooth Beta form
-        def integrand(u):
-            x = 1.0 / (u * u) - 1.0
-            return 2.0 * (1.0 - u * u) ** (d / 2 - 1) * x**power
-
-        return math.log(_quad(integrand, 0.0, 1.0))
-    expo = d / 2 - 1 + power
-    if generator.tag == "light100":
-        # support is effectively [0, ~1.1]; give the boundary layer as a hint
-        def integrand(x):
-            return x**expo * math.exp(-(x**100))
-
-        return math.log(_quad(integrand, 0.0, 1.2, points=[0.9, 1.0, 1.05]))
-    return _log_quad_from_mode(expo, lambda x: float(generator.log_g(x, d)))
-
-
-def _log_quad_from_mode(expo: float, log_g) -> float:
-    """log of the integral of s^expo exp(log_g(s)) over (0, inf), with the integrand scaled
-    by its value at m = max(2 expo, 1), the gaussian's mode, and split at m."""
-    m = max(2.0 * expo, 1.0)
-    log_m = expo * math.log(m) + log_g(m)
-
-    def integrand(s):
-        return math.exp(expo * math.log(s) + log_g(s) - log_m)
-
-    return log_m + math.log(_quad(integrand, 0.0, m) + _quad(integrand, m, np.inf))
+    return generator.radial_integral_closed(d, power)
 
 
 def normalizing_constant(generator: DensityGenerator, d: int) -> float:
@@ -485,40 +429,17 @@ def _sample_one(sampler, n: int, rng: np.random.Generator) -> NDArray[np.float64
 # marginal quantities of the standard member
 # ---------------------------------------------------------------------------
 
-def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
-    """Density of the first coordinate of the standard member, at t.
-
-    Computed by reducing the (d-1)-dimensional integral over the remaining
-    coordinates to one radial integral in s = |rest|^2:
-
-        f1(t) = k(d) * pi^{(d-1)/2} / Gamma((d-1)/2)
-                * integral_0^inf s^{(d-1)/2 - 1} g(t^2 + s) ds
-
-    Both factors are formed in log space (light100's integral excepted): k(d)
-    pi^{(d-1)/2} overflows from d = 342, the gaussian's integral from d = 300.
-    """
-    if d == 1:
-        return normalizing_constant(generator, d) * float(generator.g(t * t, d))
-    expo = (d - 1) / 2 - 1
-    tsq = t * t
-    if generator.tag == "light100":
-        # integrand dies once t^2 + s exceeds ~1.1
-        upper = max(1.2 - tsq, 0.0) + 0.05
-        if upper <= 1e-12:
-            return 0.0
-
-        def integrand(s):
-            return s**expo * math.exp(-((tsq + s) ** 100)) if s > 0 else 0.0
-
-        hint = max(1.0 - tsq, 1e-6)
-        inner = _quad(integrand, 0.0, upper, points=[min(hint, upper)])
-        return math.exp(_log_marginal_front(generator, d)) * inner
-    log_inner = _log_quad_from_mode(expo, lambda s: float(generator.log_g(tsq + s, d)))
-    return math.exp(_log_marginal_front(generator, d) + log_inner)
-
-
 def _log_marginal_front(generator: DensityGenerator, d: int) -> float:
-    """log of k(d) pi^{(d-1)/2} / Gamma((d-1)/2), the factor of f1's radial integral; d >= 2."""
+    """log of k(d) pi^{(d-1)/2} / Gamma((d-1)/2); d >= 2.
+
+    Integrating the density of the standard member over the other d - 1
+    coordinates leaves one radial integral in s = |rest|^2, so the marginal
+    density of the first coordinate is
+
+        f1(t) = k(d) pi^{(d-1)/2} / Gamma((d-1)/2) * integral_0^inf s^{(d-1)/2 - 1} g(t^2 + s) ds.
+
+    The factor is formed in log space: k(d) pi^{(d-1)/2} overflows from d = 342.
+    """
     log_pi_part = ((d - 1) / 2) * math.log(math.pi) - math.lgamma((d - 1) / 2)
     return _log_norm_const(generator, d) + log_pi_part
 
@@ -537,7 +458,7 @@ def _light100_g1_sq_integral(d: int) -> float:
     """Integral of f1^2 for light100 by a composite Gauss-Legendre product rule; d >= 2.
 
     f1(t) = front * integral_0^inf 2 v^{d-2} exp(-(t^2 + v^2)^100) dv, the
-    radial integral of :func:`marginal_density` under s = v^2, which makes the
+    radial integral of :func:`_log_marginal_front`'s f1 under s = v^2, which makes the
     integrand smooth at v = 0.  The outer panels break at t = r and the inner
     ones at v = sqrt(r^2 - t^2), for each r in _LIGHT100_BREAKS, so that each
     panel sees at most one turn of the kernel.  Taken one outer panel at a
@@ -564,28 +485,15 @@ def _light100_g1_sq_integral(d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def marginal_density_at_zero(
-    generator: DensityGenerator, d: int, method: str = "closed"
-) -> float:
+def marginal_density_at_zero(generator: DensityGenerator, d: int) -> float:
     """g1(0): the standardized marginal density at the origin."""
-    if method == "closed":
-        return generator.g1_zero_closed(d)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    return marginal_density(generator, d, 0.0)
+    return generator.g1_zero_closed(d)
 
 
 @lru_cache(maxsize=None)
-def marginal_density_sq_integral(
-    generator: DensityGenerator, d: int, method: str = "closed"
-) -> float:
+def marginal_density_sq_integral(generator: DensityGenerator, d: int) -> float:
     """Integral of the squared standardized marginal density."""
-    if method == "closed":
-        return generator.int_g1_sq_closed(d)
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    upper = 1.3 if generator.tag == "light100" else np.inf  # f1 is symmetric: twice (0, upper)
-    return 2.0 * _quad(lambda t: marginal_density(generator, d, t) ** 2, 0.0, upper, epsrel=1e-10)
+    return generator.int_g1_sq_closed(d)
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +620,25 @@ def _gamma_q_inverse(a: float, q: float) -> float:
     while _gamma_q(a, hi) > q:
         lo, hi = hi, 2.0 * hi
     return _bisect(lambda x: -_gamma_q(a, x), -q, lo, hi)
+
+
+@lru_cache(maxsize=256)
+def _chi2_upper_point(d: int, alpha: float) -> float:
+    """The q with P(chi2_d > q) = alpha, from the upper tail, where 1 - alpha would
+    lose a small alpha's relative precision."""
+    return 2.0 * _gamma_q_inverse(d / 2, alpha)
+
+
+def _chi2_tail(d: int, x: float) -> float:
+    """P(chi2_d > x) = Q(d/2, x/2): NaN at NaN, 1 at x <= 0, where Q's series
+    takes log x, and 0 at +inf, where its fraction gives NaN."""
+    if math.isnan(x):
+        return math.nan
+    if x <= 0:
+        return 1.0
+    if x == math.inf:
+        return 0.0
+    return _gamma_q(d / 2, x / 2)
 
 
 def _lentz(terms) -> float:

@@ -24,16 +24,16 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
 from .elliptical import (
-    GAUSSIAN,
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
+    _chi2_tail,
+    _chi2_upper_point,
     _log_i,
     component_variance,
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
-    radial_cdf,
     radial_quantile,
     truncated_radial_mean,
 )
@@ -104,8 +104,7 @@ class LimitLaw:
     for t3; 1 / (12 (int g1^2)^2) for t4.  It is ``math.inf`` where the
     variance diverges: t2 under ``cauchy``, and t1 there at gamma = 1.  Every
     constant is a closed form or, for light100's int g1^2, a fixed
-    Gauss-Legendre rule (:mod:`fstest.elliptical`), finite at any d; none
-    runs adaptive quadrature.
+    Gauss-Legendre rule (:mod:`fstest.elliptical`), finite at any d.
 
     ``drift`` (kappa) follows from Le Cam's third lemma: 1 for the
     location-equivariant t2, t3 and t4.  For the anchored trimmed mean,
@@ -311,7 +310,8 @@ def critical_value(
     """(1 - alpha) point of sum_i weights_i * Z_i^2.
 
     At equal weights, unless ``mc_samples`` is given, it is the exact
-    point w * chi2_d, with standard error 0 and no draws.  Otherwise it is
+    point w * chi2_d, from the chi-squared upper tail, with standard error 0
+    and no draws.  Otherwise it is
     the Monte Carlo quantile of ``mc_samples`` (default
     :data:`DEFAULT_MC_SAMPLES`) draws from the ``seed`` stream, with its
     standard error.
@@ -323,7 +323,7 @@ def critical_value(
         raise ValueError("alpha must lie in (0, 1)")
     if mc_samples is None:
         if np.all(w == w[0]):
-            return MonteCarloQuantile(float(w[0]) * radial_quantile(GAUSSIAN, w.size, 1.0 - alpha), 0.0, 0)
+            return MonteCarloQuantile(float(w[0]) * _chi2_upper_point(w.size, alpha), 0.0, 0)
         mc_samples = DEFAULT_MC_SAMPLES
     if mc_samples < 100:
         raise ValueError("mc_samples is too small to estimate a quantile")
@@ -452,7 +452,7 @@ def run_test(
         w = limit_weights(kind, model, gamma)
         crit = critical_value(w, alpha, mc_samples, seed)
         # an exact point draws nothing; then the limit is w[0] * chi2_d, and its tail the p-value
-        p_value = None if crit.n_samples else 1.0 - radial_cdf(GAUSSIAN, w.size, value / w[0])
+        p_value = None if crit.n_samples else _chi2_tail(w.size, value / w[0])
         return _report(kind, value, crit, alpha, p_value, seed)
     crit = calibrate(
         kind,

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from fstest import asymptotics, engine, robustness
 from fstest.elliptical import FAMILY_TAGS, standard_model
 from fstest.engine import StatKind
@@ -84,7 +85,7 @@ def test_criterion_4_closed_form_limits():
     for which in ("e1", "e2", "e3"):
         for d in (2, 4, 10):
             closed = asymptotics.efficiency("gaussian", which, d)
-            quad = asymptotics.efficiency("gaussian", which, d, method="quadrature")
+            quad = oracles.efficiency("gaussian", which, d)
             assert quad == pytest.approx(closed, rel=1e-8), (which, d)
     gauss = asymptotics.limit_behavior("gaussian", "e1", d_max=40)
     assert gauss.crossed_at is not None and gauss.crossed_at <= 40

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from fstest import asymptotics
+import oracles
+from fstest import asymptotics, elliptical
 from fstest.asymptotics import (
     DEFAULT_D_GRID,
     EFFICIENCY_KEYS,
@@ -28,7 +29,6 @@ from fstest.elliptical import (
     component_variance,
     generator_by_name,
     marginal_density_at_zero,
-    marginal_density_sq_integral,
     radial_quantile,
     standard_model,
 )
@@ -70,29 +70,27 @@ class TestClosedForms:
             efficiency("gaussian", "e1", 0)
         with pytest.raises(ValueError):
             efficiency("gaussian", "e1", 4, gamma=0.0)
-        with pytest.raises(ValueError):
-            efficiency("gaussian", "e1", 4, method="auto")
 
 
 class TestQuadraturePath:
     @pytest.mark.parametrize("d", (2, 4, 10))
     @pytest.mark.parametrize("which", EFFICIENCY_KEYS)
     def test_gaussian_quadrature_matches_closed(self, which, d):
-        closed = efficiency("gaussian", which, d, method="closed")
-        quad = efficiency("gaussian", which, d, method="quadrature")
+        closed = efficiency("gaussian", which, d)
+        quad = oracles.efficiency("gaussian", which, d)
         assert quad == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("d", (300, 343, 400))
     @pytest.mark.parametrize("which", EFFICIENCY_KEYS)
     def test_gaussian_quadrature_beyond_the_overflow_of_i1(self, which, d):
         # I1 and c1 leave the float range from d = 301; the oracle combines log I_p
-        closed = efficiency("gaussian", which, d, method="closed")
-        assert efficiency("gaussian", which, d, method="quadrature") == pytest.approx(closed, rel=1e-9)
+        closed = efficiency("gaussian", which, d)
+        assert oracles.efficiency("gaussian", which, d) == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("family, d", [("gaussian", 4), ("gaussian", 400), ("light100", 4)])
     def test_quadrature_reads_no_closed_form(self, family, d, monkeypatch):
         # the first pass also caches k(d), which the marginal's front takes from the closed I0
-        expected = {which: efficiency(family, which, d, method="quadrature") for which in EFFICIENCY_KEYS}
+        expected = {which: oracles.efficiency(family, which, d) for which in EFFICIENCY_KEYS}
 
         def closed(*args):
             raise AssertionError("the quadrature oracle read a closed form")
@@ -100,32 +98,32 @@ class TestQuadraturePath:
         gen = type(generator_by_name(family))
         for name in ("radial_integral_closed", "g1_zero_closed", "int_g1_sq_closed"):
             monkeypatch.setattr(gen, name, closed)
-        for fn in (marginal_density_at_zero, marginal_density_sq_integral):
+        for fn in (oracles.marginal_density_at_zero, oracles.marginal_density_sq_integral):
             fn.cache_clear()
         for which in EFFICIENCY_KEYS:
-            assert efficiency(family, which, d, method="quadrature") == expected[which]
+            assert oracles.efficiency(family, which, d) == expected[which]
 
     def test_cauchy_quadrature_e1_infinite(self):
-        assert efficiency("cauchy", "e1", 4, method="quadrature") == math.inf
+        assert oracles.efficiency("cauchy", "e1", 4) == math.inf
 
     def test_cauchy_quadrature_divergence_not_hidden(self):
         # the defining ratios of e2/e3 contain a divergent integral; the
         # tabulated closed forms are finite, and the gap is surfaced as an error
         for which in ("e2", "e3"):
-            assert math.isfinite(efficiency("cauchy", which, 4, method="closed"))
+            assert math.isfinite(efficiency("cauchy", which, 4))
             with pytest.raises(DivergentIntegral):
-                efficiency("cauchy", which, 4, method="quadrature")
+                oracles.efficiency("cauchy", which, 4)
 
     @pytest.mark.parametrize("d", (343, 344, 400, 1000))
     def test_light100_quadrature_at_large_d(self, d):
         # the marginal's front, pi^{d/2} and Gamma(d/2) overflowed from d = 342; the ratios are
         # now taken in log space and are inf only beyond the float range, as in the closed forms
-        values = {which: efficiency("light100", which, d, method="quadrature") for which in EFFICIENCY_KEYS}
+        values = {which: oracles.efficiency("light100", which, d) for which in EFFICIENCY_KEYS}
         assert all(v > 0 for v in values.values())  # a NaN fails too
         assert math.isfinite(values["e1"]) == (d < 1000)
         if math.isfinite(values["e1"]):
             # e2 / e1 = 1 / (4 g1(0)^2 Var(Y_1)): the c1 of both cancels
-            g1_0 = marginal_density_at_zero(LIGHT100, d, method="closed")
+            g1_0 = marginal_density_at_zero(LIGHT100, d)
             expected = 1.0 / (4.0 * g1_0**2 * component_variance(LIGHT100, d))
             assert values["e2"] / values["e1"] == pytest.approx(expected, rel=1e-9)
 
@@ -307,11 +305,11 @@ class TestNoncentralOracles:
     @pytest.mark.parametrize("d", DS + (1000,))
     def test_chi2_quantile(self, d):
         for alpha in (1e-300, 1e-30, 1e-10, 0.01, 0.05, 0.1, 0.5, 0.9):
-            q = asymptotics._chi2_upper_point(d, alpha)
+            q = elliptical._chi2_upper_point(d, alpha)
             assert q == pytest.approx(special.chdtri(d, alpha), rel=1e-14, abs=0)
 
     def test_gaussian_radial_quantile(self):
-        # the lower-tail path that formula calibration takes; from a = d/2 = 15 on the
+        # the lower-tail path that the t1 limit law takes; from a = d/2 = 15 on the
         # series' first term takes Stirling's form, where the direct one put the 0.95
         # point 3.4e-14 off scipy's at d = 400 and 1.2e-13 at d = 1000
         for d in self.DS + (1000,):

@@ -325,6 +325,14 @@ class TestTableCommands:
         assert main(["test", "--seed", "4", "--kind", "t3", "--data", str(DATA), "--mu0", "0"] + sizes) == 0
         assert json.loads(capsys.readouterr().out)["critical_value"] == standalone["critical_value"]
 
+    def test_formula_critical_value_at_a_tiny_alpha(self, capsys):
+        # 1 - alpha rounds to 1 below 1.1e-16: the lower-tail point raised here
+        argv = ["critical-value", "--seed", "1", "--alpha", "1e-17", "--calibration", "formula", "--format", "json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scale = engine.LimitLaw(StatKind.T1, "gaussian", 4, 0.5).scale
+        assert payload["critical_value"] == pytest.approx(scale * special.chdtri(4, 1e-17), rel=1e-12, abs=0)
+
     def test_cauchy_t2_formula_exits_one(self, capsys):
         rc = main([
             "critical-value", "--seed", "7", "--kind", "t2", "--family", "cauchy",
@@ -485,6 +493,38 @@ def scipy_modules():
 
 
 class TestImportCost:
+    def test_package_runs_every_command_without_scipy(self):
+        # a None entry in sys.modules makes any import of scipy, or of a submodule, raise
+        script = f"""
+import contextlib, importlib, io, json, pkgutil, sys
+sys.modules["scipy"] = None
+import fstest
+# __main__ runs the command line when imported
+names = sorted(m.name for m in pkgutil.iter_modules(fstest.__path__) if m.name != "__main__")
+for name in names:
+    importlib.import_module("fstest." + name)
+import fstest.cli
+small = ["--reps", "5", "--null-reps", "100", "--n", "10", "--d", "2", "--beta-grid", "0,0.5"]
+calls = [["power-table", *small, "--seed", "1"],
+         ["table2", "--seed", "1"],
+         ["table3", "--reps", "5", "--n-grid", "10", "--d-grid", "2", "--seed", "1"],
+         ["table4"],
+         ["breakdown", "--n", "12", "--d", "2", "--seed", "1"]]
+calls += [["test", "--data", {str(DATA)!r}, "--family", family, *extra, "--seed", "1"]
+          for family in ("gaussian", "cauchy", "light100")
+          for extra in (["--calibration", "formula"], ["--null-reps", "100"], ["--j", "50"])]
+calls += [["critical-value", "--family", family, "--kind", kind, "--alpha", "1e-17", "--seed", "1"]
+          for family in ("gaussian", "cauchy", "light100") for kind in ("t1", "t3", "t4")]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert fstest.cli.main(argv) == 0, argv
+print(json.dumps([names, sorted({{argv[0] for argv in calls}})]))
+"""
+        names, commands = json.loads(_run_script(script))
+        package = Path(fstest.__file__).parent
+        assert names == sorted(p.stem for p in package.glob("*.py") if p.stem not in ("__init__", "__main__"))
+        assert commands == ["breakdown", "critical-value", "power-table", "table2", "table3", "table4", "test"]
+
     def test_serial_import_leaves_the_process_pool_unloaded(self):
         # multiprocessing loads with the first pool, not with the package
         script = """

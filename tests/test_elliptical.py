@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+import oracles
 from fstest import elliptical
 from fstest import rng as rng_module
 from fstest.elliptical import (
@@ -25,7 +26,6 @@ from fstest.elliptical import (
     MixtureModel,
     component_variance,
     generator_by_name,
-    marginal_density,
     marginal_density_at_zero,
     marginal_density_sq_integral,
     normalizing_constant,
@@ -78,12 +78,12 @@ class TestRadialIntegrals:
     def test_quadrature_matches_closed(self, gen, d):
         for p in (0, 1):
             try:
-                closed = radial_integral(gen, d, p, method="closed")
+                closed = radial_integral(gen, d, p)
             except DivergentIntegral:
                 with pytest.raises(DivergentIntegral):
-                    radial_integral(gen, d, p, method="quadrature")
+                    oracles.radial_integral(gen, d, p)
                 continue
-            quad = radial_integral(gen, d, p, method="quadrature")
+            quad = oracles.radial_integral(gen, d, p)
             assert quad == pytest.approx(closed, rel=1e-8)
 
     def test_density_integrates_to_one(self):
@@ -116,21 +116,22 @@ class TestRadialIntegrals:
     @pytest.mark.parametrize("d", (300, 302, 303, 343, 344))
     def test_gaussian_overflow_follows_log_i_on_both_paths(self, d, power, method):
         # I_p leaves the float range where log I_p does: from d = 303 at p = 0 and
-        # d = 301 at p = 1; below that both paths agree
+        # d = 301 at p = 1; below that the closed form and the quadrature oracle agree
+        integral = radial_integral if method == "closed" else oracles.radial_integral
         log_i = (d / 2 + power) * math.log(2) + math.lgamma(d / 2 + power)
         assert (log_i > math.log(sys.float_info.max)) == (d >= (303, 301)[power])
         if d >= (303, 301)[power]:
             with pytest.raises(OverflowError):
-                radial_integral(GAUSSIAN, d, power, method=method)
+                integral(GAUSSIAN, d, power)
         else:
-            value = radial_integral(GAUSSIAN, d, power, method=method)
+            value = integral(GAUSSIAN, d, power)
             assert math.isfinite(value) and value == pytest.approx(math.exp(log_i), rel=1e-12)
 
     @pytest.mark.parametrize("d", (1, 2, 3, 10, 100, 300, 343, 400, 1000))
     def test_gaussian_quadrature_in_log_space(self, d):
         # log I_p = (d/2 + p) log 2 + lgamma(d/2 + p), though I_p leaves the float range from d = 301
         for p in (0, 1):
-            assert elliptical._log_radial_quadrature(GAUSSIAN, d, p) == pytest.approx(
+            assert oracles.log_radial_integral(GAUSSIAN, d, p) == pytest.approx(
                 (d / 2 + p) * math.log(2) + math.lgamma(d / 2 + p), rel=1e-14, abs=1e-14
             )
 
@@ -159,7 +160,7 @@ class TestMarginals:
                 1 / math.sqrt(2 * math.pi), rel=1e-10
             )
         for t in (-1.3, 0.0, 0.7):
-            assert marginal_density(GAUSSIAN, 4, t) == pytest.approx(
+            assert oracles.marginal_density(GAUSSIAN, 4, t) == pytest.approx(
                 stats.norm.pdf(t), rel=1e-9
             )
 
@@ -167,7 +168,7 @@ class TestMarginals:
         for d in (1, 3, 6):
             assert marginal_density_at_zero(CAUCHY, d) == pytest.approx(1 / math.pi, rel=1e-9)
         for t in (-2.0, 0.5):
-            assert marginal_density(CAUCHY, 3, t) == pytest.approx(
+            assert oracles.marginal_density(CAUCHY, 3, t) == pytest.approx(
                 stats.cauchy.pdf(t), rel=1e-8
             )
 
@@ -187,38 +188,33 @@ class TestMarginals:
     def test_closed_matches_quadrature(self):
         for gen in (GAUSSIAN, CAUCHY):
             for d in (2, 4):
-                assert marginal_density_at_zero(gen, d, method="quadrature") == pytest.approx(
-                    marginal_density_at_zero(gen, d, method="closed"), rel=1e-8
+                assert oracles.marginal_density_at_zero(gen, d) == pytest.approx(
+                    marginal_density_at_zero(gen, d), rel=1e-8
                 )
-                assert marginal_density_sq_integral(gen, d, method="quadrature") == pytest.approx(
-                    marginal_density_sq_integral(gen, d, method="closed"), rel=1e-8
+                assert oracles.marginal_density_sq_integral(gen, d) == pytest.approx(
+                    marginal_density_sq_integral(gen, d), rel=1e-8
                 )
-
-    @pytest.mark.parametrize("fn", [marginal_density_at_zero, marginal_density_sq_integral])
-    def test_unknown_or_unavailable_method_raises(self, fn):
-        with pytest.raises(ValueError, match="unknown method"):
-            fn(LIGHT100, 4, method="bogus")
 
     def test_quadrature_does_not_run_the_light100_rule(self, monkeypatch):
         def rule(d):
             raise AssertionError("the fixed rule ran on the quadrature path")
 
         monkeypatch.setattr(elliptical, "_light100_g1_sq_integral", rule)
-        marginal_density_sq_integral.cache_clear()
-        assert marginal_density_sq_integral(LIGHT100, 4, method="quadrature") == pytest.approx(
+        oracles.marginal_density_sq_integral.cache_clear()
+        assert oracles.marginal_density_sq_integral(LIGHT100, 4) == pytest.approx(
             0.660528822, rel=1e-8
         )
 
     def test_marginal_integrates_to_one(self):
         grid = np.linspace(-1.25, 1.25, 3001)
-        vals = [marginal_density(LIGHT100, 4, t) for t in grid]
+        vals = [oracles.marginal_density(LIGHT100, 4, t) for t in grid]
         assert np.trapezoid(vals, grid) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("d", LARGE_DS)
     def test_light100_quadrature_works_at_large_d(self, d):
         # the front k(d) pi^{(d-1)/2} / Gamma((d-1)/2) overflowed from d = 342 in linear space
-        assert marginal_density_at_zero(LIGHT100, d, method="quadrature") == pytest.approx(
-            marginal_density_at_zero(LIGHT100, d, method="closed"), rel=1e-9
+        assert oracles.marginal_density_at_zero(LIGHT100, d) == pytest.approx(
+            marginal_density_at_zero(LIGHT100, d), rel=1e-9
         )
 
 
@@ -250,10 +246,9 @@ class TestLimitConstantOracles:
 
     @pytest.mark.parametrize("d", ORACLE_DS)
     def test_light100_marginal_constants(self, d):
-        for fn in (marginal_density_at_zero, marginal_density_sq_integral):
-            assert fn(LIGHT100, d, method="closed") == pytest.approx(
-                fn(LIGHT100, d, method="quadrature"), rel=1e-12, abs=0
-            )
+        for closed, quad in ((marginal_density_at_zero, oracles.marginal_density_at_zero),
+                             (marginal_density_sq_integral, oracles.marginal_density_sq_integral)):
+            assert closed(LIGHT100, d) == pytest.approx(quad(LIGHT100, d), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d", LARGE_DS)
     def test_light100_sq_integral_rule_is_converged(self, d, monkeypatch):

@@ -220,14 +220,9 @@ class TestLimitWeights:
 
 class TestLimitLawWithoutQuadrature:
     @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
-    def test_no_constant_runs_adaptive_quadrature(self, family, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("adaptive quadrature ran")
-
-        monkeypatch.setattr(elliptical, "_quad", refuse)
-        # values cached by an earlier test could hide a quadrature call
-        elliptical.marginal_density_at_zero.cache_clear()
-        elliptical.marginal_density_sq_integral.cache_clear()
+    def test_every_constant_is_finite(self, family):
+        # the package imports no scipy (test_cli's TestImportCost blocks it), so these are
+        # the closed forms and the light100 rule
         for kind in ALL_KINDS:
             for d in (1, 2, 3, 4, 10, 100, 343, 400, 1000):
                 for gamma in (0.3, 0.5, 1.0):
@@ -361,7 +356,9 @@ class TestCriticalValues:
 
 class TestExactCriticalValues:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 50, 100, 400])
-    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.5])
+    # the point comes from the upper tail: from the lower one, 1 - alpha lost a small
+    # alpha's relative precision (1.05e-6 at d = 4, alpha = 1e-10) and was 1 at 1e-17
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.5, 1e-10, 1e-17, 1e-300])
     def test_equal_weights_match_chi2(self, d, alpha):
         q = critical_value(np.full(d, 1.7), alpha)
         assert q.value == pytest.approx(1.7 * special.chdtri(d, alpha), rel=1e-12, abs=0)
@@ -403,8 +400,27 @@ class TestFormulaPValue:
         data = rng.standard_normal((50, 3)) + shift
         report = run_test(kind, data, np.zeros(3), calibration="formula", alpha=0.05)
         scale = LimitLaw(kind, "gaussian", 3, 0.5).scale
-        assert report.p_value == pytest.approx(1 - special.chdtr(3, report.value / scale), abs=1e-10)
+        # the upper tail keeps a small p-value's relative precision (1e-282 at shift 3)
+        assert report.p_value == pytest.approx(special.chdtrc(3, report.value / scale), rel=1e-12, abs=0)
         assert (report.p_value <= 0.05) == (report.decision == "reject")
+
+    @pytest.mark.parametrize("d", [1, 4, 100])
+    def test_tail_matches_chdtrc_down_to_1e_300(self, d):
+        # 1 - P(d/2, x/2) was 3.3e-16 at d = 4, x = 100 (against 9.8e-21) and 0 from x = 200
+        for alpha in (0.9, 0.5, 0.05, 1e-10, 1e-100, 1e-300):
+            x = special.chdtri(d, alpha)
+            assert elliptical._chi2_tail(d, x) == pytest.approx(special.chdtrc(d, x), rel=1e-12, abs=0)
+        for x in (100.0, 200.0):
+            assert elliptical._chi2_tail(d, x) == pytest.approx(special.chdtrc(d, x), rel=1e-12, abs=0)
+
+    def test_tail_edges(self):
+        # Q(a, x)'s series fails at x = 0 (a math domain error) and its fraction gives NaN at inf
+        for d in (1, 4, 100):
+            assert elliptical._chi2_tail(d, 0.0) == elliptical._chi2_tail(d, -1.0) == 1.0
+            assert elliptical._chi2_tail(d, math.inf) == 0.0
+            assert math.isnan(elliptical._chi2_tail(d, math.nan))
+        report = run_test(StatKind.T2, np.zeros((5, 2)), np.zeros(2), calibration="formula")
+        assert (report.value, report.p_value) == (0.0, 1.0)
 
     def test_monte_carlo_formula_and_empirical_have_no_p_value(self, rng):
         data = rng.standard_normal((40, 2))
