@@ -298,11 +298,25 @@ def _in_blocks(data: NDArray[np.float64], floats_per_rep: int, reduce) -> NDArra
 def _forward_search_kept(dist: NDArray[np.float64], m: int) -> NDArray[np.intp]:
     """The m kept entries of each row of a (reps, n) block of distances, as flat
     indices in a (reps, m) array, in input order: all entries closer than the
-    row's m-th smallest distance t, then the earliest at t."""
+    row's m-th smallest distance t, then the earliest at t.  Per row this is the
+    set ``np.sort(np.argsort(dist, kind="stable")[:m])``.
+
+    A row with exactly m entries at or below t keeps them.  A row with more has
+    ties at t that straddle the cut and drops its last count - m entries at t:
+    those from the column of the first dropped one on, which the positions of
+    the entries at t give without a running count.  A row whose t is NaN has
+    no entry at or below t and keeps none.
+    """
+    n = dist.shape[1]
     t = np.partition(dist, m - 1, axis=1)[:, [m - 1]]
-    keep = dist < t
-    at = dist == t
-    keep |= at & (np.cumsum(at, axis=1, dtype=np.int32) <= m - keep.sum(axis=1, keepdims=True))
+    keep = dist <= t
+    count = keep.sum(axis=1, dtype=np.int32)
+    tied = np.flatnonzero(count > m)
+    if tied.size:
+        at = dist[tied] == t[tied]
+        ends = np.cumsum(at.sum(axis=1))  # row i's entries at t end here in flatnonzero(at)
+        first = np.flatnonzero(at)[ends - (count[tied] - m)] % n
+        keep[tied] &= ~at | (np.arange(n) < first[:, None])
     return np.flatnonzero(keep).reshape(-1, m)
 
 
@@ -340,7 +354,12 @@ def batch_estimates(
     cols: NDArray[np.float64] | None = None,
 ) -> NDArray[np.float64]:
     """Estimator values for a (reps, n, d) batch, shape (reps, d); where given,
-    t3 and t4 read the batch's ``_sorted_columns`` ``cols``."""
+    t3 and t4 read the batch's ``_sorted_columns`` ``cols``.
+
+    t2 has the bits of ``np.ascontiguousarray(data).mean(axis=1)``: for d > 1
+    numpy sums that axis row by row, adding each row to the running sums, and
+    einsum's sum over it runs in the same order in one pass.
+    """
     _, n, d = data.shape
     if kind == EstimatorKind.FORWARD_SEARCH:
         if mu0 is None or sigma is None or gamma is None:
@@ -349,7 +368,10 @@ def batch_estimates(
         return _in_blocks(data, n * (d + 1), lambda lo, hi: _forward_search_batch(data[lo:hi], mu0, sigma, gamma))
     if kind == EstimatorKind.MEAN:
         # numpy's pairwise sum depends on the memory layout; fix it to C order
-        return np.ascontiguousarray(data).mean(axis=1)
+        data = np.ascontiguousarray(data)
+        if d == 1:  # numpy sums a contiguous axis pairwise, einsum does not
+            return data.mean(axis=1)
+        return np.einsum("rid->rd", data) / n
     if kind == EstimatorKind.CW_MEDIAN:
         if cols is not None:
             return _median_batch(cols).reshape(-1, d)

@@ -8,7 +8,7 @@ can be reused across many distance evaluations without refactorizing.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -90,7 +90,9 @@ class SpdMatrix:
         self._chol = chol
 
     @classmethod
+    @lru_cache(maxsize=32)
     def identity(cls, d: int) -> "SpdMatrix":
+        """The d x d identity, built and factorized once per d and shared by its callers."""
         return cls(np.eye(d))
 
     @property
@@ -154,13 +156,21 @@ def mahalanobis_sq_many(
     """Squared distances of the rows of ``data`` (shape (..., d)) from mu0.
 
     Works on any leading batch shape; uses the cached inverse of ``sigma``.
+    Each distance is einsum's sum over a row of ``diff = data - mu0`` (through
+    the inverse, for a general ``sigma``).  With an all-zero ``mu0``, a
+    C-contiguous ``data`` is its own ``diff``: the difference would have its
+    layout and its bits, except that -0.0 - (-0.0) is +0.0, and einsum's sums
+    start from +0.0, so the sign of a zero moves no distance.
     """
     arr = np.asarray(data, dtype=float)
     mu = as_vector(mu0, "mu0")
     if arr.shape[-1] != mu.size or sigma.d != mu.size:
         raise DimensionMismatch("data, mu0 and sigma dimensions disagree")
-    rows, loc = _row_operands(arr, mu)
-    diff = (rows - loc).reshape(arr.shape)
+    if arr.flags.c_contiguous and not mu.any():
+        diff = arr
+    else:
+        rows, loc = _row_operands(arr, mu)
+        diff = (rows - loc).reshape(arr.shape)
     if sigma.is_identity:
         return np.einsum("...i,...i->...", diff, diff)
     return np.einsum("...i,ij,...j->...", diff, sigma.inverse, diff)

@@ -481,7 +481,9 @@ def _run_script(script: str) -> str:
     """The last line a fresh interpreter prints running ``script`` against this fstest."""
     src = str(Path(fstest.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise AssertionError(f"the script exited with status {proc.returncode}:\n{proc.stderr}")
     return proc.stdout.split("\n")[-2]
 
 
@@ -524,6 +526,10 @@ print(json.dumps([names, sorted({{argv[0] for argv in calls}})]))
         package = Path(fstest.__file__).parent
         assert names == sorted(p.stem for p in package.glob("*.py") if p.stem not in ("__init__", "__main__"))
         assert commands == ["breakdown", "critical-value", "power-table", "table2", "table3", "table4", "test"]
+
+    def test_a_failing_script_shows_its_stderr(self):
+        with pytest.raises(AssertionError, match="status 1:\nno such input"):
+            _run_script("import sys; sys.exit('no such input')")
 
     def test_serial_import_leaves_the_process_pool_unloaded(self):
         # multiprocessing loads with the first pool, not with the package

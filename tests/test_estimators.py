@@ -129,6 +129,22 @@ class TestPlainEstimators:
             for x in (np.asfortranarray(batch[0]), strided[0]):
                 assert same_bits(sample_mean(x).value, expect[0])
 
+    @pytest.mark.parametrize("d", (1, 2, 4, 100))
+    def test_mean_has_the_contiguous_mean_bits(self, d, rng):
+        # d > 1 sums by einsum, d = 1 by numpy's pairwise mean; both must keep the
+        # bits of the C-ordered mean, whatever the layout, with all-(-0.0) columns
+        for n in (1, 2, 7, 8, 9, 100, 129, 1000):
+            reps = 3 if n * d > 10_000 else 40
+            batch = rng.standard_t(1.5, (reps, n, d)) * rng.choice([1e-3, 1.0, 1e3], (reps, n, d))
+            batch[rng.random(batch.shape) < 0.1] = -0.0
+            batch[0, :, 0] = -0.0
+            strided = np.empty((reps, 2 * n, 2 * d))[:, ::2, ::2]
+            strided[...] = batch
+            expect = np.ascontiguousarray(batch).mean(axis=1)
+            assert expect[0, 0] == 0.0 and not np.signbit(expect[0, 0])
+            for x in (batch, np.asfortranarray(batch), strided):
+                assert same_bits(batch_estimates(EstimatorKind.MEAN, x), expect)
+
     def test_cw_median_odd_even(self):
         odd = np.array([[1.0], [5.0], [2.0]])
         even = np.array([[1.0], [5.0], [2.0], [4.0]])
@@ -370,6 +386,61 @@ class TestForwardSearchOracle:
             for gamma in (0.3, 0.5, 1.0):
                 got = estimators._resample_estimates(EstimatorKind.FORWARD_SEARCH, x, idx, dist, gamma)
                 assert same_bits(got, batch_estimates(EstimatorKind.FORWARD_SEARCH, x[idx], mu0, sigma, gamma))
+
+
+class TestForwardSearchKept:
+    """The kept entries of each row of distances are those of a stable sort,
+    whether or not ties at the m-th distance straddle the cut."""
+
+    @staticmethod
+    def stable_kept(dist, m):
+        n = dist.shape[1]
+        return np.sort(np.argsort(dist, axis=1, kind="stable")[:, :m], axis=1) + n * np.arange(len(dist))[:, None]
+
+    @staticmethod
+    def tied_rows(dist, m):
+        return np.sum(dist <= np.partition(dist, m - 1, axis=1)[:, [m - 1]], axis=1) != m
+
+    def check(self, dist, m):
+        assert np.array_equal(estimators._forward_search_kept(dist, m), self.stable_kept(dist, m))
+        return self.tied_rows(dist, m)
+
+    @pytest.mark.parametrize("m", (1, 10, 50, 99, 100))
+    def test_continuous_distances_take_no_tie_rank(self, m, rng):
+        dist = mahalanobis_sq_many(rng.standard_normal((300, 100, 4)), np.zeros(4), SpdMatrix.identity(4))
+        assert not np.any(self.check(dist, m))
+
+    @pytest.mark.parametrize("m", (1, 10, 50, 99))
+    def test_integer_valued_data_ties_at_the_cut(self, m, rng):
+        # coordinates in {0, 1} put five distances on 100 rows: nearly every row ties at t
+        dist = mahalanobis_sq_many(rng.integers(0, 2, (300, 100, 4)) * 1.0, np.zeros(4), SpdMatrix.identity(4))
+        assert np.mean(self.check(dist, m)) > 0.9
+
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
+    def test_bootstrap_duplicates(self, gamma, rng):
+        x = rng.standard_normal((100, 4))
+        dist = np.take(mahalanobis_sq_many(x, np.zeros(4), SpdMatrix(np.eye(4) + 0.5)), rng.integers(0, 100, (655, 100)))
+        tied = self.check(dist, trim_count(100, gamma))
+        assert 0 < np.sum(tied) < len(tied)
+
+    def test_nan_distances_past_the_cut(self, rng):
+        # overflowing distances can be NaN; a stable sort puts them last, so
+        # while a row has m others they are never kept, tied rows or not
+        dist = np.take(rng.integers(0, 5, 100) * 1.0, rng.integers(0, 100, (300, 100)))
+        dist[rng.random(dist.shape) < 0.3] = np.nan
+        dist[::2] = np.sort(dist[::2], axis=1)[:, ::-1]  # NaN first in input order
+        tied = self.check(dist, 50)
+        assert 0 < np.sum(tied) < len(tied)
+
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
+    def test_breakdown_pushed_rows(self, gamma, rng):
+        # the first k rows of a clean sample pushed to one magnitude tie with one another
+        n, d = 20, 4
+        clean = rng.standard_normal((n, d))
+        pushed = (np.arange(1, n)[:, None] > np.arange(n))[:, :, None]
+        block = np.concatenate([np.where(pushed, rung, clean) for rung in (1e2, 1e6)])
+        tied = self.check(mahalanobis_sq_many(block, np.zeros(d), SpdMatrix.identity(d)), trim_count(n, gamma))
+        assert 0 < np.sum(tied) < len(tied)
 
 
 def test_hl_band_discards_only_beyond_the_middle():

@@ -64,6 +64,13 @@ class TestSpdMatrix:
         assert np.all(eig > 0)
         assert np.all(np.diff(eig) <= 0)
 
+    def test_identity_is_built_once_per_d(self):
+        # the cache hands one instance to every caller: it must not be writable
+        s = SpdMatrix.identity(5)
+        assert SpdMatrix.identity(5) is s and SpdMatrix.identity(4) is not s
+        for entries in (s.entries, s.cholesky_factor, s.inverse, s.eigenvalues):
+            assert not entries.flags.writeable
+
     def test_entries_read_only(self, rng):
         s = SpdMatrix(random_spd(rng, 3))
         with pytest.raises(ValueError):
@@ -116,6 +123,39 @@ class TestMahalanobis:
         rows, loc = linalg._row_operands(added, mu)
         rows += loc
         assert np.array_equal(added.view(np.int64), (arr + mu).view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (40, 4), (1, 100, 4), (300, 40, 4), (5, 11, 100)])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_anchor_has_the_subtracted_bits(self, shape, layout, identity, zero, rng):
+        # zeros of both signs and whole rows of them, whose products carry either sign
+        d = shape[-1]
+        x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
+        x[rng.random(shape) < 0.2] = -0.0
+        x[..., :2, :] = rng.choice([-0.0, 0.0], (*shape[:-2], 2, d))
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            big = np.empty(tuple(2 * k for k in shape))
+            big[(slice(None, None, 2),) * len(shape)] = x
+            x = big[(slice(None, None, 2),) * len(shape)]
+        sigma = SpdMatrix.identity(d) if identity else SpdMatrix(np.eye(d) - 0.4 / d * (1 - np.eye(d)))
+        mu = np.full(d, zero)
+        diff = x - mu
+        if identity:
+            expect = np.einsum("...i,...i->...", diff, diff)
+        else:
+            expect = np.einsum("...i,ij,...j->...", diff, sigma.inverse, diff)
+        assert np.array_equal(mahalanobis_sq_many(x, mu, sigma).view(np.int64), expect.view(np.int64))
+
+    def test_zero_anchor_skips_the_subtraction_on_c_ordered_rows(self, monkeypatch, rng):
+        x = rng.standard_normal((50, 100, 4))
+        monkeypatch.setattr(linalg, "_row_operands", None)
+        got = mahalanobis_sq_many(x, np.zeros(4), SpdMatrix.identity(4))
+        assert np.array_equal(got, np.einsum("...i,...i->...", x, x))
+        with pytest.raises(TypeError):
+            mahalanobis_sq_many(np.asfortranarray(x), np.zeros(4), SpdMatrix.identity(4))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
