@@ -8,8 +8,10 @@ checkout this file sits in, after one untimed warm-up cycle, with one BLAS
 thread and ``FSTEST_THREADS`` unset, as ``benchmarks/run.py`` does.  Prints
 the median and minimum wall time of each op position of the cycle in
 measured milliseconds (no host-speed calibration), labelled by subcommand,
-and each op's tracemalloc peak in MB (2**20 bytes) from one more, untimed
-cycle after the timed ones; then op_p50 and op_p90 over every timed op, as
+then calibration (``--calibration``, or bootstrap where ``--j`` is set) and
+``--kind`` where the op gives them, and each op's tracemalloc peak in MB
+(2**20 bytes) from one more, untimed cycle after the timed ones; then
+op_p50 and op_p90 over every timed op, as
 ``benchmarks/harness.end_to_end`` computes them (in measured, not reference,
 milliseconds).  Exits 1 if any op fails its workload check.
 Copy it into another checkout to time that checkout the same way.
@@ -35,6 +37,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 from fstest import cli  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+def op_label(argv) -> str:
+    """``test empirical t1``: the subcommand, the calibration and the kind of one op."""
+    value = dict(zip(argv, argv[1:]))  # each flag's value follows it
+    calibration = "bootstrap" if "--j" in value else value.get("--calibration")
+    return " ".join(part for part in (argv[0], calibration, value.get("--kind")) if part)
 
 
 def time_op(op) -> tuple[float, list[str]]:
@@ -73,7 +82,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         workload = WORKLOADS[args.workload](Path(workdir), args.seed)
         workload.prepare()
-        labels = [op.argv[0] for op in workload.cycle(0)]
+        labels = [op_label(op.argv) for op in workload.cycle(0)]
         for op in workload.cycle(0):
             time_op(op)
         times: list[list[float]] = [[] for _ in labels]
@@ -92,10 +101,10 @@ def main(argv=None) -> int:
                     print(f"cycle {index} op {position} ({labels[position]}): {problem}", file=sys.stderr)
 
     print(f"{args.workload} seed {args.seed}, {args.cycles} cycles, measured ms; traced peak of one more cycle")
-    print(f"{'op':>3}  {'command':<14}{'median':>10}{'min':>10}{'peak MB':>10}")
+    print(f"{'op':>3}  {'command':<22}{'median':>10}{'min':>10}{'peak MB':>10}")
     for position, (label, ts, peak) in enumerate(zip(labels, times, peaks)):
         ms = f"{1000 * statistics.median(ts):>10.3f}{1000 * min(ts):>10.3f}"
-        print(f"{position:>3}  {label:<14}{ms}{peak / 2**20:>10.2f}")
+        print(f"{position:>3}  {label:<22}{ms}{peak / 2**20:>10.2f}")
     latencies = [t for ts in times for t in ts]
     p50 = statistics.median(latencies)
     p90 = statistics.quantiles(latencies, n=10, method="inclusive")[8] if len(latencies) > 1 else p50

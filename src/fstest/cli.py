@@ -16,10 +16,12 @@ regardless of FSTEST_THREADS.
 
 Each command reads its parsed arguments directly.  Scalar flags are checked
 against one table, ``_CHECKS``, and list flags entry by entry as they are
-parsed; a bad value prints ``error: ...`` and exits 1.  ``test`` and
-``critical-value`` get their critical value from one call,
-:func:`fstest.engine.calibrate`, so both report the same value for the same
-statistic, family, n and seed.
+parsed; a bad value prints ``error: ...`` and exits 1.  ``test`` (through
+:func:`fstest.engine.run_test`) and ``critical-value`` get their critical
+value from one call, :func:`fstest.engine.calibrate`, so both report the
+same value for the same statistic, family, n and seed.  :func:`main` turns
+every input error into that one ``error:`` line, and an infinite limit
+variance into ``error: formula calibration unavailable: ...`` for both.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import asymptotics, engine, robustness
 from .dataio import MalformedTable, csv_text, json_text, read_dataset, write_json, write_rows
 from .elliptical import FAMILY_TAGS
 from .engine import InfiniteVariance, StatKind
-from .estimators import EstimatorKind
+from .estimators import DistanceOverflow, EstimatorKind
 from .linalg import NotSPD, NotSymmetric, DimensionMismatch, SpdMatrix
 from .rng import ThreadCountError
 
@@ -240,22 +242,19 @@ def cmd_test(args) -> int:
             seed=args.seed,
         )
     else:
-        try:
-            report = engine.run_test(
-                args.kind,
-                dataset.values,
-                mu0,
-                sigma,
-                gamma=args.gamma,
-                alpha=args.alpha,
-                family=args.family or "gaussian",
-                calibration=args.calibration,
-                mc_samples=args.mc_samples,
-                null_reps=args.null_reps,
-                seed=args.seed,
-            )
-        except InfiniteVariance as exc:
-            raise CliError(f"formula calibration unavailable: {exc}")
+        report = engine.run_test(
+            args.kind,
+            dataset.values,
+            mu0,
+            sigma,
+            gamma=args.gamma,
+            alpha=args.alpha,
+            family=args.family or "gaussian",
+            calibration=args.calibration,
+            mc_samples=args.mc_samples,
+            null_reps=args.null_reps,
+            seed=args.seed,
+        )
     _emit_report(args, report.to_json_dict())
     return 0
 
@@ -364,22 +363,19 @@ def cmd_breakdown(args) -> int:
 def cmd_critical_value(args) -> int:
     _check(args, "d", "n", "gamma", "alpha", "mc_samples", "null_reps")
     family = args.family or "gaussian"
-    try:
-        q = engine.calibrate(
-            args.kind,
-            family,
-            np.zeros(args.d),
-            SpdMatrix.identity(args.d),
-            n=args.n,
-            gamma=args.gamma,
-            alpha=args.alpha,
-            calibration=args.calibration,
-            mc_samples=args.mc_samples,
-            null_reps=args.null_reps,
-            seed=args.seed,
-        )
-    except InfiniteVariance as exc:
-        raise CliError(str(exc))
+    q = engine.calibrate(
+        args.kind,
+        family,
+        np.zeros(args.d),
+        SpdMatrix.identity(args.d),
+        n=args.n,
+        gamma=args.gamma,
+        alpha=args.alpha,
+        calibration=args.calibration,
+        mc_samples=args.mc_samples,
+        null_reps=args.null_reps,
+        seed=args.seed,
+    )
     _emit_report(
         args,
         {
@@ -515,8 +511,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so that a closed pipe raises here
         return code
-    except (CliError, MalformedTable, robustness.SingularCovariance, ThreadCountError, FileNotFoundError) as exc:
+    except (
+        CliError, MalformedTable, robustness.SingularCovariance, ThreadCountError, FileNotFoundError, DistanceOverflow
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InfiniteVariance as exc:
+        print(f"error: formula calibration unavailable: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader of stdout closed early; point stdout at devnull so the

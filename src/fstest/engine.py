@@ -8,14 +8,14 @@ depends on the estimator and the radial kernel.  Critical values come either
 from that limit (``formula`` calibration: the exact quantile lambda * chi2_d
 at equal weights, as at identity Sigma, else a Monte Carlo quantile of the
 weighted sum) or from parametric simulation of the statistic under the null
-(``empirical`` calibration).
+(``empirical`` calibration); :func:`calibrate` is the one place that chooses.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, partial
 from typing import Sequence
 
@@ -154,8 +154,11 @@ class LimitLaw:
 def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
     """The paper's forward-search constant c1 = pi^{d/2} I1(d) / (d gamma Gamma(d/2)).
 
-    The asymptotic efficiencies of :mod:`fstest.asymptotics` (``table4``)
-    divide by it.  It is not the limit variance of the trimmed mean, which
+    It is the divisor of the efficiency ratios that :mod:`fstest.asymptotics`
+    defines; ``asymptotics.efficiency`` (``table4``) evaluates tabulated
+    closed forms and reads neither c1 nor ``_log_c1``, while the quadrature
+    oracle of the tests divides by it and ``empirical_limit_covariance``
+    logs it.  It is not the limit variance of the trimmed mean, which
     is :attr:`LimitLaw.scale` (0.948 against c1 = 78.96 at gaussian d = 4,
     gamma = 1/2).  Returns ``math.inf`` when I1 diverges (Cauchy) or c1 overflows.
     """
@@ -227,21 +230,20 @@ def _sq_norms(values: NDArray[np.float64], mu0: NDArray[np.float64], n: int) -> 
 # limiting laws and critical values
 # ---------------------------------------------------------------------------
 
-def limit_weights(kind: StatKind, model: EllipticalModel, gamma: float) -> NDArray[np.float64]:
-    """Eigenvalue weights of the null limit of ``kind`` under ``model``.
+def limit_weights(kind: StatKind, family: str, sigma: SpdMatrix, gamma: float) -> NDArray[np.float64]:
+    """Eigenvalue weights of the null limit of ``kind`` for ``family`` with scatter ``sigma``.
 
     The weights are the eigenvalues of (scale * Sigma) with the scale of
     :class:`LimitLaw`.  Raises :class:`InfiniteVariance` where that scale is
     infinite: the sample mean under the Cauchy kernel, and the trimmed mean
     there at gamma = 1.
     """
-    law = LimitLaw(kind, model.family, model.d, gamma)
+    law = LimitLaw(kind, family, sigma.d, gamma)
     if math.isinf(law.scale):
         raise InfiniteVariance(
-            f"the {law.kind.value} limit variance is infinite for family {model.family!r}"
-            f" at gamma = {gamma}"
+            f"the {law.kind.value} limit variance is infinite for family {family!r} at gamma = {gamma}"
         )
-    return law.scale * model.sigma.eigenvalues
+    return law.scale * sigma.eigenvalues
 
 
 #: cap on one block of formula-calibration normals, in floats (8 MB)
@@ -333,7 +335,7 @@ def critical_value(
 
 
 def empirical_critical_value(
-    kind: StatKind,
+    kinds: Sequence[StatKind],
     family: str,
     mu0: ArrayLike,
     sigma: SpdMatrix,
@@ -342,14 +344,15 @@ def empirical_critical_value(
     alpha: float,
     null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
-) -> MonteCarloQuantile:
-    """(1 - alpha) quantile of the statistic under parametric null simulation."""
-    kind = StatKind(kind)
+) -> dict[StatKind, MonteCarloQuantile]:
+    """(1 - alpha) quantile of each statistic in ``kinds``, from one parametric
+    null simulation of ``null_reps`` datasets of n observations."""
+    kinds = tuple(StatKind(k) for k in kinds)
     mu = as_vector(mu0, "mu0")
     model = EllipticalModel(generator_by_name(family), mu.size, mu, sigma)
-    reduce = partial(batch_statistics, mu0=mu, sigma=sigma, gamma=gamma, kinds=(kind,))
+    reduce = partial(batch_statistics, mu0=mu, sigma=sigma, gamma=gamma, kinds=kinds)
     stats = simulate(model, reduce, ("calibration", family), n, null_reps, seed)
-    return _quantile_with_se(stats[kind], 1.0 - alpha)
+    return {k: _quantile_with_se(stats[k], 1.0 - alpha) for k in kinds}
 
 
 def calibrate(
@@ -370,14 +373,15 @@ def calibrate(
 
     ``calibration="formula"`` takes the (1 - alpha) point of the weighted
     chi-squared limit from :func:`critical_value` (``n`` is unused);
-    ``"empirical"`` simulates the statistic itself under the null
-    (``null_reps`` replications of n observations).
+    ``"empirical"`` takes ``kind``'s entry of :func:`empirical_critical_value`,
+    which simulates the statistic itself under the null.  :func:`run_test`
+    and ``fstest critical-value`` take their critical values only from here.
     """
     if calibration == "formula":
-        model = EllipticalModel(generator_by_name(family), sigma.d, mu0, sigma)
-        return critical_value(limit_weights(kind, model, gamma), alpha, mc_samples, seed)
+        return critical_value(limit_weights(kind, family, sigma, gamma), alpha, mc_samples, seed)
     if calibration == "empirical":
-        return empirical_critical_value(kind, family, mu0, sigma, n, gamma, alpha, null_reps, seed)
+        kind = StatKind(kind)
+        return empirical_critical_value((kind,), family, mu0, sigma, n, gamma, alpha, null_reps, seed)[kind]
     raise ValueError(f"unknown calibration {calibration!r}")
 
 
@@ -402,17 +406,7 @@ class TestReport:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "statistic": self.statistic.value,
-            "value": self.value,
-            "critical_value": self.critical_value,
-            "alpha": self.alpha,
-            "decision": self.decision,
-            "p_value": self.p_value,
-            "mc_samples": self.mc_samples,
-            "seed": self.seed,
-        }
+        return {"schema": REPORT_SCHEMA, **asdict(self), "statistic": self.statistic.value}
 
 
 def _report(
@@ -435,25 +429,15 @@ def run_test(
     null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
 ) -> TestReport:
-    """Test the hypothesized location against the data.
+    """Test the hypothesized location against the data, with the critical
+    value of :func:`calibrate` for the named family at the observed sample size.
 
-    ``calibration="formula"`` takes the critical value of the weighted
-    chi-squared limit from :func:`critical_value`; where that point is exact
-    (equal weights and no ``mc_samples``) the limit tail at the observed
-    value is the p-value, and otherwise there is none.  ``"empirical"``
-    (through :func:`calibrate`) simulates the null distribution of the
-    statistic itself under the named family at the observed sample size
-    (``null_reps`` replications), with no p-value.
+    Where that value is an exact point (formula calibration at equal weights
+    and no ``mc_samples``), the limit tail at the observed value is the
+    p-value; otherwise there is none.
     """
     kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
-    if calibration == "formula":
-        model = EllipticalModel(generator_by_name(family), config.sigma.d, config.mu0, config.sigma)
-        w = limit_weights(kind, model, gamma)
-        crit = critical_value(w, alpha, mc_samples, seed)
-        # an exact point draws nothing; then the limit is w[0] * chi2_d, and its tail the p-value
-        p_value = None if crit.n_samples else _chi2_tail(w.size, value / w[0])
-        return _report(kind, value, crit, alpha, p_value, seed)
     crit = calibrate(
         kind,
         family,
@@ -463,10 +447,15 @@ def run_test(
         gamma=gamma,
         alpha=alpha,
         calibration=calibration,
+        mc_samples=mc_samples,
         null_reps=null_reps,
         seed=seed,
     )
-    return _report(kind, value, crit, alpha, None, seed)
+    p_value = None
+    if not crit.n_samples:  # an exact point draws nothing: the limit is w[0] * chi2_d
+        w = limit_weights(kind, family, config.sigma, gamma)
+        p_value = _chi2_tail(w.size, value / w[0])
+    return _report(kind, value, crit, alpha, p_value, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +494,14 @@ def power_table(
         gen = generator_by_name(family)
         null = EllipticalModel(gen, d, mu0, sigma)
         shifted = EllipticalModel(gen, d, np.full(d, shift_scale), sigma)
-        null_stats = simulate(null, reduce, ("calibration", family), n, null_reps, seed)
-        crits = {k: _quantile_with_se(null_stats[k], 1.0 - alpha).value for k in kinds}
+        crits = empirical_critical_value(kinds, family, mu0, sigma, n, gamma, alpha, null_reps, seed)
         table[family] = {k: {} for k in kinds}
         for beta in beta_grid:
             beta = float(beta)
             mixture = MixtureModel(beta, null, shifted)
             stats = simulate(mixture, reduce, ("power", family, repr(beta)), n, reps, seed)
             for k in kinds:
-                table[family][k][beta] = float(np.mean(stats[k] > crits[k]))
+                table[family][k][beta] = float(np.mean(stats[k] > crits[k].value))
     return table
 
 

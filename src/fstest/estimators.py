@@ -28,6 +28,7 @@ from .linalg import (
 )
 
 __all__ = [
+    "DistanceOverflow",
     "EstimatorKind",
     "Estimate",
     "ForwardSearchConfig",
@@ -37,6 +38,10 @@ __all__ = [
     "hodges_lehmann",
     "estimate",
 ]
+
+
+class DistanceOverflow(ValueError):
+    """Too many squared Mahalanobis distances overflow to NaN to pick the nearest rows."""
 
 
 class EstimatorKind(str, enum.Enum):
@@ -304,11 +309,14 @@ def _forward_search_kept(dist: NDArray[np.float64], m: int) -> NDArray[np.intp]:
     A row with exactly m entries at or below t keeps them.  A row with more has
     ties at t that straddle the cut and drops its last count - m entries at t:
     those from the column of the first dropped one on, which the positions of
-    the entries at t give without a running count.  A row whose t is NaN has
-    no entry at or below t and keeps none.
+    the entries at t give without a running count.  A row whose t is NaN, with
+    more than n - m NaN distances (finite rows far out under a correlated
+    scatter give inf - inf), raises :class:`DistanceOverflow`.
     """
     n = dist.shape[1]
     t = np.partition(dist, m - 1, axis=1)[:, [m - 1]]
+    if np.isnan(t).any():
+        raise DistanceOverflow(f"squared Mahalanobis distances overflow to NaN in more than {n - m} of {n} rows")
     keep = dist <= t
     count = keep.sum(axis=1, dtype=np.int32)
     tied = np.flatnonzero(count > m)

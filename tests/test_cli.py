@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,8 @@ class TestArgumentHandling:
         (["table3", "--seed", "1", "--n-grid", "10.5"], "--n-grid must contain integers, got '10.5'"),
         (["test", "--seed", "1", "--data", str(DATA), "--calibration", "formula", "--family", "cauchy",
           "--kind", "t2"],
+         "formula calibration unavailable: the t2 limit variance is infinite for family 'cauchy' at gamma = 0.5"),
+        (["critical-value", "--seed", "1", "--kind", "t2", "--family", "cauchy"],
          "formula calibration unavailable: the t2 limit variance is infinite for family 'cauchy' at gamma = 0.5"),
     ])
     def test_malformed_grids_and_infinite_limit_exit_one(self, capsys, argv, message):
@@ -619,6 +622,18 @@ def test_formula_test_of_an_overflowing_statistic_ends(tmp_path):
     assert (report["decision"], report["p_value"]) == ("reject", 0.0)
 
 
+@pytest.mark.parametrize("extra", [[], ["--j", "20"], ["--calibration", "formula"]])
+def test_forward_search_on_overflowing_distances_exits_one(tmp_path, capsys, extra):
+    # finite rows at 1e200 under a correlated scatter give inf - inf = NaN distances;
+    # six of ten leave fewer than the five rows the forward search keeps
+    data, sigma = tmp_path / "huge.csv", tmp_path / "sigma.csv"
+    data.write_text("1e200,1e200\n" * 6 + "0.1,-0.2\n0.3,0.5\n-0.4,0.1\n0.2,0.2\n")
+    sigma.write_text("1,0.5\n0.5,1\n")
+    assert main(["test", "--data", str(data), "--sigma", str(sigma), "--seed", "1"] + extra) == 1
+    message = "error: squared Mahalanobis distances overflow to NaN in more than 5 of 10 rows\n"
+    assert capsys.readouterr().err == message
+
+
 class TestDeterminism:
     def test_exact_formula_bytes_ignore_blas_threads(self):
         # the exact point involves no matrix-vector product, so BLAS's row split cannot touch it
@@ -632,6 +647,46 @@ class TestDeterminism:
             outputs.append(subprocess.run(cmd, check=True, env=env, capture_output=True).stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"schema,")
+
+    #: sha256 of the JSON report of each single-test command on DATA at seed 29: the
+    #: benchmark's test rotation (empirical t1-t3, formula t1-t4, bootstrap t1-t3) and
+    #: critical-value under both calibrations
+    PINNED_REPORTS = {
+        "test --kind t1 --calibration empirical --null-reps 2000":
+            "0354a40c762737179e353c3455d7c177476ef7f2a7f40ca98bd4d72408512980",
+        "test --kind t2 --calibration empirical --null-reps 2000":
+            "dc2f67389291f7d20a1ac227b6dd444c72d76be5c7fffbb3d81b3cda7a28f496",
+        "test --kind t3 --calibration empirical --null-reps 2000":
+            "f34e22f99a1dfe2b8db2c61ced45824136b045e8bcec986ea40dbedb55cc3cf7",
+        "test --kind t1 --calibration formula":
+            "7e8d5e2f7db8d8bd6b78de7abf8366c1c8fb8eb8dc585541f1ed72087e92b79f",
+        "test --kind t2 --calibration formula":
+            "92791498a2c18821201066e58c9944072bdd96a382e1b7a24549f9ceed7f169f",
+        "test --kind t3 --calibration formula":
+            "f00ab8c43ee6952a4b07390844f40b2ce0c52b8c163e38bb11e7eabb19944469",
+        "test --kind t4 --calibration formula":
+            "cac6278c1a2f7b98aa58caed99fc2090d68fe3c0b8728bb441e982c61eb388e8",
+        "test --kind t1 --j 2000":
+            "5026f9e4541c35e60936c2b1953622742f1f51556e784bbce308612189ac4184",
+        "test --kind t2 --j 2000":
+            "18372d8f193a2ed7031456efbea9dbc913a47f14c15a649bd827bc12881f7258",
+        "test --kind t3 --j 2000":
+            "1ce8d0ca24cfdf95026d647824a2e6c61bb673905eb55c2ff65f918407115950",
+        "critical-value --calibration formula":
+            "c97fe5795f4b1fb258c0b69073d05da9acb981c23919bd2e74eecefcd29ab16c",
+        "critical-value --calibration empirical --n 60 --null-reps 2000":
+            "86805fb8161cbdec0288504d7b64e5ae305fa7f68f49ec60a675af0f027af320",
+    }
+
+    def test_single_test_json_bytes_are_pinned(self, capsys):
+        got = {}
+        for command in self.PINNED_REPORTS:
+            argv = command.split() + ["--seed", "29", "--format", "json"]
+            if argv[0] == "test":
+                argv += ["--data", str(DATA)]
+            assert main(argv) == 0, command
+            got[command] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == self.PINNED_REPORTS
 
     def _run(self, out: Path, threads: str) -> bytes:
         env = dict(os.environ, FSTEST_THREADS=threads)

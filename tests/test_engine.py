@@ -197,25 +197,24 @@ class TestVarianceConstants:
 
 class TestLimitWeights:
     def test_limit_weights_identity_scatter(self):
-        weights = limit_weights(StatKind.T2, standard_model("gaussian", 3), 0.5)
+        weights = limit_weights(StatKind.T2, "gaussian", SpdMatrix.identity(3), 0.5)
         assert np.allclose(weights, np.ones(3))
 
     def test_limit_weights_scale_with_scatter(self):
-        model_scaled = standard_model("gaussian", 2).with_location(np.zeros(2))
-        weights = limit_weights(StatKind.T3, model_scaled, 0.5)
-        assert np.allclose(weights, math.pi / 2 * np.ones(2))
+        weights = limit_weights(StatKind.T3, "gaussian", SpdMatrix(np.diag([1.0, 3.0])), 0.5)
+        assert np.allclose(np.sort(weights), math.pi / 2 * np.array([1.0, 3.0]))
 
     def test_cauchy_mean_is_infinite_variance(self):
         with pytest.raises(InfiniteVariance):
-            limit_weights(StatKind.T2, standard_model("cauchy", 4), 0.5)
+            limit_weights(StatKind.T2, "cauchy", SpdMatrix.identity(4), 0.5)
 
     def test_cauchy_trimmed_limit_diverges(self):
         # finite for gamma < 1 (the trim keeps only the inner half), the mean's
         # divergent variance at gamma = 1
-        weights = limit_weights(StatKind.T1, standard_model("cauchy", 4), 0.5)
+        weights = limit_weights(StatKind.T1, "cauchy", SpdMatrix.identity(4), 0.5)
         assert np.array_equal(weights, np.full(4, LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale))
         with pytest.raises(InfiniteVariance):
-            limit_weights(StatKind.T1, standard_model("cauchy", 4), 1.0)
+            limit_weights(StatKind.T1, "cauchy", SpdMatrix.identity(4), 1.0)
 
 
 class TestLimitLawWithoutQuadrature:
@@ -236,13 +235,13 @@ class TestLimitLawWithoutQuadrature:
     @pytest.mark.parametrize("d", (343, 400, 1000))
     def test_formula_critical_values_at_large_d(self, family, d):
         # the light100 t3/t4 and cauchy t1 limits overflowed here through their quadratures
-        model = standard_model(family, d)
+        sigma = SpdMatrix.identity(d)
         for kind in ALL_KINDS:
             if family == "cauchy" and kind == StatKind.T2:
                 with pytest.raises(InfiniteVariance):
-                    limit_weights(kind, model, 0.5)
+                    limit_weights(kind, family, sigma, 0.5)
                 continue
-            weights = limit_weights(kind, model, 0.5)
+            weights = limit_weights(kind, family, sigma, 0.5)
             assert np.all(np.isfinite(weights)) and np.all(weights > 0)
             value = critical_value(weights, 0.05).value
             assert math.isfinite(value) and value > 0
@@ -316,11 +315,18 @@ class TestCriticalValues:
             critical_value(np.ones(2), 0.05, mc_samples=50)
 
     def test_empirical_reproducible_and_positive(self):
-        args = (StatKind.T1, "gaussian", np.zeros(3), SpdMatrix.identity(3), 50, 0.5, 0.05, 400, 9)
+        args = ((StatKind.T1,), "gaussian", np.zeros(3), SpdMatrix.identity(3), 50, 0.5, 0.05, 400, 9)
         a = empirical_critical_value(*args)
         b = empirical_critical_value(*args)
         assert a == b
-        assert a.value > 0
+        assert a[StatKind.T1].value > 0
+
+    def test_empirical_kinds_share_one_null_simulation(self):
+        # the stream path names the family, not the kind: each kind's quantile is a one-kind call's
+        args = ("cauchy", np.zeros(2), SpdMatrix.identity(2), 30, 0.5, 0.1, 200, 4)
+        together = empirical_critical_value(ALL_KINDS, *args)
+        assert list(together) == list(ALL_KINDS)
+        assert together == {kind: empirical_critical_value((kind,), *args)[kind] for kind in ALL_KINDS}
 
     def test_empirical_follows_calibration_stream_path(self):
         # null replications 64k.. draw at once from ("calibration", family, "block", k)
@@ -332,14 +338,14 @@ class TestCriticalValues:
             for k, count in enumerate((64, 36))
         ])
         stats = batch_statistics(data, mu, sigma, 0.5, (StatKind.T1,))[StatKind.T1]
-        q = empirical_critical_value(StatKind.T1, "cauchy", mu, sigma, 30, 0.5, 0.1, 100, 4)
+        q = empirical_critical_value((StatKind.T1,), "cauchy", mu, sigma, 30, 0.5, 0.1, 100, 4)[StatKind.T1]
         assert q.value == float(np.quantile(stats, 0.9))
 
     def test_empirical_tracks_trimmed_variance(self):
         # null 95% point of the trimmed statistic ~ (trimmed variance) * chi2
         q = empirical_critical_value(
-            StatKind.T1, "gaussian", np.zeros(4), SpdMatrix.identity(4), 400, 0.5, 0.05, 3000, 5
-        )
+            (StatKind.T1,), "gaussian", np.zeros(4), SpdMatrix.identity(4), 400, 0.5, 0.05, 3000, 5
+        )[StatKind.T1]
         ref = limit_scale(StatKind.T1, "gaussian") * stats.chi2.ppf(0.95, 4)
         assert q.value == pytest.approx(ref, rel=0.12)
 
@@ -347,10 +353,10 @@ class TestCriticalValues:
     def test_formula_matches_empirical_t1(self, family):
         # both calibrations of the trimmed statistic estimate one quantile
         d, n = 4, 2000
-        formula = critical_value(limit_weights(StatKind.T1, standard_model(family, d), 0.5), 0.05)
+        formula = critical_value(limit_weights(StatKind.T1, family, SpdMatrix.identity(d), 0.5), 0.05)
         empirical = empirical_critical_value(
-            StatKind.T1, family, np.zeros(d), SpdMatrix.identity(d), n, 0.5, 0.05, 2000, 0
-        )
+            (StatKind.T1,), family, np.zeros(d), SpdMatrix.identity(d), n, 0.5, 0.05, 2000, 0
+        )[StatKind.T1]
         assert abs(formula.value - empirical.value) <= 3 * empirical.stderr
 
 
@@ -577,7 +583,7 @@ class TestScratchPeaks:
     def test_empirical_calibration_holds_one_batch_and_the_budget(self, kind):
         reps, n, d = 2000, 100, 4
         mu0, sigma = np.zeros(d), SpdMatrix.identity(d)
-        peak = self.peak(lambda: empirical_critical_value(kind, "gaussian", mu0, sigma, n, 0.5, 0.05, reps, 1))
+        peak = self.peak(lambda: empirical_critical_value((kind,), "gaussian", mu0, sigma, n, 0.5, 0.05, reps, 1))
         # the gaussian batch (reps, n, d) and its aux (reps, n) fit one simulation batch
         assert reps * n * d <= rng_module.SIMULATION_BLOCK_FLOATS
         assert peak <= 8 * (reps * n * d + reps * n + est._SCRATCH_FLOATS + 16 * reps)

@@ -432,6 +432,12 @@ class TestForwardSearchKept:
         tied = self.check(dist, 50)
         assert 0 < np.sum(tied) < len(tied)
 
+    def test_nan_at_the_cut_raises(self):
+        # the second row has two numeric distances, fewer than m = 3
+        dist = np.array([[0.0, 1.0, 2.0, 3.0], [np.nan, 1.0, np.nan, 0.5]])
+        with pytest.raises(estimators.DistanceOverflow, match="NaN in more than 1 of 4 rows"):
+            estimators._forward_search_kept(dist, 3)
+
     @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
     def test_breakdown_pushed_rows(self, gamma, rng):
         # the first k rows of a clean sample pushed to one magnitude tie with one another
