@@ -8,6 +8,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+# a RuntimeWarning (overflow, invalid value) fails the campaigns, as it fails pytest
+export PYTHONWARNINGS=error::RuntimeWarning
 
 for script in scripts/run_*.sh; do
     bash "$script"

@@ -311,7 +311,8 @@ def contiguous_power(
     infinite (the sample mean under ``cauchy``) the limiting power is 0, that
     of the formula-calibrated test, whose critical value is infinite; an
     empirically calibrated one keeps a power near alpha (0.0585 by simulation
-    at n = 400, d = 4, delta = (1, ..., 1)).
+    at n = 400, d = 4, delta = (1, ..., 1)).  ||delta|| is taken by
+    ``math.hypot``, so a delta whose square overflows (1e200) gets power 1.
     ``mc_samples`` and ``seed`` are accepted and ignored: nothing is drawn.
     """
     delta = as_vector(delta, "delta")
@@ -324,7 +325,10 @@ def _limit_power(law: LimitLaw, delta: NDArray[np.float64], alpha: float) -> flo
         raise ValueError("alpha must lie in (0, 1)")
     if math.isinf(law.scale):
         return 0.0
-    shift = law.drift**2 * float(delta @ delta) / law.scale
+    norm = math.hypot(*delta)  # finite where |delta|^2 overflows
+    shift = law.drift**2 * norm * norm / law.scale
+    if shift == math.inf:
+        return 1.0
     return 1.0 - _noncentral_chi2_cdf(_chi2_upper_point(delta.size, alpha), delta.size, shift)
 
 
@@ -405,7 +409,7 @@ def local_power_rows(
             row: dict = {
                 "family": family,
                 "delta_component": float(comp),
-                "delta_norm": float(np.linalg.norm(delta)),
+                "delta_norm": math.hypot(*delta),
             }
             for kind in StatKind:
                 row[kind.value] = _limit_power(laws[kind], delta, alpha)

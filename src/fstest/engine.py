@@ -63,7 +63,7 @@ __all__ = [
 
 
 class InfiniteVariance(ArithmeticError):
-    """A limiting variance needed for calibration is infinite."""
+    """A limiting variance needed for calibration is infinite, or cannot be evaluated in floats."""
 
 
 class StatKind(str, enum.Enum):
@@ -102,7 +102,9 @@ class LimitLaw:
     with X the squared radius and q its gamma-quantile (finite under every
     kernel when gamma < 1); the component variance for t2; 1 / (4 g1(0)^2)
     for t3; 1 / (12 (int g1^2)^2) for t4.  It is ``math.inf`` where the
-    variance diverges: t2 under ``cauchy``, and t1 there at gamma = 1.  Every
+    variance diverges: t2 under ``cauchy``, and t1 there at gamma = 1.  At a
+    small gamma where the t1 form underflows or cancels to 0 or below, reading
+    the t1 scale raises :class:`InfiniteVariance`.  Every
     constant is a closed form or, for light100's int g1^2, a fixed
     Gauss-Legendre rule (:mod:`fstest.elliptical`), finite at any d.
 
@@ -132,9 +134,14 @@ class LimitLaw:
         gen = generator_by_name(self.family)
         if self.kind == StatKind.T1:
             try:
-                return truncated_radial_mean(gen, self.d, self.gamma) / (self.d * self.gamma**2)
+                mean = truncated_radial_mean(gen, self.d, self.gamma)
             except DivergentIntegral:
                 return math.inf
+            if not mean > 0.0:  # at so small a gamma, the float form underflows or cancels
+                raise InfiniteVariance(
+                    f"the t1 limit variance cannot be evaluated for family {self.family!r} at gamma = {self.gamma}"
+                )
+            return mean / (self.d * self.gamma) / self.gamma
         if self.kind == StatKind.T2:
             return component_variance(gen, self.d)
         if self.kind == StatKind.T3:

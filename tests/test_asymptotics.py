@@ -294,6 +294,13 @@ class TestContiguousPower:
         with pytest.raises(ValueError):
             contiguous_power(StatKind.T1, "gaussian", np.ones(2), alpha=1.5)
 
+    @pytest.mark.parametrize("family", ("cauchy", "gaussian", "light100"))
+    def test_shift_whose_square_overflows_has_power_one(self, family):
+        # |delta|^2 = 4e400 is past the float range; the sample mean under cauchy keeps 0
+        for kind in StatKind:
+            expect = 0.0 if (kind, family) == (StatKind.T2, "cauchy") else 1.0
+            assert contiguous_power(kind, family, np.full(4, 1e200)) == expect
+
 
 class TestNoncentralOracles:
     """The chi-squared quantile, the noncentral tail and the powers built on them
@@ -435,6 +442,11 @@ class TestLocalPowerRows:
         for kind in StatKind:
             assert 0.0 <= row[kind.value] <= 1.0
             assert row[f"{kind.value}_se"] == 0.0
+
+    def test_overflowing_shift_row_is_finite(self):
+        (row,) = local_power_rows(["gaussian"], [-1e200], d=4)
+        assert row["delta_norm"] == 2e200
+        assert [row[kind.value] for kind in StatKind] == [1.0] * 4
 
     def test_cauchy_mean_column_zero(self):
         rows = local_power_rows(["cauchy"], [5.0], d=2)

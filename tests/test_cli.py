@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -71,6 +72,42 @@ class TestArgumentHandling:
         ]:
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    #: an out-of-range value of each flag in cli._FLAGS
+    OUT_OF_RANGE = {"d": "0", "n": "1", "gamma": "0", "alpha": "1", "reps": "0", "mc_samples": "99",
+                    "null_reps": "99"}
+
+    @staticmethod
+    def _flag_pairs():
+        """(subcommand, required argv, option string, dest) for every _FLAGS flag build_parser defines."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        pairs = []
+        for command, parser in sub.choices.items():
+            required = [arg for a in parser._actions if a.required
+                        for arg in (a.option_strings[0], "/nonexistent/data.csv" if a.dest == "data" else "1")]
+            pairs += [(command, required, a.option_strings[0], a.dest)
+                      for a in parser._actions if a.dest in cli._FLAGS]
+        return pairs
+
+    def test_every_table_flag_is_checked_before_the_command_runs(self, capsys):
+        pairs = self._flag_pairs()
+        # breakdown's --gamma list and table2's ignored --mc-samples are not table flags
+        assert len(pairs) == 24
+        assert ("breakdown", ["--seed", "1"], "--gamma", "gamma") not in pairs
+        for command, required, flag, dest in pairs:
+            # test's --data names a missing file: the range error comes first
+            assert main([command, *required, flag, self.OUT_OF_RANGE[dest]]) == 1, (command, flag)
+            assert capsys.readouterr().err == f"error: {cli._FLAGS[dest][2]}\n", (command, flag)
+
+    def test_range_error_precedes_a_missing_file(self, capsys):
+        assert main(["test", "--seed", "1", "--data", "/nonexistent/file.csv", "--gamma", "2"]) == 1
+        assert capsys.readouterr().err == "error: --gamma must lie in (0, 1]\n"
+
+    def test_ignored_flags_stay_unchecked(self, capsys):
+        assert main(["table2", "--seed", "1", "--delta", "0.5", "--mc-samples", "5", "--offset-reps", "-1"]) == 0
+        assert main(["table3", "--seed", "1", "--family", "gaussian", "--n-grid", "10", "--d-grid", "2",
+                     "--reps", "5", "--bootstrap", "-1"]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
         ["table2", "--seed", "1", "--delta", "nan"],
@@ -373,6 +410,22 @@ class TestTableCommands:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_gaussian_t1_formula_at_a_tiny_gamma(self, capsys):
+        # d gamma^2 underflows at gamma = 1e-200; the limit variance does not
+        gamma, d = 1e-200, 4
+        mean = d * special.gammainc(d / 2 + 1, special.gammaincinv(d / 2, gamma))
+        assert main(["critical-value", "--seed", "1", "--format", "json", "--gamma", str(gamma)]) == 0
+        value = json.loads(capsys.readouterr().out)["critical_value"]
+        assert value == pytest.approx(mean / (d * gamma) / gamma * special.chdtri(d, 0.05), rel=1e-12)
+
+    @pytest.mark.parametrize("d", ["1", "2", "4", "100"])
+    def test_gaussian_t1_formula_at_any_gamma_ends_without_a_traceback(self, d, capsys):
+        # where E[X 1{X <= q}] underflows, formula calibration is refused in one error line
+        for gamma in ("1e-150", "1e-200", "1e-300", "5e-324"):
+            rc = main(["critical-value", "--seed", "1", "--d", d, "--gamma", gamma])
+            refused = f"error: formula calibration unavailable: the t1 limit variance cannot be evaluated" \
+                      f" for family 'gaussian' at gamma = {float(gamma)}\n"
+            assert (rc, capsys.readouterr().err) in ((0, ""), (1, refused)), (d, gamma)
 
     @pytest.mark.parametrize("kind", ["t1", "t2", "t3", "t4"])
     def test_gaussian_formula_beyond_the_overflow_of_i0(self, kind, capsys):

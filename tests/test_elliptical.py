@@ -346,6 +346,14 @@ class TestRadialLaw:
             ref = special.gammainc(d / 2, x / 2)
             assert radial_cdf(GAUSSIAN, d, x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
+    @pytest.mark.parametrize("gamma", (1e-3, 1e-8, 1e-20, 1e-100))
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 10, 100))
+    def test_gaussian_truncated_mean_at_small_gamma(self, d, gamma):
+        # P(d/2 + 1, y) = gamma - y^{d/2} e^{-y} / Gamma(d/2 + 1) cancels as gamma -> 0;
+        # the series keeps it within 2e-13 of scipy's (at 1e-100 and d = 1 it is 5.2e-301)
+        ref = d * special.gammainc(d / 2 + 1, special.gammaincinv(d / 2, gamma))
+        assert truncated_radial_mean(GAUSSIAN, d, gamma) == pytest.approx(ref, rel=2e-13)
+
     def test_quantile_inverts_cdf(self):
         for gen in ALL_GENERATORS:
             for p in (0.1, 0.5, 0.9):
