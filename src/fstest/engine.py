@@ -113,7 +113,9 @@ class LimitLaw:
     integration by parts gives kappa = 1 - 2 q f_X(q) / (d gamma), with
     f_X(x) = x^{d/2-1} g(x) / I0 the density of X: 0.4741 (gaussian), 0.7986
     (cauchy) and 0 up to rounding (light100, whose kernel is flat on the
-    trimming ball) at d = 4, gamma = 1/2.
+    trimming ball) at d = 4, gamma = 1/2.  For the gaussian kappa is also
+    gamma * scale, which has no cancellation and is taken where kappa < 0.1.
+    Where q underflows, reading the t1 drift raises :class:`InfiniteVariance`.
     """
 
     kind: StatKind
@@ -154,8 +156,11 @@ class LimitLaw:
             return 1.0
         gen, d = generator_by_name(self.family), self.d
         q = radial_quantile(gen, d, self.gamma)
+        if not q > 0.0:
+            raise InfiniteVariance(f"the t1 limit drift underflows for family {self.family!r} at gamma = {self.gamma}")
         log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - _log_i(gen, d)
-        return 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
+        kappa = 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
+        return self.gamma * self.scale if self.family == "gaussian" and kappa < 0.1 else kappa
 
 
 def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
@@ -542,8 +547,8 @@ def bootstrap_report(
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
     stream = stream_rng(seed, "bootstrap", kind.value)
     n = x.shape[0]
-    # t1 gathers the sample's distances: a C-ordered row's does not depend on its batch
-    dist = mahalanobis_sq_many(np.ascontiguousarray(x), config.mu0, config.sigma) if kind == StatKind.T1 else None
+    # t1 gathers the sample's distances: a row's depends on neither its batch nor its layout
+    dist = mahalanobis_sq_many(x, config.mu0, config.sigma) if kind == StatKind.T1 else None
     # resample blocks of at most the estimators' scratch budget in entries bound
     # the index block and what each kind gathers from it; block-wise draws equal
     # one (j, n) draw, because PCG64 keeps the spare half of a 64-bit output

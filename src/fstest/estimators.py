@@ -130,12 +130,9 @@ def estimate(
 #: and the blocks of replications that the forward search, the median-only sort
 #: and the bootstrap's resamples reduce at a time
 _SCRATCH_FLOATS = 1 << 18
-#: the Walsh-sum block where the scratch budget holds fewer than two band columns
-#: (n >= 751): one column per chunk made the band pass 1.5x slower at n = 1000
-_HL_WIDE_BLOCK_FLOATS = 1_000_000
 #: batches of fewer columns (two pilots' worth above n = 100), or of fewer values
-#: per column, skip the window pass (``_hl_window_pass``): the whole band was
-#: faster there at n = 64-100, and up to about 128 columns at n = 150-1000
+#: per column, skip the window (``_hl_window``): the whole band was faster there
+#: at n = 64-100, and up to about 128 columns at n = 150-1000
 _HL_WINDOW_COLUMNS, _HL_WINDOW_N = 512, 64
 #: columns of the pilot that sets the window, and its margin in sums per band row
 #: at n <= 168; above, the margin is 0.4 isqrt(n) (8 at n = 400, 12 at n = 1000),
@@ -143,8 +140,7 @@ _HL_WINDOW_COLUMNS, _HL_WINDOW_N = 512, 64
 _HL_PILOT, _HL_MARGIN = 64, 4
 
 
-@lru_cache(maxsize=32)
-def _hl_band(n: int) -> tuple[tuple[tuple[int, int, int], ...], int, int]:
+def _hl_band(n: int) -> tuple[tuple[NDArray[np.int64], ...], int, int]:
     """(rows, size, k): the rank band of n sorted values' Walsh sums.
 
     x_i + x_j is monotone in i and j once x is sorted (rounding is
@@ -152,10 +148,10 @@ def _hl_band(n: int) -> tuple[tuple[tuple[int, int, int], ...], int, int]:
     rank at least L(i, j) - 1, where L(i, j) = (i+1)(j+1) - i(i+1)/2 counts
     the sums at or below it, and at most N - U(i, j), where the U(i, j) sums
     at or above it are L(n-1-j, n-1-i) by reflection.  The band keeps the
-    sums whose rank interval meets a middle rank: j in [lo, hi) for each
-    (i, lo, hi) in ``rows``, ``size`` sums in all.  The upper middle of all
-    N = n(n+1)/2 sums is the band's order statistic ``k``; for even N the
-    lower middle is the one below it.
+    sums whose rank interval meets a middle rank: j in [lo, hi) for the rows
+    (i, lo, hi) of ``rows``, three arrays, ``size`` sums in all.  The upper
+    middle of all N = n(n+1)/2 sums is the band's order statistic ``k``; for
+    even N the lower middle is the one below it.
     """
     size = n * (n + 1) // 2
     k = size // 2
@@ -170,8 +166,7 @@ def _hl_band(n: int) -> tuple[tuple[tuple[int, int, int], ...], int, int]:
     below = np.cumsum(np.bincount(first_above(size - k + 1 - size % 2), minlength=n + 1))
     lo = i + below[n - 1 - i]
     keep = hi > lo
-    rows = tuple(zip(i[keep].tolist(), lo[keep].tolist(), hi[keep].tolist()))
-    return rows, int(np.sum(hi - lo)), k - int(np.sum(lo - i))
+    return (i[keep], lo[keep], hi[keep]), int(np.sum(hi - lo)), k - int(np.sum(lo - i))
 
 
 def _sorted_columns(data: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -193,32 +188,28 @@ def _median_batch(cols: NDArray[np.float64]) -> NDArray[np.float64]:
 def _hodges_lehmann_batch(cols: NDArray[np.float64], d: int) -> NDArray[np.float64]:
     """Hodges-Lehmann per replication from a batch's sorted columns.
 
-    Blocks of the columns (``_sorted_columns``) get only the Walsh sums of
-    their rank band (``_hl_band``, about 45% of the n(n+1)/2) and one in-place
-    partition.  In large batches only a pilot and the columns that fail the
-    window's check take the band, the rest ``_hl_window_pass``.  All passes
-    share one block of ``_hl_block_columns`` band columns.  Halving only the
-    selected sums keeps np.median's bits, as x -> x/2 is monotone; the leading
-    ``0.0 +`` mirrors np.median's mean, whose sum starts at +0.0 and so turns
-    a -0.0 middle into +0.0.
+    Each column (``_sorted_columns``) selects the middle of the Walsh sums of
+    its rank band (``_hl_band``, about 45% of the n(n+1)/2), or, in large
+    batches, past a pilot, of a window of the band (``_hl_window``); a column
+    that fails the window's check takes the band.  All share one block, cut
+    into the fewest equal chunks of columns whose band sums and gathered
+    i-operands fit in _SCRATCH_FLOATS, one column at least.  Halving only
+    the selected sums keeps np.median's bits, as x -> x/2 is monotone; the
+    leading ``0.0 +`` mirrors np.median's mean, whose sum starts at +0.0 and
+    so turns a -0.0 middle into +0.0.
     """
     columns, n = cols.shape
-    band = _hl_band(n)[1]
-    block = np.empty(min(_hl_block_columns(band), columns) * band)
+    band = _hl_band_sums(n)
+    most = max(1, _SCRATCH_FLOATS // (2 * len(band[0])))  # columns that one chunk may hold
+    block = np.empty(-(-columns // (-(-columns // most) or 1)) * 2 * len(band[0]))  # the fewest equal chunks
     out = np.empty(columns)
     window_columns = _HL_WINDOW_COLUMNS if n <= 100 else 2 * _HL_PILOT
     pilot = _HL_PILOT if columns >= window_columns and n >= _HL_WINDOW_N else columns
-    _hl_band_pass(cols, np.arange(pilot), block, out)
+    _hl_select(cols, np.arange(pilot), band, block, out)
     if pilot < columns:
-        _hl_band_pass(cols, _hl_window_pass(cols, pilot, block, out), block, out)
+        failed = _hl_select(cols, np.arange(pilot, columns), _hl_window(cols[:pilot], out[:pilot]), block, out)
+        _hl_select(cols, failed, band, block, out)
     return out.reshape(-1, d)
-
-
-def _hl_block_columns(band: int) -> int:
-    """Band columns per Walsh-sum block: as many as _SCRATCH_FLOATS holds, or,
-    where that is fewer than two, as many as _HL_WIDE_BLOCK_FLOATS holds (at least one)."""
-    columns = _SCRATCH_FLOATS // band
-    return columns if columns >= 2 else max(1, _HL_WIDE_BLOCK_FLOATS // band)
 
 
 def _hl_middle(w: NDArray[np.float64], k: int, even: bool) -> tuple:
@@ -230,61 +221,63 @@ def _hl_middle(w: NDArray[np.float64], k: int, even: bool) -> tuple:
     return lower, upper, (0.0 + 0.5 * lower + mid) / 2 if even else mid
 
 
-def _hl_band_pass(cols, take, block, out) -> None:
-    """Sets ``out[take]`` from the rank band of the columns ``cols[take]``."""
-    n = cols.shape[1]
-    rows, band, k = _hl_band(n)
-    chunk = max(1, block.size // band)
+def _hl_sums(rows, a, b, k) -> tuple:
+    """(i, j, size, k, after): x_i + x_j at each position of the windows [a, b)
+    of the band rows (i, lo, hi) ``rows``, then of the sum just before each
+    window that starts past lo and, from ``after`` on, just after each that
+    ends before hi; the band's order statistic k is the windows' at k."""
+    ii, lo, hi = rows
+    size, left, right = int(np.sum(b - a)), a > lo, b < hi
+    i = np.concatenate([np.repeat(ii, b - a), ii[left], ii[right]])
+    j = np.concatenate([np.arange(size) + np.repeat(b - np.cumsum(b - a), b - a), a[left] - 1, b[right]])
+    return i, j, size, k - int(np.sum(a - lo)), size + int(np.sum(left))
+
+
+@lru_cache(maxsize=8)
+def _hl_band_sums(n: int) -> tuple:
+    """``_hl_sums`` of the whole band of n, the widest window.  The index stays
+    int64 and writeable: np.take copies any other index on every call."""
+    rows, _, k = _hl_band(n)
+    return _hl_sums(rows, rows[1], rows[2], k)
+
+
+def _hl_window(pilot: NDArray[np.float64], middles: NDArray[np.float64]) -> tuple:
+    """``_hl_sums`` of windows where the band rows cross the ``pilot`` columns'
+    ``middles``, widened by _HL_MARGIN."""
+    n = pilot.shape[1]
+    (ii, lo, hi), _, k = _hl_band(n)
+    cross = np.clip([np.searchsorted(c, 2 * m - c[ii]) for c, m in zip(pilot, middles)], lo, hi)
+    margin = _HL_MARGIN * max(10, math.isqrt(n)) // 10
+    a = np.maximum(cross.min(axis=0) - margin, lo)
+    return _hl_sums((ii, lo, hi), a, np.minimum(cross.max(axis=0) + margin + 1, hi), k)
+
+
+def _hl_select(cols, take, sums, block, out) -> NDArray[np.intp]:
+    """Sets ``out[take]`` from the Walsh sums ``sums`` (``_hl_sums``) of the
+    columns ``cols[take]``; returns the columns that fail the check, all of
+    them where the windows hold no middle.
+
+    Sums grow along a row, so once the sum just outside each window lies on
+    its side of a column's middles, no sum left out can move them, and the
+    windows' order statistics are the band's own.  The band has none outside.
+    """
+    i, j, size, k, after = sums
+    even = cols.shape[1] * (cols.shape[1] + 1) // 2 % 2 == 0
+    if not even <= k < size:
+        return take
+    ok = np.ones(len(take), dtype=bool)
+    chunk = max(1, block.size // (2 * len(i)))
     for start in range(0, len(take), chunk):
         at = take[start : start + chunk]
         if at[-1] - at[0] == len(at) - 1:  # consecutive columns: a view, not a copy
             at = slice(at[0], at[-1] + 1)
         c = cols[at]
-        w = block[: len(c) * band].reshape(len(c), band)
-        off = 0
-        for i, lo, hi in rows:
-            np.add(c[:, i : i + 1], c[:, lo:hi], out=w[:, off : off + hi - lo])
-            off += hi - lo
-        out[at] = _hl_middle(w, k, n * (n + 1) // 2 % 2 == 0)[2]
-
-
-def _hl_window_pass(cols, pilot, block, out) -> NDArray[np.intp]:
-    """Sets ``out`` for the columns past the first ``pilot``, whose middles
-    ``out`` already holds, from windows of the band rows; returns the
-    columns that fail the check.
-
-    Row i's window spans where that row crosses the pilot's middles, within
-    _HL_MARGIN.  Sums grow along a row, so once the sum just outside each
-    window lies on its side of a column's middles, no sum left out can move
-    them, and the window's order statistics at k less the sums before the
-    windows are the band's own.
-    """
-    columns, n = cols.shape
-    rows, _, k = _hl_band(n)
-    even = n * (n + 1) // 2 % 2 == 0
-    ii, lo, hi = np.array(rows).T
-    cross = np.clip([np.searchsorted(c, 2 * m - c[ii]) for c, m in zip(cols[:pilot], out[:pilot])], lo, hi)
-    margin = _HL_MARGIN * max(10, math.isqrt(n)) // 10
-    a = np.maximum(cross.min(axis=0) - margin, lo)
-    b = np.minimum(cross.max(axis=0) + margin + 1, hi)
-    kk, size = k - int(np.sum(a - lo)), int(np.sum(b - a))
-    # sum i + j at each position: the windows, then the sums just before and just after them
-    left, right = a > lo, b < hi
-    i = np.concatenate([np.repeat(ii, b - a), ii[left], ii[right]])
-    j = np.concatenate([np.arange(size) + np.repeat(b - np.cumsum(b - a), b - a), a[left] - 1, b[right]])
-    after = size + int(np.sum(left))
-    if not even <= kk < size or 2 * len(i) > block.size:  # no middle inside, or no room
-        return np.arange(pilot, columns)
-    ok = np.ones(columns, dtype=bool)
-    chunk = max(1, block.size // (2 * len(i)))
-    for start in range(pilot, columns, chunk):
-        c = cols[start : start + chunk]
         w, t = block[: 2 * len(c) * len(i)].reshape(2, len(c), len(i))
         np.add(np.take(c, j, axis=1, out=w, mode="clip"), np.take(c, i, axis=1, out=t, mode="clip"), out=w)
-        lower, upper, out[start : start + chunk] = _hl_middle(w[:, :size], kk, even)
+        lower, upper, out[at] = _hl_middle(w[:, :size], k, even)
         ok[start : start + chunk] = w[:, size:after].max(axis=1, initial=-np.inf) <= lower
         ok[start : start + chunk] &= w[:, after:].min(axis=1, initial=np.inf) >= upper
-    return np.flatnonzero(~ok)
+    return take[~ok]
 
 
 def _in_blocks(data: NDArray[np.float64], floats_per_rep: int, reduce) -> NDArray[np.float64]:
@@ -404,7 +397,7 @@ def _resample_estimates(
 
     Only t4 gathers that (reps, n, d) batch.  t1 keeps the rows of each
     resample nearest mu0 by the gathered distances of the sample's rows,
-    ``dist`` (those of its C-ordered copy, which equal a batch's), and
+    ``dist``, which equal a batch's in any layout, and
     gathers only those rows; t2 gathers the rows replication-minor
     (``_row_mean``); t3 gathers the columns coordinate-major, with no
     strided transposed copy, and sorts them in place.

@@ -155,12 +155,12 @@ def mahalanobis_sq_many(
 ) -> NDArray[np.float64]:
     """Squared distances of the rows of ``data`` (shape (..., d)) from mu0.
 
-    Works on any leading batch shape; uses the cached inverse of ``sigma``.
-    Each distance is einsum's sum over a row of ``diff = data - mu0`` (through
-    the inverse, for a general ``sigma``).  With an all-zero ``mu0``, a
-    C-contiguous ``data`` is its own ``diff``: the difference would have its
-    layout and its bits, except that -0.0 - (-0.0) is +0.0, and einsum's sums
-    start from +0.0, so the sign of a zero moves no distance.
+    Each distance is einsum's sum over a row of the C-ordered ``diff = data -
+    mu0`` times ``diff``, or, for a general ``sigma``, times that row's einsum
+    product with the cached inverse, so it has the same bits alone, in any
+    batch and in any layout.  With an all-zero ``mu0``, a C-contiguous
+    ``data`` is its own ``diff``: the difference would have its bits, except
+    that -0.0 - (-0.0) is +0.0, and einsum's sums start from +0.0.
     """
     arr = np.asarray(data, dtype=float)
     mu = as_vector(mu0, "mu0")
@@ -170,10 +170,10 @@ def mahalanobis_sq_many(
         diff = arr
     else:
         rows, loc = _row_operands(arr, mu)
-        diff = (rows - loc).reshape(arr.shape)
+        diff = np.subtract(rows, loc, order="C").reshape(arr.shape)
     if sigma.is_identity:
         return np.einsum("...i,...i->...", diff, diff)
-    return np.einsum("...i,ij,...j->...", diff, sigma.inverse, diff)
+    return np.einsum("...i,...i->...", np.einsum("...i,ij->...j", diff, sigma.inverse), diff)
 
 
 def trim_count(n: int, gamma: float) -> int:

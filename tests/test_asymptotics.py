@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -32,7 +33,7 @@ from fstest.elliptical import (
     radial_quantile,
     standard_model,
 )
-from fstest.engine import LimitLaw, StatKind
+from fstest.engine import InfiniteVariance, LimitLaw, StatKind
 from fstest.linalg import SpdMatrix
 from fstest.rng import stream_rng
 
@@ -414,6 +415,25 @@ class TestDriftFactor:
             q = stats.chi2.ppf(gamma, d)
             expect = 1 - 2 * q * stats.chi2.pdf(q, d) / (d * gamma)
             assert LimitLaw(StatKind.T1, "gaussian", d, gamma).drift == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("d", (1, 4, 10))
+    @pytest.mark.parametrize("gamma", (1e-3, 1e-8, 1e-100))
+    def test_gaussian_at_small_gamma_matches_mpmath(self, d, gamma):
+        # kappa = P(d/2 + 1, q/2) / gamma at 50 digits, with P(d/2, q/2) = gamma;
+        # 1 - 2 q f(q) / (d gamma) read -1.35e-14 at d = 1, gamma = 1e-100
+        with mpmath.workdps(50):
+            a, target = mpmath.mpf(d) / 2, mpmath.log(gamma)
+            start = (mpmath.log(gamma) + mpmath.loggamma(a + 1)) / a  # log(q/2) where P(a, .) is a power law
+            log_p = lambda t: mpmath.log(mpmath.gammainc(a, 0, mpmath.exp(t), regularized=True))  # noqa: E731
+            t = mpmath.findroot(lambda t: log_p(t) - target, start)
+            expect = mpmath.gammainc(a + 1, 0, mpmath.exp(t), regularized=True) / gamma
+        kappa = LimitLaw(StatKind.T1, "gaussian", d, gamma).drift
+        assert 0.0 < kappa < 1.0 and kappa == pytest.approx(float(expect), rel=1e-12)
+
+    @pytest.mark.parametrize("d", (1, 4))
+    def test_light100_refuses_where_its_quantile_underflows(self, d):
+        with pytest.raises(InfiniteVariance, match="drift"):
+            LimitLaw(StatKind.T1, "light100", d, 1e-8).drift
 
     @pytest.mark.parametrize("d", (343, 400))
     def test_gaussian_beyond_the_overflow_of_i0(self, d):

@@ -1,5 +1,7 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -418,6 +420,13 @@ class TestTableCommands:
         value = json.loads(capsys.readouterr().out)["critical_value"]
         assert value == pytest.approx(mean / (d * gamma) / gamma * special.chdtri(d, 0.05), rel=1e-12)
 
+    def test_gaussian_t1_local_power_at_a_tiny_gamma_is_the_size(self, capsys):
+        # kappa is 5.2e-201 at d = 1, gamma = 1e-100, so every shift leaves t1 at alpha;
+        # 1 - 2 q f(q) / (d gamma) read -1.35e-14 there, and t1 printed power 1.0
+        assert main(["table2", "--seed", "1", "--family", "gaussian", "--d", "1", "--gamma", "1e-100"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows and all(abs(float(row["t1"]) - 0.05) < 1e-12 for row in rows)
+
     @pytest.mark.parametrize("d", ["1", "2", "4", "100"])
     def test_gaussian_t1_formula_at_any_gamma_ends_without_a_traceback(self, d, capsys):
         # where E[X 1{X <= q}] underflows, formula calibration is refused in one error line
@@ -677,10 +686,10 @@ def test_formula_test_of_an_overflowing_statistic_ends(tmp_path):
 
 @pytest.mark.parametrize("extra", [[], ["--j", "20"], ["--calibration", "formula"]])
 def test_forward_search_on_overflowing_distances_exits_one(tmp_path, capsys, extra):
-    # finite rows at 1e200 under a correlated scatter give inf - inf = NaN distances;
-    # six of ten leave fewer than the five rows the forward search keeps
+    # finite rows at (1e200, 3e200) under a correlated scatter give inf - inf = NaN
+    # distances; six of ten leave fewer than the five rows the forward search keeps
     data, sigma = tmp_path / "huge.csv", tmp_path / "sigma.csv"
-    data.write_text("1e200,1e200\n" * 6 + "0.1,-0.2\n0.3,0.5\n-0.4,0.1\n0.2,0.2\n")
+    data.write_text("1e200,3e200\n" * 6 + "0.1,-0.2\n0.3,0.5\n-0.4,0.1\n0.2,0.2\n")
     sigma.write_text("1,0.5\n0.5,1\n")
     assert main(["test", "--data", str(data), "--sigma", str(sigma), "--seed", "1"] + extra) == 1
     message = "error: squared Mahalanobis distances overflow to NaN in more than 5 of 10 rows\n"

@@ -2,17 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fstest import estimators
 from fstest.elliptical import EllipticalModel, MixtureModel, standard_model
 from fstest.estimators import (
-    _HL_WIDE_BLOCK_FLOATS,
     _SCRATCH_FLOATS,
     _hl_band,
-    _hl_block_columns,
     _sorted_columns,
     Estimate,
     EstimatorKind,
@@ -31,6 +29,15 @@ finite_rows = arrays(
     st.tuples(st.integers(2, 24), st.integers(1, 4)),
     elements=st.floats(-1e6, 1e6, allow_nan=False),
 )
+
+
+@pytest.fixture
+def hl_chunks(monkeypatch):
+    """The columns of each chunk of Walsh sums that Hodges-Lehmann selects from, in call order."""
+    chunks = []
+    middle = estimators._hl_middle
+    monkeypatch.setattr(estimators, "_hl_middle", lambda w, *a: chunks.append(len(w)) or middle(w, *a))
+    return chunks
 
 
 def hl_bruteforce(data):
@@ -221,14 +228,16 @@ class TestBatch:
         assert got.shape == (reps, d)
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
-    def test_batch_hl_chunking_consistent(self, rng):
-        # 118 columns of 20,888 band sums span ten blocks of 12, the last one short
+    def test_batch_hl_chunking_consistent(self, rng, hl_chunks):
+        # 6 columns of 20,888 band sums and their i-operands fit in the budget,
+        # so 118 columns span 20 chunks, the last one short
         _, band, _ = _hl_band(300)
-        assert band == 20_888 and _hl_block_columns(band) == 12
+        assert band == 20_888 and _SCRATCH_FLOATS // (2 * band) == 6
         data = rng.standard_normal((59, 300, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data, np.zeros(2), SpdMatrix.identity(2), 0.5)
         expect = np.stack([hl_bruteforce(data[r]) for r in range(59)])
         assert np.array_equal(got, expect)
+        assert hl_chunks == [6] * 19 + [4]
 
     @given(
         st.integers(1, 4),
@@ -247,12 +256,13 @@ class TestBatch:
         assert np.array_equal(got, expect)
         assert np.array_equal(np.signbit(got), np.signbit(expect))
 
-    def test_batch_hl_column_larger_than_block(self, rng):
-        # n = 2100 gives a band of 1,029,114 Walsh sums, more than one block holds
-        assert _hl_band(2100)[1] > _HL_WIDE_BLOCK_FLOATS and _hl_block_columns(_hl_band(2100)[1]) == 1
+    def test_batch_hl_column_larger_than_block(self, rng, hl_chunks):
+        # n = 2100 gives a band of 1,029,114 Walsh sums, over 7 times the budget with their i-operands
+        assert 2 * _hl_band(2100)[1] > 7 * _SCRATCH_FLOATS
         data = rng.standard_normal((1, 2100, 2))
         got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
         assert np.array_equal(got[0], hl_bruteforce(data[0]))
+        assert hl_chunks == [1, 1]
 
     @pytest.mark.parametrize("n", (61, 127, 128, 500))
     def test_batch_hl_exact_at_odd_and_even_counts(self, n, rng):
@@ -337,30 +347,39 @@ def stable_forward_search(x, mu0, sigma, gamma):
     return x[np.sort(np.argsort(dist, kind="stable")[:m])].mean(axis=0)
 
 
+@st.composite
+def selection_cases(draw):
+    """(data, mu0, identity, gamma) of a (reps, n, d) batch for the forward search.
+
+    Tenths of small integers (inexact, so the summation order shows), rows
+    repeated by index, and mirrored rows, which sit at the same distance from
+    the zero anchor under any scatter; an anchor in tenths sends the distances
+    through the subtraction.
+    """
+    reps, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    base = draw(arrays(np.int64, (reps, n, d), elements=st.integers(-3, 3), fill=st.nothing()))
+    idx = draw(arrays(np.int64, n, elements=st.integers(0, n - 1), fill=st.nothing()))
+    sign = draw(arrays(float, n, elements=st.sampled_from([-0.1, 0.1]), fill=st.nothing()))
+    mu0 = np.zeros(d)
+    if draw(st.booleans()):
+        mu0 = 0.1 * draw(arrays(np.int64, d, elements=st.integers(-3, 3), fill=st.nothing()))
+    return base[:, idx] * sign[:, None], mu0, draw(st.booleans()), draw(st.sampled_from([0.01, 0.5, 1.0]))
+
+
+#: two rows at one distance under I + 0.5 in the last of 4 replications: a
+#: contraction whose order follows the batch's shape reads them tied there
+#: but not alone, so the batch and the single sample keep different rows
+MIRRORED_ROWS = (np.concatenate([np.zeros((3, 2, 2)), [[[0.2, 0.1], [0.1, 0.2]]]]), np.zeros(2), False, 0.01)
+
+
 class TestForwardSearchOracle:
     """t1 selects like a stable sort and sums in input order, in a batch and alone."""
 
-    @given(
-        st.integers(1, 4),
-        st.integers(1, 30),
-        st.integers(1, 4),
-        st.sampled_from([0.01, 0.5, 1.0]),
-        st.booleans(),
-        st.booleans(),
-        st.data(),
-    )
-    def test_batch_has_the_stable_selection_bits(self, reps, n, d, gamma, identity, anchored, draw):
-        # tenths of small integers (inexact, so the summation order shows),
-        # rows repeated by index, and mirrored rows, which sit at the same
-        # distance from the zero anchor under any scatter; an anchor in
-        # tenths sends the distances through the subtraction
-        base = draw.draw(arrays(np.int64, (reps, n, d), elements=st.integers(-3, 3), fill=st.nothing()))
-        idx = draw.draw(arrays(np.int64, n, elements=st.integers(0, n - 1), fill=st.nothing()))
-        sign = draw.draw(arrays(float, n, elements=st.sampled_from([-0.1, 0.1]), fill=st.nothing()))
-        data = base[:, idx] * sign[:, None]
-        mu0 = np.zeros(d)
-        if anchored:
-            mu0 = 0.1 * draw.draw(arrays(np.int64, d, elements=st.integers(-3, 3), fill=st.nothing()))
+    @given(selection_cases())
+    @example(MIRRORED_ROWS)
+    def test_batch_has_the_stable_selection_bits(self, case):
+        data, mu0, identity, gamma = case
+        reps, _, d = data.shape
         sigma = SpdMatrix.identity(d) if identity else SpdMatrix(np.eye(d) + 0.5)
         config = ForwardSearchConfig(mu0, sigma, gamma)
         got = batch_estimates(EstimatorKind.FORWARD_SEARCH, data, config.mu0, sigma, gamma)
@@ -463,7 +482,7 @@ def test_hl_band_discards_only_beyond_the_middle():
         above = at_or_below - 1 > size // 2
         rows, band, k = _hl_band(n)
         kept = np.zeros((n, n), dtype=bool)
-        for r, lo, hi in rows:
+        for r, lo, hi in zip(*rows):
             kept[r, lo:hi] = True
         assert np.array_equal(kept[i, j], ~below & ~above)
         assert band == np.sum(~below & ~above) and k == size // 2 - np.sum(below)
@@ -495,20 +514,16 @@ class TestWindowedHodgesLehmann:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The columns each band pass and window pass was given, in call order."""
+        """The columns each selection was given, in call order, labelled band
+        where it got the whole band's sums and window where it got a window's."""
         calls = []
-        band, window = estimators._hl_band_pass, estimators._hl_window_pass
+        select = estimators._hl_select
 
-        def band_pass(cols, take, block, out):
-            calls.append(("band", len(take)))
-            band(cols, take, block, out)
+        def spy(cols, take, sums, block, out):
+            calls.append(("band" if sums is estimators._hl_band_sums(cols.shape[1]) else "window", len(take)))
+            return select(cols, take, sums, block, out)
 
-        def window_pass(cols, pilot, block, out):
-            calls.append(("window", len(cols) - pilot))
-            return window(cols, pilot, block, out)
-
-        monkeypatch.setattr(estimators, "_hl_band_pass", band_pass)
-        monkeypatch.setattr(estimators, "_hl_window_pass", window_pass)
+        monkeypatch.setattr(estimators, "_hl_select", spy)
         return calls
 
     def assert_exact(self, data):
@@ -539,19 +554,22 @@ class TestWindowedHodgesLehmann:
         assert [p for p, _ in passes].count("window") == 2
 
     def test_exact_across_many_scratch_chunks(self, rng, monkeypatch, passes):
-        # a block of 60,000 floats holds 26 band columns and about 20 window columns
+        # a block of 60,000 floats holds 13 band columns with their i-operands,
+        # and about 20 window columns
         monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 60_000)
-        assert 600 > 20 * (60_000 // _hl_band(100)[1])
+        assert 600 > 40 * (60_000 // (2 * _hl_band(100)[1]))
         self.assert_exact(mixture_batch("gaussian", 0.2, 150, 100, 4, seed=3))
         self.assert_exact(rng.integers(-3, 4, (150, 101, 4)) * -1e-300)
         assert [p for p, _ in passes].count("window") == 2
 
-    def test_a_window_wider_than_the_block_falls_back(self, rng, monkeypatch, passes):
-        # a block of one band column cannot hold a window column and its gather
+    def test_a_block_of_one_band_column_holds_a_window_column(self, rng, monkeypatch, passes, hl_chunks):
+        # a window and the sums just outside it are never more than the band,
+        # so the smallest block still takes the window, one column at a time
         monkeypatch.setattr(estimators, "_SCRATCH_FLOATS", 1)
-        monkeypatch.setattr(estimators, "_HL_WIDE_BLOCK_FLOATS", 1)
         self.assert_exact(rng.standard_normal((130, 100, 4)))
-        assert passes == [("band", 64), ("window", 456), ("band", 456)]
+        (_, pilot), (_, rest), (_, failed) = passes
+        assert [p for p, _ in passes] == ["band", "window", "band"] and (pilot, rest) == (64, 456)
+        assert failed < 0.1 * rest and hl_chunks == [1] * (pilot + rest + failed)
 
     def test_columns_unlike_the_pilot_fall_back_and_stay_exact(self, rng, passes):
         # the pilot's 64 columns are gaussian, every later one is exp(3z)
@@ -610,8 +628,8 @@ def test_kept_row_mean_has_the_strided_mean_bits(d, gamma, rng):
 
 class TestScratchBudget:
     """Batches reduced in blocks of replications within _SCRATCH_FLOATS keep
-    the bits of one block; the Hodges-Lehmann block is never larger than an
-    8 MB one."""
+    the bits of one block; the Hodges-Lehmann block fits in it or holds one
+    column."""
 
     @staticmethod
     def one_block(monkeypatch, fn):
@@ -664,17 +682,27 @@ class TestScratchBudget:
             got = batch_estimates(kind, np.empty((0, 5, 2)), np.zeros(2), SpdMatrix.identity(2), 0.5)
             assert got.shape == (0, 2)
 
-    def test_hl_block_holds_todays_four_columns_at_n_1000(self):
-        band = _hl_band(1000)[1]
-        assert band > _SCRATCH_FLOATS // 2 and _hl_block_columns(band) == 4 == _HL_WIDE_BLOCK_FLOATS // band
+    @pytest.mark.parametrize("n", (751, 1000))
+    def test_hl_block_holds_one_column_past_n_750(self, n, rng, hl_chunks):
+        # from n = 751 one column's band sums and i-operands exceed the budget;
+        # each column takes the whole band on its own and stays exact
+        assert 2 * _hl_band(750)[1] <= _SCRATCH_FLOATS < 2 * _hl_band(n)[1]
+        data = rng.standard_normal((2, n, 3))
+        data[1] = rng.integers(-3, 4, (n, 3)) * -1e-300
+        got = batch_estimates(EstimatorKind.HODGES_LEHMANN, data)
+        assert same_bits(got, np.stack([hl_bruteforce(x) for x in data]))
+        assert hl_chunks == [1] * 6
 
-    def test_hl_block_is_never_larger_than_an_8_mb_one(self):
-        # the block fits the 2 MB budget while that holds two band columns (n <= 750)
-        for n in range(1, 2200):
-            band = _hl_band(n)[1]
-            columns = _hl_block_columns(band)
-            assert 1 <= columns <= max(1, _HL_WIDE_BLOCK_FLOATS // band)
-            assert (columns * band <= _SCRATCH_FLOATS) == (n <= 750)
+    @pytest.mark.parametrize("n", (1, 2, 10, 100, 300, 750, 751, 1000))
+    def test_hl_block_fits_the_budget_or_holds_one_column(self, n, rng, hl_chunks):
+        # the fewest equal chunks of the columns that fit in the budget, three here
+        band = _hl_band(n)[1]
+        most = max(1, _SCRATCH_FLOATS // (2 * band))
+        columns = 2 * most + 1
+        estimators._hodges_lehmann_batch(_sorted_columns(rng.standard_normal((columns, n, 1))), 1)
+        per = -(-columns // 3)
+        assert hl_chunks == [per, per, columns - 2 * per]
+        assert per * 2 * band <= _SCRATCH_FLOATS or per == 1
 
 
 class TestEstimateRecord:

@@ -142,12 +142,52 @@ class TestMahalanobis:
             x = big[(slice(None, None, 2),) * len(shape)]
         sigma = SpdMatrix.identity(d) if identity else SpdMatrix(np.eye(d) - 0.4 / d * (1 - np.eye(d)))
         mu = np.full(d, zero)
-        diff = x - mu
-        if identity:
-            expect = np.einsum("...i,...i->...", diff, diff)
+        diff = np.subtract(x, mu, order="C")
+        if not identity:
+            diff = np.einsum("...i,ij->...j", diff, sigma.inverse), diff
         else:
-            expect = np.einsum("...i,ij,...j->...", diff, sigma.inverse, diff)
+            diff = diff, diff
+        expect = np.einsum("...i,...i->...", *diff)
         assert np.array_equal(mahalanobis_sq_many(x, mu, sigma).view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("d", (1, 2, 4, 100))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("identity", [True, False])
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_a_row_keeps_its_bits_in_any_batch(self, d, order, identity, anchored, rng):
+        # a row's distance alone, in a (1, n, d) batch and at its place in a
+        # (reps, n, d) batch; tenths of small integers tie rows, and mixed
+        # magnitudes show the order of the sums
+        reps, n = 5, 8
+        x = rng.standard_normal((reps, n, d)) * rng.choice([1e-3, 1.0, 1e3], (reps, n, d))
+        x[:, ::2] = rng.integers(-3, 4, (reps, n // 2, d)) * 0.1
+        a = rng.standard_normal((d, d))
+        sigma = SpdMatrix.identity(d) if identity else SpdMatrix(a @ a.T / d + np.eye(d) + 0.5)
+        mu = rng.integers(-3, 4, d) * 0.1 if anchored else np.zeros(d)
+        batch = mahalanobis_sq_many(np.asarray(x, order=order), mu, sigma).view(np.int64)
+        for r in range(reps):
+            one = mahalanobis_sq_many(np.asarray(x[r : r + 1], order=order), mu, sigma)[0].view(np.int64)
+            alone = [mahalanobis_sq_many(row, mu, sigma).view(np.int64) for row in x[r]]
+            assert np.array_equal(batch[r], alone) and np.array_equal(one, alone)
+
+    def test_an_overflowing_distance_reads_inf_where_no_term_cancels(self):
+        # (1e200, 1e200) under I + 0.5 halves: a three-operand einsum summed
+        # its four inf and -inf products to NaN; through the inverse's row
+        # sums the distance is the inf it overflows to.  (1e200, 3e200) has
+        # terms of both signs past the float range, and stays NaN
+        sigma = SpdMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        got = mahalanobis_sq_many(np.array([[1e200, 1e200], [1e200, 3e200]]), np.zeros(2), sigma)
+        assert got[0] == np.inf and np.isnan(got[1])
+
+    def test_mirrored_rows_keep_their_bits_in_a_batch(self):
+        # under I + 0.5 both rows lie at 0.0275; a three-operand einsum read
+        # them as ...007 and ...004 alone but as ...004 twice in the last of
+        # 4 replications, so a forward search kept different rows
+        rows, sigma = np.array([[0.2, 0.1], [0.1, 0.2]]), SpdMatrix(np.eye(2) + 0.5)
+        batch = np.zeros((4, 2, 2))
+        batch[3] = rows
+        alone = mahalanobis_sq_many(rows, np.zeros(2), sigma)
+        assert np.array_equal(mahalanobis_sq_many(batch, np.zeros(2), sigma)[3].view(np.int64), alone.view(np.int64))
 
     def test_zero_anchor_skips_the_subtraction_on_c_ordered_rows(self, monkeypatch, rng):
         x = rng.standard_normal((50, 100, 4))
