@@ -2,15 +2,19 @@
 
 Dialect: comma separator, '.' decimal point, optional single header row
 (auto-detected: a first row with any cell that does not parse as a float is
-a header).  Floats are written with repr so every emitted file reads back to
-the exact same values.  All writes go to a temporary file in the target
-directory and are renamed into place, so consumers never see partial files.
+a header).  A dataset converts in one pass, ``float`` on every cell into one
+array; only a table that fails that pass is walked cell by cell, to name
+the first offending row in its error.  Floats are written with repr so
+every emitted file reads back to the exact same values.  All writes go to a
+temporary file in the target directory and are renamed into place, so
+consumers never see partial files.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -93,14 +97,31 @@ def read_rows(path: str | Path) -> tuple[list[str] | None, list[list[str]]]:
 def read_dataset(path: str | Path) -> Dataset:
     """Read and validate an all-numeric dataset.
 
-    Error messages use 1-based file coordinates, counting the header row.
+    The table converts in one pass: ``float`` of every cell into one array,
+    then one check of the row widths and one of finiteness.  Only a table
+    that fails them is walked cell by cell, for the first offending row's
+    error, whose message uses 1-based file coordinates, counting the header
+    row.
     """
     header, rows = read_rows(path)
     if not rows:
         raise MalformedTable(f"{path}: no data rows below the header")
-    offset = 2 if header is not None else 1
     width = len(rows[0])
-    values = np.empty((len(rows), width))
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
+    except ValueError:  # a cell that is no float
+        values = None
+    if values is None or not all(len(row) == width for row in rows) or not np.isfinite(values).all():
+        _raise_first_fault(path, rows, 2 if header is not None else 1)
+    columns = tuple(h.strip() for h in header) if header is not None else None
+    return Dataset(values.reshape(len(rows), width), columns)
+
+
+def _raise_first_fault(path: str | Path, rows: list[list[str]], offset: int) -> None:
+    """Raises :class:`MalformedTable` for the first row, counted from
+    ``offset``, whose width differs from the first row's or that holds a cell
+    that is no finite real."""
+    width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
             raise MalformedTable(
@@ -113,9 +134,6 @@ def read_dataset(path: str | Path) -> Dataset:
                     f"{path}: row {i + offset}, column {j + 1}: "
                     f"{cell.strip()!r} is not a finite real"
                 )
-            values[i, j] = value
-    columns = tuple(h.strip() for h in header) if header is not None else None
-    return Dataset(values, columns)
 
 
 def format_cell(value: object) -> str:

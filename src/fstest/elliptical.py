@@ -46,7 +46,6 @@ __all__ = [
     "FAMILY_TAGS",
     "generator_by_name",
     "radial_integral",
-    "normalizing_constant",
     "EllipticalModel",
     "standard_model",
     "MixtureModel",
@@ -243,11 +242,6 @@ def radial_integral(generator: DensityGenerator, d: int, power: int) -> float:
     return generator.radial_integral_closed(d, power)
 
 
-def normalizing_constant(generator: DensityGenerator, d: int) -> float:
-    """k(d) = Gamma(d/2) pi^{-d/2} / I0(d)."""
-    return math.exp(_log_norm_const(generator, d))
-
-
 #: the log of the largest float, above which I_power leaves the float range
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -347,8 +341,11 @@ class EllipticalModel:
         if not self.sigma.is_identity:
             # numpy multiplies each replication's (n, d) rows as one product
             z = z @ self.sigma.cholesky_factor.T
-        rows, loc = _row_operands(z, self.mu)  # z is C-contiguous, so rows is a view
-        rows += loc
+        # adding a zero location would only turn -0.0 entries into +0.0, which
+        # no statistic sees: each squares its estimate, and medians and HL add 0.0
+        if self.mu.any():
+            rows, loc = _row_operands(z, self.mu)  # z is C-contiguous, so rows is a view
+            rows += loc
         return z
 
     def __repr__(self) -> str:  # pragma: no cover

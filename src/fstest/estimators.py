@@ -138,6 +138,8 @@ _HL_WINDOW_COLUMNS, _HL_WINDOW_N = 512, 64
 #: at n <= 168; above, the margin is 0.4 isqrt(n) (8 at n = 400, 12 at n = 1000),
 #: which cut the columns that fail the window from 11-19% to about 2% at n = 400 and 1000
 _HL_PILOT, _HL_MARGIN = 64, 4
+#: the largest n whose band index, two int64 per sum, fits _SCRATCH_FLOATS (2 MB)
+_HL_CACHED_N = 750
 
 
 def _hl_band(n: int) -> tuple[tuple[NDArray[np.int64], ...], int, int]:
@@ -233,12 +235,21 @@ def _hl_sums(rows, a, b, k) -> tuple:
     return i, j, size, k - int(np.sum(a - lo)), size + int(np.sum(left))
 
 
-@lru_cache(maxsize=8)
 def _hl_band_sums(n: int) -> tuple:
     """``_hl_sums`` of the whole band of n, the widest window.  The index stays
-    int64 and writeable: np.take copies any other index on every call."""
+    int64 and writeable: np.take copies any other index on every call.  The
+    last 8 n up to _HL_CACHED_N keep their index, and of larger n only the
+    last, so a sweep over large n holds one band index at a time."""
+    return (_hl_small_band_sums if n <= _HL_CACHED_N else _hl_large_band_sums)(n)
+
+
+def _hl_build_band_sums(n: int) -> tuple:
     rows, _, k = _hl_band(n)
     return _hl_sums(rows, rows[1], rows[2], k)
+
+
+_hl_small_band_sums = lru_cache(maxsize=8)(_hl_build_band_sums)
+_hl_large_band_sums = lru_cache(maxsize=1)(_hl_build_band_sums)
 
 
 def _hl_window(pilot: NDArray[np.float64], middles: NDArray[np.float64]) -> tuple:

@@ -42,29 +42,32 @@ _DOMAIN = b"fstest/1"
 THREADS_ENV_VAR = "FSTEST_THREADS"
 
 
-def stream_seed_words(seed: int, *path: object) -> list[int]:
-    """Hash (seed, path) into eight 32-bit words suitable for SeedSequence.
-
-    The sha256 covers the domain, seed mod 2**64, then per path part ``/``
-    and the float's repr or the part's str.
-    """
+def _stream_words(seed: int, *path: object) -> np.ndarray:
+    """The sha256 of the domain, seed mod 2**64, then per path part ``/`` and
+    the float's repr or the part's str, as eight uint32 words."""
     h = hashlib.sha256(_DOMAIN)
     h.update((int(seed) % (1 << 64)).to_bytes(8, "little"))
     for part in path:
         # repr() of a Python float is the shortest round-trip form, stable across
         # platforms; numpy's float64 reprs differ between numpy 1 and 2
         h.update(b"/" + (repr(float(part)) if isinstance(part, float) else str(part)).encode())
-    return [int(w) for w in np.frombuffer(h.digest(), dtype=np.uint32)]
+    return np.frombuffer(h.digest(), dtype=np.uint32)
+
+
+def stream_seed_words(seed: int, *path: object) -> list[int]:
+    """Hash (seed, path) into eight 32-bit words suitable for SeedSequence."""
+    return _stream_words(seed, *path).tolist()
 
 
 def stream_rng(seed: int, *path: object) -> np.random.Generator:
     """Return the generator for the named stream ``(seed, *path)``.
 
     Identical arguments always yield a generator producing identical draws;
-    distinct paths yield independent streams.
+    distinct paths yield independent streams.  ``SeedSequence`` takes the
+    words of :func:`stream_seed_words` as one uint32 array, which seeds the
+    same state as their list and skips its coercion of eight Python ints.
     """
-    entropy = stream_seed_words(seed, *path)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(_stream_words(seed, *path)))
 
 
 class ThreadCountError(ValueError):

@@ -7,7 +7,8 @@ so the tests can check the closed forms against them.  They read no closed
 value of what they compute: the cauchy closed form of I_power is called only
 to decide divergence (its :class:`DivergentIntegral`), and the marginal
 density takes its front factor, k(d) pi^{(d-1)/2} / Gamma((d-1)/2), from
-``elliptical._log_marginal_front``.  The gaussian integrands are scaled by
+``elliptical._log_marginal_front``, and at d = 1 its k(d) from
+:func:`normalizing_constant`.  The gaussian integrands are scaled by
 their value at the mode and integrated in log space, so the oracles work at
 any d, although I0 itself leaves the float range at d = 303.
 """
@@ -74,6 +75,12 @@ def _log_quad_from_mode(expo: float, log_g) -> float:
     return log_m + math.log(_quad(integrand, 0.0, m) + _quad(integrand, m, np.inf))
 
 
+def normalizing_constant(generator: DensityGenerator, d: int) -> float:
+    """k(d) = Gamma(d/2) pi^{-d/2} / I0(d): the package's closed constant, which
+    ``EllipticalModel.log_k`` reads, taken out of log space."""
+    return math.exp(elliptical._log_norm_const(generator, d))
+
+
 def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
     """Density of the first coordinate of the standard member, at t.
 
@@ -87,7 +94,7 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
     pi^{(d-1)/2} overflows from d = 342, the gaussian's integral from d = 300.
     """
     if d == 1:
-        return elliptical.normalizing_constant(generator, d) * float(generator.g(t * t, d))
+        return normalizing_constant(generator, d) * float(generator.g(t * t, d))
     expo = (d - 1) / 2 - 1
     tsq = t * t
     front = elliptical._log_marginal_front(generator, d)

@@ -716,6 +716,8 @@ class TestDeterminism:
     PINNED_REPORTS = {
         "test --kind t1 --calibration empirical --null-reps 2000":
             "0354a40c762737179e353c3455d7c177476ef7f2a7f40ca98bd4d72408512980",
+        "test --kind t1 --calibration empirical --null-reps 2000 --mu0 0.1":
+            "d773f9db6c3931d00cb8c87733dc8738d0ba84343abb0a3c3632d3189c8bbdf4",
         "test --kind t2 --calibration empirical --null-reps 2000":
             "dc2f67389291f7d20a1ac227b6dd444c72d76be5c7fffbb3d81b3cda7a28f496",
         "test --kind t3 --calibration empirical --null-reps 2000":

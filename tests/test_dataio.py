@@ -98,29 +98,53 @@ class TestReadDataset:
         assert ds.columns == ("x1", "x2")
         assert np.array_equal(ds.values, [[1.0, 2.0], [3.0, 4.0]])
 
-    def test_headerless(self, tmp_path):
+    @pytest.mark.parametrize(
+        "cell", ["2", " 1.5", "\t-2.5\t", " 3e2 ", "-7.25E-3", "1e+2", "-0", "1e-320", "1_000"]
+    )
+    def test_headerless(self, tmp_path, cell):
+        # every cell reads bit-equal to float of its stripped text, the sign of -0 too
         path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,4\n")
+        path.write_text(f"1,{cell}\n3,4\n")
         ds = read_dataset(path)
         assert ds.columns is None
         assert ds.values.shape == (2, 2)
+        want = np.array([[1.0, float(cell.strip())], [3.0, 4.0]])
+        assert np.array_equal(ds.values.view(np.int64), want.view(np.int64))
 
-    def test_non_numeric_cell_reports_position(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1,2\n3,apple\n")
-        with pytest.raises(MalformedTable, match=r"row 3.*column 2"):
+    @staticmethod
+    def table(path, faults):
+        """A header and 99 rows of 2 cells (file rows 2-100), with ``faults``
+        mapping a 1-based file row to its text."""
+        lines = ["x,y"] + [f"{r}.5,-{r}" for r in range(2, 101)]
+        for row, text in faults.items():
+            lines[row - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "faults, row",
+        [
+            ({3: "3,apple"}, 3),
+            ({57: "1,two"}, 57),
+            ({57: "1, two", 80: "1"}, 57),
+            ({57: "1,", 80: "x,y"}, 57),
+        ],
+    )
+    def test_non_numeric_cell_reports_position(self, tmp_path, faults, row):
+        path = self.table(tmp_path / "bad.csv", faults)
+        with pytest.raises(MalformedTable, match=rf"row {row}, column 2: "):
             read_dataset(path)
 
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("x,y\n1,2\n3\n")
-        with pytest.raises(MalformedTable, match="row 3"):
+    @pytest.mark.parametrize("faults, row", [({3: "3"}, 3), ({80: "1"}, 80), ({80: "1,2,3", 90: "1,x"}, 80)])
+    def test_ragged_rows_rejected(self, tmp_path, faults, row):
+        path = self.table(tmp_path / "ragged.csv", faults)
+        with pytest.raises(MalformedTable, match=rf"row {row} has \d cells, expected 2"):
             read_dataset(path)
 
-    def test_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "inf.csv"
-        path.write_text("x,y\n1,inf\n")
-        with pytest.raises(MalformedTable, match="finite"):
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf", "1e400", " -1E400", "NaN"])
+    def test_non_finite_rejected(self, tmp_path, cell):
+        path = self.table(tmp_path / "inf.csv", {57: f"1,{cell}", 80: "1"})
+        with pytest.raises(MalformedTable, match=rf"row 57, column 2: {cell.strip()!r} is not a finite real"):
             read_dataset(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -70,6 +70,26 @@ class TestStatistic:
             expect = [statistic(kind, data[r], np.zeros(2), config.sigma, config.gamma) for r in range(6)]
             assert np.array_equal(got[kind], expect)
 
+    @pytest.mark.parametrize("n", [20, 21])
+    @pytest.mark.parametrize("scatter", ["identity", "general"])
+    def test_negative_zero_entries_read_as_positive_zeros(self, n, scatter, rng):
+        # a null batch at mu0 = 0 skips the location add, whose only effect was -0.0 -> +0.0
+        d = 3
+        data = rng.standard_normal((6, n, d))
+        data[0] = -0.0  # every entry
+        data[1, :, 1] = -0.0  # a column whose median and HL are zeros
+        data[2, ::2] = -0.0  # rows at distance zero, kept by the forward search
+        data[3, : n // 2 + 1] = -0.0  # a majority of the rows
+        data[4][rng.random((n, d)) < 0.3] = -0.0
+        positive = data + 0.0
+        assert np.signbit(data).sum() > np.signbit(positive).sum()
+        a = rng.standard_normal((d, d))
+        sigma = SpdMatrix.identity(d) if scatter == "identity" else SpdMatrix(a @ a.T + d * np.eye(d))
+        got = batch_statistics(data, np.zeros(d), sigma, 0.5)
+        want = batch_statistics(positive, np.zeros(d), sigma, 0.5)
+        for kind in ALL_KINDS:
+            assert np.array_equal(got[kind].view(np.int64), want[kind].view(np.int64)), kind
+
     @pytest.mark.parametrize("kinds", [(StatKind.T3, StatKind.T4), (StatKind.T4, StatKind.T3), ALL_KINDS])
     @pytest.mark.parametrize("n, d", [(1, 3), (2, 1), (7, 4), (40, 2), (30, 100)])
     def test_median_and_hl_share_one_sort(self, kinds, n, d, rng, monkeypatch):

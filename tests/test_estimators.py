@@ -693,6 +693,23 @@ class TestScratchBudget:
         assert same_bits(got, np.stack([hl_bruteforce(x) for x in data]))
         assert hl_chunks == [1] * 6
 
+    def test_hl_band_cache_holds_one_index_past_n_750(self, rng):
+        # an index of eight n near 2,000 (15 MB each) would stay alive in an 8-entry cache
+        hl, cached = EstimatorKind.HODGES_LEHMANN, estimators._HL_CACHED_N
+        assert 2 * _hl_band(cached)[1] <= _SCRATCH_FLOATS < 2 * _hl_band(cached + 1)[1]
+        batch_estimates(hl, rng.standard_normal((1, 100, 1)))
+        tracemalloc.start()
+        try:
+            for n in range(1996, 2004):
+                batch_estimates(hl, rng.standard_normal((1, n, 1)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * 16 * _hl_band(2003)[1]  # one index of two int64 per sum, not eight
+        hits = estimators._hl_small_band_sums.cache_info().hits
+        batch_estimates(hl, rng.standard_normal((1, 100, 1)))
+        assert estimators._hl_small_band_sums.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize("n", (1, 2, 10, 100, 300, 750, 751, 1000))
     def test_hl_block_fits_the_budget_or_holds_one_column(self, n, rng, hl_chunks):
         # the fewest equal chunks of the columns that fit in the budget, three here

@@ -49,6 +49,12 @@ class TestStreams:
         assert len(words) == 8
         assert all(0 <= w < 2**32 for w in words)
 
+    @pytest.mark.parametrize("seed, path", STREAM_NAMES)
+    def test_state_equals_seeding_from_the_word_list(self, seed, path):
+        # stream_rng passes the words as one uint32 array; their list is the oracle
+        want = np.random.default_rng(np.random.SeedSequence(stream_seed_words(seed, *path)))
+        assert stream_rng(seed, *path).bit_generator.state == want.bit_generator.state
+
     def test_float_path_uses_repr(self):
         # 0.1 and the string "0.1" must hash identically only via repr
         assert stream_seed_words(0, 0.1) == stream_seed_words(0, "0.1")
