@@ -98,42 +98,45 @@ def read_dataset(path: str | Path) -> Dataset:
     """Read and validate an all-numeric dataset.
 
     The table converts in one pass: ``float`` of every cell into one array,
-    then one check of the row widths and one of finiteness.  Only a table
-    that fails them is walked cell by cell, for the first offending row's
-    error, whose message uses 1-based file coordinates, counting the header
-    row.
+    one check of the row widths, and :class:`Dataset`'s own finiteness
+    check.  Only a table that fails them is walked cell by cell, for the
+    first offending row's error, whose message uses 1-based file
+    coordinates, counting the header row.
     """
     header, rows = read_rows(path)
     if not rows:
         raise MalformedTable(f"{path}: no data rows below the header")
+    offset = 2 if header is not None else 1
     width = len(rows[0])
+    columns = tuple(h.strip() for h in header) if header is not None else None
     try:
         values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), float)
     except ValueError:  # a cell that is no float
         values = None
-    if values is None or not all(len(row) == width for row in rows) or not np.isfinite(values).all():
-        _raise_first_fault(path, rows, 2 if header is not None else 1)
-    columns = tuple(h.strip() for h in header) if header is not None else None
-    return Dataset(values.reshape(len(rows), width), columns)
+    if values is not None and all(len(row) == width for row in rows):
+        try:
+            return Dataset(values.reshape(len(rows), width), columns)
+        except MalformedTable as err:  # a non-finite cell, or a header of another width
+            raise (_first_fault(path, rows, offset) or err) from None
+    raise _first_fault(path, rows, offset)
 
 
-def _raise_first_fault(path: str | Path, rows: list[list[str]], offset: int) -> None:
-    """Raises :class:`MalformedTable` for the first row, counted from
-    ``offset``, whose width differs from the first row's or that holds a cell
-    that is no finite real."""
+def _first_fault(path: str | Path, rows: list[list[str]], offset: int) -> MalformedTable | None:
+    """The error for the first row, counted from ``offset``, whose width
+    differs from the first row's or that holds a cell that is no finite
+    real; ``None`` if every row is sound."""
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise MalformedTable(
-                f"{path}: row {i + offset} has {len(row)} cells, expected {width}"
-            )
+            return MalformedTable(f"{path}: row {i + offset} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
             value = _parse_float(cell)
             if value is None or not math.isfinite(value):
-                raise MalformedTable(
+                return MalformedTable(
                     f"{path}: row {i + offset}, column {j + 1}: "
                     f"{cell.strip()!r} is not a finite real"
                 )
+    return None
 
 
 def format_cell(value: object) -> str:

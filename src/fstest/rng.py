@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "stream_rng",
-    "stream_seed_words",
     "ThreadCountError",
     "worker_count",
     "parallel_map",
@@ -54,18 +53,13 @@ def _stream_words(seed: int, *path: object) -> np.ndarray:
     return np.frombuffer(h.digest(), dtype=np.uint32)
 
 
-def stream_seed_words(seed: int, *path: object) -> list[int]:
-    """Hash (seed, path) into eight 32-bit words suitable for SeedSequence."""
-    return _stream_words(seed, *path).tolist()
-
-
 def stream_rng(seed: int, *path: object) -> np.random.Generator:
     """Return the generator for the named stream ``(seed, *path)``.
 
     Identical arguments always yield a generator producing identical draws;
     distinct paths yield independent streams.  ``SeedSequence`` takes the
-    words of :func:`stream_seed_words` as one uint32 array, which seeds the
-    same state as their list and skips its coercion of eight Python ints.
+    digest's eight words as one uint32 array, which seeds the same state as
+    their list and skips its coercion of eight Python ints.
     """
     return np.random.default_rng(np.random.SeedSequence(_stream_words(seed, *path)))
 

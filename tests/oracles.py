@@ -11,6 +11,9 @@ density takes its front factor, k(d) pi^{(d-1)/2} / Gamma((d-1)/2), from
 :func:`normalizing_constant`.  The gaussian integrands are scaled by
 their value at the mode and integrated in log space, so the oracles work at
 any d, although I0 itself leaves the float range at d = 303.
+
+:func:`stream_seed_words` is the list form of a stream's seed words, the
+oracle for ``rng.stream_rng``'s seeding from one uint32 array.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from fstest import elliptical
+from fstest import elliptical, rng
 from fstest.asymptotics import _exp_or_inf
 from fstest.elliptical import DensityGenerator, DivergentIntegral, generator_by_name
 from fstest.engine import _log_c1
@@ -79,6 +82,12 @@ def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     """k(d) = Gamma(d/2) pi^{-d/2} / I0(d): the package's closed constant, which
     ``EllipticalModel.log_k`` reads, taken out of log space."""
     return math.exp(elliptical._log_norm_const(generator, d))
+
+
+def stream_seed_words(seed: int, *path: object) -> list[int]:
+    """The eight 32-bit words that seed stream ``(seed, *path)``, as the list
+    of Python ints ``SeedSequence`` also accepts."""
+    return rng._stream_words(seed, *path).tolist()
 
 
 def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:

@@ -141,9 +141,12 @@ class TestReadDataset:
         with pytest.raises(MalformedTable, match=rf"row {row} has \d cells, expected 2"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("short_row", [False, True])
     @pytest.mark.parametrize("cell", ["inf", "nan", "-inf", "1e400", " -1E400", "NaN"])
-    def test_non_finite_rejected(self, tmp_path, cell):
-        path = self.table(tmp_path / "inf.csv", {57: f"1,{cell}", 80: "1"})
+    def test_non_finite_rejected(self, tmp_path, cell, short_row):
+        # every row has the right width, or a later row is short and the first fault wins
+        faults = {57: f"1,{cell}", 80: "1"} if short_row else {57: f"1,{cell}"}
+        path = self.table(tmp_path / "inf.csv", faults)
         with pytest.raises(MalformedTable, match=rf"row 57, column 2: {cell.strip()!r} is not a finite real"):
             read_dataset(path)
 
