@@ -5,12 +5,17 @@
 For each workload in ``BENCHMARK.json`` and each pair i, runs
 ``benchmarks/run.py --workload <w> --seed <seed-base + i> --seconds <s> --trace 0``
 once on the parent commit and once on the working tree, the parent first
-when i is even.  The parent runs from a ``git archive`` export in a
-temporary directory, removed afterwards (``--workdir`` names one that
-is kept), so the repository's own ``.git`` is not touched.  Writes ``BENCH_<pr>.json``: every pair's
-end-to-end metrics and output sha256, each side's median, quartiles, min and
-max per metric, and the manifest of the working tree's last run.  That manifest's
-``git_commit`` is the working tree's HEAD, so ``change_tree`` records
+when i is even.  The parent runs from a ``git archive`` export and the
+change from a copy of the working tree's tracked and untracked, non-ignored
+files, both in a temporary directory, removed afterwards (``--workdir``
+names one that is kept).  So neither side starts with bytecode the other
+lacks (run from the repository, whose ``__pycache__`` holds it, the change
+side's ``setup_s`` read 3-15% lower whatever the change), and the
+repository's own ``.git`` is not touched.  Writes
+``BENCH_<pr>.json``: every pair's end-to-end metrics and output sha256, each
+side's median, quartiles, min and max per metric, and the manifest of the
+change's last run.  Neither copy is a git checkout, so that manifest's
+``git_commit`` is null; ``change_tree`` records the working tree's HEAD,
 whether the tree had uncommitted edits (``git status --porcelain``) and the
 sha256 of ``git diff HEAD``.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -42,12 +48,24 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
+def copy_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, non-ignored files into ``dest``."""
+    listed = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            capture_output=True, check=True).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted from the tree is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
 def tree_state() -> dict:
-    """Whether the working tree differs from HEAD, and the sha256 of that difference."""
+    """The working tree's HEAD, whether the tree differs from it, and the sha256 of that difference."""
     def git(*args) -> bytes:
         return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, check=True).stdout
 
     return {
+        "head": git("rev-parse", "HEAD").decode().strip(),
         "uncommitted_edits": bool(git("status", "--porcelain").strip()),
         "diff_head_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest(),
     }
@@ -151,16 +169,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--seed-base", type=int, default=1)
     parser.add_argument("--workload", action="append", help="one workload (repeatable; default: all)")
-    parser.add_argument("--workdir", help="where to export the parent (default: a new temporary directory)")
+    parser.add_argument("--workdir", help="where to put both copies (default: a new temporary directory)")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
     with nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as workdir:
-        parent = Path(workdir) / "parent"
-        parent_commit = export(args.parent, parent)
-        checkouts = {"parent": parent, "change": ROOT}
+        checkouts = {side: Path(workdir) / side for side in SIDES}
+        parent_commit = export(args.parent, checkouts["parent"])
+        copy_tree(checkouts["change"])
         out = report(args, parent_commit)
         for workload in workloads:
             out["workloads"][workload], out["manifest"] = compare(workload, checkouts, args, metrics)

@@ -30,22 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
-from .elliptical import (
-    EllipticalModel,
-    _STIRLING_FROM,
-    _chi2_upper_point,
-    _gamma_q,
-    _stirling,
-    generator_by_name,
-    standard_model,
-)
+from ._special import _chi2_upper_point, _noncentral_chi2_cdf
+from .elliptical import EllipticalModel, generator_by_name, standard_model
 from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind
 from .linalg import SpdMatrix, as_vector
 from .rng import simulate
@@ -330,61 +323,6 @@ def _limit_power(law: LimitLaw, delta: NDArray[np.float64], alpha: float) -> flo
     if shift == math.inf:
         return 1.0
     return 1.0 - _noncentral_chi2_cdf(_chi2_upper_point(delta.size, alpha), delta.size, shift)
-
-
-def _noncentral_chi2_cdf(q: float, d: int, shift: float) -> float:
-    """P(chi2_d(shift) <= q) = sum_j Poisson(j; shift/2) P(d/2 + j, q/2) (Ding 1992, AS 275).
-
-    The sum runs over :func:`_gamma_p_ladder`, past whose end P(d/2 + j, q/2)
-    is below 1e-20, so it needs no cap on the shift: the Poisson weights of a
-    large one underflow to 0 along the ladder.
-    """
-    j, offsets, ladder = _gamma_p_ladder(d / 2, q / 2)
-    if shift == 0.0:
-        return float(ladder[0])
-    return float(np.exp(_log_gamma_terms(j, shift / 2, offsets)) @ ladder)
-
-
-@lru_cache(maxsize=8)
-def _gamma_p_ladder(a: float, y: float) -> tuple[NDArray, NDArray, NDArray]:
-    """j, :func:`_log_gamma_offsets` of j, and P(a + j, y) for j = 0, 1, ... while
-    P(a + j, y) >= 1e-20.
-
-    With t_k = e^{-y} y^{a+k} / Gamma(a + k + 1), the terms of P(a, y)'s
-    power series, P(a + j, y) is both the head P(a, y) - t_0 - ... - t_{j-1},
-    the recurrence from one :func:`_gamma_q` call, precise in absolute terms,
-    and the tail t_j + t_{j+1} + ..., precise in relative ones; the ladder
-    takes the tail where it is below 1/2.
-    """
-    size = math.ceil(max(y - a, 0.0) + 12.0 * math.sqrt(y) + 60.0)
-    j = np.arange(size + 1.0)
-    terms = np.exp(_log_gamma_terms(a + j, y, _log_gamma_offsets(a + j)))
-    tails = np.cumsum(terms[::-1])[::-1]
-    heads = 1.0 - _gamma_q(a, y) - np.concatenate(([0.0], np.cumsum(terms[:-1])))
-    ladder = np.where(tails < 0.5, tails, heads)
-    offsets = _log_gamma_offsets(j)
-    for array in (j, offsets, ladder):
-        array.flags.writeable = False
-    return j, offsets, ladder
-
-
-def _log_gamma_terms(s: NDArray, x: float, offsets: NDArray) -> NDArray:
-    """:func:`_log_gamma_term` (log(x^s e^{-x} / Gamma(s + 1))) over an increasing
-    array s, x > 0: directly below s = _STIRLING_FROM and in Stirling's form from
-    there on, with the s-only parts in ``offsets``."""
-    cut = int(np.searchsorted(s, _STIRLING_FROM))
-    r = x / s[cut:]
-    head = s[:cut] * math.log(x) - x - offsets[:cut]
-    return np.concatenate((head, -s[cut:] * (r - 1.0 - np.log(r)) - offsets[cut:]))
-
-
-def _log_gamma_offsets(s: NDArray) -> NDArray:
-    """The parts of :func:`_log_gamma_terms` that depend on s alone: lgamma(s + 1)
-    below _STIRLING_FROM, log(2 pi s) / 2 + S(s) from there on."""
-    return np.array([
-        math.lgamma(v + 1.0) if v < _STIRLING_FROM else 0.5 * math.log(2.0 * math.pi * v) + _stirling(v)
-        for v in s
-    ])
 
 
 def local_power_rows(

@@ -17,15 +17,13 @@ must treat explicitly (:class:`DivergentIntegral`).
 
 Every kernel implements every limit-law constant (radial integrals, truncated
 radial mean, g1(0), int g1^2) as a closed form, or as a fixed Gauss-Legendre
-rule for light100's int g1^2.  The squared-radius laws and the chi-squared
-upper tail are incomplete gamma and beta functions in ``math`` and numpy, so
-nothing here needs scipy; the tests check these paths against scipy's
-adaptive quadrature and special functions.
+rule for light100's int g1^2.  The squared-radius laws are the incomplete
+gamma and beta functions of :mod:`fstest._special`, so nothing here needs
+scipy; the tests check these paths against scipy's adaptive quadrature.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,6 +33,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
+from ._special import _beta_half_odds_mean, _beta_inc_inverse, _gamma_p, _gamma_p_inverse, _log_beta, _log_gamma_term
 from .linalg import DimensionMismatch, SpdMatrix, _row_operands, as_vector, mahalanobis_sq_many
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "sample_mixture",
     "marginal_density_at_zero",
     "marginal_density_sq_integral",
-    "radial_cdf",
     "radial_quantile",
     "truncated_radial_mean",
     "component_variance",
@@ -497,200 +495,6 @@ def marginal_density_sq_integral(generator: DensityGenerator, d: int) -> float:
 # the squared-radius distribution x = |Y|^2 of the standard member
 # ---------------------------------------------------------------------------
 
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma function P(a, x), x > 0, by its power series.
-
-    The terms e^{-x} x^{a+k} / Gamma(a+k+1) sum to P and each is at most 1.
-    Where the first one underflows, P rounds to 0 below the mode a and to 1
-    above it.
-    """
-    term = math.exp(_log_gamma_term(a, x))
-    if term < sys.float_info.min:
-        return 0.0 if x < a else 1.0
-    total, k = term, 0
-    while True:
-        k += 1
-        term *= x / (a + k)
-        total += term
-        if a + k > x and term <= total * 1e-17:
-            return min(total, 1.0)
-
-
-#: the argument from which Stirling's series (:func:`_stirling`) replaces lgamma
-#: in differences of log-gamma values
-_STIRLING_FROM = 15.0
-
-
-def _log_gamma_term(a: float, x: float) -> float:
-    """log(x^a e^{-x} / Gamma(a + 1)), x > 0.
-
-    From a = _STIRLING_FROM on it is -a (r - 1 - log r) - log(2 pi a) / 2 - S(a)
-    with r = x/a and S :func:`_stirling`'s: near the mode its error stays
-    near eps |x - a|, where the direct form's grows like eps a log a (3e-13
-    at a = 1000).
-    """
-    if a < _STIRLING_FROM:
-        return a * math.log(x) - x - math.lgamma(a + 1.0)
-    r = x / a
-    return -a * (r - 1.0 - math.log(r)) - 0.5 * math.log(2.0 * math.pi * a) - _stirling(a)
-
-
-def _stirling(a: float) -> float:
-    """lgamma(a) - (a - 1/2) log a + a - log(2 pi) / 2 by Stirling's series to 1/a^9,
-    whose next term is below 3e-16 from a = 15 on."""
-    inv_sq = 1.0 / (a * a)
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv_sq / 1188) * inv_sq) * inv_sq) * inv_sq) / a
-
-
-def _gamma_p_inverse(a: float, p: float) -> float:
-    """The x with P(a, x) = p, by bisection down to adjacent floats."""
-    lo, hi = 0.0, a + 1.0
-    while _gamma_p(a, hi) < p:
-        lo, hi = hi, 2.0 * hi
-    return _bisect(lambda x: _gamma_p(a, x), p, lo, hi)
-
-
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b).  From max(a, b) = _STIRLING_FROM on, lgamma(big) - lgamma(big +
-    small) is taken by Stirling's formula, where the direct difference loses eps
-    lgamma(big)."""
-    small, big = sorted((a, b))
-    if big < _STIRLING_FROM:
-        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    return (
-        math.lgamma(small) - small * math.log(big) - (big + small - 0.5) * math.log1p(small / big)
-        + small + _stirling(big) - _stirling(big + small)
-    )
-
-
-def _beta_inc(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) by its continued fraction.
-
-    The fraction converges fast below x = (a + 1) / (a + b + 2); above it
-    I_x(a, b) = 1 - I_{1-x}(b, a) is taken instead.
-    """
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    flip = x > (a + 1.0) / (a + b + 2.0)
-    if flip:
-        a, b, x = b, a, 1.0 - x
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)) / a
-    value = front * _beta_fraction(a, b, x)
-    return 1.0 - value if flip else value
-
-
-def _beta_fraction(a: float, b: float, x: float) -> float:
-    """The continued fraction of I_x(a, b) (Numerical Recipes' betacf)."""
-
-    def terms():
-        yield 1.0, 1.0
-        for m in itertools.count():
-            if m:
-                yield m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)), 1.0
-            yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)), 1.0
-
-    return _lentz(terms())
-
-
-def _gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x), x > 0.
-
-    1 - P below x = a + 1, where Q is not small; above it Legendre's
-    continued fraction, which keeps a small tail to full relative precision.
-    """
-    if x < a + 1.0:
-        return 1.0 - _gamma_p(a, x)
-
-    def terms():
-        yield 1.0, x + 1.0 - a
-        for i in itertools.count(1):
-            yield -i * (i - a), x + 2 * i + 1.0 - a
-
-    return a * math.exp(_log_gamma_term(a, x)) * _lentz(terms())  # x^a e^{-x} / Gamma(a) first
-
-
-def _gamma_q_inverse(a: float, q: float) -> float:
-    """The x with Q(a, x) = q, by bisection down to adjacent floats."""
-    lo, hi = 0.0, a + 1.0
-    while _gamma_q(a, hi) > q:
-        lo, hi = hi, 2.0 * hi
-    return _bisect(lambda x: -_gamma_q(a, x), -q, lo, hi)
-
-
-@lru_cache(maxsize=256)
-def _chi2_upper_point(d: int, alpha: float) -> float:
-    """The q with P(chi2_d > q) = alpha, from the upper tail, where 1 - alpha would
-    lose a small alpha's relative precision."""
-    return 2.0 * _gamma_q_inverse(d / 2, alpha)
-
-
-def _chi2_tail(d: int, x: float) -> float:
-    """P(chi2_d > x) = Q(d/2, x/2): NaN at NaN, 1 at x <= 0, where Q's series
-    takes log x, and 0 at +inf, where its fraction gives NaN."""
-    if math.isnan(x):
-        return math.nan
-    if x <= 0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    return _gamma_q(d / 2, x / 2)
-
-
-def _lentz(terms) -> float:
-    """a1 / (b1 + a2 / (b2 + ...)) over the endless (a_i, b_i) of ``terms``, by the
-    modified Lentz method, until a step moves it by at most one float (or to NaN)."""
-    tiny = 1e-300
-    value = c = tiny
-    dd = 0.0
-    for a, b in terms:
-        dd = b + a * dd
-        dd = 1.0 / (dd if abs(dd) > tiny else tiny)
-        c = b + a / c
-        c = c if abs(c) > tiny else tiny
-        step = c * dd
-        value *= step
-        if not abs(step - 1.0) > sys.float_info.epsilon:
-            return value
-
-
-def _beta_inc_inverse(a: float, b: float, p: float) -> float:
-    """The x with I_x(a, b) = p, by bisection down to adjacent floats."""
-    return _bisect(lambda x: _beta_inc(a, b, x), p, 0.0, 1.0)
-
-
-def _bisect(cdf, p: float, lo: float, hi: float) -> float:
-    """The x in [lo, hi] where the increasing ``cdf`` reaches p, down to adjacent floats."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return mid
-        if cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-
-
-def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
-    """P(squared radius <= x) for the standard member; NaN at a NaN ``x``."""
-    if math.isnan(x):  # P(a, x)'s series would never meet its stopping rule
-        return math.nan
-    if x <= 0:
-        return 0.0
-    if x == math.inf:  # a statistic that overflowed; the series would never end
-        return 1.0
-    tag = generator.tag
-    if tag == "gaussian":
-        return _gamma_p(d / 2, x / 2)
-    if tag == "cauchy":
-        return _beta_inc(d / 2, 0.5, x / (1.0 + x))
-    if tag == "light100":
-        # x^100 ~ Gamma(d/200); it overflows from x = 1.2e3, where P is 1 long since
-        return _gamma_p(d / 200, x**100) if x < 2.0 else 1.0
-    raise ValueError(f"no squared-radius law for kernel {tag!r}")
-
-
 @lru_cache(maxsize=256)
 def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
     """Quantile of the squared radius; p in (0, 1)."""
@@ -709,11 +513,13 @@ def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
 
 @lru_cache(maxsize=256)
 def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> float:
-    """E[x 1{x <= q_gamma}] for the squared radius x, in closed form.
+    """E[x 1{x <= q_gamma}] for the squared radius x, in closed form or, for the
+    cauchy kernel where that form cancels, by a positive series.
 
     With gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy
-    kernel, raising :class:`DivergentIntegral`).  The gaussian form is precise
-    down to gamma = 1e-100; where the gamma-quantile underflows, each returns 0.
+    kernel, raising :class:`DivergentIntegral`).  The gaussian and cauchy forms
+    are precise down to gamma = 1e-100; where the gamma-quantile underflows,
+    each returns 0.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -733,12 +539,15 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
         return d * (_gamma_p(d / 2 + 1, y) if term > 0.9 * gamma else gamma - term)
     if tag == "cauchy":
         # u = x/(1+x) ~ Beta(d/2, 1/2), and integrating u^{d/2} (1-u)^{-3/2} / B by parts
-        # up to b = P(u <= b)^{-1}(gamma) gives 2 b^{d/2} / (sqrt(1-b) B) - d gamma
+        # up to b = P(u <= b)^{-1}(gamma) gives 2 b^{d/2} / (sqrt(1-b) B) - d gamma; where
+        # d gamma passes 0.99 of the head, the difference cancels and the positive series
+        # takes over (only below gamma = 0.3 for d <= 100)
         b = _beta_inc_inverse(d / 2, 0.5, gamma)
         if b == 0.0:
             return 0.0
         log_head = (d / 2) * math.log(b) - 0.5 * math.log1p(-b) - _log_beta(d / 2, 0.5)
-        return 2.0 * math.exp(log_head) - d * gamma
+        head = 2.0 * math.exp(log_head)
+        return head - d * gamma if d * gamma <= 0.99 * head else _beta_half_odds_mean(d / 2, b)
     if tag == "light100":
         # x^100 ~ Gamma(d/200), so E[x 1{x <= q}] = Gamma(a) P(a, t) / Gamma(d/200) at
         # a = (d+2)/200 and t = q^100

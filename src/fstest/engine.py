@@ -23,12 +23,11 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
+from ._special import _beta_inc, _chi2_tail, _chi2_upper_point
 from .elliptical import (
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
-    _chi2_tail,
-    _chi2_upper_point,
     _log_i,
     component_variance,
     generator_by_name,
@@ -113,8 +112,11 @@ class LimitLaw:
     integration by parts gives kappa = 1 - 2 q f_X(q) / (d gamma), with
     f_X(x) = x^{d/2-1} g(x) / I0 the density of X: 0.4741 (gaussian), 0.7986
     (cauchy) and 0 up to rounding (light100, whose kernel is flat on the
-    trimming ball) at d = 4, gamma = 1/2.  For the gaussian kappa is also
-    gamma * scale, which has no cancellation and is taken where kappa < 0.1.
+    trimming ball) at d = 4, gamma = 1/2.  Where that form reads below 0.1 it
+    cancels, and kappa is taken as the radial law's incomplete function at q
+    with its first parameter raised by one, over gamma, which has no
+    cancellation: P(d/2 + 1, q/2) / gamma = gamma * scale for the gaussian,
+    I_b(d/2 + 1, 1/2) / gamma with b = q / (1 + q) for the cauchy.
     Where q underflows, reading the t1 drift raises :class:`InfiniteVariance`.
     """
 
@@ -160,7 +162,11 @@ class LimitLaw:
             raise InfiniteVariance(f"the t1 limit drift underflows for family {self.family!r} at gamma = {self.gamma}")
         log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - _log_i(gen, d)
         kappa = 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
-        return self.gamma * self.scale if self.family == "gaussian" and kappa < 0.1 else kappa
+        if kappa >= 0.1 or self.family == "light100":
+            return kappa
+        if self.family == "gaussian":
+            return self.gamma * self.scale
+        return _beta_inc(d / 2 + 1, 0.5, q / (1.0 + q)) / self.gamma
 
 
 def scatter_scale_constant(family: str, d: int, gamma: float) -> float:

@@ -12,8 +12,11 @@ density takes its front factor, k(d) pi^{(d-1)/2} / Gamma((d-1)/2), from
 their value at the mode and integrated in log space, so the oracles work at
 any d, although I0 itself leaves the float range at d = 303.
 
-:func:`stream_seed_words` is the list form of a stream's seed words, the
-oracle for ``rng.stream_rng``'s seeding from one uint32 array.
+:func:`radial_cdf` is the squared-radius law whose inverse the package's
+``elliptical.radial_quantile`` is, from the incomplete gamma and beta
+functions of ``fstest._special``.  :func:`stream_seed_words` is the list
+form of a stream's seed words, the oracle for ``rng.stream_rng``'s seeding
+from one uint32 array.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from fstest import elliptical, rng
+from fstest._special import _beta_inc, _gamma_p
 from fstest.asymptotics import _exp_or_inf
 from fstest.elliptical import DensityGenerator, DivergentIntegral, generator_by_name
 from fstest.engine import _log_c1
@@ -82,6 +86,25 @@ def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     """k(d) = Gamma(d/2) pi^{-d/2} / I0(d): the package's closed constant, which
     ``EllipticalModel.log_k`` reads, taken out of log space."""
     return math.exp(elliptical._log_norm_const(generator, d))
+
+
+def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
+    """P(squared radius <= x) for the standard member; NaN at a NaN ``x``."""
+    if math.isnan(x):  # P(a, x)'s series would never meet its stopping rule
+        return math.nan
+    if x <= 0:
+        return 0.0
+    if x == math.inf:  # a statistic that overflowed; the series would never end
+        return 1.0
+    tag = generator.tag
+    if tag == "gaussian":
+        return _gamma_p(d / 2, x / 2)
+    if tag == "cauchy":
+        return _beta_inc(d / 2, 0.5, x / (1.0 + x))
+    if tag == "light100":
+        # x^100 ~ Gamma(d/200); it overflows from x = 1.2e3, where P is 1 long since
+        return _gamma_p(d / 200, x**100) if x < 2.0 else 1.0
+    raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 
 def stream_seed_words(seed: int, *path: object) -> list[int]:

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special, stats
 
 import oracles
-from fstest import asymptotics, elliptical
+from fstest import asymptotics
 from fstest.asymptotics import (
     DEFAULT_D_GRID,
     EFFICIENCY_KEYS,
@@ -304,17 +304,11 @@ class TestContiguousPower:
 
 
 class TestNoncentralOracles:
-    """The chi-squared quantile, the noncentral tail and the powers built on them
-    against scipy, which the package no longer imports."""
+    """The gaussian radial quantile and the powers built on the chi-squared laws
+    against scipy, which the package no longer imports; tests/test_special.py
+    checks the laws themselves."""
 
     DS = (1, 2, 3, 4, 10, 50, 100, 400)
-    SHIFTS = (0.0, 1e-3, 0.1, 1.0, 5.0, 20.0, 100.0, 1e3, 1e4, 3e4)
-
-    @pytest.mark.parametrize("d", DS + (1000,))
-    def test_chi2_quantile(self, d):
-        for alpha in (1e-300, 1e-30, 1e-10, 0.01, 0.05, 0.1, 0.5, 0.9):
-            q = elliptical._chi2_upper_point(d, alpha)
-            assert q == pytest.approx(special.chdtri(d, alpha), rel=1e-14, abs=0)
 
     def test_gaussian_radial_quantile(self):
         # the lower-tail path that the t1 limit law takes; from a = d/2 = 15 on the
@@ -324,33 +318,6 @@ class TestNoncentralOracles:
             for alpha in (0.01, 0.05, 0.1, 0.5, 0.9):
                 q = radial_quantile(GAUSSIAN, d, 1 - alpha)
                 assert q == pytest.approx(special.chdtri(d, alpha), rel=1e-12 if d < 30 else 1e-14, abs=0)
-
-    @pytest.mark.parametrize("d", DS)
-    def test_noncentral_tail(self, d):
-        for alpha in (0.01, 0.05, 0.5):
-            q = special.chdtri(d, alpha)
-            for shift in self.SHIFTS:
-                tail = 1.0 - asymptotics._noncentral_chi2_cdf(q, d, shift)
-                assert tail == pytest.approx(1.0 - special.chndtr(q, d, shift), rel=1e-12, abs=0)
-        # a small tail is 1 - cdf, as scipy's 1 - chndtr was, so it is exact in absolute
-        # terms (2.6e-15 here, against 2.0e-15 for 1 - chndtr); boost's complement,
-        # stats.ncx2.sf, is the reference
-        for alpha in (1e-30, 1e-10):
-            q = special.chdtri(d, alpha)
-            for shift in self.SHIFTS:
-                tail = 1.0 - asymptotics._noncentral_chi2_cdf(q, d, shift)
-                ref = stats.ncx2.sf(q, d, shift) if shift else special.chdtrc(d, q)
-                assert tail == pytest.approx(ref, rel=1e-12, abs=1e-14)
-
-    def test_no_cap_on_the_shift(self):
-        # the Poisson weights of a large shift underflow to 0 along the ladder
-        assert asymptotics._noncentral_chi2_cdf(special.chdtri(4, 0.05), 4, 1e9) == 0.0
-        # a wide ladder (q/2 = 5000) still meets the Poisson mass near shift/2
-        q = special.chdtri(10_000, 0.05)
-        for shift in (50.0, 200.0, 1e3):
-            assert asymptotics._noncentral_chi2_cdf(q, 10_000, shift) == pytest.approx(
-                special.chndtr(q, 10_000, shift), rel=1e-12, abs=0
-            )
 
     @pytest.mark.parametrize("d", (1, 4, 100, 400))
     @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))

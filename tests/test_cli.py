@@ -711,8 +711,9 @@ class TestDeterminism:
         assert outputs[0].startswith(b"schema,")
 
     #: sha256 of the JSON report of each single-test command on DATA at seed 29: the
-    #: benchmark's test rotation (empirical t1-t3, formula t1-t4, bootstrap t1-t3) and
-    #: critical-value under both calibrations
+    #: benchmark's test rotation (empirical t1-t3, formula t1-t4, bootstrap t1-t3),
+    #: critical-value under both calibrations and, from the special functions, the
+    #: cauchy and light100 formula points and table2 with its defaults
     PINNED_REPORTS = {
         "test --kind t1 --calibration empirical --null-reps 2000":
             "0354a40c762737179e353c3455d7c177476ef7f2a7f40ca98bd4d72408512980",
@@ -740,6 +741,22 @@ class TestDeterminism:
             "c97fe5795f4b1fb258c0b69073d05da9acb981c23919bd2e74eecefcd29ab16c",
         "critical-value --calibration empirical --n 60 --null-reps 2000":
             "86805fb8161cbdec0288504d7b64e5ae305fa7f68f49ec60a675af0f027af320",
+        "critical-value --calibration formula --family cauchy --kind t1":
+            "9abe47e6850cdea8175fb90bb5fe809b4e7dee4c918adcb46610fb0973a424f0",
+        "critical-value --calibration formula --family cauchy --kind t3":
+            "603086df0bd5fcf2212bc90971ddf61ef7fb440deb60020d508209d8240823f4",
+        "critical-value --calibration formula --family cauchy --kind t4":
+            "91826eaa50f11a21cc0e34ab1a6e198ee793cef3e11eb4d53b8bfcdd21401fa6",
+        "critical-value --calibration formula --family light100 --kind t1":
+            "c3b9c65e51a98a4a6de5cec303a8c75e845d92b49ab01cf26aa00f87b5879d00",
+        "critical-value --calibration formula --family light100 --kind t2":
+            "54ffbf410320e0ba7762aa759738be3a1192d01124c79d6c7a21e97fdd9e3c6c",
+        "critical-value --calibration formula --family light100 --kind t3":
+            "af38c2f9b59dc231e28f9dcf7cca97c56c7bd055632e3736d8318939b8343073",
+        "critical-value --calibration formula --family light100 --kind t4":
+            "949da4478e6c61a2ee0272bff93a83739575ce02aeac5225f8b4ddf8de375c62",
+        "table2":
+            "22a745398453238bf2d660af4095a70fdbcac898dbb9f4afa845015aea8fa38b",
     }
 
     def test_single_test_json_bytes_are_pinned(self, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from fstest import elliptical, engine
+from fstest import engine
 from fstest import estimators as est
 from fstest import rng as rng_module
 from fstest.elliptical import (
@@ -430,21 +430,8 @@ class TestFormulaPValue:
         assert report.p_value == pytest.approx(special.chdtrc(3, report.value / scale), rel=1e-12, abs=0)
         assert (report.p_value <= 0.05) == (report.decision == "reject")
 
-    @pytest.mark.parametrize("d", [1, 4, 100])
-    def test_tail_matches_chdtrc_down_to_1e_300(self, d):
-        # 1 - P(d/2, x/2) was 3.3e-16 at d = 4, x = 100 (against 9.8e-21) and 0 from x = 200
-        for alpha in (0.9, 0.5, 0.05, 1e-10, 1e-100, 1e-300):
-            x = special.chdtri(d, alpha)
-            assert elliptical._chi2_tail(d, x) == pytest.approx(special.chdtrc(d, x), rel=1e-12, abs=0)
-        for x in (100.0, 200.0):
-            assert elliptical._chi2_tail(d, x) == pytest.approx(special.chdtrc(d, x), rel=1e-12, abs=0)
-
-    def test_tail_edges(self):
-        # Q(a, x)'s series fails at x = 0 (a math domain error) and its fraction gives NaN at inf
-        for d in (1, 4, 100):
-            assert elliptical._chi2_tail(d, 0.0) == elliptical._chi2_tail(d, -1.0) == 1.0
-            assert elliptical._chi2_tail(d, math.inf) == 0.0
-            assert math.isnan(elliptical._chi2_tail(d, math.nan))
+    def test_zero_statistic_has_p_value_one(self):
+        # the tail at x = 0, where Q(a, x)'s series would fail; tests/test_special.py checks the edges
         report = run_test(StatKind.T2, np.zeros((5, 2)), np.zeros(2), calibration="formula")
         assert (report.value, report.p_value) == (0.0, 1.0)
 
