@@ -20,10 +20,11 @@ Under local alternatives mu0 + delta/sqrt(n), sqrt(n) (T - mu0) tends to
 N(kappa delta, lambda I) for the standard member, with the variance scalar
 lambda and the drift factor kappa of :class:`fstest.engine.LimitLaw`.  So
 n ||T - mu0||^2 tends to lambda chi2_d(||kappa delta||^2 / lambda), and the
-limiting power is a noncentral chi-squared tail, evaluated exactly.  The
-drift is also the covariance of sqrt(n) (T - mu0) with the delta-weighted
-log-likelihood gradient of the sample; ``estimate_offsets`` estimates it
-that way by Monte Carlo, as a cross-check of the closed form.
+limiting power is a noncentral chi-squared tail, evaluated exactly.  The t1
+drift kappa = F_{a+1}(v) / gamma (0.4741, 0.7986 and 5.0e-16 for the three
+kernels at d = 4, gamma = 1/2) is also the covariance of sqrt(n) (T - mu0)
+with the delta-weighted log-likelihood gradient of the sample;
+``estimate_offsets`` estimates it that way by Monte Carlo, as a cross-check.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
-from ._special import _beta_half_odds_mean, _beta_inc_inverse, _gamma_p, _gamma_p_inverse, _log_beta, _log_gamma_term
+from ._special import (_beta_half_odds_mean, _beta_inc, _beta_inc_inverse, _gamma_p, _gamma_p_inverse, _log_beta,
+                       _log_gamma_term)
 from .linalg import DimensionMismatch, SpdMatrix, _row_operands, as_vector, mahalanobis_sq_many
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "sample_mixture",
     "marginal_density_at_zero",
     "marginal_density_sq_integral",
-    "radial_quantile",
     "truncated_radial_mean",
     "component_variance",
 ]
@@ -495,31 +495,14 @@ def marginal_density_sq_integral(generator: DensityGenerator, d: int) -> float:
 # the squared-radius distribution x = |Y|^2 of the standard member
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
-    """Quantile of the squared radius; p in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    tag = generator.tag
-    if tag == "gaussian":
-        return 2.0 * _gamma_p_inverse(d / 2, p)
-    if tag == "cauchy":
-        b = _beta_inc_inverse(d / 2, 0.5, p)
-        return b / (1.0 - b)
-    if tag == "light100":
-        return _gamma_p_inverse(d / 200, p) ** (1.0 / 100.0)
-    raise ValueError(f"no squared-radius law for kernel {tag!r}")
-
-
-@lru_cache(maxsize=256)
 def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> float:
     """E[x 1{x <= q_gamma}] for the squared radius x, in closed form or, for the
     cauchy kernel where that form cancels, by a positive series.
 
     With gamma = 1 this is the full mean I1/I0 (divergent for the Cauchy
     kernel, raising :class:`DivergentIntegral`).  The gaussian and cauchy forms
-    are precise down to gamma = 1e-100; where the gamma-quantile underflows,
-    each returns 0.
+    are precise down to gamma = 1e-100; where the gamma-quantile or the mean
+    leaves the normal floats, each returns 0.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
@@ -527,36 +510,45 @@ def truncated_radial_mean(generator: DensityGenerator, d: int, gamma: float) -> 
         if generator.tag == "gaussian":
             return float(d)
         return radial_integral(generator, d, 1) / radial_integral(generator, d, 0)
+    return _truncation(generator, d, gamma)[0]
+
+
+@lru_cache(maxsize=256)
+def _truncation(generator: DensityGenerator, d: int, gamma: float) -> tuple[float, float]:
+    """E[x 1{x <= q}] and the t1 drift kappa at the gamma-quantile q of the
+    squared radius x, gamma in (0, 1), from one variable v of x whose law is a
+    regularized incomplete function F_a: gaussian v = x/2 ~ Gamma(d/2), cauchy
+    v = x/(1+x) ~ Beta(d/2, 1/2), light100 v = x^100 ~ Gamma(d/200).  v solves
+    F_a(v) = gamma, and kappa = F_{a+1}(v) / gamma.  A value that leaves the
+    normal floats, and its digits with them, reads 0.
+    """
     tag = generator.tag
+    if tag not in _GENERATORS:
+        raise ValueError(f"no squared-radius law for kernel {tag!r}")
+    a = d / 200 if tag == "light100" else d / 2
+    beta = tag == "cauchy"
+    v = _beta_inc_inverse(a, 0.5, gamma) if beta else _gamma_p_inverse(a, gamma)
+    if v == 0.0:
+        return 0.0, 0.0
+    lifted = _beta_inc(a + 1, 0.5, v) if beta else _gamma_p(a + 1, v)
     if tag == "gaussian":
-        # x = chi2_d: E[x 1{x <= q}] = d P(d/2 + 1, q/2), and P(a + 1, y) =
-        # P(a, y) - y^a e^{-y} / Gamma(a + 1) with P(d/2, q/2) = gamma; past 0.9 gamma
-        # that term cancels more than a digit of the difference, which its series keeps
-        y = radial_quantile(generator, d, gamma) / 2
-        if y == 0.0:
-            return 0.0
-        term = math.exp(_log_gamma_term(d / 2, y))
-        return d * (_gamma_p(d / 2 + 1, y) if term > 0.9 * gamma else gamma - term)
-    if tag == "cauchy":
-        # u = x/(1+x) ~ Beta(d/2, 1/2), and integrating u^{d/2} (1-u)^{-3/2} / B by parts
-        # up to b = P(u <= b)^{-1}(gamma) gives 2 b^{d/2} / (sqrt(1-b) B) - d gamma; where
-        # d gamma passes 0.99 of the head, the difference cancels and the positive series
-        # takes over (only below gamma = 0.3 for d <= 100)
-        b = _beta_inc_inverse(d / 2, 0.5, gamma)
-        if b == 0.0:
-            return 0.0
-        log_head = (d / 2) * math.log(b) - 0.5 * math.log1p(-b) - _log_beta(d / 2, 0.5)
-        head = 2.0 * math.exp(log_head)
-        return head - d * gamma if d * gamma <= 0.99 * head else _beta_half_odds_mean(d / 2, b)
-    if tag == "light100":
-        # x^100 ~ Gamma(d/200), so E[x 1{x <= q}] = Gamma(a) P(a, t) / Gamma(d/200) at
-        # a = (d+2)/200 and t = q^100
-        t = _gamma_p_inverse(d / 200, gamma)
-        if t == 0.0:
-            return 0.0
-        a = (d + 2) / 200
-        return math.exp(math.lgamma(a) - math.lgamma(d / 200)) * _gamma_p(a, t)
-    raise ValueError(f"no squared-radius law for kernel {tag!r}")
+        # E[x 1{x <= q}] = d P(a + 1, v), and P(a + 1, v) = gamma - v^a e^{-v} / Gamma(a + 1);
+        # past 0.9 gamma that term cancels more than a digit of the difference, which
+        # its series keeps
+        term = math.exp(_log_gamma_term(a, v))
+        mean = d * (lifted if term > 0.9 * gamma else gamma - term)
+    elif beta:
+        # integrating u^a (1-u)^{-3/2} / B by parts up to v gives 2 v^a / (sqrt(1-v) B) - d gamma;
+        # where d gamma passes 0.99 of the head, the difference cancels and the positive
+        # series takes over (only below gamma = 0.3 for d <= 100)
+        head = 2.0 * math.exp(a * math.log(v) - 0.5 * math.log1p(-v) - _log_beta(a, 0.5))
+        mean = head - d * gamma if d * gamma <= 0.99 * head else _beta_half_odds_mean(a, v)
+    else:
+        # E[x 1{x <= q}] = Gamma(b) P(b, v) / Gamma(a) at b = (d+2)/200
+        b = (d + 2) / 200
+        mean = math.exp(math.lgamma(b) - math.lgamma(a)) * _gamma_p(b, v)
+    tiny = sys.float_info.min
+    return (mean if mean >= tiny else 0.0), (lifted / gamma if lifted >= tiny else 0.0)
 
 
 def component_variance(generator: DensityGenerator, d: int) -> float:

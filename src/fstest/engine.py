@@ -9,6 +9,8 @@ from that limit (``formula`` calibration: the exact quantile lambda * chi2_d
 at equal weights, as at identity Sigma, else a Monte Carlo quantile of the
 weighted sum) or from parametric simulation of the statistic under the null
 (``empirical`` calibration); :func:`calibrate` is the one place that chooses.
+The t1 limit's drift under local alternatives is kappa = F_{a+1}(v) / gamma
+(:class:`LimitLaw`): 0.4741, 0.7986 and 5.0e-16 at d = 4, gamma = 1/2.
 """
 
 from __future__ import annotations
@@ -23,17 +25,17 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import estimators as est
-from ._special import _beta_inc, _chi2_tail, _chi2_upper_point
+from ._special import _chi2_tail, _chi2_upper_point
 from .elliptical import (
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
     _log_i,
+    _truncation,
     component_variance,
     generator_by_name,
     marginal_density_at_zero,
     marginal_density_sq_integral,
-    radial_quantile,
     truncated_radial_mean,
 )
 from .estimators import EstimatorKind, ForwardSearchConfig
@@ -108,16 +110,14 @@ class LimitLaw:
     Gauss-Legendre rule (:mod:`fstest.elliptical`), finite at any d.
 
     ``drift`` (kappa) follows from Le Cam's third lemma: 1 for the
-    location-equivariant t2, t3 and t4.  For the anchored trimmed mean,
-    integration by parts gives kappa = 1 - 2 q f_X(q) / (d gamma), with
-    f_X(x) = x^{d/2-1} g(x) / I0 the density of X: 0.4741 (gaussian), 0.7986
-    (cauchy) and 0 up to rounding (light100, whose kernel is flat on the
-    trimming ball) at d = 4, gamma = 1/2.  Where that form reads below 0.1 it
-    cancels, and kappa is taken as the radial law's incomplete function at q
-    with its first parameter raised by one, over gamma, which has no
-    cancellation: P(d/2 + 1, q/2) / gamma = gamma * scale for the gaussian,
-    I_b(d/2 + 1, 1/2) / gamma with b = q / (1 + q) for the cauchy.
-    Where q underflows, reading the t1 drift raises :class:`InfiniteVariance`.
+    location-equivariant t2, t3 and t4, and for t1 at gamma = 1.  For the
+    anchored trimmed mean, integration by parts turns 1 - 2 q f_X(q) / (d gamma),
+    f_X the density of X, into F_{a+1}(v) / gamma, which does not cancel: F_a is
+    the law of the kernel's variable v (Gamma(d/2) of q/2, Beta(d/2, 1/2) of
+    q/(1+q), Gamma(d/200) of q^100), raised by one in its first parameter.  It
+    reads 0.4741 (gaussian), 0.7986 (cauchy) and 5.0e-16 (light100, whose
+    kernel is flat on the trimming ball) at d = 4, gamma = 1/2.  Where q or
+    F_{a+1}(v) underflows, reading the t1 drift raises :class:`InfiniteVariance`.
     """
 
     kind: StatKind
@@ -156,17 +156,10 @@ class LimitLaw:
     def drift(self) -> float:
         if self.kind != StatKind.T1 or self.gamma == 1.0:
             return 1.0
-        gen, d = generator_by_name(self.family), self.d
-        q = radial_quantile(gen, d, self.gamma)
-        if not q > 0.0:
+        kappa = _truncation(generator_by_name(self.family), self.d, self.gamma)[1]
+        if not kappa > 0.0:
             raise InfiniteVariance(f"the t1 limit drift underflows for family {self.family!r} at gamma = {self.gamma}")
-        log_density = (d / 2 - 1) * math.log(q) + float(gen.log_g(q, d)) - _log_i(gen, d)
-        kappa = 1.0 - 2.0 * q * math.exp(log_density) / (d * self.gamma)
-        if kappa >= 0.1 or self.family == "light100":
-            return kappa
-        if self.family == "gaussian":
-            return self.gamma * self.scale
-        return _beta_inc(d / 2 + 1, 0.5, q / (1.0 + q)) / self.gamma
+        return kappa
 
 
 def scatter_scale_constant(family: str, d: int, gamma: float) -> float:

@@ -12,9 +12,9 @@ density takes its front factor, k(d) pi^{(d-1)/2} / Gamma((d-1)/2), from
 their value at the mode and integrated in log space, so the oracles work at
 any d, although I0 itself leaves the float range at d = 303.
 
-:func:`radial_cdf` is the squared-radius law whose inverse the package's
-``elliptical.radial_quantile`` is, from the incomplete gamma and beta
-functions of ``fstest._special``.  :func:`stream_seed_words` is the list
+:func:`radial_cdf` and :func:`radial_quantile` are the squared-radius law
+and its inverse, from the incomplete gamma and beta functions of
+``fstest._special``.  :func:`stream_seed_words` is the list
 form of a stream's seed words, the oracle for ``rng.stream_rng``'s seeding
 from one uint32 array.
 """
@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from fstest import elliptical, rng
-from fstest._special import _beta_inc, _gamma_p
+from fstest._special import _beta_inc, _beta_inc_inverse, _gamma_p, _gamma_p_inverse
 from fstest.asymptotics import _exp_or_inf
 from fstest.elliptical import DensityGenerator, DivergentIntegral, generator_by_name
 from fstest.engine import _log_c1
@@ -104,6 +104,21 @@ def radial_cdf(generator: DensityGenerator, d: int, x: float) -> float:
     if tag == "light100":
         # x^100 ~ Gamma(d/200); it overflows from x = 1.2e3, where P is 1 long since
         return _gamma_p(d / 200, x**100) if x < 2.0 else 1.0
+    raise ValueError(f"no squared-radius law for kernel {tag!r}")
+
+
+def radial_quantile(generator: DensityGenerator, d: int, p: float) -> float:
+    """Quantile of the squared radius; p in (0, 1)."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+    tag = generator.tag
+    if tag == "gaussian":
+        return 2.0 * _gamma_p_inverse(d / 2, p)
+    if tag == "cauchy":
+        b = _beta_inc_inverse(d / 2, 0.5, p)
+        return b / (1.0 - b)
+    if tag == "light100":
+        return _gamma_p_inverse(d / 200, p) ** (1.0 / 100.0)
     raise ValueError(f"no squared-radius law for kernel {tag!r}")
 
 

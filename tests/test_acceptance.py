@@ -112,9 +112,11 @@ def test_criterion_6_local_power_ordering():
     # For the Gaussian the trimmed statistic tends to v * chi2_4(kappa^2
     # |delta|^2 / v): v = P(chi2_6 <= q) / gamma^2 is its variance scalar and
     # kappa = 1 - 2 q f(q) / (d gamma) its drift factor, with q and f the
-    # median and density of chi2_4.  Under light100 the kernel is flat on the
-    # trimming ball, so kappa = 0 and t1 keeps power alpha, while the mean
-    # test's drift delta makes its power 1.  Monte Carlo tolerance: 5 SE.
+    # median and density of chi2_4; the package computes kappa as
+    # P(chi2_6 <= q) / gamma, which integration by parts makes equal to it.
+    # Under light100 the kernel is flat on the trimming ball, so kappa =
+    # 5.0e-16 and t1 keeps power alpha, while the mean test's drift delta
+    # makes its power 1.  Monte Carlo tolerance: 5 SE.
     alpha, d, gamma = 0.05, 4, 0.5
     mc = engine.DEFAULT_MC_SAMPLES
 

@@ -756,7 +756,7 @@ class TestDeterminism:
         "critical-value --calibration formula --family light100 --kind t4":
             "949da4478e6c61a2ee0272bff93a83739575ce02aeac5225f8b4ddf8de375c62",
         "table2":
-            "22a745398453238bf2d660af4095a70fdbcac898dbb9f4afa845015aea8fa38b",
+            "185654292b3af13012315eaf0c1af0a3478a1c6482200382c4284888478b2ef9",
     }
 
     def test_single_test_json_bytes_are_pinned(self, capsys):

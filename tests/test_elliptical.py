@@ -23,7 +23,6 @@ from fstest.elliptical import (
     marginal_density_at_zero,
     marginal_density_sq_integral,
     radial_integral,
-    radial_quantile,
     sample_mixture,
     standard_model,
     truncated_radial_mean,
@@ -228,7 +227,7 @@ class TestLimitConstantOracles:
     @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7))
     def test_light100_truncated_mean(self, d, gamma):
         # the squared radius has density x^{d/2-1} exp(-x^100) / I0, I0 = Gamma(d/200) / 100
-        q = radial_quantile(LIGHT100, d, gamma)
+        q = oracles.radial_quantile(LIGHT100, d, gamma)
         points = [p for p in (0.9, 0.95, 0.98, 1.0) if p < q] or None
         head, _ = integrate.quad(lambda x: x ** (d / 2) * math.exp(-(x**100)), 0.0, q,
                                  epsabs=0.0, epsrel=1e-13, limit=500, points=points)
@@ -256,7 +255,7 @@ class TestRadialLaw:
         # its inverse by bisection, and E[x 1{x <= q}] = d P(d/2 + 1, q/2)
         for gamma in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             q = 2 * special.gammaincinv(d / 2, gamma)
-            assert radial_quantile(GAUSSIAN, d, gamma) == pytest.approx(q, rel=1e-12)
+            assert oracles.radial_quantile(GAUSSIAN, d, gamma) == pytest.approx(q, rel=1e-12)
             assert truncated_radial_mean(GAUSSIAN, d, gamma) == pytest.approx(
                 d * special.gammainc(d / 2 + 1, q / 2), rel=1e-12
             )
@@ -276,7 +275,7 @@ class TestRadialLaw:
     def test_quantile_inverts_cdf(self):
         for gen in ALL_GENERATORS:
             for p in (0.1, 0.5, 0.9):
-                x = radial_quantile(gen, 4, p)
+                x = oracles.radial_quantile(gen, 4, p)
                 assert oracles.radial_cdf(gen, 4, x) == pytest.approx(p, abs=1e-9)
 
     def test_unregistered_kernel_raises(self):
@@ -286,11 +285,11 @@ class TestRadialLaw:
         with pytest.raises(ValueError, match="'logistic'"):
             oracles.radial_cdf(Logistic(), 2, 1.0)
         with pytest.raises(ValueError, match="'logistic'"):
-            radial_quantile(Logistic(), 2, 0.5)
+            oracles.radial_quantile(Logistic(), 2, 0.5)
 
     def test_light_tail_radius_is_bounded_near_one(self):
         # R^2 concentrates near 1: the generator collapses past the shell
-        q99 = radial_quantile(LIGHT100, 4, 0.99)
+        q99 = oracles.radial_quantile(LIGHT100, 4, 0.99)
         assert 0.9 < q99 < 1.1
 
     def test_truncated_mean_full_fraction(self):
@@ -390,7 +389,7 @@ class TestModel:
             x = model.sample(20_000, np.random.default_rng(7))
             r2 = np.sum(x * x, axis=1)
             for p in (0.25, 0.5, 0.75):
-                q = radial_quantile(model.generator, 4, p)
+                q = oracles.radial_quantile(model.generator, 4, p)
                 assert np.mean(r2 <= q) == pytest.approx(p, abs=0.015), family
 
     def test_dimension_validation(self):

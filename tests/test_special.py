@@ -2,10 +2,10 @@
 
 The package computes the incomplete gamma and beta functions, their inverses
 and the chi-squared laws with ``math`` and numpy; scipy and mpmath are
-imported by the tests only.  The squared-radius law ``oracles.radial_cdf`` is
-checked here too, since it is those functions at the kernels' arguments, and
-so are the cauchy t1 limit constants at small gamma, where the closed forms
-cancel.
+imported by the tests only.  The squared-radius law ``oracles.radial_cdf`` and
+its inverse ``oracles.radial_quantile`` are checked here too, since they are
+those functions at the kernels' arguments, and so are the t1 drift of every
+kernel and the cauchy truncated mean at small gamma, where closed forms cancel.
 """
 
 import math
@@ -25,8 +25,8 @@ from scipy import special, stats
 
 import oracles
 from fstest import _special
-from fstest.elliptical import CAUCHY, GAUSSIAN, LIGHT100, radial_integral, radial_quantile, truncated_radial_mean
-from fstest.engine import LimitLaw, StatKind
+from fstest.elliptical import CAUCHY, GAUSSIAN, LIGHT100, radial_integral, truncated_radial_mean
+from fstest.engine import InfiniteVariance, LimitLaw, StatKind
 
 ALL_GENERATORS = (GAUSSIAN, CAUCHY, LIGHT100)
 
@@ -73,11 +73,11 @@ class TestSpecialFunctionOracles:
         for p in (0.1, 0.5, 0.9):
             # u = x / (1 + x) ~ Beta(d/2, 1/2); x itself carries u's rounding over 1 - u
             b = special.betaincinv(d / 2, 0.5, p)
-            q = radial_quantile(CAUCHY, d, p)
+            q = oracles.radial_quantile(CAUCHY, d, p)
             assert q / (1 + q) == pytest.approx(b, rel=1e-12, abs=0)
             assert oracles.radial_cdf(CAUCHY, d, b / (1 - b)) == pytest.approx(p, rel=1e-12, abs=0)
             t = special.gammaincinv(d / 200, p)
-            assert radial_quantile(LIGHT100, d, p) == pytest.approx(t**0.01, rel=1e-12, abs=0)
+            assert oracles.radial_quantile(LIGHT100, d, p) == pytest.approx(t**0.01, rel=1e-12, abs=0)
             assert oracles.radial_cdf(LIGHT100, d, t**0.01) == pytest.approx(p, rel=1e-12, abs=0)
         assert oracles.radial_cdf(LIGHT100, d, 2.0) == oracles.radial_cdf(LIGHT100, d, 1e6) == 1.0
         assert radial_integral(CAUCHY, d, 0) == pytest.approx(special.beta(d / 2, 0.5), rel=1e-12, abs=0)
@@ -270,37 +270,115 @@ class TestMpmathOracles:
                 assert _special._noncentral_chi2_cdf(q, d, shift) == pytest.approx(float(ref), rel=1e-12, abs=0)
 
 
+#: each kernel's variable v at the squared radius x, and the shape a of its law F_a:
+#: gaussian v = x/2 ~ Gamma(d/2), cauchy v = x/(1+x) ~ Beta(d/2, 1/2), light100
+#: v = x^100 ~ Gamma(d/200)
+_RADIAL_SHAPE = {"gaussian": 2, "cauchy": 2, "light100": 200}
+
+
+def _radial_law(family: str, a, v):
+    """F_a(v), the regularized incomplete function of the kernel's variable, in mpmath."""
+    if family == "cauchy":
+        return mpmath.betainc(a, mpmath.mpf(1) / 2, 0, v, regularized=True)
+    return mpmath.gammainc(a, 0, v, regularized=True)
+
+
 @lru_cache(maxsize=None)
-def _cauchy_t1_reference(d: int, gamma: float) -> tuple[float, float]:
-    """The cauchy E[X 1{X <= q}] and kappa at 50 digits: b = q / (1 + q) solves
-    I_b(d/2, 1/2) = gamma in log b, the mean is the integral of u^{d/2} (1-u)^{-3/2}
-    over (0, b), as a hypergeometric function, over B(d/2, 1/2), and kappa is
-    I_b(d/2 + 1, 1/2) / gamma."""
+def _t1_reference(family: str, d: int, gamma: float) -> tuple[float, float, float]:
+    """v, F_{a+1}(v) and kappa = F_{a+1}(v) / gamma at 50 digits, with v solving
+    F_a(v) = gamma and a = d/2 or d/200.  The root is sought in t = log v, or for
+    the beta in the log-odds t = log(v / (1 - v)), which keeps v below 1.  It
+    starts at scipy's inverse or, where that underflows, at the power-law head
+    F_a(v) ~ v^a / Gamma(a + 1) (v^a / (a B(a, 1/2)) for the beta)."""
+    with mpmath.workdps(50):
+        a, log_gamma = mpmath.mpf(d) / _RADIAL_SHAPE[family], mpmath.log(gamma)
+        if family == "cauchy":
+            guess = special.betaincinv(float(a), 0.5, gamma)
+            guess /= 1 - guess
+            head = mpmath.log(a) + mpmath.log(mpmath.beta(a, mpmath.mpf(1) / 2))
+            to_v = lambda t: 1 / (1 + mpmath.exp(-t))  # noqa: E731
+        else:
+            guess = special.gammaincinv(float(a), gamma)
+            head = mpmath.loggamma(a + 1)
+            to_v = mpmath.exp
+        start = mpmath.log(guess) if guess > 0 else (log_gamma + head) / a
+        v = to_v(mpmath.findroot(lambda t: mpmath.log(_radial_law(family, a, to_v(t))) - log_gamma, start))
+        lifted = _radial_law(family, a + 1, v)
+        return float(v), float(lifted), float(lifted / gamma)
+
+
+class TestT1DriftOracle:
+    """The t1 drift kappa = F_{a+1}(v) / gamma of every kernel against mpmath."""
+
+    @pytest.mark.parametrize("gamma", (0.3, 0.5, 0.7, 0.9, 1e-3, 1e-8, 1e-20, 1e-100))
+    @pytest.mark.parametrize("d", (1, 2, 3, 4, 10, 100))
+    @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
+    def test_drift_matches_mpmath(self, family, d, gamma):
+        # the closed form 1 - 2 q f_X(q) / (d gamma) read -1.35e-14 for the gaussian at
+        # d = 1, gamma = 1e-100, and 3.3e-16 for light100 at d = 4, gamma = 0.3 (4.0e-27)
+        v, lifted, kappa = _t1_reference(family, d, gamma)
+        law = LimitLaw(StatKind.T1, family, d, gamma)
+        if min(v, lifted) < sys.float_info.min:
+            # v or F_{a+1}(v) leaves the normal floats (light100 at d = 1, gamma = 1e-3)
+            with pytest.raises(InfiniteVariance, match="drift"):
+                law.drift
+            return
+        assert 0.0 < law.drift < 1.0 and law.drift == pytest.approx(kappa, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", (1, 4, 10))
+    @pytest.mark.parametrize("family", ("gaussian", "cauchy", "light100"))
+    def test_rule_is_the_closed_form(self, family, d):
+        # integration by parts: F_{a+1}(v) / gamma = 1 - 2 q f_X(q) / (d gamma) at any v,
+        # with gamma = F_a(v), q the squared radius of v and f_X(x) = x^{d/2-1} g(x) / I0;
+        # at 150 digits, so that light100's 1 - ... keeps its digits down to kappa = 1e-105
+        with mpmath.workdps(150):
+            a = mpmath.mpf(d) / _RADIAL_SHAPE[family]
+            for gamma in (0.3, 0.5, 0.9):
+                v = mpmath.mpf(_t1_reference(family, d, gamma)[0])
+                if family == "gaussian":
+                    q, log_g, log_i0 = 2 * v, -v, a * mpmath.log(2) + mpmath.loggamma(a)
+                elif family == "cauchy":
+                    q = v / (1 - v)
+                    log_g, log_i0 = -(d + 1) * mpmath.log1p(q) / 2, mpmath.log(mpmath.beta(a, mpmath.mpf(1) / 2))
+                else:
+                    q, log_g, log_i0 = v ** (mpmath.mpf(1) / 100), -v, mpmath.loggamma(a) - mpmath.log(100)
+                f_q = mpmath.exp((mpmath.mpf(d) / 2 - 1) * mpmath.log(q) + log_g - log_i0)
+                level = _radial_law(family, a, v)
+                closed = 1 - 2 * q * f_q / (d * level)
+                rule = _radial_law(family, a + 1, v) / level
+                assert abs(closed / rule - 1) < mpmath.mpf(10) ** -30, gamma
+
+    @pytest.mark.parametrize("gamma", (1e-200, 1e-160))
+    def test_refuses_where_subnormal_floats_lose_digits(self, gamma):
+        # kappa is 1.5e-200 and 1.5e-160, but I_b(2, 1/2) ~ b^2 is 0 and subnormal there:
+        # the drift read 0.0 and 1.49998e-160 (1.1e-5 relative off), and now refuses;
+        # so does the scale, whose subnormal mean read 0.499994 at 1e-160
+        law = LimitLaw(StatKind.T1, "cauchy", 2, gamma)
+        with pytest.raises(InfiniteVariance, match="drift"):
+            law.drift
+        with pytest.raises(InfiniteVariance, match="variance"):
+            law.scale
+
+
+@lru_cache(maxsize=None)
+def _cauchy_mean_reference(d: int, gamma: float) -> float:
+    """The cauchy E[X 1{X <= q}] at 50 digits: the integral of u^{d/2} (1-u)^{-3/2}
+    over (0, b), b = q / (1 + q), as a hypergeometric function, over B(d/2, 1/2)."""
     with mpmath.workdps(50):
         a, half = mpmath.mpf(d) / 2, mpmath.mpf(1) / 2
-        log_gamma = mpmath.log(gamma)
-        start = (log_gamma + mpmath.log(a) + mpmath.log(mpmath.beta(a, half))) / a  # I_b ~ b^a / (a B)
-
-        def excess(t):
-            return mpmath.log(mpmath.betainc(a, half, 0, mpmath.exp(t), regularized=True)) - log_gamma
-
-        t = mpmath.findroot(excess, (start - 2, min(start + 2, mpmath.mpf(-1e-20))), solver="anderson")
-        b = mpmath.exp(t)
-        mean = b ** (a + 1) / (a + 1) * mpmath.hyp2f1(1.5, a + 1, a + 2, b) / mpmath.beta(a, half)
-        kappa = mpmath.betainc(a + 1, half, 0, b, regularized=True) / gamma
-        return float(mean), float(kappa)
+        b = mpmath.mpf(_t1_reference("cauchy", d, gamma)[0])
+        return float(b ** (a + 1) / (a + 1) * mpmath.hyp2f1(1.5, a + 1, a + 2, b) / mpmath.beta(a, half))
 
 
 class TestCauchyT1Constants:
-    """The cauchy truncated mean and drift where their closed forms cancel."""
+    """The cauchy truncated mean where its closed form cancels; its drift is in
+    :class:`TestT1DriftOracle`."""
 
     @pytest.mark.parametrize("gamma", (1e-3, 1e-8, 1e-20, 1e-100))
     @pytest.mark.parametrize("d", (1, 2, 3, 4, 10, 100))
-    def test_truncated_mean_and_drift_match_mpmath(self, d, gamma):
-        mean, kappa = _cauchy_t1_reference(d, gamma)
+    def test_truncated_mean_matches_mpmath(self, d, gamma):
+        mean = _cauchy_mean_reference(d, gamma)
         assert truncated_radial_mean(CAUCHY, d, gamma) == pytest.approx(mean, rel=1e-12, abs=0)
-        drift = LimitLaw(StatKind.T1, "cauchy", d, gamma).drift
-        assert 0.0 < drift < 1.0 and drift == pytest.approx(kappa, rel=1e-12, abs=0)
 
     def test_means_that_cancelled(self):
         # 2 b^{d/2} / (sqrt(1-b) B) - d gamma read 7.66e-114 here and 0 at d = 1, gamma = 1e-8
