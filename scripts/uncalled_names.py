@@ -3,7 +3,8 @@
     python3 scripts/uncalled_names.py
 
 Lists every name in the ``__all__`` of a ``src/fstest`` module that is never
-used in ``src/fstest`` (outside ``__init__.py``, which only re-exports),
+used in ``src/fstest`` (outside ``__init__.py``, whose ``_EXPORTS`` table
+names each of them once, as a string, for the package to load on use),
 ``scripts/`` or ``benchmarks/``.  A use is a load of the name, as a variable
 or an attribute, or an import of it, found by walking each file's syntax
 tree; a name inside a string or a docstring is no use.  Names that

@@ -7,138 +7,43 @@ chi-squared limit, three competitor tests (mean, coordinatewise median,
 Hodges-Lehmann), closed-form asymptotic efficiencies for Gaussian, Cauchy,
 and a very light-tailed family, and simulation campaigns for power,
 finite-sample efficiency, and breakdown behaviour.
+
+Each public name is looked up in its module on use (PEP 562), so
+``import fstest`` loads no submodule until a name is used.
 """
 
-from .linalg import (
-    DimensionMismatch,
-    NotSPD,
-    NotSymmetric,
-    SpdMatrix,
-    trim_count,
-)
-from .elliptical import (
-    CAUCHY,
-    DivergentIntegral,
-    EllipticalModel,
-    FAMILY_TAGS,
-    GAUSSIAN,
-    LIGHT100,
-    MixtureModel,
-    component_variance,
-    generator_by_name,
-    marginal_density_at_zero,
-    marginal_density_sq_integral,
-    radial_integral,
-    standard_model,
-    truncated_radial_mean,
-)
-from .estimators import (
-    DistanceOverflow,
-    Estimate,
-    EstimatorKind,
-    ForwardSearchConfig,
-    cw_median,
-    estimate,
-    forward_search,
-    hodges_lehmann,
-    sample_mean,
-)
-from .engine import (
-    InfiniteVariance,
-    MonteCarloQuantile,
-    StatKind,
-    LimitLaw,
-    TestReport,
-    calibrate,
-    critical_value,
-    empirical_critical_value,
-    limit_weights,
-    power_table,
-    run_test,
-    scatter_scale_constant,
-    statistic,
-)
-from .asymptotics import (
-    ContiguousSpec,
-    OffsetEstimate,
-    contiguous_power,
-    efficiency,
-    efficiency_grid,
-    estimate_offsets,
-    limit_behavior,
-    root_efficiency,
-)
-from .robustness import (
-    BreakdownResult,
-    EfficiencyResult,
-    SingularCovariance,
-    breakdown_experiment,
-    empirical_limit_covariance,
-    finite_sample_efficiency,
-)
-from .dataio import Dataset, MalformedTable, read_dataset, write_rows
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BreakdownResult",
-    "CAUCHY",
-    "ContiguousSpec",
-    "Dataset",
-    "DimensionMismatch",
-    "DistanceOverflow",
-    "DivergentIntegral",
-    "EfficiencyResult",
-    "EllipticalModel",
-    "Estimate",
-    "EstimatorKind",
-    "FAMILY_TAGS",
-    "ForwardSearchConfig",
-    "GAUSSIAN",
-    "InfiniteVariance",
-    "LIGHT100",
-    "LimitLaw",
-    "MalformedTable",
-    "MixtureModel",
-    "MonteCarloQuantile",
-    "NotSPD",
-    "NotSymmetric",
-    "OffsetEstimate",
-    "SingularCovariance",
-    "SpdMatrix",
-    "StatKind",
-    "TestReport",
-    "breakdown_experiment",
-    "calibrate",
-    "component_variance",
-    "contiguous_power",
-    "critical_value",
-    "cw_median",
-    "efficiency",
-    "efficiency_grid",
-    "empirical_critical_value",
-    "empirical_limit_covariance",
-    "estimate",
-    "estimate_offsets",
-    "finite_sample_efficiency",
-    "forward_search",
-    "generator_by_name",
-    "hodges_lehmann",
-    "limit_behavior",
-    "limit_weights",
-    "marginal_density_at_zero",
-    "marginal_density_sq_integral",
-    "power_table",
-    "radial_integral",
-    "read_dataset",
-    "root_efficiency",
-    "run_test",
-    "sample_mean",
-    "scatter_scale_constant",
-    "standard_model",
-    "statistic",
-    "trim_count",
-    "truncated_radial_mean",
-    "write_rows",
-    "__version__",
-]
+#: each submodule and the public names the package takes from it
+_EXPORTS = {
+    "linalg": ("DimensionMismatch", "NotSPD", "NotSymmetric", "SpdMatrix", "trim_count"),
+    "elliptical": ("CAUCHY", "DivergentIntegral", "EllipticalModel", "FAMILY_TAGS", "GAUSSIAN", "LIGHT100",
+                   "MixtureModel", "component_variance", "generator_by_name", "marginal_density_at_zero",
+                   "marginal_density_sq_integral", "radial_integral", "standard_model", "truncated_radial_mean"),
+    "estimators": ("DistanceOverflow", "Estimate", "EstimatorKind", "ForwardSearchConfig", "cw_median", "estimate",
+                   "forward_search", "hodges_lehmann", "sample_mean"),
+    "engine": ("InfiniteVariance", "MonteCarloQuantile", "StatKind", "LimitLaw", "TestReport", "calibrate",
+               "critical_value", "empirical_critical_value", "limit_weights", "power_table", "run_test",
+               "scatter_scale_constant", "statistic"),
+    "asymptotics": ("ContiguousSpec", "OffsetEstimate", "contiguous_power", "efficiency", "efficiency_grid",
+                    "estimate_offsets", "limit_behavior", "root_efficiency"),
+    "robustness": ("BreakdownResult", "EfficiencyResult", "SingularCovariance", "breakdown_experiment",
+                   "empirical_limit_covariance", "finite_sample_efficiency"),
+    "dataio": ("Dataset", "MalformedTable", "read_dataset", "write_rows"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    # no cache: a rebound module attribute (a tracer, a monkeypatch) shows through
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,13 +17,14 @@ regardless of FSTEST_THREADS.
 Each command reads its parsed arguments directly.  The scalar flags that
 commands share are declared once, in ``_FLAGS``; :func:`main` checks each
 one the parsed command has before the command runs, so before any file is
-read, and list flags are checked entry by entry as they are parsed.  A bad
-value prints ``error: ...`` and exits 1.  ``test`` (through
-:func:`fstest.engine.run_test`) and ``critical-value`` get their critical
-value from one call, :func:`fstest.engine.calibrate`, so both report the
-same value for the same statistic, family, n and seed.  :func:`main` turns
-every input error into that one ``error:`` line, and an infinite limit
-variance into ``error: formula calibration unavailable: ...`` for both.
+read, and list flags are checked entry by entry as they are parsed, grids
+for repeats too.  A bad value prints ``error: ...`` and exits 1.  ``test``
+(through :func:`fstest.engine.run_test`) and ``critical-value`` get their
+critical value from one call, :func:`fstest.engine.calibrate`, so both
+report the same value for the same statistic, family, n and seed.
+:func:`main` turns every input or OS error into that one ``error:`` line,
+and an infinite limit variance into ``error: formula calibration
+unavailable: ...`` for both.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def _require(values: tuple, flag: str, ok, rule: str) -> tuple:
     return values
 
 
-def _parse_floats(text: str, flag: str, ok=None, rule: str = "") -> tuple[float, ...]:
-    """A nonempty comma-separated list of finite reals, each meeting ``ok`` if given."""
+def _parse_floats(text: str, flag: str, ok=None, rule: str = "", repeats: bool = False) -> tuple[float, ...]:
+    """A nonempty comma-separated list of finite reals, each meeting ``ok`` if given,
+    none repeated unless ``repeats`` (a grid's entries are table columns; ``--mu0`` is a vector)."""
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
@@ -98,6 +100,8 @@ def _parse_floats(text: str, flag: str, ok=None, rule: str = "") -> tuple[float,
         _require(values, flag, ok, rule)
     if not all(map(math.isfinite, values)):
         raise CliError(f"{flag} contains non-finite entries")
+    if not repeats and len(set(values)) < len(values):
+        raise CliError(f"{flag} entries must be distinct, got {text!r}")
     return values
 
 
@@ -211,7 +215,7 @@ def _load_sigma(spec: str, d: int) -> SpdMatrix:
 
 
 def _parse_mu0(text: str, d: int) -> np.ndarray:
-    values = _parse_floats(text, "--mu0")
+    values = _parse_floats(text, "--mu0", repeats=True)
     if len(values) == 1:
         values *= d
     if len(values) != d:
@@ -490,18 +494,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # inside the try, so that a closed pipe raises here
         return code
+    except BrokenPipeError:  # an OSError, so it comes first
+        # the reader of stdout closed early; point stdout at devnull so the
+        # interpreter's final flush does not raise again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
-        CliError, MalformedTable, robustness.SingularCovariance, ThreadCountError, FileNotFoundError, DistanceOverflow
+        CliError, MalformedTable, robustness.SingularCovariance, ThreadCountError, OSError, DistanceOverflow
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfiniteVariance as exc:
         print(f"error: formula calibration unavailable: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:
-        # the reader of stdout closed early; point stdout at devnull so the
-        # interpreter's final flush does not raise again (Python docs, "Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -1,6 +1,7 @@
 """CSV and JSON input/output.
 
-Dialect: comma separator, '.' decimal point, optional single header row
+Dialect: UTF-8 (a leading byte-order mark, as spreadsheets write, is
+skipped), comma separator, '.' decimal point, optional single header row
 (auto-detected: a first row with any cell that does not parse as a float is
 a header).  A dataset converts in one pass, ``float`` on every cell into one
 array; only a table that fails that pass is walked cell by cell, to name
@@ -84,8 +85,11 @@ def _parse_float(cell: str) -> float | None:
 
 def read_rows(path: str | Path) -> tuple[list[str] | None, list[list[str]]]:
     """Dialect-level read: optional header plus raw string rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError:
+        raise MalformedTable(f"{path}: not UTF-8 text") from None
     if not rows:
         raise MalformedTable(f"{path}: file contains no rows")
     first_numeric = all(_parse_float(cell) is not None for cell in rows[0])

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -146,6 +147,44 @@ class TestArgumentHandling:
         monkeypatch.setenv("FSTEST_THREADS", "abc")
         assert main(["test", "--seed", "1", "--data", str(DATA)]) == 1
         assert capsys.readouterr().err == "error: FSTEST_THREADS must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--data", "{folder}"],
+        ["--data", str(DATA), "--sigma", "{folder}"],
+        ["--data", str(DATA), "--out", "{folder}"],
+        ["--data", "{latin1}"],
+    ])
+    def test_os_and_decoding_errors_exit_one(self, tmp_path, capsys, extra):
+        # a directory where a file belongs, or data that is not UTF-8 text
+        folder, latin1 = tmp_path / "folder", tmp_path / "latin1.csv"
+        folder.mkdir()
+        latin1.write_bytes("caf\xe9,y\n1,2\n".encode("latin-1"))
+        argv = ["test", "--seed", "1", "--calibration", "formula"]
+        assert main(argv + [arg.format(folder=folder, latin1=latin1) for arg in extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        # no temporary file beside --out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "latin1.csv"]
+        assert list(folder.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["power-table", "--seed", "1"], "--beta-grid", "0.2,0.2"),
+        (["table2", "--seed", "1"], "--delta", "0.5,-0.5,0.50"),
+        (["table3", "--seed", "1"], "--n-grid", "10,10"),
+        (["table3", "--seed", "1"], "--d-grid", "2,2.0"),
+        (["table4"], "--d-grid", "4,4"),
+        (["breakdown", "--seed", "1"], "--gamma", "0.3,0.5,0.3"),
+    ])
+    def test_repeated_grid_entries_exit_one(self, capsys, argv, flag, value):
+        # each entry is a table column: a repeat would simulate it and print it twice
+        assert main([*argv, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag} entries must be distinct, got {value!r}\n"
+
+    def test_mu0_may_repeat_an_entry(self, capsys):
+        # --mu0 is a vector, not a grid
+        argv = ["test", "--seed", "1", "--data", str(DATA), "--mu0", "0.1,0.1,0.1", "--calibration", "formula"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("schema,")
 
 
 class TestPowerTableCommand:
@@ -669,6 +708,58 @@ for argv in calls:
 print(json.dumps(loaded))
 """
         assert json.loads(_run_script(script)) == [[]] * 9
+
+
+class TestPackageNames:
+    #: the public names the package exported when it imported every module eagerly
+    PUBLIC = (
+        "BreakdownResult", "CAUCHY", "ContiguousSpec", "Dataset", "DimensionMismatch", "DistanceOverflow",
+        "DivergentIntegral", "EfficiencyResult", "EllipticalModel", "Estimate", "EstimatorKind", "FAMILY_TAGS",
+        "ForwardSearchConfig", "GAUSSIAN", "InfiniteVariance", "LIGHT100", "LimitLaw", "MalformedTable",
+        "MixtureModel", "MonteCarloQuantile", "NotSPD", "NotSymmetric", "OffsetEstimate", "SingularCovariance",
+        "SpdMatrix", "StatKind", "TestReport", "breakdown_experiment", "calibrate", "component_variance",
+        "contiguous_power", "critical_value", "cw_median", "efficiency", "efficiency_grid",
+        "empirical_critical_value", "empirical_limit_covariance", "estimate", "estimate_offsets",
+        "finite_sample_efficiency", "forward_search", "generator_by_name", "hodges_lehmann", "limit_behavior",
+        "limit_weights", "marginal_density_at_zero", "marginal_density_sq_integral", "power_table",
+        "radial_integral", "read_dataset", "root_efficiency", "run_test", "sample_mean", "scatter_scale_constant",
+        "standard_model", "statistic", "trim_count", "truncated_radial_mean", "write_rows", "__version__",
+    )
+
+    def test_every_public_name_is_its_modules_object(self):
+        assert sorted(fstest.__all__) == sorted(self.PUBLIC)
+        for name in self.PUBLIC[:-1]:
+            module = importlib.import_module("fstest." + fstest._MODULE_OF[name])
+            assert name in module.__all__, name
+            assert getattr(fstest, name) is getattr(module, name), name
+
+    def test_a_rebound_module_attribute_shows_through(self, monkeypatch):
+        monkeypatch.setattr(engine, "run_test", lambda *args, **kwargs: "rebound")
+        assert fstest.run_test() == "rebound"
+
+    def test_unknown_name_and_dir(self):
+        with pytest.raises(AttributeError, match="^module 'fstest' has no attribute 'no_such_name'$"):
+            fstest.no_such_name
+        assert set(fstest.__all__) <= set(dir(fstest))
+
+    def test_import_loads_no_submodule_until_a_name_is_used(self):
+        script = """
+import json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("fstest."))
+import fstest
+before = loaded()
+from fstest import StatKind, run_test
+print(json.dumps([before, "fstest.engine" in loaded()]))
+"""
+        assert json.loads(_run_script(script)) == [[], True]
+
+    def test_readme_quick_start_runs_as_written(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        code = readme.split("## Library quick start\n\n```python\n")[1].split("```")[0]
+        decision, value, critical_value = _run_script(code).split()
+        assert decision in ("reject", "retain")
+        assert float(value) >= 0.0 and float(critical_value) > 0.0
 
 
 def test_formula_test_of_an_overflowing_statistic_ends(tmp_path):

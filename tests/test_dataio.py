@@ -162,6 +162,23 @@ class TestReadDataset:
         with pytest.raises(MalformedTable):
             read_dataset(path)
 
+    @pytest.mark.parametrize("text", ["0.1,0.2\n0.3,0.4\n0.5,0.6\n", "x,y\n0.1,0.2\n0.3,0.4\n"])
+    def test_byte_order_mark_is_not_part_of_the_first_cell(self, tmp_path, text):
+        # a spreadsheet's "CSV UTF-8" starts with a BOM; the first row stays data, the header clean
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = read_dataset(plain), read_dataset(marked)
+        assert got.columns == want.columns
+        assert np.array_equal(got.values, want.values)
+
+    def test_text_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("caf\xe9,y\n1,2\n".encode("latin-1"))
+        with pytest.raises(MalformedTable, match=r"latin1\.csv: not UTF-8 text$"):
+            read_dataset(path)
+
 
 class TestDataset:
     def test_values_read_only(self):
