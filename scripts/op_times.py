@@ -1,11 +1,13 @@
 """Per-op times of one benchmark workload's cycle, in-process.
 
     python3 scripts/op_times.py --workload paper_tables --seed 5 --cycles 20
+    python3 scripts/op_times.py --workload power_mixture --threads 2
 
 Runs ``--cycles`` cycles of the workload from ``benchmarks/workloads.py``
 (imported, not changed) through ``fstest.cli.main`` of the ``src/`` in the
 checkout this file sits in, after one untimed warm-up cycle, with one BLAS
-thread and ``FSTEST_THREADS`` unset, as ``benchmarks/run.py`` does.  Prints
+thread and ``FSTEST_THREADS`` unset, as ``benchmarks/run.py`` does, or set
+to ``--threads K`` for every cycle, which the benchmark cannot do.  Prints
 the median and minimum wall time of each op position of the cycle in
 measured milliseconds (no host-speed calibration), labelled by subcommand,
 then calibration (``--calibration``, or bootstrap where ``--j`` is set) and
@@ -75,9 +77,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycles", type=int, default=10)
+    parser.add_argument("--threads", type=int, help="FSTEST_THREADS for every cycle (default: unset)")
     args = parser.parse_args(argv)
     if args.cycles < 1:
         parser.error("--cycles must be positive")
+    if args.threads is not None:
+        os.environ["FSTEST_THREADS"] = str(args.threads)
 
     with tempfile.TemporaryDirectory() as workdir:
         workload = WORKLOADS[args.workload](Path(workdir), args.seed)
@@ -100,7 +105,9 @@ def main(argv=None) -> int:
                     failed += 1
                     print(f"cycle {index} op {position} ({labels[position]}): {problem}", file=sys.stderr)
 
-    print(f"{args.workload} seed {args.seed}, {args.cycles} cycles, measured ms; traced peak of one more cycle")
+    threads = "unset" if args.threads is None else args.threads
+    print(f"{args.workload} seed {args.seed}, {args.cycles} cycles, FSTEST_THREADS {threads}, measured ms; "
+          "traced peak of one more cycle")
     print(f"{'op':>3}  {'command':<22}{'median':>10}{'min':>10}{'peak MB':>10}")
     for position, (label, ts, peak) in enumerate(zip(labels, times, peaks)):
         ms = f"{1000 * statistics.median(ts):>10.3f}{1000 * min(ts):>10.3f}"

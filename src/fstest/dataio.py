@@ -3,17 +3,19 @@
 Dialect: UTF-8 (a leading byte-order mark, as spreadsheets write, is
 skipped), comma separator, '.' decimal point, optional single header row
 (auto-detected: a first row with any cell that does not parse as a float is
-a header).  A dataset converts in one pass, ``float`` on every cell into one
-array; only a table that fails that pass is walked cell by cell, to name
-the first offending row in its error.  Floats are written with repr so
-every emitted file reads back to the exact same values.  All writes go to a
-temporary file in the target directory and are renamed into place, so
-consumers never see partial files.
+a header); a malformed quote is an error that names its line.  A dataset
+converts in one pass, ``float`` on every cell into one array; only a table
+that fails that pass is walked cell by cell, to name the first offending
+row in its error.  Floats are written with repr so every emitted file
+reads back to the exact same values.  All writes go to a temporary file in
+the target directory and are renamed into place, so consumers never see
+partial files.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import itertools
 import json
@@ -87,9 +89,12 @@ def read_rows(path: str | Path) -> tuple[list[str] | None, list[list[str]]]:
     """Dialect-level read: optional header plus raw string rows."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh, strict=True)
+            rows = [row for row in reader if row]
     except UnicodeDecodeError:
         raise MalformedTable(f"{path}: not UTF-8 text") from None
+    except csv.Error as err:  # e.g. a quote left open at the end of the file
+        raise MalformedTable(f"{path}: line {reader.line_num}: {err}") from None
     if not rows:
         raise MalformedTable(f"{path}: file contains no rows")
     first_numeric = all(_parse_float(cell) is not None for cell in rows[0])
@@ -174,6 +179,8 @@ def json_text(payload: dict) -> str:
 
 def _atomic_write(path: str | Path, text: str) -> None:
     target = Path(path)
+    if target.is_dir():  # os.replace would name the temporary file, not the target
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:

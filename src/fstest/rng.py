@@ -1,4 +1,4 @@
-"""Deterministic named randomness streams, a worker pool and the replication driver.
+"""Deterministic named randomness streams, a thread pool and the replication driver.
 
 Every random quantity in the package is drawn from a stream derived from a
 single 64-bit master seed plus a human-readable path, e.g.
@@ -11,9 +11,9 @@ identical.
 one stream per block of replications: replications r in [kB, (k+1)B) draw
 from ``stream_rng(seed, *path, "block", k)``, one call per variate for the
 whole block, where B is 64, or fewer when n * d is large, and depends on n
-and d alone.  Memory batches and worker slices hold whole stream blocks, so
-the output depends neither on :data:`SIMULATION_BLOCK_FLOATS` nor on how
-many workers share the run (``FSTEST_THREADS``).  The last block draws only
+and d alone.  Its batches hold whole stream blocks and run on up to
+``FSTEST_THREADS`` threads, so the output depends neither on
+:data:`SIMULATION_BLOCK_FLOATS` nor on the thread count.  The last block draws only
 the replications asked for, so a run of fewer replications is in general
 not a prefix of a longer one.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "ThreadCountError",
     "worker_count",
     "parallel_map",
-    "replication_slices",
     "simulate",
 ]
 
@@ -80,40 +78,23 @@ def worker_count() -> int:
     return max(1, min(n, os.cpu_count() or 1))
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
+def parallel_map(fn: Callable, items: Sequence) -> list:
     """Map ``fn`` over ``items`` preserving order.
 
-    With ``workers`` (default: :func:`worker_count`) above one, items are
-    distributed over a process pool.  ``fn`` must be picklable and must not
-    rely on shared mutable state; per-item determinism then guarantees the
-    result is independent of the pool size.
+    With :func:`worker_count` above one and several items, the items are
+    spread over a pool of that many threads (at most one per item), opened
+    for this call.  ``fn`` must not rely on state that another item's call
+    mutates; per-item determinism then makes the result independent of the
+    pool size.
     """
-    if workers is None:
-        workers = worker_count()
-    items = list(items)
+    workers, items = worker_count(), list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    # imported here, so that a serial run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    # imported here, so that a serial run loads no pool module
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
+    with ThreadPoolExecutor(min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
-
-
-def replication_slices(reps: int, workers: int | None = None) -> list[slice]:
-    """Split 0..reps into contiguous chunks, one per available worker.
-
-    :func:`simulate` splits its stream blocks with it, so chunk boundaries
-    never cut a stream and never affect results.
-    """
-    if reps < 0:
-        raise ValueError("reps must be nonnegative")
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or reps <= 1:
-        return [slice(0, reps)]
-    chunk = -(-reps // workers)
-    return [slice(s, min(s + chunk, reps)) for s in range(0, reps, chunk)]
 
 
 #: float64 entries of simulated data one batch may hold (8 MB)
@@ -139,31 +120,27 @@ def simulate(sampler, reduce: Callable, path: Sequence, n: int, reps: int, seed:
     rows of each, one call per variate, and ``finish(*buffers)`` turns the
     batch into C-contiguous (reps, n, ``sampler.d``) data, which ``reduce``
     maps to a dict of arrays over the batch.  The result concatenates them
-    per key in replication order.  Batches hold whole stream blocks, at most
-    :data:`SIMULATION_BLOCK_FLOATS` data entries unless one block is larger,
-    and :func:`replication_slices` splits the stream blocks among workers;
-    as ``finish`` and ``reduce`` treat replications independently, neither
-    changes a result.  With several workers, ``sampler`` and ``reduce`` must
-    pickle (partials, not lambdas).
+    per key in replication order.  A batch holds whole stream blocks: at
+    most :data:`SIMULATION_BLOCK_FLOATS` data entries unless one block is
+    larger, and at most a 1/:func:`worker_count` share of the blocks
+    (rounded up), and :func:`parallel_map` spreads the batches over the workers; as ``finish``
+    and ``reduce`` treat replications independently, neither changes a
+    result.  ``sampler`` and ``reduce`` must share no mutable state between
+    batches, as batches may run on several threads at once.
     """
-    blocks = -(-reps // _stream_block(n, sampler.d))
-    run = partial(_simulate_slice, sampler, reduce, tuple(path), n, reps, seed)
-    parts = [part for chunk in parallel_map(run, replication_slices(blocks)) for part in chunk]
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
-
-
-def _simulate_slice(sampler, reduce, path, n, reps, seed, blocks: slice) -> list[dict]:
-    """The stream blocks ``blocks`` of a run of ``reps`` replications, batch by batch."""
     block = _stream_block(n, sampler.d)
-    batch = block * max(1, SIMULATION_BLOCK_FLOATS // max(1, block * n * sampler.d))
-    start, stop = blocks.start * block, min(blocks.stop * block, reps)
-    parts = []
-    # an empty run (reps = 0) still reduces one empty batch, which fixes the keys
-    for lo in range(start, max(stop, start + 1), batch):
-        hi = min(lo + batch, stop)
+    blocks = -(-reps // block)
+    cap = max(1, SIMULATION_BLOCK_FLOATS // max(1, block * n * sampler.d))
+    batch = block * min(cap, max(1, -(-blocks // worker_count())))
+
+    def run(lo: int) -> dict:
+        hi = min(lo + batch, reps)
         buffers = sampler.buffers(hi - lo, n)
         for first in range(lo, hi, block):
             rows = slice(first - lo, min(first + block, hi) - lo)
             sampler.draw(stream_rng(seed, *path, "block", first // block), *(b[rows] for b in buffers))
-        parts.append(reduce(sampler.finish(*buffers)))
-    return parts
+        return reduce(sampler.finish(*buffers))
+
+    # an empty run (reps = 0) still reduces one empty batch, which fixes the keys
+    parts = parallel_map(run, range(0, max(reps, 1), batch))
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import errno
 import hashlib
 import importlib
 import io
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import fstest
@@ -165,6 +169,32 @@ class TestArgumentHandling:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         # no temporary file beside --out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "latin1.csv"]
+        assert list(folder.iterdir()) == []
+
+    #: what a --data file is built from: cells, separators, quotes, line ends, a BOM, NUL, non-finite text
+    DATA_TOKENS = [*"0123456789", ",", '"', "\n", "\r\n", "\ufeff", "\x00", "nan", "1e400", "-", ".", " "]
+
+    @settings(max_examples=300)
+    @given(text=st.lists(st.sampled_from(DATA_TOKENS), max_size=60).map("".join))
+    def test_any_data_file_gives_a_report_or_one_error_line(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["test", "--data", str(path), "--seed", "1", "--calibration", "formula"])
+        if code == 0:
+            assert out.getvalue().startswith("schema,") and err.getvalue() == "", (text, err.getvalue())
+        else:
+            assert code == 1, text
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (text, err.getvalue())
+
+    def test_out_directory_error_names_the_out_path(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        argv = ["test", "--seed", "1", "--calibration", "formula", "--data", str(DATA), "--out", str(folder)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{folder}'\n"
+        assert list(tmp_path.iterdir()) == [folder]
         assert list(folder.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag, value", [
@@ -636,13 +666,30 @@ print(json.dumps([names, sorted({{argv[0] for argv in calls}})]))
             _run_script("import sys; sys.exit('no such input')")
 
     def test_serial_import_leaves_the_process_pool_unloaded(self):
-        # multiprocessing loads with the first pool, not with the package
+        # a pool module loads with the first thread pool, not with the package
         script = """
 import sys
 import fstest.cli
-print(sorted(m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules))
+pools = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+print(sorted(m for m in pools if m in sys.modules))
 """
         assert _run_script(script) == "[]"
+
+    def test_threaded_run_loads_no_process_pool(self):
+        # FSTEST_THREADS spreads simulation batches over threads of this process
+        script = """
+import contextlib, io, os, sys
+os.cpu_count = lambda: 2
+os.environ["FSTEST_THREADS"] = "2"
+import fstest.cli
+argv = ["power-table", "--reps", "200", "--null-reps", "200", "--n", "10", "--d", "2", "--beta-grid", "0,0.5",
+        "--seed", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fstest.cli.main(argv) == 0
+pools = ("multiprocessing", "concurrent.futures.process", "concurrent.futures.thread")
+print(sorted(m for m in pools if m in sys.modules))
+"""
+        assert _run_script(script) == "['concurrent.futures.thread']"
 
     def test_gaussian_test_calls_import_no_scipy(self):
         # the gaussian closed forms need only math

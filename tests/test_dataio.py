@@ -179,6 +179,13 @@ class TestReadDataset:
         with pytest.raises(MalformedTable, match=r"latin1\.csv: not UTF-8 text$"):
             read_dataset(path)
 
+    def test_unterminated_quote_names_itself(self, tmp_path):
+        # without strict quoting the open quote swallows the rest of the file, leaving one header row
+        path = tmp_path / "quote.csv"
+        path.write_text('1,"2\n3,4\n')
+        with pytest.raises(MalformedTable, match=r'quote\.csv: line 2: unexpected end of data$'):
+            read_dataset(path)
+
 
 class TestDataset:
     def test_values_read_only(self):

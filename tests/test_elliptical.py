@@ -28,7 +28,7 @@ from fstest.elliptical import (
     truncated_radial_mean,
 )
 from fstest.linalg import SpdMatrix
-from fstest.rng import replication_slices, simulate, stream_rng
+from fstest.rng import simulate, stream_rng
 
 ALL_GENERATORS = (GAUSSIAN, CAUCHY, LIGHT100)
 
@@ -578,7 +578,7 @@ class TestBlockSamplers:
         sampler = _sampler(family, 0.3, scatter=True)
         for reps in (25, 129, 200):
             want = self.reference(sampler, 11, reps)
-            # batches of one stream block, then worker slices of whole stream blocks
+            # batches of one stream block, then batches split between two threads
             with monkeypatch.context() as m:
                 m.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 64 * 11 * 3)
                 got = simulate(sampler, _keep, self.PATH, 11, reps, 5)["data"]
@@ -586,7 +586,6 @@ class TestBlockSamplers:
             with monkeypatch.context() as m:
                 m.setattr("os.cpu_count", lambda: 2)
                 m.setenv("FSTEST_THREADS", "2")
-                assert len(replication_slices(-(-reps // 64))) == (1 if reps <= 64 else 2)
                 got = simulate(sampler, _keep, self.PATH, 11, reps, 5)["data"]
             assert np.array_equal(_bits(got), _bits(want)), reps
 

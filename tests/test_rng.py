@@ -1,16 +1,17 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import oracles
+from fstest import estimators
 from fstest import rng as rng_module
 from fstest.engine import power_table
 from fstest.estimators import EstimatorKind
 from fstest.robustness import finite_sample_efficiencies
 from fstest.rng import (
     parallel_map,
-    replication_slices,
     simulate,
     stream_rng,
     ThreadCountError,
@@ -99,39 +100,27 @@ def _square(x):
 
 
 class TestParallelMap:
-    def test_serial_matches_parallel(self):
+    def test_serial_matches_parallel(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
         items = list(range(17))
-        assert parallel_map(_square, items, workers=1) == parallel_map(
-            _square, items, workers=3
-        )
+        results = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("FSTEST_THREADS", threads)
+            results.append(parallel_map(_square, items))
+        assert results[0] == results[1] == [x * x for x in items]
 
-    def test_preserves_order(self):
-        out = parallel_map(_square, [3, 1, 2], workers=2)
-        assert out == [9, 1, 4]
-
-
-class TestReplicationSlices:
-    def test_single_worker_single_slice(self):
-        assert replication_slices(10, workers=1) == [slice(0, 10)]
-
-    def test_huge_thread_setting_is_capped(self, monkeypatch):
-        # only slices are built here; no pool is started
+    def test_preserves_order(self, monkeypatch):
+        # a lambda: items run on threads of this process, so nothing is pickled
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setenv("FSTEST_THREADS", str(10**6))
-        assert replication_slices(10**6) == [slice(0, 500_000), slice(500_000, 10**6)]
+        monkeypatch.setenv("FSTEST_THREADS", "2")
+        assert parallel_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            replication_slices(-1)
-
-    @given(st.integers(0, 500), st.integers(1, 16))
-    def test_partition(self, reps, workers):
-        slices = replication_slices(reps, workers=workers)
-        covered = []
-        for s in slices:
-            covered.extend(range(s.start, s.stop))
-        assert covered == list(range(reps))
-        assert len(slices) <= max(1, workers)
+    def test_items_run_on_that_many_threads_at_once(self, monkeypatch):
+        # the barrier opens only when three calls wait at it together
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("FSTEST_THREADS", "3")
+        barrier = threading.Barrier(3, timeout=30)
+        assert parallel_map(lambda x: (barrier.wait(), x)[1], [0, 1, 2]) == [0, 1, 2]
 
 
 class TestSimulate:
@@ -147,6 +136,24 @@ class TestSimulate:
         # one replication per block
         monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 1)
         assert campaigns() == whole
+
+    def test_threads_switching_fast_equal_serial(self, monkeypatch):
+        # more threads than cores, a switch every microsecond, and the band caches built while they run
+        def table():
+            estimators._hl_small_band_sums.cache_clear()
+            estimators._hl_large_band_sums.cache_clear()
+            return power_table(["cauchy"], [0.0, 0.5], n=30, reps=400, null_reps=400, seed=3)
+
+        serial = table()
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        monkeypatch.setenv("FSTEST_THREADS", "4")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = table()
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 def _draws(shape, rng):
@@ -193,21 +200,32 @@ class TestBlockStreams:
         got = simulate(DRAWS, _keep, path, 3, 150, seed)["data"]
         assert np.array_equal(got, _reference(seed, path, 150))
 
-    def test_slices_starting_mid_range_across_block_bounds(self, monkeypatch):
-        # batches of two stream blocks; slices start on the first, a middle and the last block
-        monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", 2 * 64 * 3 * 2)
-        seed, path, reps = 11, ("power", "gaussian", repr(0.5)), 300
-        want = _reference(seed, path, reps)
-        for start, stop in [(0, 5), (1, 2), (2, 5), (4, 5)]:
-            parts = rng_module._simulate_slice(DRAWS, _keep, path, 3, reps, seed, slice(start, stop))
-            assert len(parts) == -(-(stop - start) // 2)
-            got = np.concatenate([part["data"] for part in parts])
-            assert np.array_equal(got, want[64 * start:64 * stop])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    @pytest.mark.parametrize("blocks_per_batch", [1, 2, 5, None])
+    def test_batches_cover_every_block_once_in_order(self, monkeypatch, threads, blocks_per_batch):
+        # the memory cap (in stream blocks of 64 x 3 x 2 floats) or the thread count bounds a batch
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        monkeypatch.setenv("FSTEST_THREADS", threads)
+        if blocks_per_batch is not None:
+            monkeypatch.setattr(rng_module, "SIMULATION_BLOCK_FLOATS", blocks_per_batch * 64 * 3 * 2)
+        starts = []
+
+        def spy(fn, items):
+            starts.append(list(items))
+            return parallel_map(fn, items)
+
+        monkeypatch.setattr(rng_module, "parallel_map", spy)
+        seed, path = 11, ("power", "gaussian", repr(0.5))
+        for reps in (1, 64, 65, 300, 641):
+            got = simulate(DRAWS, _keep, path, 3, reps, seed)["data"]
+            assert np.array_equal(got, _reference(seed, path, reps)), reps
+            blocks = -(-reps // 64)
+            per_batch = min(blocks_per_batch or blocks, -(-blocks // int(threads)))
+            assert starts[-1] == list(range(0, reps, 64 * per_batch)), reps
 
     def test_two_workers_equal_stream_rng(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         monkeypatch.setenv("FSTEST_THREADS", "2")
-        assert replication_slices(3) == [slice(0, 2), slice(2, 3)]
         got = simulate(DRAWS, _keep, ("calibration", "cauchy"), 3, 150, 5)["data"]
         assert np.array_equal(got, _reference(5, ("calibration", "cauchy"), 150))
 
