@@ -22,13 +22,13 @@ _EXPORTS = {
     "elliptical": ("CAUCHY", "DivergentIntegral", "EllipticalModel", "FAMILY_TAGS", "GAUSSIAN", "LIGHT100",
                    "MixtureModel", "component_variance", "generator_by_name", "marginal_density_at_zero",
                    "marginal_density_sq_integral", "radial_integral", "standard_model", "truncated_radial_mean"),
-    "estimators": ("DistanceOverflow", "Estimate", "EstimatorKind", "ForwardSearchConfig", "cw_median", "estimate",
-                   "forward_search", "hodges_lehmann", "sample_mean"),
+    "estimators": ("DistanceOverflow", "Estimate", "EstimatorKind", "ForwardSearchConfig", "estimate",
+                   "forward_search", "hodges_lehmann"),
     "engine": ("InfiniteVariance", "MonteCarloQuantile", "StatKind", "LimitLaw", "TestReport", "calibrate",
                "critical_value", "empirical_critical_value", "limit_weights", "power_table", "run_test",
                "scatter_scale_constant", "statistic"),
     "asymptotics": ("ContiguousSpec", "OffsetEstimate", "contiguous_power", "efficiency", "efficiency_grid",
-                    "estimate_offsets", "limit_behavior", "root_efficiency"),
+                    "limit_behavior", "root_efficiency"),
     "robustness": ("BreakdownResult", "EfficiencyResult", "SingularCovariance", "breakdown_experiment",
                    "empirical_limit_covariance", "finite_sample_efficiency"),
     "dataio": ("Dataset", "MalformedTable", "read_dataset", "write_rows"),

@@ -24,7 +24,7 @@ limiting power is a noncentral chi-squared tail, evaluated exactly.  The t1
 drift kappa = F_{a+1}(v) / gamma (0.4741, 0.7986 and 5.0e-16 for the three
 kernels at d = 4, gamma = 1/2) is also the covariance of sqrt(n) (T - mu0)
 with the delta-weighted log-likelihood gradient of the sample;
-``estimate_offsets`` estimates it that way by Monte Carlo, as a cross-check.
+``estimate_all_offsets`` estimates it that way by Monte Carlo, as a cross-check.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ __all__ = [
     "limit_behavior",
     "ContiguousSpec",
     "OffsetEstimate",
-    "estimate_offsets",
-    "estimate_all_offsets",
     "contiguous_power",
     "local_power_rows",
 ]
@@ -262,7 +260,8 @@ def estimate_all_offsets(
     Each replication draws a null sample, multiplies every estimator
     coordinate by the delta-weighted score sum of that sample, and the
     offsets are the averages across replications.  Streams are derived per
-    replication, so results do not depend on the worker count.
+    replication, so results do not depend on the worker count.  Only the
+    tests call it, as the Monte Carlo check of kappa, so it is not in ``__all__``.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
@@ -279,12 +278,6 @@ def estimate_all_offsets(
         )
         for kind, s in samples.items()
     }
-
-
-def estimate_offsets(
-    spec: ContiguousSpec, kind: StatKind, reps: int = 5000, seed: int = 0
-) -> OffsetEstimate:
-    return estimate_all_offsets(spec, (StatKind(kind),), reps, seed)[StatKind(kind)]
 
 
 def contiguous_power(

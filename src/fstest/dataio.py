@@ -66,10 +66,6 @@ class Dataset:
         object.__setattr__(self, "values", values)
 
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def d(self) -> int:
         return self.values.shape[1]
 

@@ -33,8 +33,6 @@ __all__ = [
     "Estimate",
     "ForwardSearchConfig",
     "forward_search",
-    "sample_mean",
-    "cw_median",
     "hodges_lehmann",
     "estimate",
 ]
@@ -89,15 +87,6 @@ def forward_search(data: ArrayLike, config: ForwardSearchConfig) -> Estimate:
     estimator at reps = 1, through :func:`estimate`.
     """
     return estimate(EstimatorKind.FORWARD_SEARCH, data, config)
-
-
-def sample_mean(data: ArrayLike) -> Estimate:
-    return estimate(EstimatorKind.MEAN, data)
-
-
-def cw_median(data: ArrayLike) -> Estimate:
-    """Coordinate-wise median (average of the two middle values for even n)."""
-    return estimate(EstimatorKind.CW_MEDIAN, data)
 
 
 def hodges_lehmann(data: ArrayLike) -> Estimate:

@@ -15,7 +15,6 @@ from fstest.asymptotics import (
     efficiency,
     efficiency_grid,
     estimate_all_offsets,
-    estimate_offsets,
     limit_behavior,
     local_power_rows,
     root_efficiency,
@@ -173,36 +172,36 @@ class TestLimitBehavior:
 class TestOffsets:
     def test_mean_offsets_recover_delta(self):
         spec = ContiguousSpec(np.array([0.8, -0.2, 0.5]), "gaussian")
-        off = estimate_offsets(spec, StatKind.T2, reps=4000, seed=5)
+        off = estimate_all_offsets(spec, (StatKind.T2,), reps=4000, seed=5)[StatKind.T2]
         assert np.all(np.abs(off.values - spec.delta) < 4 * off.stderr + 1e-3)
 
     def test_trimmed_offsets_attenuated(self):
         # the anchored trim pulls the local shift toward the anchor:
         # a = c * delta with c = 0.4741 for the Gaussian kernel at gamma = 1/2
         spec = ContiguousSpec(np.full(4, 1.0), "gaussian")
-        off = estimate_offsets(spec, StatKind.T1, reps=6000, seed=5)
+        off = estimate_all_offsets(spec, (StatKind.T1,), reps=6000, seed=5)[StatKind.T1]
         ratio = off.values.mean()
         assert ratio == pytest.approx(0.4741, abs=4 * off.stderr.mean())
 
     def test_cauchy_trimmed_attenuation(self):
         spec = ContiguousSpec(np.full(4, 1.0), "cauchy")
-        off = estimate_offsets(spec, StatKind.T1, reps=6000, seed=5)
+        off = estimate_all_offsets(spec, (StatKind.T1,), reps=6000, seed=5)[StatKind.T1]
         assert off.values.mean() == pytest.approx(0.7986, abs=4 * off.stderr.mean())
 
     def test_zero_delta_gives_exactly_zero(self):
         spec = ContiguousSpec(np.zeros(3), "gaussian")
-        off = estimate_offsets(spec, StatKind.T1, reps=500, seed=2)
+        off = estimate_all_offsets(spec, (StatKind.T1,), reps=500, seed=2)[StatKind.T1]
         assert np.array_equal(off.values, np.zeros(3))
 
     def test_sign_antisymmetry_exact(self):
-        plus = estimate_offsets(ContiguousSpec(np.full(2, 0.5), "gaussian"), StatKind.T3, reps=800, seed=9)
-        minus = estimate_offsets(ContiguousSpec(np.full(2, -0.5), "gaussian"), StatKind.T3, reps=800, seed=9)
-        assert np.array_equal(plus.values, -minus.values)
+        plus = estimate_all_offsets(ContiguousSpec(np.full(2, 0.5), "gaussian"), (StatKind.T3,), reps=800, seed=9)
+        minus = estimate_all_offsets(ContiguousSpec(np.full(2, -0.5), "gaussian"), (StatKind.T3,), reps=800, seed=9)
+        assert np.array_equal(plus[StatKind.T3].values, -minus[StatKind.T3].values)
 
     def test_shared_replications_across_kinds(self):
         spec = ContiguousSpec(np.full(2, 1.0), "gaussian")
         together = estimate_all_offsets(spec, (StatKind.T1, StatKind.T2), reps=400, seed=7)
-        alone = estimate_offsets(spec, StatKind.T2, reps=400, seed=7)
+        alone = estimate_all_offsets(spec, (StatKind.T2,), reps=400, seed=7)[StatKind.T2]
         assert np.array_equal(together[StatKind.T2].values, alone.values)
 
     def test_follows_documented_stream_path(self):
@@ -373,7 +372,7 @@ class TestDriftFactor:
         # the derivation checked away from d = 4, gamma = 1/2: the closed form
         # against the covariance with the log-likelihood gradient
         spec = ContiguousSpec(np.full(d, 1.0), family, gamma=gamma)
-        off = estimate_offsets(spec, StatKind.T1, reps=6000, seed=5)
+        off = estimate_all_offsets(spec, (StatKind.T1,), reps=6000, seed=5)[StatKind.T1]
         kappa = LimitLaw(StatKind.T1, family, d, gamma).drift
         assert off.values.mean() == pytest.approx(kappa, abs=4 * off.stderr.mean())
 

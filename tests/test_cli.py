@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -765,11 +766,11 @@ class TestPackageNames:
         "ForwardSearchConfig", "GAUSSIAN", "InfiniteVariance", "LIGHT100", "LimitLaw", "MalformedTable",
         "MixtureModel", "MonteCarloQuantile", "NotSPD", "NotSymmetric", "OffsetEstimate", "SingularCovariance",
         "SpdMatrix", "StatKind", "TestReport", "breakdown_experiment", "calibrate", "component_variance",
-        "contiguous_power", "critical_value", "cw_median", "efficiency", "efficiency_grid",
-        "empirical_critical_value", "empirical_limit_covariance", "estimate", "estimate_offsets",
+        "contiguous_power", "critical_value", "efficiency", "efficiency_grid",
+        "empirical_critical_value", "empirical_limit_covariance", "estimate",
         "finite_sample_efficiency", "forward_search", "generator_by_name", "hodges_lehmann", "limit_behavior",
         "limit_weights", "marginal_density_at_zero", "marginal_density_sq_integral", "power_table",
-        "radial_integral", "read_dataset", "root_efficiency", "run_test", "sample_mean", "scatter_scale_constant",
+        "radial_integral", "read_dataset", "root_efficiency", "run_test", "scatter_scale_constant",
         "standard_model", "statistic", "trim_count", "truncated_radial_mean", "write_rows", "__version__",
     )
 
@@ -788,6 +789,21 @@ class TestPackageNames:
         with pytest.raises(AttributeError, match="^module 'fstest' has no attribute 'no_such_name'$"):
             fstest.no_such_name
         assert set(fstest.__all__) <= set(dir(fstest))
+
+    @pytest.mark.parametrize("name", ["sample_mean", "cw_median", "estimate_offsets"])
+    def test_removed_wrappers_are_gone(self, name):
+        # estimate(kind, data) and estimate_all_offsets(spec, (kind,), reps, seed)[kind] replace them
+        with pytest.raises(AttributeError):
+            getattr(fstest, name)
+
+    def test_readme_lists_each_modules_public_names(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        bullets = readme.split("## Public API\n")[1].split("\n\n")[1]
+        listed = {}
+        for bullet in bullets.removeprefix("- ").split("\n- "):
+            module, names = bullet.split(":", 1)
+            listed[module.strip("`")] = sorted(re.findall(r"`(\w+)`", names))
+        assert listed == {module: sorted(names) for module, names in fstest._EXPORTS.items()}
 
     def test_import_loads_no_submodule_until_a_name_is_used(self):
         script = """
