@@ -25,12 +25,11 @@ _EXPORTS = {
     "estimators": ("DistanceOverflow", "Estimate", "EstimatorKind", "ForwardSearchConfig", "estimate",
                    "forward_search", "hodges_lehmann"),
     "engine": ("InfiniteVariance", "MonteCarloQuantile", "StatKind", "LimitLaw", "TestReport", "calibrate",
-               "critical_value", "empirical_critical_value", "limit_weights", "power_table", "run_test",
-               "scatter_scale_constant", "statistic"),
+               "critical_value", "empirical_critical_value", "limit_weights", "power_table", "run_test", "statistic"),
     "asymptotics": ("ContiguousSpec", "OffsetEstimate", "contiguous_power", "efficiency", "efficiency_grid",
-                    "limit_behavior", "root_efficiency"),
+                    "root_efficiency"),
     "robustness": ("BreakdownResult", "EfficiencyResult", "SingularCovariance", "breakdown_experiment",
-                   "empirical_limit_covariance", "finite_sample_efficiency"),
+                   "finite_sample_efficiency"),
     "dataio": ("Dataset", "MalformedTable", "read_dataset", "write_rows"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -13,8 +13,9 @@ kernels these reduce to closed forms which we evaluate in log space (they
 decay or grow super-geometrically in d).  ``root_efficiency`` applies the
 d-th root used by determinant-based comparisons.
 
-c1 is the paper's constant (:func:`fstest.engine.scatter_scale_constant`),
-not the limit variance of the trimmed mean.
+c1 is the paper's constant, the divisor of the defining ratios, which the
+tests' quadrature oracle evaluates (``tests/oracles.py``); it is not the
+limit variance of the trimmed mean, :attr:`fstest.engine.LimitLaw.scale`.
 
 Under local alternatives mu0 + delta/sqrt(n), sqrt(n) (T - mu0) tends to
 N(kappa delta, lambda I) for the standard member, with the variance scalar
@@ -50,8 +51,6 @@ __all__ = [
     "efficiency",
     "root_efficiency",
     "efficiency_grid",
-    "LimitTrend",
-    "limit_behavior",
     "ContiguousSpec",
     "OffsetEstimate",
     "contiguous_power",
@@ -149,50 +148,6 @@ def efficiency_grid(
     }
 
 
-@dataclass(frozen=True)
-class LimitTrend:
-    """Numeric confirmation of the large-d behaviour of one efficiency."""
-
-    family: str
-    which: str
-    gamma: float
-    ds: tuple[int, ...]
-    values: tuple[float, ...]
-    target: str  # "zero" or "infinity"
-    monotone_tail: bool
-    crossed_at: int | None  # first d meeting the target threshold
-
-    ZERO_THRESHOLD = 1e-6
-    INFINITY_THRESHOLD = 1e3
-
-
-def limit_behavior(
-    family: str, which: str, d_max: int = 100, gamma: float = 0.5
-) -> LimitTrend:
-    """Evaluate the closed form on 2..d_max and locate the limit crossing.
-
-    The Gaussian efficiencies decay to zero; the heavy- and light-tailed
-    ones (where finite) grow without bound.  The tail after d=10 must be
-    monotone for the trend to count as confirmed.
-    """
-    if d_max < 10:
-        raise ValueError("d_max must be at least 10")
-    _check_args(which, 2, gamma)
-    target = "zero" if family == "gaussian" else "infinity"
-    ds = tuple(range(2, d_max + 1))
-    values = tuple(efficiency(family, which, d, gamma) for d in ds)
-    tail = [v for d, v in zip(ds, values) if d >= 10]
-    if target == "zero":
-        monotone = all(b < a for a, b in zip(tail, tail[1:]))
-        crossed = next((d for d, v in zip(ds, values) if v < LimitTrend.ZERO_THRESHOLD), None)
-    else:
-        monotone = all(b > a or math.isinf(a) for a, b in zip(tail, tail[1:]))
-        crossed = next(
-            (d for d, v in zip(ds, values) if v > LimitTrend.INFINITY_THRESHOLD), None
-        )
-    return LimitTrend(family, which, gamma, ds, values, target, monotone, crossed)
-
-
 # ---------------------------------------------------------------------------
 # local alternatives
 # ---------------------------------------------------------------------------
@@ -238,7 +193,9 @@ def _offset_samples(
     data: NDArray[np.float64],
 ) -> dict[StatKind, NDArray[np.float64]]:
     d = model.d
-    scores = model.location_score(data.reshape(-1, d)).reshape(data.shape)
+    # the location score of the standard member, -2 g'(x)/g(x) y at x = |y|^2
+    x = np.einsum("...i,...i->...", data, data)
+    scores = -2.0 * model.generator.dlog_g(x, d)[..., None] * data
     # delta-weighted log-likelihood gradient of each whole sample
     gradients = np.einsum("rnj,j->r", scores, delta)
     mu0 = np.zeros(d)

@@ -30,7 +30,6 @@ from .elliptical import (
     DivergentIntegral,
     EllipticalModel,
     MixtureModel,
-    _log_i,
     _truncation,
     component_variance,
     generator_by_name,
@@ -46,7 +45,6 @@ __all__ = [
     "InfiniteVariance",
     "StatKind",
     "LimitLaw",
-    "scatter_scale_constant",
     "MonteCarloQuantile",
     "TestReport",
     "statistic",
@@ -107,7 +105,10 @@ class LimitLaw:
     small gamma where the t1 form underflows or cancels to 0 or below, reading
     the t1 scale raises :class:`InfiniteVariance`.  Every
     constant is a closed form or, for light100's int g1^2, a fixed
-    Gauss-Legendre rule (:mod:`fstest.elliptical`), finite at any d.
+    Gauss-Legendre rule (:mod:`fstest.elliptical`).  Where one leaves the
+    floats, reading the scale raises :class:`InfiniteVariance` too: light100's
+    int g1^2 rule (t4) from d = 3,897, its component variance (t2) from
+    d = 34,098 and its I1 (t1 at gamma = 1) from d = 34,323.
 
     ``drift`` (kappa) follows from Le Cam's third lemma: 1 for the
     location-equivariant t2, t3 and t4, and for t1 at gamma = 1.  For the
@@ -135,6 +136,17 @@ class LimitLaw:
 
     @cached_property
     def scale(self) -> float:
+        try:
+            # a constant that overflows, or a rule that meets inf * 0, raises here
+            with np.errstate(over="raise", invalid="raise"):
+                return self._scale()
+        except (OverflowError, FloatingPointError):
+            raise InfiniteVariance(
+                f"the {self.kind.value} limit variance cannot be evaluated in floats for family {self.family!r} "
+                f"at d = {self.d}"
+            ) from None
+
+    def _scale(self) -> float:
         gen = generator_by_name(self.family)
         if self.kind == StatKind.T1:
             try:
@@ -160,28 +172,6 @@ class LimitLaw:
         if not kappa > 0.0:
             raise InfiniteVariance(f"the t1 limit drift underflows for family {self.family!r} at gamma = {self.gamma}")
         return kappa
-
-
-def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
-    """The paper's forward-search constant c1 = pi^{d/2} I1(d) / (d gamma Gamma(d/2)).
-
-    It is the divisor of the efficiency ratios that :mod:`fstest.asymptotics`
-    defines; ``asymptotics.efficiency`` (``table4``) evaluates tabulated
-    closed forms and reads neither c1 nor ``_log_c1``, while the quadrature
-    oracle of the tests divides by it and ``empirical_limit_covariance``
-    logs it.  It is not the limit variance of the trimmed mean, which
-    is :attr:`LimitLaw.scale` (0.948 against c1 = 78.96 at gaussian d = 4,
-    gamma = 1/2).  Returns ``math.inf`` when I1 diverges (Cauchy) or c1 overflows.
-    """
-    try:
-        return math.exp(_log_c1(d, gamma, _log_i(generator_by_name(family), d, 1)))
-    except (DivergentIntegral, OverflowError):
-        return math.inf
-
-
-def _log_c1(d: int, gamma: float, log_i1: float) -> float:
-    """log c1 from log I1: the gaussian's I1 overflows from d = 301, its c1 from d = 773."""
-    return (d / 2) * math.log(math.pi) + log_i1 - math.log(d * gamma) - math.lgamma(d / 2)
 
 
 # ---------------------------------------------------------------------------

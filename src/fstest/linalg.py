@@ -124,10 +124,6 @@ class SpdMatrix:
         return vals
 
     @cached_property
-    def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._chol))))
-
-    @cached_property
     def is_identity(self) -> bool:
         return bool(np.array_equal(self._a, np.eye(self.d)))
 

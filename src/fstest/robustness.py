@@ -1,4 +1,4 @@
-"""Breakdown experiments, finite-sample efficiency, and a covariance oracle.
+"""Breakdown experiments and finite-sample efficiency.
 
 The trimmed estimator keeps the m = floor(n * gamma) observations closest to
 the hypothesized center, so corrupted points are ignored until more than
@@ -8,18 +8,10 @@ n - m of them exist; the empirical break fraction is therefore
 Finite-sample efficiency follows the determinant convention: the ratio of
 covariance determinants of two estimators across a common replication set,
 raised to the power 1/d.
-
-The covariance oracle measures the actual spread of sqrt(n) times the
-trimmed estimator and reports it next to two reference scalars: the paper's
-constant c1 and the limit variance E[x 1{x <= q_gamma}] / (d gamma^2) of
-:class:`fstest.engine.LimitLaw`.  They disagree (c1 does not reduce to 1 at
-gamma = 1 for the Gaussian kernel); the oracle checks the limit variance
-and keeps the gap to c1 visible.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -31,7 +23,6 @@ from numpy.typing import NDArray
 from . import estimators as est
 from . import rng
 from .elliptical import standard_model
-from .engine import LimitLaw, StatKind, scatter_scale_constant
 from .estimators import EstimatorKind
 from .linalg import SpdMatrix
 from .rng import simulate, stream_rng
@@ -44,10 +35,7 @@ __all__ = [
     "EfficiencyResult",
     "finite_sample_efficiency",
     "finite_sample_efficiencies",
-    "empirical_limit_covariance",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class SingularCovariance(ArithmeticError):
@@ -261,37 +249,3 @@ def finite_sample_efficiencies(
         stderr = value * float(np.std((m2 - m2_1) / d, ddof=1)) / math.sqrt(reps)
         results.append(EfficiencyResult(k, denominator, family, n, d, reps, gamma, value, stderr))
     return results
-
-
-# ---------------------------------------------------------------------------
-# covariance oracle
-# ---------------------------------------------------------------------------
-
-def empirical_limit_covariance(
-    family: str,
-    gamma: float,
-    n: int = 500,
-    d: int = 2,
-    reps: int = 5000,
-    seed: int = 0,
-) -> SpdMatrix:
-    """Sample covariance of sqrt(n) * (trimmed estimate - mu0) at the null.
-
-    Logs the mean diagonal next to the paper's constant c1 and the limit
-    variance of :class:`LimitLaw`, so the gap between them stays visible.
-    """
-    values = _replicated_estimates(
-        family, n, d, gamma, (EstimatorKind.FORWARD_SEARCH,), reps, seed
-    )[EstimatorKind.FORWARD_SEARCH]
-    scaled = math.sqrt(n) * values
-    centered = scaled - scaled.mean(axis=0)
-    cov = centered.T @ centered / reps
-    diag = float(np.mean(np.diag(cov)))
-    formula = scatter_scale_constant(family, d, gamma)
-    oracle = LimitLaw(StatKind.T1, family, d, gamma).scale
-    log.info(
-        "empirical diag %.4f vs paper constant c1 %.4f vs limit variance %.4f "
-        "(family=%s d=%d gamma=%.2f n=%d reps=%d)",
-        diag, formula, oracle, family, d, gamma, n, reps,
-    )
-    return SpdMatrix(cov)

@@ -10,7 +10,10 @@ density takes its front factor, k(d) pi^{(d-1)/2} / Gamma((d-1)/2), from
 ``elliptical._log_marginal_front``, and at d = 1 its k(d) from
 :func:`normalizing_constant`.  The gaussian integrands are scaled by
 their value at the mode and integrated in log space, so the oracles work at
-any d, although I0 itself leaves the float range at d = 303.
+any d, although I0 itself leaves the float range at d = 303.  The kernels'
+log g (:func:`log_g`) and the paper's constant c1
+(:func:`scatter_scale_constant`), the divisor of the defining efficiency
+ratios, live here too: the package evaluates neither.
 
 :func:`radial_cdf` and :func:`radial_quantile` are the squared-radius law
 and its inverse, from the incomplete gamma and beta functions of
@@ -32,9 +35,36 @@ from fstest import elliptical, rng
 from fstest._special import _beta_inc, _beta_inc_inverse, _gamma_p, _gamma_p_inverse
 from fstest.asymptotics import _exp_or_inf
 from fstest.elliptical import DensityGenerator, DivergentIntegral, generator_by_name
-from fstest.engine import _log_c1
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=200)
+
+
+def log_g(tag: str, x, d: int):
+    """log g(x) of the kernel ``tag`` (see :mod:`fstest.elliptical`), elementwise."""
+    x = np.asarray(x, dtype=float)
+    if tag == "gaussian":
+        return -0.5 * x
+    if tag == "cauchy":
+        return -0.5 * (d + 1) * np.log1p(x)
+    if tag == "light100":
+        with np.errstate(over="ignore"):
+            return -np.power(x, 100)
+    raise ValueError(f"no kernel {tag!r}")
+
+
+def location_score_fd(tag: str, y, step: float = 1e-6):
+    """Central differences, in the location mu at mu = 0, of log g(|y - mu|^2) at each
+    row of an (n, d) ``y``: the location score of the standard member, as the
+    kappa check scores its samples."""
+    y = np.asarray(y, dtype=float)
+    d = y.shape[1]
+    fd = np.empty_like(y)
+    for j in range(d):
+        e = np.zeros(d)
+        e[j] = step
+        ahead, behind = ((y - e) ** 2).sum(axis=1), ((y + e) ** 2).sum(axis=1)
+        fd[:, j] = (log_g(tag, ahead, d) - log_g(tag, behind, d)) / (2 * step)
+    return fd
 
 
 def _quad(fn, a, b, **kw):
@@ -67,7 +97,7 @@ def log_radial_integral(generator: DensityGenerator, d: int, power: int) -> floa
             return x**expo * math.exp(-(x**100))
 
         return math.log(_quad(integrand, 0.0, 1.2, points=[0.9, 1.0, 1.05]))
-    return _log_quad_from_mode(expo, lambda x: float(generator.log_g(x, d)))
+    return _log_quad_from_mode(expo, lambda x: float(log_g(generator.tag, x, d)))
 
 
 def _log_quad_from_mode(expo: float, log_g) -> float:
@@ -84,7 +114,7 @@ def _log_quad_from_mode(expo: float, log_g) -> float:
 
 def normalizing_constant(generator: DensityGenerator, d: int) -> float:
     """k(d) = Gamma(d/2) pi^{-d/2} / I0(d): the package's closed constant, which
-    ``EllipticalModel.log_k`` reads, taken out of log space."""
+    ``elliptical._log_marginal_front`` reads, taken out of log space."""
     return math.exp(elliptical._log_norm_const(generator, d))
 
 
@@ -141,7 +171,7 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
     pi^{(d-1)/2} overflows from d = 342, the gaussian's integral from d = 300.
     """
     if d == 1:
-        return normalizing_constant(generator, d) * float(generator.g(t * t, d))
+        return normalizing_constant(generator, d) * float(np.exp(log_g(generator.tag, t * t, d)))
     expo = (d - 1) / 2 - 1
     tsq = t * t
     front = elliptical._log_marginal_front(generator, d)
@@ -157,7 +187,7 @@ def marginal_density(generator: DensityGenerator, d: int, t: float) -> float:
         hint = max(1.0 - tsq, 1e-6)
         inner = _quad(integrand, 0.0, upper, points=[min(hint, upper)])
         return math.exp(front) * inner
-    log_inner = _log_quad_from_mode(expo, lambda s: float(generator.log_g(tsq + s, d)))
+    log_inner = _log_quad_from_mode(expo, lambda s: float(log_g(generator.tag, tsq + s, d)))
     return math.exp(front + log_inner)
 
 
@@ -192,3 +222,19 @@ def efficiency(family: str, which: str, d: int, gamma: float = 0.5) -> float:
     else:
         log_var = -math.log(12.0 * marginal_density_sq_integral(gen, d) ** 2)
     return _exp_or_inf(log_var - log_c1)
+
+
+def scatter_scale_constant(family: str, d: int, gamma: float) -> float:
+    """The paper's forward-search constant c1 = pi^{d/2} I1(d) / (d gamma Gamma(d/2)),
+    from the package's closed log I1, or ``math.inf`` where I1 diverges (cauchy)
+    or c1 overflows.  It is not the limit variance of the trimmed mean, which is
+    ``LimitLaw.scale`` (0.948 against c1 = 78.96 at gaussian d = 4, gamma = 1/2)."""
+    try:
+        return math.exp(_log_c1(d, gamma, elliptical._log_i(generator_by_name(family), d, 1)))
+    except (DivergentIntegral, OverflowError):
+        return math.inf
+
+
+def _log_c1(d: int, gamma: float, log_i1: float) -> float:
+    """log c1 from log I1: the gaussian's I1 overflows from d = 301, its c1 from d = 773."""
+    return (d / 2) * math.log(math.pi) + log_i1 - math.log(d * gamma) - math.lgamma(d / 2)

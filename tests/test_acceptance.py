@@ -15,7 +15,7 @@ from scipy import stats
 
 import oracles
 from fstest import asymptotics, engine, robustness
-from fstest.elliptical import FAMILY_TAGS, standard_model
+from fstest.elliptical import FAMILY_TAGS, generator_by_name
 from fstest.engine import StatKind
 from fstest.estimators import EstimatorKind, ForwardSearchConfig, estimate, forward_search
 from fstest.linalg import SpdMatrix
@@ -87,13 +87,18 @@ def test_criterion_4_closed_form_limits():
             closed = asymptotics.efficiency("gaussian", which, d)
             quad = oracles.efficiency("gaussian", which, d)
             assert quad == pytest.approx(closed, rel=1e-8), (which, d)
-    gauss = asymptotics.limit_behavior("gaussian", "e1", d_max=40)
-    assert gauss.crossed_at is not None and gauss.crossed_at <= 40
-    assert gauss.monotone_tail
-    heavy = asymptotics.limit_behavior("cauchy", "e2", d_max=60)
-    assert heavy.crossed_at is not None and heavy.crossed_at <= 60
-    light = asymptotics.limit_behavior("light100", "e1", d_max=60)
-    assert light.crossed_at is not None and light.crossed_at <= 60
+
+    # over d = 2..d_max the gaussian form decays below 1e-6, monotone from d = 10;
+    # the cauchy and light100 ones grow past 1e3
+    def values(family, which, d_max):
+        return {d: asymptotics.efficiency(family, which, d) for d in range(2, d_max + 1)}
+
+    gauss = values("gaussian", "e1", 40)
+    assert any(v < 1e-6 for v in gauss.values())
+    tail = [v for d, v in gauss.items() if d >= 10]
+    assert all(b < a for a, b in zip(tail, tail[1:]))
+    assert any(v > 1e3 for v in values("cauchy", "e2", 60).values())
+    assert any(v > 1e3 for v in values("light100", "e1", 60).values())
 
 
 def test_criterion_5_gaussian_root_efficiency_cells():
@@ -173,32 +178,27 @@ def test_criterion_7_oracle_equivalences():
         quantile = engine.critical_value(np.ones(d), 0.05, mc_samples=200_000, seed=707)
         assert abs(quantile.value - reference) <= 4 * quantile.stderr, d
 
-    # analytic location score agrees with finite differences
-    step = 1e-6
+    # the kappa check's location score, -2 g'(x)/g(x) y at x = |y|^2, agrees with finite differences
     for _ in range(100):
         family = str(rng.choice(sorted(FAMILY_TAGS)))
         d = int(rng.integers(1, 5))
-        model = standard_model(family, d)
         y = 0.5 * rng.standard_normal((3, d))
-        score = model.location_score(y)
-        for k in range(d):
-            e = np.zeros(d)
-            e[k] = step
-            fd = (
-                model.with_location(e).log_density(y)
-                - model.with_location(-e).log_density(y)
-            ) / (2 * step)
-            assert np.allclose(score[:, k], fd, rtol=1e-5, atol=1e-7), (family, d)
+        score = -2.0 * generator_by_name(family).dlog_g((y * y).sum(axis=1), d)[:, None] * y
+        fd = oracles.location_score_fd(family, y, 1e-6)
+        assert np.allclose(score, fd, rtol=1e-5, atol=1e-7), (family, d)
 
-    # full-retention limit covariance is the identity, within 3 SE
-    cov = robustness.empirical_limit_covariance(
-        "gaussian", 1.0, n=500, d=2, reps=5000, seed=707
-    )
-    se_diag = math.sqrt(2.0 / 5000)
-    se_off = math.sqrt(1.0 / 5000)
-    assert abs(cov.entries[0, 0] - 1.0) <= 3 * se_diag
-    assert abs(cov.entries[1, 1] - 1.0) <= 3 * se_diag
-    assert abs(cov.entries[0, 1]) <= 3 * se_off
+    # full-retention limit covariance of sqrt(n) (T - mu0) is the identity, within 3 SE
+    n, reps = 500, 5000
+    scaled = math.sqrt(n) * robustness._replicated_estimates(
+        "gaussian", n, 2, 1.0, (EstimatorKind.FORWARD_SEARCH,), reps, 707
+    )[EstimatorKind.FORWARD_SEARCH]
+    centered = scaled - scaled.mean(axis=0)
+    cov = centered.T @ centered / reps
+    se_diag = math.sqrt(2.0 / reps)
+    se_off = math.sqrt(1.0 / reps)
+    assert abs(cov[0, 0] - 1.0) <= 3 * se_diag
+    assert abs(cov[1, 1] - 1.0) <= 3 * se_diag
+    assert abs(cov[0, 1]) <= 3 * se_off
 
 
 def test_criterion_8_thread_invariant_determinism(monkeypatch):

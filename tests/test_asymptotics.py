@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -15,7 +16,6 @@ from fstest.asymptotics import (
     efficiency,
     efficiency_grid,
     estimate_all_offsets,
-    limit_behavior,
     local_power_rows,
     root_efficiency,
 )
@@ -147,26 +147,29 @@ class TestRootConvention:
 
 
 class TestLimitBehavior:
+    # each closed form over d = 2..d_max: monotone from d = 10, and past 1e-6 (gaussian,
+    # decaying) or 1e3 (the others, growing) by the stated d
+    @staticmethod
+    def values(family, which, d_max):
+        return {d: efficiency(family, which, d) for d in range(2, d_max + 1)}
+
     def test_gaussian_decays_to_zero(self):
-        trend = limit_behavior("gaussian", "e1", d_max=60)
-        assert trend.target == "zero"
-        assert trend.monotone_tail
-        assert trend.crossed_at is not None and trend.crossed_at <= 40
+        values = self.values("gaussian", "e1", 60)
+        tail = [v for d, v in values.items() if d >= 10]
+        assert all(b < a for a, b in zip(tail, tail[1:]))
+        assert any(v < 1e-6 for d, v in values.items() if d <= 40)
 
     def test_cauchy_median_efficiency_explodes(self):
-        trend = limit_behavior("cauchy", "e2", d_max=80)
-        assert trend.target == "infinity"
-        assert trend.monotone_tail
-        assert trend.crossed_at is not None and trend.crossed_at <= 60
+        values = self.values("cauchy", "e2", 80)
+        tail = [v for d, v in values.items() if d >= 10]
+        assert all(b > a or math.isinf(a) for a, b in zip(tail, tail[1:]))
+        assert any(v > 1e3 for d, v in values.items() if d <= 60)
 
     def test_light_tail_mean_efficiency_explodes(self):
-        trend = limit_behavior("light100", "e1", d_max=80)
-        assert trend.monotone_tail
-        assert trend.crossed_at is not None and trend.crossed_at <= 60
-
-    def test_rejects_small_dmax(self):
-        with pytest.raises(ValueError):
-            limit_behavior("gaussian", "e1", d_max=5)
+        values = self.values("light100", "e1", 80)
+        tail = [v for d, v in values.items() if d >= 10]
+        assert all(b > a or math.isinf(a) for a, b in zip(tail, tail[1:]))
+        assert any(v > 1e3 for d, v in values.items() if d <= 60)
 
 
 class TestOffsets:
@@ -210,7 +213,7 @@ class TestOffsets:
         spec = ContiguousSpec(np.array([0.7, -0.4]), "cauchy", n=25)
         model = standard_model("cauchy", 2)
         data = model.sample(12 * 25, stream_rng(3, "offsets", "cauchy", "block", 0)).reshape(12, 25, 2)
-        scores = model.location_score(data.reshape(-1, 2)).reshape(data.shape)
+        scores = -2.0 * model.generator.dlog_g(np.einsum("rni,rni->rn", data, data), 2)[..., None] * data
         gradients = np.einsum("rnj,j->r", scores, spec.delta)
         result = estimate_all_offsets(spec, (StatKind.T1, StatKind.T4), reps=12, seed=3)
         for kind in (StatKind.T1, StatKind.T4):
@@ -218,6 +221,24 @@ class TestOffsets:
             samples = values * gradients[:, None]
             assert np.array_equal(result[kind].values, samples.mean(axis=0))
             assert np.array_equal(result[kind].stderr, samples.std(axis=0, ddof=1) / math.sqrt(12))
+
+    def test_pinned_digests(self):
+        # the sha256 of each kind's offsets and standard errors pins the kappa check's bits
+        pinned = {
+            StatKind.T1: ("c64eb3dfc1926c418a9572e48871439054b94981f5fee792fcae24717e502039",
+                          "8fcd80e48c9960376ae68b346430b6615620c4dd9647d8896c61bcf5b666c6a2"),
+            StatKind.T2: ("7545f7ea360a087aff0b9865a6f4335c050589de23be96dcfbb0a2e93cbe73c0",
+                          "c52a554948420e3bde13947338ca6a145dfafca22f187bb0c361119f43dc999c"),
+            StatKind.T3: ("16bfceea929897a242e160fdefd7b26ff8b078147296ec43b1d7bf88aeb6a659",
+                          "5340b7dd092589bb2fe58a245fc13408549bd8a912454c654ca08a90516dfd21"),
+            StatKind.T4: ("8be919602d9de756cf2c5e7ca75cd25cfe9c14989c64984c7356aaaff949483f",
+                          "7f74e0588dad217b1448178902d2a46f21ab54fd39c00eac7c4ab9304bef06d8"),
+        }
+        result = estimate_all_offsets(ContiguousSpec(np.array([0.7, -0.4]), "cauchy", n=25), tuple(StatKind),
+                                      reps=12, seed=3)
+        for kind, (values, stderr) in pinned.items():
+            assert hashlib.sha256(result[kind].values.tobytes()).hexdigest() == values, kind
+            assert hashlib.sha256(result[kind].stderr.tobytes()).hexdigest() == stderr, kind
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

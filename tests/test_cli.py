@@ -521,6 +521,16 @@ class TestTableCommands:
         # chi2_400 upper 5% point is 447.63; the 2000-draw quantile is within a few SE
         assert abs(payload["critical_value"] - scale * 447.6325) <= 4 * payload["stderr"]
 
+    @pytest.mark.parametrize("d, kind", [("3897", "t4"), ("34500", "t2")])
+    def test_light100_constants_past_the_float_range_end_in_one_line(self, d, kind, capsys):
+        # t4 printed nan, with a RuntimeWarning, from d = 3,897; t2 ended in an
+        # OverflowError traceback from math.gamma at d = 34,500
+        assert main(["table2", "--seed", "1", "--family", "light100", "--d", d]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: formula calibration unavailable: the {kind} limit variance cannot be evaluated in " \
+                      f"floats for family 'light100' at d = {d}\n"
+
 class TestOutput:
     @pytest.mark.parametrize("argv", [
         ["critical-value", "--seed", "4", "--kind", "t3", "--d", "3", "--mc-samples", "1000"],
@@ -759,7 +769,7 @@ print(json.dumps(loaded))
 
 
 class TestPackageNames:
-    #: the public names the package exported when it imported every module eagerly
+    #: the package's public names, as README's "Public API" lists them
     PUBLIC = (
         "BreakdownResult", "CAUCHY", "ContiguousSpec", "Dataset", "DimensionMismatch", "DistanceOverflow",
         "DivergentIntegral", "EfficiencyResult", "EllipticalModel", "Estimate", "EstimatorKind", "FAMILY_TAGS",
@@ -767,11 +777,11 @@ class TestPackageNames:
         "MixtureModel", "MonteCarloQuantile", "NotSPD", "NotSymmetric", "OffsetEstimate", "SingularCovariance",
         "SpdMatrix", "StatKind", "TestReport", "breakdown_experiment", "calibrate", "component_variance",
         "contiguous_power", "critical_value", "efficiency", "efficiency_grid",
-        "empirical_critical_value", "empirical_limit_covariance", "estimate",
-        "finite_sample_efficiency", "forward_search", "generator_by_name", "hodges_lehmann", "limit_behavior",
-        "limit_weights", "marginal_density_at_zero", "marginal_density_sq_integral", "power_table",
-        "radial_integral", "read_dataset", "root_efficiency", "run_test", "scatter_scale_constant",
-        "standard_model", "statistic", "trim_count", "truncated_radial_mean", "write_rows", "__version__",
+        "empirical_critical_value", "estimate", "finite_sample_efficiency", "forward_search",
+        "generator_by_name", "hodges_lehmann", "limit_weights", "marginal_density_at_zero",
+        "marginal_density_sq_integral", "power_table", "radial_integral", "read_dataset", "root_efficiency",
+        "run_test", "standard_model", "statistic", "trim_count", "truncated_radial_mean", "write_rows",
+        "__version__",
     )
 
     def test_every_public_name_is_its_modules_object(self):
@@ -793,6 +803,12 @@ class TestPackageNames:
     @pytest.mark.parametrize("name", ["sample_mean", "cw_median", "estimate_offsets"])
     def test_removed_wrappers_are_gone(self, name):
         # estimate(kind, data) and estimate_all_offsets(spec, (kind,), reps, seed)[kind] replace them
+        with pytest.raises(AttributeError):
+            getattr(fstest, name)
+
+    @pytest.mark.parametrize("name", ["limit_behavior", "scatter_scale_constant", "empirical_limit_covariance"])
+    def test_test_only_names_are_gone(self, name):
+        # the tests compute these from efficiency, tests/oracles.py and robustness._replicated_estimates
         with pytest.raises(AttributeError):
             getattr(fstest, name)
 

@@ -27,7 +27,7 @@ from fstest.elliptical import (
     standard_model,
     truncated_radial_mean,
 )
-from fstest.linalg import SpdMatrix
+from fstest.linalg import SpdMatrix, mahalanobis_sq_many
 from fstest.rng import simulate, stream_rng
 
 ALL_GENERATORS = (GAUSSIAN, CAUCHY, LIGHT100)
@@ -96,7 +96,7 @@ class TestRadialIntegrals:
     def test_gaussian_beyond_the_overflow_of_i0(self, d):
         # I0 = 2^{d/2} Gamma(d/2) is inf from d = 303 and math.gamma raises from
         # d = 344; log k and the radial moments stay finite and exact
-        assert standard_model("gaussian", d).log_k == pytest.approx(
+        assert elliptical._log_norm_const(GAUSSIAN, d) == pytest.approx(
             -(d / 2) * math.log(2 * math.pi), rel=1e-12
         )
         assert component_variance(GAUSSIAN, d) == 1.0
@@ -309,66 +309,60 @@ class TestRadialLaw:
 
 
 class TestModel:
-    def test_log_density_matches_density(self, rng):
-        model = standard_model("gaussian", 3)
-        y = rng.standard_normal((6, 3))
-        assert np.allclose(np.exp(model.log_density(y)), model.density(y), rtol=1e-12)
-
     def test_gaussian_density_matches_scipy(self, rng):
+        # the package's log k(d) and the oracle's log g give the density at any location and scatter
         a = rng.standard_normal((3, 3))
         sigma = a @ a.T + 3 * np.eye(3)
         mu = np.array([1.0, -2.0, 0.5])
-        model = EllipticalModel(GAUSSIAN, 3, mu, sigma)
         y = rng.standard_normal((5, 3))
+        x = mahalanobis_sq_many(y, mu, SpdMatrix(sigma))
+        log_density = elliptical._log_norm_const(GAUSSIAN, 3) - 0.5 * np.linalg.slogdet(sigma)[1]
+        log_density += oracles.log_g("gaussian", x, 3)
         expect = stats.multivariate_normal(mu, sigma).logpdf(y)
-        assert np.allclose(model.log_density(y), expect, rtol=1e-10)
+        assert np.allclose(log_density, expect, rtol=1e-10)
 
     def test_cauchy_density_matches_scipy_t1(self, rng):
-        model = standard_model("cauchy", 2)
         y = rng.standard_normal((5, 2))
+        log_density = elliptical._log_norm_const(CAUCHY, 2) + oracles.log_g("cauchy", (y * y).sum(axis=1), 2)
         expect = stats.multivariate_t(np.zeros(2), np.eye(2), df=1).logpdf(y)
-        assert np.allclose(model.log_density(y), expect, rtol=1e-10)
-
-    def test_with_location_shifts(self, rng):
-        model = standard_model("gaussian", 2)
-        shifted = model.with_location([1.0, 2.0])
-        y = rng.standard_normal((4, 2))
-        assert np.allclose(
-            shifted.log_density(y), model.log_density(y - [1.0, 2.0]), rtol=1e-12
-        )
+        assert np.allclose(log_density, expect, rtol=1e-10)
 
     def test_score_matches_finite_differences(self, rng):
+        # g'/g, and the location score -2 g'(x)/g(x) y of the kappa check at x = |y|^2, against
+        # central differences of the oracle's log g; the last five rows sit at x in [0.9, 1],
+        # where light100's kernel turns over and its score is far from zero
         step = 1e-6
+        u = rng.standard_normal((5, 3))
+        u *= np.sqrt(np.linspace(0.9, 1.0, 5) / (u * u).sum(axis=1))[:, None]
         for family in FAMILY_TAGS:
-            model = standard_model(family, 3)
-            y = 0.5 * rng.standard_normal((4, 3))
-            score = model.location_score(y)
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = step
-                fd = (
-                    model.with_location(e).log_density(y)
-                    - model.with_location(-e).log_density(y)
-                ) / (2 * step)
-                assert np.allclose(score[:, j], fd, rtol=1e-5, atol=1e-7), family
+            gen = generator_by_name(family)
+            y = np.concatenate([0.5 * rng.standard_normal((4, 3)), u])
+            x = (y * y).sum(axis=1)
+            fd = (oracles.log_g(family, x + step, 3) - oracles.log_g(family, x - step, 3)) / (2 * step)
+            assert np.allclose(gen.dlog_g(x, 3), fd, rtol=1e-5, atol=1e-7), family
+            score = -2.0 * gen.dlog_g(x, 3)[:, None] * y
+            assert np.allclose(score, oracles.location_score_fd(family, y, step), rtol=1e-5, atol=1e-7), family
 
     @pytest.mark.parametrize("family", FAMILY_TAGS)
     def test_score_under_general_scatter(self, family, rng):
-        # the Sigma^{-1} (y - mu) branch, at squared distances in [0.9, 1], where light100's
-        # kernel turns over and its score is far from zero
+        # the location score -2 g'(x)/g(x) Sigma^{-1} (y - mu), x the squared Mahalanobis
+        # distance, against central differences in mu of log g(x); the distances sit in
+        # [0.9, 1], where light100's kernel turns over and its score is far from zero
         sigma = SpdMatrix([[2.0, 0.6, 0.2], [0.6, 1.0, 0.3], [0.2, 0.3, 1.5]])
         mu = np.array([0.5, -1.0, 2.0])
-        model = EllipticalModel(generator_by_name(family), 3, mu, sigma)
+        gen = generator_by_name(family)
         u = rng.standard_normal((5, 3))
         u *= np.sqrt(np.linspace(0.9, 1.0, 5) / (u * u).sum(axis=1))[:, None]
         y = mu + u @ sigma.cholesky_factor.T
-        score, step = model.location_score(y), 1e-6
+        x = mahalanobis_sq_many(y, mu, sigma)
+        score = -2.0 * gen.dlog_g(x, 3)[:, None] * ((y - mu) @ sigma.inverse)
+        step = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = step
-            ahead, behind = model.with_location(mu + e), model.with_location(mu - e)
-            fd = (ahead.log_density(y) - behind.log_density(y)) / (2 * step)
-            assert np.allclose(score[:, j], fd, rtol=1e-7, atol=1e-9)
+            ahead = oracles.log_g(family, mahalanobis_sq_many(y, mu + e, sigma), 3)
+            behind = oracles.log_g(family, mahalanobis_sq_many(y, mu - e, sigma), 3)
+            assert np.allclose(score[:, j], (ahead - behind) / (2 * step), rtol=1e-7, atol=1e-9)
 
     def test_gaussian_sample_moments(self):
         model = EllipticalModel(GAUSSIAN, 2, [3.0, -1.0], [[2.0, 0.6], [0.6, 1.0]])
@@ -400,7 +394,7 @@ class TestModel:
 class TestMixture:
     def make(self, beta):
         base = standard_model("gaussian", 2)
-        return MixtureModel(beta, base, base.with_location([5.0, 5.0]))
+        return MixtureModel(beta, base, EllipticalModel(GAUSSIAN, 2, [5.0, 5.0]))
 
     def test_beta_zero_is_null(self):
         x = sample_mixture(self.make(0.0), 500, np.random.default_rng(1))

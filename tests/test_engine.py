@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+import oracles
 from fstest import engine
 from fstest import estimators as est
 from fstest import rng as rng_module
@@ -31,7 +32,6 @@ from fstest.engine import (
     limit_weights,
     power_table,
     run_test,
-    scatter_scale_constant,
     statistic,
     weighted_chisq_sample,
 )
@@ -168,7 +168,7 @@ def limit_scale(kind, family, d=4, gamma=0.5):
 
 class TestVarianceConstants:
     def test_gaussian_d4(self):
-        c1 = scatter_scale_constant("gaussian", 4, 0.5)
+        c1 = oracles.scatter_scale_constant("gaussian", 4, 0.5)
         assert c1 == pytest.approx(78.95683520871486, rel=1e-12)
         assert c1 == pytest.approx((2 * math.pi) ** 2 / 0.5, rel=1e-12)
         assert limit_scale(StatKind.T2, "gaussian") == pytest.approx(1.0, rel=1e-10)
@@ -176,7 +176,7 @@ class TestVarianceConstants:
         assert limit_scale(StatKind.T4, "gaussian") == pytest.approx(math.pi / 3, rel=1e-10)
 
     def test_cauchy_d4(self):
-        assert scatter_scale_constant("cauchy", 4, 0.5) == math.inf
+        assert oracles.scatter_scale_constant("cauchy", 4, 0.5) == math.inf
         assert limit_scale(StatKind.T2, "cauchy") == math.inf
         assert limit_scale(StatKind.T3, "cauchy") == pytest.approx(math.pi**2 / 4, rel=1e-10)
         assert limit_scale(StatKind.T4, "cauchy") == pytest.approx(math.pi**2 / 3, rel=1e-10)
@@ -201,17 +201,27 @@ class TestVarianceConstants:
         with pytest.raises(ValueError):
             LimitLaw(StatKind.T1, "gaussian", 4, gamma=0.0)
 
+    @pytest.mark.parametrize("kind, gamma, last_d", [
+        (StatKind.T4, 0.5, 3896),  # the int g1^2 rule meets inf * 0 from d = 3,897
+        (StatKind.T2, 0.5, 34097),  # d * I0 overflows from d = 34,098, where I1 / (d * I0) would read 0
+        (StatKind.T1, 1.0, 34322),  # math.gamma overflows in I1 from d = 34,323
+    ])
+    def test_light100_constants_past_the_float_range(self, kind, gamma, last_d):
+        assert 0.0 < LimitLaw(kind, "light100", last_d, gamma).scale < math.inf
+        with pytest.raises(InfiniteVariance, match=f"cannot be evaluated in floats .* at d = {last_d + 1}$"):
+            LimitLaw(kind, "light100", last_d + 1, gamma).scale
+
     @pytest.mark.parametrize("d", (4, 300, 343, 400, 700))
     def test_c1_in_log_space(self, d):
         # c1 = (2 pi)^{d/2} / gamma for the gaussian; its linear-space form overflowed from d = 300
-        assert scatter_scale_constant("gaussian", d, 0.5) == pytest.approx(
+        assert oracles.scatter_scale_constant("gaussian", d, 0.5) == pytest.approx(
             (2 * math.pi) ** (d / 2) / 0.5, rel=1e-12, abs=0
         )
-        assert scatter_scale_constant("cauchy", d, 0.5) == math.inf
+        assert oracles.scatter_scale_constant("cauchy", d, 0.5) == math.inf
 
     def test_c1_scales_inversely_with_gamma(self):
-        half = scatter_scale_constant("gaussian", 4, 0.5)
-        full = scatter_scale_constant("gaussian", 4, 1.0)
+        half = oracles.scatter_scale_constant("gaussian", 4, 0.5)
+        full = oracles.scatter_scale_constant("gaussian", 4, 1.0)
         assert half == pytest.approx(2 * full, rel=1e-12)
 
 

@@ -18,19 +18,16 @@ sys.path.insert(0, str(SCRIPT.parent))
 from uncalled_names import uncalled_names  # noqa: E402
 
 TRACE_TARGET = "trace target of benchmarks/tracing.py, whose span never fires"
-CRITERION_4 = "kept: acceptance criterion 4 calls it (tests/test_acceptance.py)"
 CRITERION_6 = "kept: acceptance criterion 6 calls it (tests/test_acceptance.py)"
 CRITERION_7 = "kept: acceptance criterion 7 calls it (tests/test_acceptance.py)"
 
 #: every public name without a use in the package, its scripts or its benchmark, and why it stays
 KEPT = {
-    "asymptotics.limit_behavior": CRITERION_4,
     "asymptotics.contiguous_power": TRACE_TARGET + "; " + CRITERION_6,
     "elliptical.sample_mixture": TRACE_TARGET,
     "estimators.forward_search": TRACE_TARGET + "; " + CRITERION_7,
     "estimators.hodges_lehmann": TRACE_TARGET,
     "robustness.finite_sample_efficiency": TRACE_TARGET,
-    "robustness.empirical_limit_covariance": CRITERION_7,
 }
 
 
@@ -46,58 +43,41 @@ def test_script_prints_the_list():
     lines = out.splitlines()
     assert lines[-1] == f"{len(KEPT)} public names without a use"
     assert "asymptotics.contiguous_power  (trace target)" in lines
-    assert "asymptotics.limit_behavior" in lines
+    assert "elliptical.sample_mixture  (trace target)" in lines
 
 
 PACKAGE_LOOKUP = "package attribute lookup (fstest.NAME, dir(fstest)); the CLI imports its modules directly"
 KAPPA_CHECK = "Monte Carlo check of the t1 drift kappa, which only the tests call (ROADMAP item 5(b))"
 ABSTRACT = "abstract kernel method: every kernel overrides it"
-DENSITY = "density and score layer: read only by the kappa Monte Carlo check and acceptance criterion 7"
+KAPPA_SCORE = "score of the kappa check: g'/g of the kernel"
 REPR = "repr for interactive use"
-C1 = "the paper's c1: the tests' quadrature oracle divides by it, empirical_limit_covariance logs it"
 
 #: every function and method of src/fstest that no call of ``uncalled_names.commands`` enters, and why it stays
 UNREACHED = {
     "__init__.__getattr__": PACKAGE_LOOKUP,
     "__init__.__dir__": PACKAGE_LOOKUP,
-    "asymptotics.limit_behavior": CRITERION_4,
     "asymptotics.ContiguousSpec.__post_init__": KAPPA_CHECK,
     "asymptotics.ContiguousSpec.d": KAPPA_CHECK,
     "asymptotics._offset_samples": KAPPA_CHECK,
     "asymptotics.estimate_all_offsets": KAPPA_CHECK + "; " + TRACE_TARGET,
     "asymptotics.contiguous_power": TRACE_TARGET + "; " + CRITERION_6,
-    "elliptical.DensityGenerator.g": "kernel value: the tests' quadrature oracle reads it",
-    "elliptical.DensityGenerator.log_g": ABSTRACT,
     "elliptical.DensityGenerator.dlog_g": ABSTRACT,
     "elliptical.DensityGenerator.radial_integral_closed": ABSTRACT,
     "elliptical.DensityGenerator.draw": ABSTRACT,
     "elliptical.DensityGenerator.g1_zero_closed": ABSTRACT,
     "elliptical.DensityGenerator.int_g1_sq_closed": ABSTRACT,
     "elliptical.DensityGenerator.__repr__": REPR,
-    "elliptical._Gaussian.log_g": DENSITY,
-    "elliptical._Gaussian.dlog_g": DENSITY,
+    "elliptical._Gaussian.dlog_g": KAPPA_SCORE,
     "elliptical._Gaussian.radial_integral_closed": "gaussian I_p of the public radial_integral; commands read log I_p",
-    "elliptical._Cauchy.log_g": DENSITY,
-    "elliptical._Cauchy.dlog_g": DENSITY,
-    "elliptical._Light100.log_g": DENSITY,
-    "elliptical._Light100.dlog_g": DENSITY,
-    "elliptical.EllipticalModel.log_k": DENSITY,
-    "elliptical.EllipticalModel.with_location": DENSITY,
-    "elliptical.EllipticalModel.mahalanobis_sq": DENSITY,
-    "elliptical.EllipticalModel.log_density": DENSITY,
-    "elliptical.EllipticalModel.density": DENSITY,
-    "elliptical.EllipticalModel.location_score": DENSITY,
+    "elliptical._Cauchy.dlog_g": KAPPA_SCORE,
+    "elliptical._Light100.dlog_g": KAPPA_SCORE,
     "elliptical.EllipticalModel.__repr__": REPR,
     "elliptical.sample_mixture": TRACE_TARGET,
-    "engine.scatter_scale_constant": C1,
-    "engine._log_c1": C1,
     "estimators.forward_search": TRACE_TARGET + "; " + CRITERION_7,
     "estimators.hodges_lehmann": TRACE_TARGET,
     "estimators.estimate": "the public API's one single-sample entry (README); " + CRITERION_7,
-    "linalg.SpdMatrix.log_det": DENSITY,
     "linalg.SpdMatrix.__repr__": REPR,
     "robustness.finite_sample_efficiency": TRACE_TARGET,
-    "robustness.empirical_limit_covariance": CRITERION_7,
 }
 
 
