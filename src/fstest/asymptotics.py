@@ -41,7 +41,7 @@ from numpy.typing import ArrayLike, NDArray
 from . import estimators as est
 from ._special import _chi2_upper_point, _noncentral_chi2_cdf
 from .elliptical import EllipticalModel, generator_by_name, standard_model
-from .engine import DEFAULT_MC_SAMPLES, LimitLaw, StatKind
+from .engine import LimitLaw, StatKind
 from .linalg import SpdMatrix, as_vector
 from .rng import simulate
 
@@ -243,8 +243,6 @@ def contiguous_power(
     delta: ArrayLike,
     gamma: float = 0.5,
     alpha: float = 0.05,
-    mc_samples: int = DEFAULT_MC_SAMPLES,
-    seed: int = 0,
 ) -> float:
     """Limiting power against mu0 + delta/sqrt(n) at level alpha.
 
@@ -257,7 +255,6 @@ def contiguous_power(
     empirically calibrated one keeps a power near alpha (0.0585 by simulation
     at n = 400, d = 4, delta = (1, ..., 1)).  ||delta|| is taken by
     ``math.hypot``, so a delta whose square overflows (1e200) gets power 1.
-    ``mc_samples`` and ``seed`` are accepted and ignored: nothing is drawn.
     """
     delta = as_vector(delta, "delta")
     return _limit_power(LimitLaw(kind, family, delta.size, gamma), delta, alpha)

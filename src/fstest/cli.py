@@ -23,8 +23,9 @@ for repeats too.  A bad value prints ``error: ...`` and exits 1.  ``test``
 critical value from one call, :func:`fstest.engine.calibrate`, so both
 report the same value for the same statistic, family, n and seed.
 :func:`main` turns every input or OS error into that one ``error:`` line,
-and an infinite limit variance into ``error: formula calibration
-unavailable: ...`` for both.
+an infinite limit variance into ``error: formula calibration
+unavailable: ...`` for both, and a failed allocation into ``error: out of
+memory: ...``.
 """
 
 from __future__ import annotations
@@ -73,9 +74,6 @@ _FLAGS = {
     "gamma": ({"type": float, "default": 0.5}, lambda v: 0.0 < v <= 1.0, "--gamma must lie in (0, 1]"),
     "alpha": ({"type": float, "default": 0.05}, lambda v: 0.0 < v < 1.0, "--alpha must lie in (0, 1)"),
     "reps": ({"type": int, "default": 1000}, lambda v: v >= 1, "--reps must be positive"),
-    "mc_samples": ({"type": int, "help": "Monte Carlo draws; omit for the exact quantile at equal limit weights"
-                    f" ({DEFAULT_MC_SAMPLES:,} draws otherwise)"}, lambda v: v is None or v >= 100,
-                   "--mc-samples must be at least 100"),
     "null_reps": ({"type": int, "default": DEFAULT_NULL_REPS}, lambda v: v >= 100, "--null-reps must be at least 100"),
 }
 
@@ -250,7 +248,6 @@ def cmd_test(args) -> int:
             alpha=args.alpha,
             family=args.family or "gaussian",
             calibration=args.calibration,
-            mc_samples=args.mc_samples,
             null_reps=args.null_reps,
             seed=args.seed,
         )
@@ -366,7 +363,6 @@ def cmd_critical_value(args) -> int:
         gamma=args.gamma,
         alpha=args.alpha,
         calibration=args.calibration,
-        mc_samples=args.mc_samples,
         null_reps=args.null_reps,
         seed=args.seed,
     )
@@ -394,9 +390,15 @@ def cmd_critical_value(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(parser, *, with_family=True):
-    if with_family:
-        parser.add_argument("--family", choices=sorted(FAMILY_TAGS), help="restrict to one family (default: all)")
+#: ``--family`` help: tables cover every family unless given one; a calibration takes one
+_ALL_FAMILIES = "restrict to one family (default: all)"
+_NULL_FAMILY = "family of the null law that calibrates the critical value (default: gaussian)"
+
+
+def _add_common(parser, *, family_help: str | None = _ALL_FAMILIES):
+    """``--family`` (unless ``family_help`` is None), ``--seed``, ``--out`` and ``--format``."""
+    if family_help:
+        parser.add_argument("--family", choices=sorted(FAMILY_TAGS), help=family_help)
     parser.add_argument("--seed", type=int, required=True, help="base seed; all streams derive from it")
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_power_table)
 
     p = sub.add_parser("test", help="test a hypothesized location on a CSV dataset")
-    _add_common(p)
+    _add_common(p, family_help=_NULL_FAMILY)
     p.add_argument("--data", required=True, help="CSV file of observations, one row per case")
     p.add_argument("--kind", choices=[k.value for k in StatKind], default="t1")
     p.add_argument("--mu0", default="0", help="hypothesized location: one value or d comma-separated")
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "gamma", "alpha")
     p.add_argument("--j", type=int, default=0, help="bootstrap resamples; 0 uses calibrated critical values")
     p.add_argument("--calibration", choices=("formula", "empirical"), default="empirical")
-    _add_flags(p, "mc_samples", "null_reps")
+    _add_flags(p, "null_reps")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("table2", help="limiting power under local alternatives")
@@ -454,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table3)
 
     p = sub.add_parser("table4", help="asymptotic efficiency closed forms, d-th-root convention")
-    p.add_argument("--family", choices=sorted(FAMILY_TAGS), help="restrict to one family (default: all)")
+    p.add_argument("--family", choices=sorted(FAMILY_TAGS), help=_ALL_FAMILIES)
     _add_flags(p, "gamma")
     p.add_argument("--d-grid", default=",".join(str(d) for d in DEFAULT_D_GRID))
     p.add_argument("--out", help="output path (default: stdout)")
@@ -462,18 +464,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table4)
 
     p = sub.add_parser("breakdown", help="contamination sweep; reports the break fraction")
-    _add_common(p, with_family=False)
+    _add_common(p, family_help=None)
     p.add_argument("--gamma", default="0.3,0.5,0.7", dest="gammas", metavar="GAMMA",
                    help="comma-separated retention fractions")
     _add_flags(p, "n", "d", n={"default": 20})
     p.set_defaults(func=cmd_breakdown)
 
     p = sub.add_parser("critical-value", help="critical value for one statistic")
-    _add_common(p)
+    _add_common(p, family_help=_NULL_FAMILY)
     p.add_argument("--kind", choices=[k.value for k in StatKind], default="t1")
     _add_flags(p, "d", "n", "gamma", "alpha", n={"help": "sample size for empirical calibration"})
     p.add_argument("--calibration", choices=("formula", "empirical"), default="formula")
-    _add_flags(p, "mc_samples", "null_reps")
+    _add_flags(p, "null_reps")
     p.set_defaults(func=cmd_critical_value)
 
     return parser
@@ -506,6 +508,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except InfiniteVariance as exc:
         print(f"error: formula calibration unavailable: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -304,34 +304,22 @@ DEFAULT_MC_SAMPLES = 200_000
 DEFAULT_NULL_REPS = 2_000
 
 
-def critical_value(
-    weights: ArrayLike,
-    alpha: float,
-    mc_samples: int | None = None,
-    seed: int = 0,
-) -> MonteCarloQuantile:
+def critical_value(weights: ArrayLike, alpha: float, seed: int = 0) -> MonteCarloQuantile:
     """(1 - alpha) point of sum_i weights_i * Z_i^2.
 
-    At equal weights, unless ``mc_samples`` is given, it is the exact
-    point w * chi2_d, from the chi-squared upper tail, with standard error 0
-    and no draws.  Otherwise it is
-    the Monte Carlo quantile of ``mc_samples`` (default
-    :data:`DEFAULT_MC_SAMPLES`) draws from the ``seed`` stream, with its
-    standard error.
+    At equal weights it is the exact point w * chi2_d, from the chi-squared
+    upper tail, with standard error 0 and no draws.  Otherwise it is the
+    Monte Carlo quantile of :data:`DEFAULT_MC_SAMPLES` draws from the
+    ``seed`` stream, with its standard error.
     """
     w = as_vector(weights, "weights")
     if np.any(w <= 0):
         raise ValueError("limit weights must be positive")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if mc_samples is None:
-        if np.all(w == w[0]):
-            return MonteCarloQuantile(float(w[0]) * _chi2_upper_point(w.size, alpha), 0.0, 0)
-        mc_samples = DEFAULT_MC_SAMPLES
-    if mc_samples < 100:
-        raise ValueError("mc_samples is too small to estimate a quantile")
-    rng = stream_rng(seed, "critical-value", *w)
-    draws = weighted_chisq_sample(w, mc_samples, rng)
+    if np.all(w == w[0]):
+        return MonteCarloQuantile(float(w[0]) * _chi2_upper_point(w.size, alpha), 0.0, 0)
+    draws = weighted_chisq_sample(w, DEFAULT_MC_SAMPLES, stream_rng(seed, "critical-value", *w))
     return _quantile_with_se(draws, 1.0 - alpha)
 
 
@@ -366,7 +354,6 @@ def calibrate(
     gamma: float,
     alpha: float,
     calibration: str,
-    mc_samples: int | None = None,
     null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
 ) -> MonteCarloQuantile:
@@ -379,7 +366,7 @@ def calibrate(
     and ``fstest critical-value`` take their critical values only from here.
     """
     if calibration == "formula":
-        return critical_value(limit_weights(kind, family, sigma, gamma), alpha, mc_samples, seed)
+        return critical_value(limit_weights(kind, family, sigma, gamma), alpha, seed)
     if calibration == "empirical":
         kind = StatKind(kind)
         return empirical_critical_value((kind,), family, mu0, sigma, n, gamma, alpha, null_reps, seed)[kind]
@@ -426,16 +413,15 @@ def run_test(
     alpha: float = 0.05,
     family: str = "gaussian",
     calibration: str = "empirical",
-    mc_samples: int | None = None,
     null_reps: int = DEFAULT_NULL_REPS,
     seed: int = 0,
 ) -> TestReport:
     """Test the hypothesized location against the data, with the critical
     value of :func:`calibrate` for the named family at the observed sample size.
 
-    Where that value is an exact point (formula calibration at equal weights
-    and no ``mc_samples``), the limit tail at the observed value is the
-    p-value; otherwise there is none.
+    Where that value is an exact point (formula calibration at equal
+    weights), the limit tail at the observed value is the p-value; otherwise
+    there is none.
     """
     kind, x, config = _test_inputs(kind, data, mu0, sigma, gamma)
     value = statistic(kind, x, config.mu0, config.sigma, gamma)
@@ -448,7 +434,6 @@ def run_test(
         gamma=gamma,
         alpha=alpha,
         calibration=calibration,
-        mc_samples=mc_samples,
         null_reps=null_reps,
         seed=seed,
     )

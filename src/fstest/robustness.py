@@ -88,10 +88,9 @@ def breakdown_experiment(
     gamma: float,
     n: int = 20,
     d: int = 4,
-    magnitude_ladder: tuple[float, ...] = DEFAULT_MAGNITUDE_LADDER,
     seed: int = 0,
 ) -> BreakdownResult:
-    """Push 1..n-1 points to ever larger magnitudes and watch the estimate.
+    """Push 1..n-1 points up :data:`DEFAULT_MAGNITUDE_LADDER` and watch the estimate.
 
     The clean sample is Gaussian.  A contamination count "breaks" the
     estimator when the deviation from the clean-data estimate keeps growing
@@ -104,10 +103,6 @@ def breakdown_experiment(
     batch's tie rule: the pushed points, the first rows, tie with one
     another and are kept before later rows at the same distance.
     """
-    if len(magnitude_ladder) < 3:
-        raise ValueError("magnitude ladder needs at least three rungs")
-    if any(b <= a for a, b in zip(magnitude_ladder, magnitude_ladder[1:])):
-        raise ValueError("magnitude ladder must be strictly increasing")
     if n < 2:
         raise ValueError("n must be at least 2")
     clean = standard_model("gaussian", d).sample(n, stream_rng(seed, "breakdown", repr(float(gamma)), n, d))
@@ -116,8 +111,8 @@ def breakdown_experiment(
 
     counts = tuple(range(1, n))
     # replication i * rungs + j pushes the first counts[i] rows to rung j
-    pushed = np.repeat(np.array(counts), len(magnitude_ladder))[:, None]
-    rungs = np.tile(np.array(magnitude_ladder, dtype=float), len(counts))[:, None, None]
+    pushed = np.repeat(np.array(counts), len(DEFAULT_MAGNITUDE_LADDER))[:, None]
+    rungs = np.tile(np.array(DEFAULT_MAGNITUDE_LADDER), len(counts))[:, None, None]
     shifted = np.empty((len(rungs), d))
     step = max(1, rng.SIMULATION_BLOCK_FLOATS // (n * d))
     for lo in range(0, len(rungs), step):
@@ -129,12 +124,12 @@ def breakdown_experiment(
     deviations = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0]).reshape(len(counts), -1)
 
     a, b, c = deviations[:, -3:].T
-    broke = tuple(bool(x) for x in (c > magnitude_ladder[-1] / 100.0) & (a < b) & (b < c))
+    broke = tuple(bool(x) for x in (c > DEFAULT_MAGNITUDE_LADDER[-1] / 100.0) & (a < b) & (b < c))
     return BreakdownResult(
         gamma=gamma,
         n=n,
         d=d,
-        magnitudes=tuple(float(m) for m in magnitude_ladder),
+        magnitudes=DEFAULT_MAGNITUDE_LADDER,
         corrupted_counts=counts,
         broke=broke,
         deviations=deviations,

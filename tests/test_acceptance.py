@@ -19,6 +19,7 @@ from fstest.elliptical import FAMILY_TAGS, generator_by_name
 from fstest.engine import StatKind
 from fstest.estimators import EstimatorKind, ForwardSearchConfig, estimate, forward_search
 from fstest.linalg import SpdMatrix
+from fstest.rng import stream_rng
 
 FAMILIES = ("gaussian", "cauchy", "light100")
 
@@ -130,9 +131,7 @@ def test_criterion_6_local_power_ordering():
 
     failures = []
     for comp in (0.5, -0.5, 5.0, -5.0):
-        value = asymptotics.contiguous_power(
-            StatKind.T2, "cauchy", np.full(4, comp), seed=606
-        )
+        value = asymptotics.contiguous_power(StatKind.T2, "cauchy", np.full(4, comp))
         if value != 0.0:
             failures.append(f"cauchy t2 at {comp}*1: {value} != 0")
     delta = np.full(d, 0.5)
@@ -140,12 +139,12 @@ def test_criterion_6_local_power_ordering():
     kappa = 1 - 2 * q * stats.chi2.pdf(q, d) / (d * gamma)
     v = stats.chi2.cdf(q, d + 2) / gamma**2
     expected = stats.ncx2.sf(stats.chi2.ppf(1 - alpha, d), d, kappa**2 * (delta @ delta) / v)
-    trimmed = asymptotics.contiguous_power(StatKind.T1, "gaussian", delta, seed=606)
+    trimmed = asymptotics.contiguous_power(StatKind.T1, "gaussian", delta)
     if abs(trimmed - expected) > five_se(expected):
         failures.append(f"gaussian t1 at 0.5*1: {trimmed:.4f} vs closed form {expected:.4f}")
     for comp in (5.0, -5.0):
-        t1 = asymptotics.contiguous_power(StatKind.T1, "light100", np.full(4, comp), seed=606)
-        t2 = asymptotics.contiguous_power(StatKind.T2, "light100", np.full(4, comp), seed=606)
+        t1 = asymptotics.contiguous_power(StatKind.T1, "light100", np.full(4, comp))
+        t2 = asymptotics.contiguous_power(StatKind.T2, "light100", np.full(4, comp))
         if abs(t1 - alpha) > five_se(alpha):
             failures.append(f"light100 t1 at {comp}*1: {t1:.4f} vs alpha {alpha}")
         if t2 != 1.0:
@@ -173,9 +172,12 @@ def test_criterion_7_oracle_equivalences():
         brute = np.median((data[i] + data[j]) / 2.0, axis=0)
         assert np.abs(fast - brute).max() <= 1e-12
 
-    # unit-weight limit quantiles agree with chi-squared references
+    # Monte Carlo quantiles of unit-weight limits, from the critical-value stream, agree with
+    # chi-squared references (critical_value itself takes the exact point at equal weights)
     for d, reference in ((1, 3.8415), (2, 5.9915), (5, 11.0705)):
-        quantile = engine.critical_value(np.ones(d), 0.05, mc_samples=200_000, seed=707)
+        weights = np.ones(d)
+        draws = engine.weighted_chisq_sample(weights, 200_000, stream_rng(707, "critical-value", *weights))
+        quantile = engine._quantile_with_se(draws, 0.95)
         assert abs(quantile.value - reference) <= 4 * quantile.stderr, d
 
     # the kappa check's location score, -2 g'(x)/g(x) y at x = |y|^2, agrees with finite differences

@@ -254,23 +254,21 @@ def ncx2_power(d, shift, alpha=0.05):
 
 class TestContiguousPower:
     def test_zero_delta_is_exactly_alpha(self):
-        p = contiguous_power(StatKind.T1, "gaussian", np.zeros(4), seed=3)
+        p = contiguous_power(StatKind.T1, "gaussian", np.zeros(4))
         assert p == pytest.approx(0.05, abs=1e-12)
 
     def test_cauchy_mean_rule(self):
-        assert contiguous_power(StatKind.T2, "cauchy", np.full(4, 2.0), seed=1) == 0.0
+        assert contiguous_power(StatKind.T2, "cauchy", np.full(4, 2.0)) == 0.0
 
     def test_mean_statistic_matches_noncentral_chi2(self):
         delta = np.full(4, 1.0)
-        p = contiguous_power(
-            StatKind.T2, "gaussian", delta, mc_samples=400_000, seed=17
-        )
+        p = contiguous_power(StatKind.T2, "gaussian", delta)
         oracle = ncx2_power(4, float(delta @ delta))
         assert p == pytest.approx(oracle, abs=1e-10)
 
     def test_power_increases_with_shift(self):
-        small = contiguous_power(StatKind.T3, "gaussian", np.full(2, 0.5), seed=11)
-        large = contiguous_power(StatKind.T3, "gaussian", np.full(2, 3.0), seed=11)
+        small = contiguous_power(StatKind.T3, "gaussian", np.full(2, 0.5))
+        large = contiguous_power(StatKind.T3, "gaussian", np.full(2, 3.0))
         assert large > small
 
     def test_cauchy_trimmed_uses_finite_trimmed_scalar(self):
@@ -282,7 +280,7 @@ class TestContiguousPower:
         v = integrate.quad(lambda x: x * radius.pdf(x), 0, q)[0] / (d * gamma**2)
         kappa = 1 - 2 * q * radius.pdf(q) / (d * gamma)
         oracle = ncx2_power(d, kappa**2 * d / v)
-        p = contiguous_power(StatKind.T1, "cauchy", np.full(d, 1.0), mc_samples=20_000, seed=2)
+        p = contiguous_power(StatKind.T1, "cauchy", np.full(d, 1.0))
         assert p == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("family, scalar, oracle", [
@@ -295,7 +293,7 @@ class TestContiguousPower:
         delta = np.full(4, 0.5)
         closed = ncx2_power(4, float(delta @ delta) / scalar)
         assert closed == pytest.approx(oracle, abs=5e-5)
-        p = contiguous_power(StatKind.T3, family, delta, seed=31)
+        p = contiguous_power(StatKind.T3, family, delta)
         assert p == pytest.approx(closed, abs=1e-10)
 
     def test_makes_no_random_draws(self, monkeypatch):
@@ -305,9 +303,7 @@ class TestContiguousPower:
         monkeypatch.setattr(np.random, "default_rng", forbidden)
         monkeypatch.setattr(np.random, "Generator", forbidden)
         delta = np.full(3, 0.7)
-        a = contiguous_power(StatKind.T1, "gaussian", delta, mc_samples=100, seed=1)
-        b = contiguous_power(StatKind.T1, "gaussian", delta, mc_samples=10**6, seed=2)
-        assert a == b
+        assert 0.05 < contiguous_power(StatKind.T1, "gaussian", delta) < 1.0
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

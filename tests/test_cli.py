@@ -4,10 +4,12 @@ import csv
 import errno
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -76,14 +78,13 @@ class TestArgumentHandling:
         for argv, message in [
             (FAST_POWER + ["--gamma", "0.0"], "--gamma must lie in (0, 1]"),
             (FAST_POWER + ["--reps", "0"], "--reps must be positive"),
-            (["critical-value", "--seed", "0", "--mc-samples", "50"], "--mc-samples must be at least 100"),
+            (["critical-value", "--seed", "0", "--null-reps", "50"], "--null-reps must be at least 100"),
         ]:
             assert main(argv) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
     #: an out-of-range value of each flag in cli._FLAGS
-    OUT_OF_RANGE = {"d": "0", "n": "1", "gamma": "0", "alpha": "1", "reps": "0", "mc_samples": "99",
-                    "null_reps": "99"}
+    OUT_OF_RANGE = {"d": "0", "n": "1", "gamma": "0", "alpha": "1", "reps": "0", "null_reps": "99"}
 
     @staticmethod
     def _flag_pairs():
@@ -100,7 +101,7 @@ class TestArgumentHandling:
     def test_every_table_flag_is_checked_before_the_command_runs(self, capsys):
         pairs = self._flag_pairs()
         # breakdown's --gamma list and table2's ignored --mc-samples are not table flags
-        assert len(pairs) == 24
+        assert len(pairs) == 22
         assert ("breakdown", ["--seed", "1"], "--gamma", "gamma") not in pairs
         for command, required, flag, dest in pairs:
             # test's --data names a missing file: the range error comes first
@@ -218,6 +219,98 @@ class TestArgumentHandling:
         assert capsys.readouterr().out.startswith("schema,")
 
 
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return dict(sub.choices)
+
+
+class TestCliSurface:
+    """Every subcommand's option strings, pinned: a new flag fails here until it is listed."""
+
+    OPTIONS = {
+        "power-table": "--family --seed --out --format --d --n --gamma --alpha --reps --null-reps --beta-grid",
+        "test": "--family --seed --out --format --data --kind --mu0 --sigma --gamma --alpha --j --calibration "
+                "--null-reps",
+        "table2": "--family --seed --out --format --d --gamma --alpha --delta --offset-reps --mc-samples",
+        "table3": "--family --seed --out --format --gamma --reps --n-grid --d-grid --bootstrap",
+        "table4": "--family --gamma --d-grid --out --format",
+        "breakdown": "--seed --out --format --gamma --n --d",
+        "critical-value": "--family --seed --out --format --kind --d --n --gamma --alpha --calibration --null-reps",
+    }
+
+    PAPER_TABLES = "passed by the paper_tables workload of benchmarks/workloads.py"
+    #: the flags a command accepts and ignores, and why each stays
+    IGNORED = {
+        ("table2", "--offset-reps"): PAPER_TABLES + "; the drifts are closed-form; goes with ROADMAP 5(a), then 5(b)",
+        ("table2", "--mc-samples"): PAPER_TABLES + "; the powers are exact; goes with ROADMAP 5(a), then 5(b)",
+        ("table3", "--bootstrap"): PAPER_TABLES + "; the SE is closed-form; goes with ROADMAP 5(a), then 5(b)",
+    }
+
+    def test_option_strings_are_pinned(self):
+        got = {
+            command: " ".join(o for a in parser._actions for o in a.option_strings if o not in ("-h", "--help"))
+            for command, parser in _subcommands().items()
+        }
+        assert got == self.OPTIONS
+        assert sum(len(options.split()) for options in got.values()) == 65
+        assert list(cli._FLAGS) == ["d", "n", "gamma", "alpha", "reps", "null_reps"]
+
+    def test_ignored_flags_are_the_listed_ones(self):
+        accepted = {
+            (command, a.option_strings[0])
+            for command, parser in _subcommands().items()
+            for a in parser._actions
+            if (a.help or "").startswith("accepted; changes no number")
+        }
+        assert accepted == set(self.IGNORED)
+
+    @pytest.mark.parametrize("command", ["test", "critical-value"])
+    def test_mc_samples_is_rejected_by_single_tests(self, command, capsys):
+        # equal limit weights take the exact point, unequal ones DEFAULT_MC_SAMPLES draws
+        data = ["--data", str(DATA)] if command == "test" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", *data, "--mc-samples", "1000"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mc-samples 1000" in capsys.readouterr().err
+
+    def test_family_help_names_each_commands_default(self):
+        every = "restrict to one family (default: all)"
+        one = "family of the null law that calibrates the critical value (default: gaussian)"
+        helps = {
+            command: a.help
+            for command, parser in _subcommands().items()
+            for a in parser._actions
+            if a.dest == "family"
+        }
+        assert helps == {"power-table": every, "test": one, "table2": every, "table3": every, "table4": every,
+                         "critical-value": one}
+
+
+def _limit_address_space():
+    """Cap the child's own address space at 2 GiB (run between fork and exec)."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["critical-value", "--d", "40000"], "11.9 GiB"),  # the dense identity scatter
+    (["table3", "--d-grid", "20000", "--n-grid", "10", "--reps", "20"], "2.98 GiB"),
+    (["test", "--kind", "t4", "--calibration", "formula"], "2.78 GiB"),  # the Hodges-Lehmann band index
+])
+def test_out_of_memory_is_one_error_line(argv, size, tmp_path):
+    if argv[0] == "test":
+        column = tmp_path / "column.csv"
+        column.write_text("x\n" + "".join(f"{(7 * i % 1001) / 500 - 1}\n" for i in range(40_000)))
+        argv = [*argv, "--data", str(column)]
+    src = str(Path(fstest.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "fstest", *argv, "--seed", "1"], env=env,
+                          preexec_fn=_limit_address_space, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: out of memory: Unable to allocate {size}")
+
+
 class TestPowerTableCommand:
     def test_csv_matches_library(self, tmp_path):
         out = tmp_path / "power.csv"
@@ -255,7 +348,7 @@ class TestTestCommand:
     def test_retains_at_true_center(self, capsys):
         rc = main([
             "test", "--seed", "3", "--data", str(DATA),
-            "--null-reps", "400", "--mc-samples", "20000", "--format", "json",
+            "--null-reps", "400", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
@@ -374,7 +467,7 @@ class TestTableCommands:
         ["--gamma", "0"],
         ["--alpha", "1.5"],
         ["--mu0", "nan"],
-        ["--mc-samples", "5", "--calibration", "formula"],
+        ["--alpha", "0"],
         ["--null-reps", "3"],
     ])
     def test_test_bad_inputs_exit_one(self, capsys, argv):
@@ -422,16 +515,17 @@ class TestTableCommands:
     def test_critical_value_formula(self, capsys):
         rc = main([
             "critical-value", "--seed", "7", "--kind", "t2", "--d", "2",
-            "--family", "gaussian", "--mc-samples", "200000", "--format", "json",
+            "--family", "gaussian", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "fstest/1"
-        assert payload["critical_value"] == pytest.approx(5.9915, abs=0.1)
+        # the gaussian t2 limit is chi2_2 itself
+        assert payload["critical_value"] == pytest.approx(special.chdtri(2, 0.05), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("calibration", ["formula", "empirical"])
     def test_critical_value_command_matches_test_command(self, capsys, calibration):
-        sizes = ["--calibration", calibration, "--mc-samples", "1000", "--null-reps", "200", "--format", "json"]
+        sizes = ["--calibration", calibration, "--null-reps", "200", "--format", "json"]
         assert main(["critical-value", "--seed", "4", "--kind", "t3", "--d", "3", "--n", "60"] + sizes) == 0
         standalone = json.loads(capsys.readouterr().out)
         assert main(["test", "--seed", "4", "--kind", "t3", "--data", str(DATA), "--mu0", "0"] + sizes) == 0
@@ -463,17 +557,6 @@ class TestTableCommands:
         # the exact chi2_4 upper 5% point, with no Monte Carlo error
         assert payload["critical_value"] == pytest.approx(scale * special.chdtri(4, 0.05), rel=1e-12, abs=0)
         assert payload["stderr"] == 0.0
-
-    def test_cauchy_t1_formula_monte_carlo_uses_trimmed_variance(self, capsys):
-        rc = main([
-            "critical-value", "--seed", "7", "--kind", "t1", "--family", "cauchy", "--format", "json",
-            "--mc-samples", "200000",
-        ])
-        assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        scale = engine.LimitLaw(StatKind.T1, "cauchy", 4, 0.5).scale
-        # chi2_4 upper 5% point
-        assert abs(payload["critical_value"] - scale * 9.487729) <= 4 * payload["stderr"]
 
     def test_cauchy_t1_formula_at_full_retention_exits_one(self, capsys):
         rc = main([
@@ -508,18 +591,16 @@ class TestTableCommands:
 
     @pytest.mark.parametrize("kind", ["t1", "t2", "t3", "t4"])
     def test_gaussian_formula_beyond_the_overflow_of_i0(self, kind, capsys):
-        # d = 400 used to end in an OverflowError traceback; 2000 draws keep
-        # the 400-column draw matrix small
+        # d = 400 used to end in an OverflowError traceback
         rc = main([
             "critical-value", "--seed", "1", "--kind", kind, "--d", "400",
-            "--family", "gaussian", "--calibration", "formula", "--mc-samples", "2000",
-            "--format", "json",
+            "--family", "gaussian", "--calibration", "formula", "--format", "json",
         ])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         scale = engine.LimitLaw(StatKind(kind), "gaussian", 400, 0.5).scale
-        # chi2_400 upper 5% point is 447.63; the 2000-draw quantile is within a few SE
-        assert abs(payload["critical_value"] - scale * 447.6325) <= 4 * payload["stderr"]
+        # scale times the chi2_400 upper 5% point, 447.63
+        assert payload["critical_value"] == pytest.approx(scale * special.chdtri(400, 0.05), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("d, kind", [("3897", "t4"), ("34500", "t2")])
     def test_light100_constants_past_the_float_range_end_in_one_line(self, d, kind, capsys):
@@ -533,7 +614,7 @@ class TestTableCommands:
 
 class TestOutput:
     @pytest.mark.parametrize("argv", [
-        ["critical-value", "--seed", "4", "--kind", "t3", "--d", "3", "--mc-samples", "1000"],
+        ["critical-value", "--seed", "4", "--kind", "t3", "--d", "3"],
         ["test", "--seed", "4", "--kind", "t2", "--data", str(DATA), "--j", "50"],
     ])
     def test_report_stdout_honours_format(self, argv, tmp_path, capsys):
@@ -555,7 +636,7 @@ class TestOutput:
         ["table3", "--seed", "4", "--reps", "20", "--n-grid", "10", "--d-grid", "2"],
         ["table4", "--d-grid", "2,4"],
         ["breakdown", "--seed", "4", "--gamma", "0.5", "--n", "10", "--d", "2"],
-        ["critical-value", "--seed", "4", "--mc-samples", "1000"],
+        ["critical-value", "--seed", "4"],
         ["critical-value", "--seed", "4", "--calibration", "empirical", "--n", "20", "--null-reps", "200"],
     ], ids=["power-table", "test-empirical", "test-bootstrap", "table2", "table3", "table4", "breakdown",
             "critical-value-formula", "critical-value-empirical"])
@@ -568,7 +649,7 @@ class TestOutput:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
     @pytest.mark.parametrize("argv, field", [
-        (["critical-value", "--seed", "4", "--mc-samples", "1000"], "n"),
+        (["critical-value", "--seed", "4"], "n"),
         (["test", "--seed", "4", "--data", str(DATA), "--null-reps", "200"], "p_value"),
     ])
     def test_null_field_is_an_empty_csv_cell(self, argv, field, tmp_path, capsys):
@@ -610,7 +691,7 @@ class TestParserReuse:
         assert exc.value.code == 2
         # flags the first call leaves at their defaults
         assert main(["critical-value", "--seed", "1", "--gamma", "0.3", "--alpha", "0.1",
-                     "--calibration", "formula", "--mc-samples", "1000"]) == 0
+                     "--calibration", "formula"]) == 0
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
@@ -702,13 +783,15 @@ print(sorted(m for m in pools if m in sys.modules))
 """
         assert _run_script(script) == "['concurrent.futures.thread']"
 
-    def test_gaussian_test_calls_import_no_scipy(self):
-        # the gaussian closed forms need only math
+    def test_gaussian_test_calls_import_no_scipy(self, tmp_path):
+        # the gaussian closed forms need only math; a spread scatter takes the Monte Carlo quantile
+        sigma = tmp_path / "sigma.csv"
+        sigma.write_text("1,0,0\n0,2,0\n0,0,3\n")
         script = f"""
 import contextlib, io, sys
 import fstest.cli
 calls = [["--calibration", "empirical", "--null-reps", "200"],
-         ["--calibration", "formula", "--mc-samples", "1000"],
+         ["--calibration", "formula", "--sigma", {str(sigma)!r}],
          ["--j", "100"],
          ["--calibration", "formula"]]
 for extra in calls:
@@ -811,6 +894,16 @@ class TestPackageNames:
         # the tests compute these from efficiency, tests/oracles.py and robustness._replicated_estimates
         with pytest.raises(AttributeError):
             getattr(fstest, name)
+
+    @pytest.mark.parametrize("name, argument", [
+        ("critical_value", "mc_samples"), ("calibrate", "mc_samples"), ("run_test", "mc_samples"),
+        ("contiguous_power", "mc_samples"), ("contiguous_power", "seed"),
+        ("breakdown_experiment", "magnitude_ladder"),
+    ])
+    def test_arguments_without_a_caller_are_gone(self, name, argument):
+        # no command set them: equal weights take the exact point, the local power draws
+        # nothing and the breakdown sweep climbs DEFAULT_MAGNITUDE_LADDER
+        assert argument not in inspect.signature(getattr(fstest, name)).parameters
 
     def test_readme_lists_each_modules_public_names(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -277,10 +277,18 @@ class TestLimitLawWithoutQuadrature:
             assert math.isfinite(value) and value > 0
 
 
+def monte_carlo_quantile(weights, alpha, size, seed):
+    """:func:`critical_value`'s Monte Carlo quantile of ``size`` draws from its ``seed`` stream,
+    at any weights (critical_value itself takes the exact point at equal ones)."""
+    w = np.asarray(weights, dtype=float)
+    draws = weighted_chisq_sample(w, size, stream_rng(seed, "critical-value", *w))
+    return engine._quantile_with_se(draws, 1.0 - alpha)
+
+
 class TestCriticalValues:
     def test_unit_weights_match_chi2(self):
         for d in (1, 2, 5):
-            q = critical_value(np.ones(d), 0.05, mc_samples=200_000, seed=11)
+            q = monte_carlo_quantile(np.ones(d), 0.05, 200_000, seed=11)
             ref = stats.chi2.ppf(0.95, d)
             assert abs(q.value - ref) < 4 * q.stderr
             assert q.stderr > 0
@@ -309,14 +317,14 @@ class TestCriticalValues:
     @pytest.mark.parametrize("weights", [[1.0, 0.0], [2.0, -1.0], [1.0, math.nan], []])
     def test_rejects_nonpositive_weights(self, weights):
         with pytest.raises(ValueError):
-            critical_value(np.array(weights), 0.05, mc_samples=1000)
+            critical_value(np.array(weights), 0.05)
 
     def test_stream_names_the_weights_as_floats(self):
         # the stream is named by the weights' float reprs, the same under numpy 1 and 2
         weights = np.array([0.5, 2.0])
-        draws = weighted_chisq_sample(weights, 1000, stream_rng(3, "critical-value", 0.5, 2.0))
+        draws = weighted_chisq_sample(weights, engine.DEFAULT_MC_SAMPLES, stream_rng(3, "critical-value", 0.5, 2.0))
         expect = engine._quantile_with_se(draws, 0.95)
-        assert critical_value(weights, 0.05, mc_samples=1000, seed=3) == expect
+        assert critical_value(weights, 0.05, seed=3) == expect
 
     @pytest.mark.parametrize("size, level", [(200_000, 0.95), (1001, 0.9), (100, 0.5)])
     def test_quantile_with_se_matches_unsorted_formula(self, size, level, rng):
@@ -336,13 +344,11 @@ class TestCriticalValues:
             assert got.n_samples == size
 
     def test_reproducible(self):
-        a = critical_value(np.ones(3), 0.1, mc_samples=10_000, seed=3)
-        b = critical_value(np.ones(3), 0.1, mc_samples=10_000, seed=3)
+        a = monte_carlo_quantile(np.ones(3), 0.1, 10_000, seed=3)
+        b = monte_carlo_quantile(np.ones(3), 0.1, 10_000, seed=3)
         assert a == b
-
-    def test_rejects_tiny_sample(self):
-        with pytest.raises(ValueError):
-            critical_value(np.ones(2), 0.05, mc_samples=50)
+        weights = np.array([0.5, 1.0, 3.0])
+        assert critical_value(weights, 0.1, seed=3) == critical_value(weights, 0.1, seed=3)
 
     def test_empirical_reproducible_and_positive(self):
         args = ((StatKind.T1,), "gaussian", np.zeros(3), SpdMatrix.identity(3), 50, 0.5, 0.05, 400, 9)
@@ -404,7 +410,7 @@ class TestExactCriticalValues:
         # no exact law for spread weights: the default is the DEFAULT_MC_SAMPLES-draw quantile
         weights = np.array([0.5, 2.0, 20.0])
         q = critical_value(weights, 0.05, seed=4)
-        assert q == critical_value(weights, 0.05, engine.DEFAULT_MC_SAMPLES, seed=4)
+        assert q == monte_carlo_quantile(weights, 0.05, engine.DEFAULT_MC_SAMPLES, seed=4)
         assert q.n_samples == engine.DEFAULT_MC_SAMPLES and q.stderr > 0
 
     def test_exact_path_draws_nothing(self, monkeypatch, rng):
@@ -447,7 +453,6 @@ class TestFormulaPValue:
 
     def test_monte_carlo_formula_and_empirical_have_no_p_value(self, rng):
         data = rng.standard_normal((40, 2))
-        assert run_test(StatKind.T2, data, np.zeros(2), calibration="formula", mc_samples=1000).p_value is None
         sigma = SpdMatrix(np.diag([0.5, 2.0]))
         assert run_test(StatKind.T2, data, np.zeros(2), sigma, calibration="formula").p_value is None
         assert run_test(StatKind.T2, data, np.zeros(2), null_reps=200).p_value is None
@@ -470,7 +475,6 @@ class TestRunTest:
                 data,
                 np.zeros(3),
                 calibration=calibration,
-                mc_samples=20_000,
                 null_reps=500,
                 seed=2,
             )
@@ -486,7 +490,6 @@ class TestRunTest:
                 np.zeros(2),
                 alpha=alpha,
                 calibration="formula",
-                mc_samples=50_000,
                 seed=4,
             )
             rejected.append(report.decision == "reject")

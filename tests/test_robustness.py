@@ -179,12 +179,6 @@ class TestBreakdown:
         assert payload["n"] == 10
         assert len(payload["top_deviations"]) == 9
 
-    def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            breakdown_experiment(0.5, n=10, magnitude_ladder=(1e3, 1e4))
-        with pytest.raises(ValueError):
-            breakdown_experiment(0.5, n=10, magnitude_ladder=(1e4, 1e3, 1e5))
-
     def test_default_ladder(self):
         assert DEFAULT_MAGNITUDE_LADDER[0] == 1e3
         assert DEFAULT_MAGNITUDE_LADDER[-1] == 1e12

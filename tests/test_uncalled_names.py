@@ -87,3 +87,12 @@ def test_every_unreached_function_is_kept_for_a_reason():
         [sys.executable, str(SCRIPT), "--unreached"], check=True, capture_output=True, text=True, timeout=60
     ).stdout
     assert out.splitlines() == [*UNREACHED, f"{len(UNREACHED)} functions that no command enters"]
+
+
+def test_a_rejected_command_stops_the_run_naming_it():
+    # stderr is redirected while the commands run, so argparse's own message would be lost
+    argv = ["critical-value", "--mc-samples", "1000", "--seed", "1"]
+    script = (f"import sys; sys.path.insert(0, {str(SCRIPT.parent)!r}); import uncalled_names as u; "
+              f"u.commands = lambda tmp: [{argv!r}]; u.unreached()")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"cli.main rejected {argv}\n")
